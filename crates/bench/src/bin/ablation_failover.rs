@@ -25,7 +25,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast_ft, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
 use mrmpi::FtConfig;
 use perfmodel::{
     simulate_master_worker, simulate_master_worker_abort_restart,
@@ -86,7 +86,7 @@ fn main() {
             let t0 = std::time::Instant::now();
             let outcomes = world.run_faulty(move |comm| {
                 let ft = FtConfig { mirror, ..FtConfig::default() };
-                run_mrblast_ft(
+                run_mrblast(
                     comm,
                     &db,
                     &blocks,

@@ -17,7 +17,7 @@ use bioseq::shred::query_blocks;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::World;
-use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix};
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
 use std::sync::Arc;
@@ -46,7 +46,16 @@ fn main() {
         let db = db.clone();
         let blocks = blocks.clone();
         let reports =
-            World::new(ranks).run(move |comm| run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn()));
+            World::new(ranks).run(move |comm| {
+                run_mrblast(
+                    comm,
+                    &db,
+                    &blocks,
+                    &MrBlastConfig::blastn(),
+                    &FaultConfig::default(),
+                )
+                .expect("fault-free run")
+            });
         let mut parallel: Vec<_> = reports
             .iter()
             .flat_map(|r| r.hits.iter())
@@ -78,7 +87,13 @@ fn main() {
         let mpath = mpath.clone();
         let results = World::new(ranks).run(move |comm| {
             let matrix = VectorMatrix::open(&mpath).expect("open");
-            run_mrsom(comm, &matrix, &MrSomConfig { block_size: 25, ..MrSomConfig::new(som) })
+            run_mrsom(
+                comm,
+                &matrix,
+                &MrSomConfig { block_size: 25, ..MrSomConfig::new(som) },
+                &FaultConfig::default(),
+            )
+            .expect("fault-free run")
         });
         let cb = &results[0].0;
         let max_dev = cb

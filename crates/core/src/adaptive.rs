@@ -18,22 +18,22 @@
 //!    block size for a target work-unit duration is derived and broadcast;
 //! 3. block ranges follow a **guided schedule** ([`bioseq::guided_blocks`]):
 //!    full-size early, shrinking toward the end for uniform core filling;
-//! 4. the usual MR-MPI pipeline runs over (range × partition) work units,
-//!    each map() materializing its queries straight from the indexed FASTA.
+//! 4. the guided blocks are read from the indexed FASTA and handed to the
+//!    one BLAST driver ([`run_mrblast`]) over (block × partition) work
+//!    units.
 
-use std::cell::RefCell;
 use std::path::Path;
 use std::time::Instant;
 
-use bioseq::db::{BlastDb, DbPartition};
+use bioseq::db::BlastDb;
 use bioseq::faindex::{guided_blocks, FastaIndex};
-use blast::hsp::{sort_and_truncate, Hit};
-use blast::search::{BlastSearcher, PreparedQueries};
+use bioseq::seq::SeqRecord;
+use blast::search::BlastSearcher;
 use mpisim::Comm;
-use mrmpi::{MapReduce, MapStyle};
+use mrmpi::MrError;
 
-use crate::mrblast::{MrBlastConfig, MrBlastRankReport};
-use crate::util::BusyTracker;
+use crate::fault::FaultConfig;
+use crate::mrblast::{run_mrblast, MrBlastConfig, MrBlastRankReport};
 
 /// Tuning of the adaptive driver.
 #[derive(Debug, Clone, Copy)]
@@ -75,15 +75,17 @@ pub struct AdaptiveReport {
 /// Run MR-MPI BLAST straight from an indexed FASTA query file with
 /// dynamically chosen, guided query blocks. Collective.
 ///
-/// Honors `cfg.params`, `cfg.map_style`, `cfg.locality_aware` and
-/// `cfg.exclude_self`; output is in-memory (the per-rank `hits`).
+/// Once the blocks are chosen, the run is [`run_mrblast`] with `cfg` and
+/// `fault` unchanged, so locality, self-exclusion, per-rank output files,
+/// checkpoints and fault tolerance behave exactly as they do there.
 pub fn run_mrblast_adaptive(
     comm: &Comm,
     db: &BlastDb,
     query_fasta: &Path,
     cfg: &MrBlastConfig,
     acfg: &AdaptiveConfig,
-) -> AdaptiveReport {
+    fault: &FaultConfig,
+) -> Result<AdaptiveReport, MrError> {
     let searcher = BlastSearcher::new(cfg.params);
     let index = FastaIndex::build(query_fasta).expect("index query FASTA");
     let nparts = db.num_partitions();
@@ -118,92 +120,13 @@ pub fn run_mrblast_adaptive(
     // ---- guided block schedule ----
     let workers = comm.size().saturating_sub(1).max(1);
     let block_ranges = guided_blocks(nqueries, chosen_block, acfg.min_block, workers);
-    let ntasks = block_ranges.len() * nparts;
+    let blocks: Vec<Vec<SeqRecord>> = block_ranges
+        .iter()
+        .map(|&(start, end)| index.read_range(start, end).expect("read query range"))
+        .collect();
 
-    // ---- the usual pipeline, reading query ranges on demand ----
-    let mut report = MrBlastRankReport {
-        rank: comm.rank(),
-        hits: Vec::new(),
-        output_file: None,
-        map_calls: 0,
-        db_loads: 0,
-        busy: BusyTracker::new(),
-        finish_time: 0.0,
-        quarantined: Vec::new(),
-    };
-
-    let db_cache: RefCell<Option<(usize, DbPartition)>> = RefCell::new(None);
-    let q_cache: RefCell<Option<(usize, PreparedQueries)>> = RefCell::new(None);
-    let counters: RefCell<(u64, u64)> = RefCell::new((0, 0));
-    let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
-
-    let nblocks = block_ranges.len();
-    let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-    let mut map_body = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
-        let part_idx = task / nblocks;
-        let block_idx = task % nblocks;
-        counters.borrow_mut().0 += 1;
-
-        let mut db_slot = db_cache.borrow_mut();
-        let reload = !matches!(&*db_slot, Some((idx, _)) if *idx == part_idx);
-        if reload {
-            let t0 = Instant::now();
-            let part = db.load_partition(part_idx).expect("load DB partition");
-            comm.charge(t0.elapsed().as_secs_f64());
-            counters.borrow_mut().1 += 1;
-            *db_slot = Some((part_idx, part));
-        }
-        let (_, part) = db_slot.as_ref().expect("cache just filled");
-
-        let mut q_slot = q_cache.borrow_mut();
-        let rebuild = !matches!(&*q_slot, Some((idx, _)) if *idx == block_idx);
-        if rebuild {
-            let (start, end) = block_ranges[block_idx];
-            let t0 = Instant::now();
-            let queries = index.read_range(start, end).expect("read query range");
-            let prepared = searcher.prepare_queries(&queries);
-            comm.charge(t0.elapsed().as_secs_f64());
-            *q_slot = Some((block_idx, prepared));
-        }
-        let (_, prepared) = q_slot.as_ref().expect("cache just filled");
-
-        let clock_start = comm.now();
-        let t0 = Instant::now();
-        let hits =
-            searcher.search_partition(prepared, part, db.total_residues, db.total_sequences);
-        let elapsed = t0.elapsed().as_secs_f64();
-        comm.charge(elapsed);
-        busy.borrow_mut().record(clock_start, clock_start + elapsed);
-
-        for hit in hits {
-            if cfg.exclude_self && crate::mrblast::is_self_hit(&hit) {
-                continue;
-            }
-            kv.emit(hit.query_id.as_bytes(), &hit.encode());
-        }
-    };
-    if cfg.locality_aware && cfg.map_style == MapStyle::MasterWorker {
-        let affinity: Vec<usize> = (0..ntasks).map(|t| t / nblocks).collect();
-        mr.map_tasks_affinity(ntasks, &affinity, &mut map_body);
-    } else {
-        mr.map_tasks(ntasks, cfg.map_style, &mut map_body);
-    }
-
-    mr.collate();
-    let max_hits = cfg.params.max_hits_per_query;
-    mr.reduce(&mut |_key, values, _out| {
-        let mut hits: Vec<Hit> = values.map(Hit::decode).collect();
-        sort_and_truncate(&mut hits, max_hits);
-        report.hits.extend(hits);
-    });
-    comm.barrier();
-
-    let (map_calls, db_loads) = *counters.borrow();
-    report.map_calls = map_calls;
-    report.db_loads = db_loads;
-    report.busy = busy.into_inner();
-    report.finish_time = comm.now();
-    AdaptiveReport { base: report, chosen_block, block_ranges }
+    let base = run_mrblast(comm, db, &blocks, cfg, fault)?;
+    Ok(AdaptiveReport { base, chosen_block, block_ranges })
 }
 
 #[cfg(test)]
@@ -212,6 +135,7 @@ mod tests {
     use bioseq::db::{format_db, FormatDbConfig};
     use bioseq::fasta::write_fasta_file;
     use bioseq::gen::{self, WorkloadConfig};
+    use blast::hsp::Hit;
     use blast::SearchParams;
     use mpisim::World;
     use std::path::PathBuf;
@@ -259,7 +183,9 @@ mod tests {
                     &fasta,
                     &MrBlastConfig::blastn(),
                     &AdaptiveConfig::default(),
+                    &FaultConfig::default(),
                 )
+                .expect("no faults injected")
             });
             let got = keys(reports.into_iter().flat_map(|r| r.base.hits));
             assert_eq!(got, keys(serial.clone()), "ranks={ranks}");
@@ -277,7 +203,9 @@ mod tests {
                 &fasta,
                 &MrBlastConfig::blastn(),
                 &AdaptiveConfig { target_unit_seconds: 0.02, ..Default::default() },
+                &FaultConfig::default(),
             )
+            .expect("no faults injected")
         });
         // Every rank derived the same schedule.
         let first = &reports[0];
@@ -301,7 +229,15 @@ mod tests {
         let (db, fasta, serial, dir) = fixture("loc");
         let reports = World::new(4).run(move |comm| {
             let cfg = MrBlastConfig { locality_aware: true, ..MrBlastConfig::blastn() };
-            run_mrblast_adaptive(comm, &db, &fasta, &cfg, &AdaptiveConfig::default())
+            run_mrblast_adaptive(
+                comm,
+                &db,
+                &fasta,
+                &cfg,
+                &AdaptiveConfig::default(),
+                &FaultConfig::default(),
+            )
+            .expect("no faults injected")
         });
         let got = keys(reports.into_iter().flat_map(|r| r.base.hits));
         assert_eq!(got, keys(serial));
@@ -322,7 +258,9 @@ mod tests {
                     min_block: 2,
                     ..Default::default()
                 },
+                &FaultConfig::default(),
             )
+            .expect("no faults injected")
         });
         assert_eq!(reports[0].chosen_block, 2, "tiny target must clamp to min_block");
         let got = keys(reports.into_iter().flat_map(|r| r.base.hits));

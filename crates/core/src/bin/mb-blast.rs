@@ -1,7 +1,9 @@
 //! `mb-blast` — run the parallel MR-MPI BLAST on a formatted database.
 //!
 //! The command-line face of the paper's first application: simulated MPI
-//! ranks, master-worker scheduling, per-rank tabular output files.
+//! ranks, fault-tolerant master-worker scheduling, per-rank tabular output
+//! files. A run that fails with a typed error (e.g. every worker died)
+//! prints `mb-blast: <error>` and exits with status 2.
 //!
 //! ```text
 //! mb-blast --db dbdir --name refdb --queries reads.fa --ranks 4
@@ -16,7 +18,7 @@ use bioseq::shred::query_blocks;
 use blast::SearchParams;
 use mpisim::World;
 use mrbio::cliargs::Args;
-use mrbio::{run_mrblast, run_mrblast_adaptive, AdaptiveConfig, MrBlastConfig};
+use mrbio::{run_mrblast, run_mrblast_adaptive, AdaptiveConfig, FaultConfig, MrBlastConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -107,27 +109,25 @@ fn run() -> Result<(), String> {
     );
 
     let t0 = std::time::Instant::now();
-    let (total_hits, queries_n, loads, busy) = if adaptive {
+    let fault = FaultConfig::default();
+    let (reports, queries_n) = if adaptive {
         let qp = PathBuf::from(&queries_path);
         let db2 = db.clone();
         let cfg2 = cfg.clone();
-        let reports = make_world(ranks).run(move |comm| {
-            run_mrblast_adaptive(comm, &db2, &qp, &cfg2, &AdaptiveConfig::default())
-        });
+        let reports = make_world(ranks)
+            .run(move |comm| {
+                run_mrblast_adaptive(comm, &db2, &qp, &cfg2, &AdaptiveConfig::default(), &fault)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
         eprintln!(
             "adaptive block size chosen: {} ({} blocks)",
             reports[0].chosen_block,
             reports[0].block_ranges.len()
         );
-        let hits: usize = reports.iter().map(|r| r.base.hits.len()).sum();
-        let loads: u64 = reports.iter().map(|r| r.base.db_loads).sum();
-        let busy: f64 = reports.iter().map(|r| r.base.busy.busy_total()).sum();
-        if cfg.output_dir.is_some() {
-            eprintln!("note: --adaptive output is in-memory; omit --adaptive for per-rank files");
-        }
-        let queries_n =
-            reports[0].block_ranges.last().map_or(0, |&(_, e)| e);
-        (hits, queries_n, loads, busy)
+        let queries_n = reports[0].block_ranges.last().map_or(0, |&(_, e)| e);
+        (reports.into_iter().map(|r| r.base).collect::<Vec<_>>(), queries_n)
     } else {
         let queries =
             read_fasta_file(&queries_path).map_err(|e| format!("read {queries_path}: {e}"))?;
@@ -135,18 +135,21 @@ fn run() -> Result<(), String> {
         let blocks = Arc::new(query_blocks(queries, block_size));
         let db2 = db.clone();
         let cfg2 = cfg.clone();
-        let reports =
-            make_world(ranks).run(move |comm| run_mrblast(comm, &db2, &blocks, &cfg2));
-        for r in &reports {
-            if let Some(path) = &r.output_file {
-                eprintln!("rank {} → {}", r.rank, path.display());
-            }
-        }
-        let hits: usize = reports.iter().map(|r| r.hits.len()).sum();
-        let loads: u64 = reports.iter().map(|r| r.db_loads).sum();
-        let busy: f64 = reports.iter().map(|r| r.busy.busy_total()).sum();
-        (hits, queries_n, loads, busy)
+        let reports = make_world(ranks)
+            .run(move |comm| run_mrblast(comm, &db2, &blocks, &cfg2, &fault))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
+        (reports, queries_n)
     };
+    for r in &reports {
+        if let Some(path) = &r.output_file {
+            eprintln!("rank {} → {}", r.rank, path.display());
+        }
+    }
+    let total_hits: usize = reports.iter().map(|r| r.hits.len()).sum();
+    let loads: u64 = reports.iter().map(|r| r.db_loads).sum();
+    let busy: f64 = reports.iter().map(|r| r.busy.busy_total()).sum();
 
     println!(
         "{total_hits} hits for {queries_n} queries in {:.2}s wall ({} partition loads, {:.2}s engine time)",

@@ -3,7 +3,9 @@
 //! The command-line face of the paper's second application. Input is either
 //! an existing dense matrix file (`mrbio::VectorMatrix`) or a FASTA file
 //! converted to tetranucleotide composition vectors on the fly (the paper's
-//! metagenomic binning space).
+//! metagenomic binning space). Training runs on the fault-tolerant
+//! master-worker scheduler; a run that fails with a typed error prints
+//! `mb-som: <error>` and exits with status 2.
 //!
 //! ```text
 //! mb-som --input vectors.bin --rows 20 --cols 20 --epochs 10 --ranks 4
@@ -16,7 +18,7 @@ use bioseq::fasta::read_fasta_file;
 use bioseq::kmer::tetra_frequencies;
 use mpisim::World;
 use mrbio::cliargs::Args;
-use mrbio::{run_mrsom, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrsom, FaultConfig, MrSomConfig, VectorMatrix};
 use som::neighborhood::{InitMethod, Kernel, SomConfig};
 use som::ppm::{write_codebook_rgb, write_umatrix_pgm};
 use som::quality::quantization_error;
@@ -103,10 +105,15 @@ fn run() -> Result<(), String> {
     };
     let mp = matrix_path.clone();
     let t0 = std::time::Instant::now();
-    let results = World::new(ranks).run(move |comm| {
-        let matrix = VectorMatrix::open(&mp).expect("open matrix");
-        run_mrsom(comm, &matrix, &MrSomConfig { block_size, ..MrSomConfig::new(som) })
-    });
+    let results = World::new(ranks)
+        .run(move |comm| {
+            let matrix = VectorMatrix::open(&mp).expect("open matrix");
+            let cfg = MrSomConfig { block_size, ..MrSomConfig::new(som) };
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
     let cb = &results[0].0;
     let wall = t0.elapsed().as_secs_f64();
 

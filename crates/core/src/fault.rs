@@ -3,9 +3,9 @@
 //! The paper is explicit that MR-MPI inherits MPI's fail-stop behaviour:
 //! "the price for this extra flexibility and portability is a lack of
 //! fault-tolerance inherent in the underlying MPI execution model" (§II.A).
-//! This module is the configuration surface for the *recovering* drivers
-//! ([`crate::mrblast::run_mrblast_ft`], [`crate::mrsom::run_mrsom_ft`]) built
-//! on the fault-tolerant scheduler in [`mrmpi::sched`]:
+//! This module is the configuration surface for the drivers
+//! ([`crate::mrblast::run_mrblast`], [`crate::mrsom::run_mrsom`]), which
+//! always run on the fault-tolerant scheduler in [`mrmpi::sched`]:
 //!
 //! * worker deaths (injected deterministically via [`mpisim::FaultPlan`], or
 //!   real crashes in a native port) are detected and the dead worker's work
@@ -45,7 +45,9 @@ use std::sync::Arc;
 
 use mrmpi::{DiskFaultPlan, FtConfig, Settings};
 
-/// Fault-tolerance knobs threaded through the parallel BLAST / SOM drivers.
+/// Fault-tolerance knobs threaded through the parallel BLAST / SOM drivers
+/// (and into the shipped `mb-blast` / `mb-som` CLIs, which use the
+/// defaults).
 ///
 /// The default tolerates any number of worker deaths (recovery is driven by
 /// death detection, not by a budgeted count) while bounding every blocking
@@ -95,7 +97,7 @@ impl FaultConfig {
 /// The lowest **live** rank: the coordinator used by the fault-tolerant
 /// drivers wherever a fixed root would re-introduce a single point of
 /// failure (checkpoint gathers, one-writer log appends). In a fault-free
-/// run this is rank 0, matching the non-FT drivers exactly.
+/// run this is rank 0.
 pub fn ft_root(comm: &mpisim::Comm) -> usize {
     (0..comm.size()).find(|&r| comm.is_alive(r)).unwrap_or(0)
 }

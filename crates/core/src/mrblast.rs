@@ -6,10 +6,14 @@
 //!    pre-formatted into partitions (`bioseq::db`);
 //! 2. work items are `(query block, DB partition)` tuples; `map()` is run
 //!    with the master-worker mapstyle so that "each worker is kept occupied
-//!    as long as there are remaining work units";
+//!    as long as there are remaining work units" — through the
+//!    fault-tolerant scheduler of [`mrmpi::sched`], so worker and master
+//!    deaths, stragglers and poison units are survived;
 //! 3. each `map()` call runs the serial engine with the DB length overridden
 //!    to the whole database and emits `(query id → encoded HSP)` pairs;
-//! 4. `collate()` groups hits per query across partitions;
+//! 4. `collate()` groups hits per query across partitions (with end-to-end
+//!    accounting, and keys sorted so each rank's output does not depend on
+//!    which worker ran which unit);
 //! 5. `reduce()` sorts by E-value, truncates to the requested top-K and
 //!    appends to the per-rank output file — "the results of the computations
 //!    are in a set of files, one per each MPI rank, with the hits for each
@@ -29,7 +33,7 @@ use blast::hsp::{sort_and_truncate, Hit};
 use blast::search::{BlastSearcher, PreparedQueries};
 use blast::SearchParams;
 use mpisim::Comm;
-use mrmpi::{MapReduce, MapStyle, MrError, Settings};
+use mrmpi::{MapReduce, MrError, Settings};
 
 use crate::ckpt::{self, RestartPoint, RunFingerprint};
 use crate::fault::FaultConfig;
@@ -41,11 +45,9 @@ pub struct MrBlastConfig {
     /// Engine parameters (passed through to the serial searcher unchanged —
     /// the paper's "easy to support any of the multitudes of options").
     pub params: SearchParams,
-    /// Task assignment policy; the paper uses master-worker.
-    pub map_style: MapStyle,
     /// Use the locality-aware master (the paper's future-work scheduler):
     /// workers preferentially receive work units for the DB partition they
-    /// already hold. Only effective with [`MapStyle::MasterWorker`].
+    /// already hold.
     pub locality_aware: bool,
     /// Query blocks per MapReduce iteration (`0` = all blocks in one
     /// iteration). Controls the intermediate key-value working set.
@@ -74,11 +76,10 @@ pub struct MrBlastConfig {
 }
 
 impl MrBlastConfig {
-    /// Nucleotide defaults with master-worker scheduling.
+    /// Nucleotide defaults.
     pub fn blastn() -> Self {
         MrBlastConfig {
             params: SearchParams::blastn(),
-            map_style: MapStyle::MasterWorker,
             locality_aware: false,
             blocks_per_iteration: 0,
             output_dir: None,
@@ -89,7 +90,7 @@ impl MrBlastConfig {
         }
     }
 
-    /// Protein defaults with master-worker scheduling.
+    /// Protein defaults.
     pub fn blastp() -> Self {
         MrBlastConfig { params: SearchParams::blastp(), ..Self::blastn() }
     }
@@ -140,199 +141,26 @@ pub struct MrBlastRankReport {
     pub finish_time: f64,
     /// Work units quarantined as poison by the fault-tolerant scheduler,
     /// encoded as `global_block * nparts + partition` and sorted; identical
-    /// on every surviving rank. Always empty outside [`run_mrblast_ft`] —
-    /// non-empty means the run completed with partial results, and these
-    /// `(query block, DB partition)` pairs contributed no hits.
+    /// on every surviving rank. Non-empty means the run completed with
+    /// partial results, and these `(query block, DB partition)` pairs
+    /// contributed no hits.
     pub quarantined: Vec<u64>,
 }
 
 /// Run MR-MPI BLAST collectively. Must be called by every rank of `comm`
 /// with identical arguments.
-pub fn run_mrblast(
-    comm: &Comm,
-    db: &BlastDb,
-    query_blocks: &[Vec<SeqRecord>],
-    cfg: &MrBlastConfig,
-) -> MrBlastRankReport {
-    let searcher = BlastSearcher::new(cfg.params);
-    let nparts = db.num_partitions();
-    let nblocks = query_blocks.len();
-    let per_iter = if cfg.blocks_per_iteration == 0 {
-        nblocks.max(1)
-    } else {
-        cfg.blocks_per_iteration
-    };
-
-    let mut report = MrBlastRankReport {
-        rank: comm.rank(),
-        hits: Vec::new(),
-        output_file: None,
-        map_calls: 0,
-        db_loads: 0,
-        busy: BusyTracker::new(),
-        finish_time: 0.0,
-        quarantined: Vec::new(),
-    };
-
-    // Restart protocol: rank 0 loads the durable checkpoint (if any) and all
-    // ranks agree on the first unfinished block and their output offsets.
-    let fp = RunFingerprint {
-        nblocks: nblocks as u64,
-        nparts: nparts as u64,
-        per_iter: per_iter as u64,
-        nranks: comm.size() as u64,
-    };
-    let restart = match &cfg.checkpoint_dir {
-        Some(dir) => ckpt::plan_restart(comm, dir, &fp),
-        None => RestartPoint::fresh(),
-    };
-
-    let mut out_file = match &cfg.output_dir {
-        Some(dir) => {
-            let (path, f) = open_rank_output(dir, comm.rank(), restart.my_offset);
-            report.output_file = Some(path);
-            Some(f)
-        }
-        None => None,
-    };
-    let mut out_offset: u64 = restart.my_offset;
-
-    // Caches living across map() invocations on this rank (§III.A: "The DB
-    // object is cached between map() invocations on a given rank, and only
-    // re-initialized if the different DB partition is required").
-    let db_cache: RefCell<Option<(usize, DbPartition)>> = RefCell::new(None);
-    let q_cache: RefCell<Option<(usize, PreparedQueries)>> = RefCell::new(None);
-    let counters: RefCell<(u64, u64)> = RefCell::new((0, 0)); // (map_calls, db_loads)
-    let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
-
-    let mut iters_this_run = 0usize;
-    let mut iter_start = restart.start_block;
-    while iter_start < nblocks {
-        let iter_end = (iter_start + per_iter).min(nblocks);
-        let iter_blocks = &query_blocks[iter_start..iter_end];
-        let ntasks = iter_blocks.len() * nparts;
-        let _iter_span = obs::maybe_span(comm.obs(), "blast.iteration");
-
-        let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-        let nblocks_iter = iter_blocks.len();
-        let mut map_body = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
-            // Partition-major order: consecutive tasks share a partition, so
-            // sequential assignment reuses the cached DB object.
-            let part_idx = task / nblocks_iter;
-            let block_idx = task % nblocks_iter;
-
-            counters.borrow_mut().0 += 1;
-
-            // DB partition cache.
-            let mut db_slot = db_cache.borrow_mut();
-            let reload = !matches!(&*db_slot, Some((idx, _)) if *idx == part_idx);
-            if reload {
-                let t0 = Instant::now();
-                let part = db.load_partition(part_idx).expect("load DB partition");
-                comm.charge(t0.elapsed().as_secs_f64());
-                counters.borrow_mut().1 += 1;
-                if let Some(o) = comm.obs() {
-                    o.add("blast.db_loads", 1);
-                }
-                *db_slot = Some((part_idx, part));
-            }
-            let (_, part) = db_slot.as_ref().expect("cache just filled");
-
-            // Prepared-query cache (global block index across iterations).
-            let global_block = iter_start + block_idx;
-            let mut q_slot = q_cache.borrow_mut();
-            let rebuild = !matches!(&*q_slot, Some((idx, _)) if *idx == global_block);
-            if rebuild {
-                let t0 = Instant::now();
-                let prepared = searcher.prepare_queries(&iter_blocks[block_idx]);
-                comm.charge(t0.elapsed().as_secs_f64());
-                *q_slot = Some((global_block, prepared));
-            }
-            let (_, prepared) = q_slot.as_ref().expect("cache just filled");
-
-            // The serial engine call — the paper's "useful" time.
-            let clock_start = comm.now();
-            let t0 = Instant::now();
-            let hits =
-                searcher.search_partition(prepared, part, db.total_residues, db.total_sequences);
-            let elapsed = t0.elapsed().as_secs_f64();
-            comm.charge(elapsed);
-            busy.borrow_mut().record(clock_start, clock_start + elapsed);
-
-            for hit in hits {
-                if cfg.exclude_self && is_self_hit(&hit) {
-                    continue;
-                }
-                kv.emit(hit.query_id.as_bytes(), &hit.encode());
-            }
-        };
-        if cfg.locality_aware && cfg.map_style == MapStyle::MasterWorker {
-            let affinity: Vec<usize> = (0..ntasks).map(|t| t / nblocks_iter).collect();
-            mr.map_tasks_affinity(ntasks, &affinity, &mut map_body);
-        } else {
-            mr.map_tasks(ntasks, cfg.map_style, &mut map_body);
-        }
-
-        mr.collate();
-
-        let max_hits = cfg.params.max_hits_per_query;
-        mr.reduce(&mut |key, values, _out| {
-            let mut hits: Vec<Hit> = values.map(Hit::decode).collect();
-            sort_and_truncate(&mut hits, max_hits);
-            debug_assert!(hits.iter().all(|h| h.query_id.as_bytes() == key));
-            if let Some(f) = out_file.as_mut() {
-                for h in &hits {
-                    let line = tabular_line(h);
-                    out_offset += line.len() as u64 + 1;
-                    writeln!(f, "{line}").expect("write hit line");
-                }
-            }
-            report.hits.extend(hits);
-        });
-
-        iter_start = iter_end;
-        iters_this_run += 1;
-
-        if let Some(dir) = &cfg.checkpoint_dir {
-            // The iteration's output must be durable before the checkpoint
-            // claims it is: flush + fsync, then record collectively. The
-            // store itself is best-effort — a failed checkpoint only costs
-            // recomputation on restart, never correctness.
-            if let Some(f) = out_file.as_mut() {
-                f.flush().expect("flush rank output");
-                f.get_ref().sync_all().expect("sync rank output");
-            }
-            let faults = cfg.mr_settings.disk_faults.as_deref();
-            let _ = ckpt::record_iteration(comm, dir, &fp, iter_end as u64, out_offset, faults);
-        }
-        if cfg.stop_after_iterations == Some(iters_this_run) {
-            break; // Deterministic on every rank: the simulated crash point.
-        }
-    }
-
-    if let Some(mut f) = out_file {
-        f.flush().expect("flush rank output");
-    }
-    comm.barrier();
-
-    let (map_calls, db_loads) = *counters.borrow();
-    report.map_calls = map_calls;
-    report.db_loads = db_loads;
-    report.busy = busy.into_inner();
-    report.finish_time = comm.now();
-    report
-}
-
-/// Run MR-MPI BLAST collectively with **worker-death recovery**: like
-/// [`run_mrblast`], but scheduled through the fault-tolerant master-worker
+///
+/// Work units are scheduled through the fault-tolerant master-worker
 /// protocol of [`mrmpi::sched`]. A worker that dies mid-run loses its cached
 /// state and every pair it emitted; the master re-dispatches all of its work
 /// units to survivors, and both the map and the shuffle end in cross-rank
 /// accounting, so the surviving ranks' combined output is **bit-for-bit the
-/// serial output** — or every live rank returns the same typed error.
+/// serial output** — or every live rank returns the same typed error. After
+/// the shuffle each rank sorts its keys, so its output file is byte-identical
+/// whichever worker ran which unit.
 ///
-/// `cfg.map_style` and `cfg.locality_aware` are ignored: fault tolerance
-/// requires the dynamic master. The master is a *role*, not a rank — if the
+/// With `cfg.locality_aware` the master prefers to hand a worker units of
+/// the DB partition it already holds. The master is a *role*, not a rank — if the
 /// acting master dies mid-iteration the scheduler elects a successor,
 /// replays the replicated dispatch log, and the iteration completes (see
 /// [`mrmpi::sched`]); the per-iteration restart checkpoint is written by
@@ -340,7 +168,7 @@ pub fn run_mrblast(
 /// checkpointing also survives rank 0. Only startup (checkpoint load before
 /// any unit is dispatched) assumes rank 0 is alive. The legacy fail-fast
 /// behaviour is available via [`FaultConfig::abort_on_master_loss`].
-pub fn run_mrblast_ft(
+pub fn run_mrblast(
     comm: &Comm,
     db: &BlastDb,
     query_blocks: &[Vec<SeqRecord>],
@@ -403,7 +231,11 @@ pub fn run_mrblast_ft(
 
         let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
         let nblocks_iter = iter_blocks.len();
-        let ft_report = mr.map_tasks_ft_report(ntasks, &fault.ft, &mut |task, kv| {
+        // Partition-major order: consecutive tasks share a partition, so
+        // sequential assignment reuses the cached DB object.
+        let affinity: Option<Vec<usize>> =
+            cfg.locality_aware.then(|| (0..ntasks).map(|t| t / nblocks_iter).collect());
+        let mut map_body = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
             let part_idx = task / nblocks_iter;
             let block_idx = task % nblocks_iter;
 
@@ -452,7 +284,14 @@ pub fn run_mrblast_ft(
                 }
                 kv.emit(hit.query_id.as_bytes(), &hit.encode());
             }
-        })?;
+        };
+        let ft_report = mr.map_tasks_ft_report_with_verdict(
+            ntasks,
+            &fault.ft,
+            affinity.as_deref(),
+            &mut map_body,
+            &mut |_, _| {},
+        )?;
         // Re-encode this iteration's quarantined scheduler units (partition-
         // major within the iteration) as stable global `(block, partition)`
         // ids so the final report is meaningful across iterations.
@@ -463,8 +302,11 @@ pub fn run_mrblast_ft(
             report.quarantined.push(global_block * nparts as u64 + part_idx as u64);
         }
 
-        // Checked shuffle + local grouping (collate() with accounting).
+        // Checked shuffle + local grouping (collate() with accounting). The
+        // committed pairs arrive in an order that depends on the schedule;
+        // sorting the keys makes this rank's output independent of it.
         mr.try_aggregate()?;
+        mr.sort_keys(|a, b| a.cmp(b));
         mr.convert();
 
         let max_hits = cfg.params.max_hits_per_query;
@@ -554,11 +396,24 @@ mod tests {
         Fixture { db, blocks, serial, dir }
     }
 
+    /// Run the driver fault-free on `ranks` ranks; every rank must succeed.
+    fn run_on(ranks: usize, fx: &Arc<Fixture>, cfg: MrBlastConfig) -> Vec<MrBlastRankReport> {
+        let fx = fx.clone();
+        World::new(ranks).run(move |comm| {
+            run_mrblast(comm, &fx.db, &fx.blocks, &cfg, &FaultConfig::default())
+                .expect("no faults injected")
+        })
+    }
+
     fn sorted(mut hits: Vec<Hit>) -> Vec<Hit> {
         hits.sort_by(|a, b| {
             a.query_id.cmp(&b.query_id).then_with(|| a.rank_cmp(b))
         });
         hits
+    }
+
+    fn all_hits(reports: Vec<MrBlastRankReport>) -> Vec<Hit> {
+        sorted(reports.into_iter().flat_map(|r| r.hits).collect())
     }
 
     #[test]
@@ -567,14 +422,8 @@ mod tests {
         assert!(fx.db.num_partitions() >= 3, "need several partitions");
         assert!(!fx.serial.is_empty(), "workload must produce hits");
         for ranks in [1, 2, 4] {
-            let fx2 = fx.clone();
-            let reports = World::new(ranks).run(move |comm| {
-                run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
-            });
-            let parallel: Vec<Hit> =
-                reports.into_iter().flat_map(|r| r.hits).collect();
             assert_eq!(
-                sorted(parallel),
+                all_hits(run_on(ranks, &fx, MrBlastConfig::blastn())),
                 sorted(fx.serial.clone()),
                 "rank count {ranks} must reproduce serial output"
             );
@@ -584,10 +433,7 @@ mod tests {
     #[test]
     fn each_query_reduced_on_exactly_one_rank() {
         let fx = Arc::new(fixture(22, "onerank"));
-        let fx2 = fx.clone();
-        let reports = World::new(3).run(move |comm| {
-            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
-        });
+        let reports = run_on(3, &fx, MrBlastConfig::blastn());
         let mut owners: std::collections::HashMap<String, usize> = Default::default();
         for rep in &reports {
             for h in &rep.hits {
@@ -606,49 +452,19 @@ mod tests {
     fn iteration_looping_preserves_results() {
         let fx = Arc::new(fixture(23, "iters"));
         let run_with = |blocks_per_iteration: usize| {
-            let fx = fx.clone();
-            let reports = World::new(2).run(move |comm| {
-                let cfg = MrBlastConfig {
-                    blocks_per_iteration,
-                    ..MrBlastConfig::blastn()
-                };
-                run_mrblast(comm, &fx.db, &fx.blocks, &cfg)
-            });
-            sorted(reports.into_iter().flat_map(|r| r.hits).collect())
+            let cfg = MrBlastConfig { blocks_per_iteration, ..MrBlastConfig::blastn() };
+            all_hits(run_on(2, &fx, cfg))
         };
         assert_eq!(run_with(0), run_with(1), "per-block iterations must not change output");
         assert_eq!(run_with(0), run_with(2));
     }
 
     #[test]
-    fn mapstyles_agree() {
-        let fx = Arc::new(fixture(24, "styles"));
-        let run_with = |style: MapStyle| {
-            let fx = fx.clone();
-            let reports = World::new(3).run(move |comm| {
-                let cfg = MrBlastConfig { map_style: style, ..MrBlastConfig::blastn() };
-                run_mrblast(comm, &fx.db, &fx.blocks, &cfg)
-            });
-            sorted(reports.into_iter().flat_map(|r| r.hits).collect())
-        };
-        let mw = run_with(MapStyle::MasterWorker);
-        assert_eq!(mw, run_with(MapStyle::Chunk));
-        assert_eq!(mw, run_with(MapStyle::RoundRobin));
-    }
-
-    #[test]
     fn output_files_contain_all_hits() {
         let fx = Arc::new(fixture(25, "files"));
         let outdir = fx.dir.join("out");
-        let fx2 = fx.clone();
-        let od = outdir.clone();
-        let reports = World::new(2).run(move |comm| {
-            let cfg = MrBlastConfig {
-                output_dir: Some(od.clone()),
-                ..MrBlastConfig::blastn()
-            };
-            run_mrblast(comm, &fx2.db, &fx2.blocks, &cfg)
-        });
+        let cfg = MrBlastConfig { output_dir: Some(outdir.clone()), ..MrBlastConfig::blastn() };
+        let reports = run_on(2, &fx, cfg);
         let mut lines = 0usize;
         for rep in &reports {
             let path = rep.output_file.as_ref().expect("file requested");
@@ -676,18 +492,15 @@ mod tests {
             &db_recs[0],
             &bioseq::shred::ShredConfig::default(),
         );
-        let blocks = query_blocks(frags, 4);
-        let db = Arc::new(db);
-        let blocks = Arc::new(blocks);
-
+        let fx = Arc::new(Fixture {
+            db,
+            blocks: query_blocks(frags, 4),
+            serial: Vec::new(),
+            dir: dir.clone(),
+        });
         let run_with = |exclude: bool| {
-            let db = db.clone();
-            let blocks = blocks.clone();
-            let reports = World::new(2).run(move |comm| {
-                let cfg = MrBlastConfig { exclude_self: exclude, ..MrBlastConfig::blastn() };
-                run_mrblast(comm, &db, &blocks, &cfg)
-            });
-            reports.into_iter().flat_map(|r| r.hits).collect::<Vec<Hit>>()
+            let cfg = MrBlastConfig { exclude_self: exclude, ..MrBlastConfig::blastn() };
+            all_hits(run_on(2, &fx, cfg))
         };
         let with = run_with(false);
         let without = run_with(true);
@@ -703,14 +516,10 @@ mod tests {
     fn locality_aware_scheduler_preserves_results_and_cuts_reloads() {
         let fx = Arc::new(fixture(28, "locality"));
         let run_with = |locality: bool| {
-            let fx = fx.clone();
-            let reports = World::new(4).run(move |comm| {
-                let cfg = MrBlastConfig { locality_aware: locality, ..MrBlastConfig::blastn() };
-                run_mrblast(comm, &fx.db, &fx.blocks, &cfg)
-            });
+            let cfg = MrBlastConfig { locality_aware: locality, ..MrBlastConfig::blastn() };
+            let reports = run_on(4, &fx, cfg);
             let loads: u64 = reports.iter().map(|r| r.db_loads).sum();
-            let hits = sorted(reports.into_iter().flat_map(|r| r.hits).collect::<Vec<_>>());
-            (hits, loads)
+            (all_hits(reports), loads)
         };
         let (plain_hits, plain_loads) = run_with(false);
         let (loc_hits, loc_loads) = run_with(true);
@@ -722,35 +531,13 @@ mod tests {
     }
 
     #[test]
-    fn ft_driver_without_faults_matches_serial() {
-        let fx = Arc::new(fixture(41, "ftclean"));
-        let fx2 = fx.clone();
-        let reports = World::new(3).run(move |comm| {
-            run_mrblast_ft(
-                comm,
-                &fx2.db,
-                &fx2.blocks,
-                &MrBlastConfig::blastn(),
-                &FaultConfig::default(),
-            )
-            .expect("no faults injected")
-        });
-        let parallel: Vec<Hit> = reports.into_iter().flat_map(|r| r.hits).collect();
-        assert_eq!(
-            sorted(parallel),
-            sorted(fx.serial.clone()),
-            "fault-tolerant driver must match serial when nothing fails"
-        );
-    }
-
-    #[test]
-    fn ft_driver_survives_worker_death_bit_for_bit() {
+    fn survives_worker_death_bit_for_bit() {
         use mpisim::{FaultPlan, RankOutcome};
         let fx = Arc::new(fixture(42, "ftdeath"));
         let fx2 = fx.clone();
         let plan = FaultPlan::new(7).kill(2, 0.0);
         let outcomes = World::new(4).with_faults(plan).run_faulty(move |comm| {
-            run_mrblast_ft(
+            run_mrblast(
                 comm,
                 &fx2.db,
                 &fx2.blocks,
@@ -782,10 +569,7 @@ mod tests {
         let fx = Arc::new(fixture(27, "counters"));
         let nparts = fx.db.num_partitions() as u64;
         let nblocks = fx.blocks.len() as u64;
-        let fx2 = fx.clone();
-        let reports = World::new(1).run(move |comm| {
-            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
-        });
+        let reports = run_on(1, &fx, MrBlastConfig::blastn());
         let rep = &reports[0];
         assert_eq!(rep.map_calls, nparts * nblocks);
         // Partition-major order on a single rank: each partition loaded once.

@@ -13,16 +13,23 @@
 //!    codebook is computed as per Eq. 5. … No reduce() stage is used in
 //!    this program."
 //!
+//! The map runs on the fault-tolerant master-worker scheduler, so a unit's
+//! contribution only counts once the scheduler *commits* it. A unit is
+//! staged as its input rows plus their BMU indices (a few kilobytes, not a
+//! codebook-sized accumulator) and its neighborhood is folded into the
+//! epoch accumulator on commit. The epoch reduction is an in-place
+//! `allreduce`, so every rank applies the same update.
+//!
 //! The mix of MapReduce task scheduling and *direct* MPI collectives is the
-//! paper's stated optimization; [`run_mrsom_collate`] implements the pure-
-//! MapReduce alternative (emit per-neuron contributions as key-value pairs
-//! and `collate()` them) so the ablation bench can quantify the difference.
+//! paper's stated optimization; the `ablation_som_reduce` bench implements
+//! the pure-MapReduce alternative (emit per-neuron contributions as
+//! key-value pairs and `collate()` them) to quantify the difference.
 
 use std::cell::RefCell;
 use std::time::Instant;
 
 use mpisim::{Comm, ReduceOp};
-use mrmpi::{MapReduce, MapStyle, MrError, Settings};
+use mrmpi::{MapReduce, MrError, Settings};
 use som::batch::{init_codebook, BatchAccumulator};
 use som::codebook::Codebook;
 use som::neighborhood::{sigma_schedule, SomConfig};
@@ -37,11 +44,10 @@ pub struct MrSomConfig {
     /// Map shape, dimensionality, epochs, schedules, seed.
     pub som: SomConfig,
     /// Input vectors per work unit (the paper's Fig. 6 uses blocks of 40).
+    /// Units are scheduled master-worker ("we are again using the
+    /// master-worker execution mode, although in the case of SOM this is
+    /// not as critical").
     pub block_size: usize,
-    /// Task assignment policy ("we are again using the master-worker
-    /// execution mode, although in the case of SOM this is not as
-    /// critical").
-    pub map_style: MapStyle,
     /// MapReduce engine settings.
     pub mr_settings: Settings,
     /// Checkpoint the codebook to this directory every
@@ -68,7 +74,6 @@ impl MrSomConfig {
         MrSomConfig {
             som,
             block_size: 40,
-            map_style: MapStyle::MasterWorker,
             mr_settings: Settings::default(),
             checkpoint_dir: None,
             checkpoint_every: 0,
@@ -90,124 +95,33 @@ pub struct MrSomRankReport {
     pub finish_time: f64,
     /// Vector-block indices quarantined as poison by the fault-tolerant
     /// scheduler (sorted, deduplicated across epochs; identical on every
-    /// surviving rank). Always empty outside [`run_mrsom_ft`] — non-empty
-    /// means those blocks' vectors contributed to no epoch and the trained
-    /// codebook is a partial result.
+    /// surviving rank). Non-empty means those blocks' vectors contributed to
+    /// no epoch and the trained codebook is a partial result.
     pub quarantined: Vec<u64>,
 }
 
 /// Run MR-MPI batch SOM collectively; every rank returns the final codebook
 /// (identical on all ranks) plus its own report.
-pub fn run_mrsom(
-    comm: &Comm,
-    matrix: &VectorMatrix,
-    cfg: &MrSomConfig,
-) -> (Codebook, MrSomRankReport) {
-    let som = &cfg.som;
-    assert_eq!(matrix.dims, som.dims, "matrix dims must match SOM config");
-
-    // Master initializes (random or PCA over a bounded sample of the input
-    // matrix, or the newest checkpoint when resuming); everyone receives
-    // via broadcast (Fig. 2).
-    let mut start_epoch = [0.0f64];
-    let mut cb = if comm.rank() == 0 {
-        match load_latest_checkpoint(cfg) {
-            Some((epoch, cb)) => {
-                start_epoch[0] = epoch as f64;
-                cb
-            }
-            None => master_init_codebook(som, matrix),
-        }
-    } else {
-        Codebook::zeros(som.rows, som.cols, som.dims).with_torus(som.torus)
-    };
-    comm.bcast_f64s(0, &mut start_epoch);
-    let start_epoch = start_epoch[0] as usize;
-    let sigma0 = som.sigma0_for(cb.half_diagonal());
-    let blocks = matrix.blocks(cfg.block_size);
-    let nn = cb.num_neurons();
-    let dims = cb.dims;
-
-    let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
-    let blocks_processed: RefCell<u64> = RefCell::new(0);
-
-    for epoch in start_epoch..som.epochs {
-        let _epoch_span = obs::maybe_span(comm.obs(), "som.epoch");
-        comm.bcast_f64s(0, &mut cb.weights);
-        let sigma = sigma_schedule(sigma0, som.sigma_end, som.epochs, epoch);
-
-        let acc: RefCell<BatchAccumulator> = RefCell::new(BatchAccumulator::zeros(&cb));
-        let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-        mr.map_tasks(blocks.len(), cfg.map_style, &mut |b, _kv| {
-            let (start, end) = blocks[b];
-            let t_load = Instant::now();
-            let inputs = matrix.read_rows(start, end).expect("read vector block");
-            comm.charge(t_load.elapsed().as_secs_f64());
-
-            let clock_start = comm.now();
-            let t0 = Instant::now();
-            acc.borrow_mut().accumulate_block_with(&cb, &inputs, sigma, som.kernel);
-            let elapsed = t0.elapsed().as_secs_f64();
-            comm.charge(elapsed);
-            busy.borrow_mut().record(clock_start, clock_start + elapsed);
-            *blocks_processed.borrow_mut() += 1;
-        });
-
-        // Direct MPI: one reduce over [numerator ‖ denominator].
-        let acc = acc.into_inner();
-        let mut packed = acc.numerator;
-        packed.extend_from_slice(&acc.denominator);
-        let mut summed = vec![0.0; packed.len()];
-        let is_root = comm.reduce_f64(0, &packed, &mut summed, ReduceOp::Sum);
-        if is_root {
-            let merged = BatchAccumulator::from_parts(
-                summed[..nn * dims].to_vec(),
-                summed[nn * dims..].to_vec(),
-                dims,
-            );
-            merged.apply(&mut cb);
-            write_checkpoint(cfg, epoch + 1, &cb);
-        }
-        if cfg.stop_after_epochs.is_some_and(|stop| epoch + 1 >= stop) {
-            break;
-        }
-    }
-    // Final broadcast so every rank returns the trained map.
-    comm.bcast_f64s(0, &mut cb.weights);
-    comm.barrier();
-
-    let report = MrSomRankReport {
-        rank: comm.rank(),
-        blocks_processed: blocks_processed.into_inner(),
-        busy: busy.into_inner(),
-        finish_time: comm.now(),
-        quarantined: Vec::new(),
-    };
-    (cb, report)
-}
-
-/// Run MR-MPI batch SOM collectively with **worker-death recovery**: like
-/// [`run_mrsom`], but each epoch's vector blocks are scheduled through the
-/// fault-tolerant master-worker protocol. A dead worker's accumulator dies
-/// with it; its blocks are re-accumulated by survivors, and the per-epoch
-/// reduction carries a block-contribution count validated against the
-/// expected total — a death in the window between the map and the reduce
-/// surfaces as [`MrError::DataLost`] on every live rank instead of silently
-/// skewing the codebook.
 ///
-/// `cfg.map_style` is ignored (fault tolerance requires the dynamic
-/// master). The master is a *role*: if the acting master dies mid-epoch the
+/// Each epoch's vector blocks are scheduled through the fault-tolerant
+/// master-worker protocol. A dead worker's accumulator dies with it; its
+/// blocks are re-accumulated by survivors, and the per-epoch reduction
+/// carries a block-contribution count validated against the expected
+/// total — a death in the window between the map and the reduce surfaces as
+/// [`MrError::DataLost`] on every live rank instead of silently skewing the
+/// codebook.
+///
+/// The master is a *role*: if the acting master dies mid-epoch the
 /// scheduler elects a successor and the epoch completes (see
 /// [`mrmpi::sched`]). To match, the epoch pipeline itself is root-agnostic:
-/// the per-epoch reduction is a symmetric `allreduce` (bit-identical to the
+/// the per-epoch reduction is a symmetric `allreduce` (bit-identical to a
 /// rooted reduce — contributions fold in the same rank order) so **every**
 /// rank holds the updated codebook and no single rank's death can lose an
 /// applied epoch; the epoch checkpoint is written by the lowest live rank.
 /// Only startup (initialization / checkpoint load, before any unit is
-/// dispatched) still assumes rank 0 is alive. Checkpoint/resume behaves as
-/// in [`run_mrsom`], so a run aborted by a typed error can be restarted
-/// from the last checkpointed epoch.
-pub fn run_mrsom_ft(
+/// dispatched) still assumes rank 0 is alive. A run stopped early or
+/// aborted by a typed error resumes from the newest valid checkpoint.
+pub fn run_mrsom(
     comm: &Comm,
     matrix: &VectorMatrix,
     cfg: &MrSomConfig,
@@ -216,6 +130,9 @@ pub fn run_mrsom_ft(
     let som = &cfg.som;
     assert_eq!(matrix.dims, som.dims, "matrix dims must match SOM config");
 
+    // Master initializes (random or PCA over a bounded sample of the input
+    // matrix, or the newest checkpoint when resuming); everyone receives
+    // via broadcast (Fig. 2).
     let mut start_epoch = [0.0f64];
     let mut cb = if comm.rank() == 0 {
         match load_latest_checkpoint(cfg) {
@@ -251,17 +168,21 @@ pub fn run_mrsom_ft(
 
         let acc: RefCell<BatchAccumulator> = RefCell::new(BatchAccumulator::zeros(&cb));
         let epoch_blocks: RefCell<u64> = RefCell::new(0);
-        // Per-execution staging mirrors the engine's KV staging: a block's
-        // contribution folds into the epoch accumulator only when the
-        // scheduler *commits* that execution. Folding at execution time
+        // A block's contribution folds into the epoch accumulator only when
+        // the scheduler *commits* its execution. Folding at execution time
         // would double-count an execution the scheduler later discards —
         // e.g. a completion carried unarbitrated across a master failover,
-        // which the promoted successor discards and re-dispatches.
-        let staged: RefCell<Option<BatchAccumulator>> = RefCell::new(None);
+        // which the promoted successor discards and re-dispatches. The
+        // execution stages its rows and their BMUs (the panic-isolated
+        // search); the neighborhood fold runs on commit. A worker commits
+        // its units in execution order, so the accumulation order — and the
+        // result — is that of folding at execution time.
+        let staged = RefCell::new(None);
         let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
         let ft_report = mr.map_tasks_ft_report_with_verdict(
             blocks.len(),
             &fault.ft,
+            None,
             &mut |b, _kv| {
                 let (start, end) = blocks[b];
                 let t_load = Instant::now();
@@ -270,44 +191,43 @@ pub fn run_mrsom_ft(
 
                 let clock_start = comm.now();
                 let t0 = Instant::now();
-                let mut unit_acc = BatchAccumulator::zeros(&cb);
-                unit_acc.accumulate_block_with(&cb, &inputs, sigma, som.kernel);
+                let bmus: Vec<usize> = inputs.iter().map(|x| cb.bmu(x)).collect();
                 let elapsed = t0.elapsed().as_secs_f64();
                 comm.charge(elapsed);
                 busy.borrow_mut().record(clock_start, clock_start + elapsed);
                 *blocks_processed.borrow_mut() += 1;
-                *staged.borrow_mut() = Some(unit_acc);
+                *staged.borrow_mut() = Some((inputs, bmus));
             },
             &mut |_, commit| {
-                let unit_acc = staged.borrow_mut().take();
-                if commit {
-                    if let Some(unit_acc) = unit_acc {
-                        acc.borrow_mut().merge(&unit_acc);
-                        *epoch_blocks.borrow_mut() += 1;
-                    }
+                let unit = staged.borrow_mut().take();
+                let Some((inputs, bmus)) = unit.filter(|_| commit) else { return };
+                let clock_start = comm.now();
+                let t0 = Instant::now();
+                let mut acc = acc.borrow_mut();
+                for (x, &bmu) in inputs.iter().zip(&bmus) {
+                    acc.accumulate_at(&cb, x, bmu, sigma, som.kernel);
                 }
+                let elapsed = t0.elapsed().as_secs_f64();
+                comm.charge(elapsed);
+                busy.borrow_mut().record(clock_start, clock_start + elapsed);
+                *epoch_blocks.borrow_mut() += 1;
             },
         )?;
 
-        // Symmetric allreduce of [numerator ‖ denominator ‖ block count]:
-        // bit-identical to the rooted reduce (contributions fold in the
-        // same rank order) but delivered to *every* rank, so the updated
-        // codebook exists everywhere and the death of any one rank —
-        // including an acting master just promoted by the scheduler's
-        // failover — cannot lose an applied epoch. Dead participants are
-        // skipped by the collective; a participant that died between the
-        // map and this reduce (taking its accumulator with it) shows up as
-        // a short block count, which the conservation check below turns
-        // into the same typed verdict on every live rank instead of a
-        // silently skewed codebook.
+        // Direct MPI: one in-place allreduce over [numerator ‖ denominator ‖
+        // block count]. Dead participants are skipped by the collective; a
+        // participant that died between the map and this reduce (taking its
+        // accumulator with it) shows up as a short block count, which the
+        // conservation check below turns into the same typed verdict on
+        // every live rank instead of a silently skewed codebook.
         let acc = acc.into_inner();
         let mut packed = acc.numerator;
+        packed.reserve_exact(nn + 1);
         packed.extend_from_slice(&acc.denominator);
-        packed.push(*epoch_blocks.borrow() as f64);
-        let mut summed = vec![0.0; packed.len()];
-        comm.allreduce_f64(&packed, &mut summed, ReduceOp::Sum);
+        packed.push(epoch_blocks.into_inner() as f64);
+        comm.allreduce_f64_in_place(&mut packed, ReduceOp::Sum);
 
-        let got = summed[nn * dims + nn].round() as u64;
+        let got = packed.pop().unwrap_or(0.0).round() as u64;
         // Quarantined (poison) blocks are a *known* partial result — they
         // reduce the expected contribution count; anything else missing is
         // silent data loss.
@@ -321,12 +241,8 @@ pub fn run_mrsom_ft(
         }
         quarantined.extend_from_slice(&ft_report.quarantined);
 
-        let merged = BatchAccumulator::from_parts(
-            summed[..nn * dims].to_vec(),
-            summed[nn * dims..nn * dims + nn].to_vec(),
-            dims,
-        );
-        merged.apply(&mut cb);
+        let denominator = packed.split_off(nn * dims);
+        BatchAccumulator::from_parts(packed, denominator, dims).apply(&mut cb);
         // One writer suffices for the (shared-directory) epoch checkpoint;
         // the lowest live rank keeps checkpointing working after rank 0
         // dies.
@@ -421,100 +337,6 @@ fn master_init_codebook(som: &SomConfig, matrix: &VectorMatrix) -> Codebook {
     }
 }
 
-/// The pure-MapReduce variant for the ablation: instead of the direct
-/// `MPI_Reduce`, every map() emits one key-value pair per work unit per
-/// neuron row (`key = neuron index`, `value = [numerator row ‖ denominator]`)
-/// and a full `collate()` + `reduce()` + `gather()` cycle reconstructs the
-/// codebook on the master. Mathematically identical; the bench measures
-/// what the extra key-value traffic costs.
-pub fn run_mrsom_collate(
-    comm: &Comm,
-    matrix: &VectorMatrix,
-    cfg: &MrSomConfig,
-) -> (Codebook, MrSomRankReport) {
-    let som = &cfg.som;
-    assert_eq!(matrix.dims, som.dims, "matrix dims must match SOM config");
-
-    let mut cb = if comm.rank() == 0 {
-        master_init_codebook(som, matrix)
-    } else {
-        Codebook::zeros(som.rows, som.cols, som.dims).with_torus(som.torus)
-    };
-    let sigma0 = som.sigma0_for(cb.half_diagonal());
-    let blocks = matrix.blocks(cfg.block_size);
-    let dims = cb.dims;
-
-    let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
-    let blocks_processed: RefCell<u64> = RefCell::new(0);
-
-    for epoch in 0..som.epochs {
-        comm.bcast_f64s(0, &mut cb.weights);
-        let sigma = sigma_schedule(sigma0, som.sigma_end, som.epochs, epoch);
-
-        let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-        mr.map_tasks(blocks.len(), cfg.map_style, &mut |b, kv| {
-            let (start, end) = blocks[b];
-            let inputs = matrix.read_rows(start, end).expect("read vector block");
-            let clock_start = comm.now();
-            let t0 = Instant::now();
-            let mut acc = BatchAccumulator::zeros(&cb);
-            acc.accumulate_block_with(&cb, &inputs, sigma, som.kernel);
-            let elapsed = t0.elapsed().as_secs_f64();
-            comm.charge(elapsed);
-            busy.borrow_mut().record(clock_start, clock_start + elapsed);
-            *blocks_processed.borrow_mut() += 1;
-            // Emit per-neuron rows — this is the traffic the direct-MPI
-            // version avoids.
-            for n in 0..cb.num_neurons() {
-                if acc.denominator[n] <= 0.0 {
-                    continue;
-                }
-                let mut row = acc.numerator[n * dims..(n + 1) * dims].to_vec();
-                row.push(acc.denominator[n]);
-                kv.emit(&(n as u64).to_le_bytes(), &mpisim::wire::f64s_to_bytes(&row));
-            }
-        });
-
-        mr.collate();
-        mr.reduce(&mut |key, values, out| {
-            let mut sum = vec![0.0f64; dims + 1];
-            for v in values {
-                let row = mpisim::wire::bytes_to_f64s(v);
-                for (s, r) in sum.iter_mut().zip(&row) {
-                    *s += r;
-                }
-            }
-            out.emit(key, &mpisim::wire::f64s_to_bytes(&sum));
-        });
-        mr.gather(1);
-
-        if comm.rank() == 0 {
-            mr.kv_for_each(|key, value| {
-                let n = u64::from_le_bytes(key.try_into().expect("neuron key")) as usize;
-                let row = mpisim::wire::bytes_to_f64s(value);
-                let den = row[dims];
-                if den > 1e-12 {
-                    for (w, num) in cb.neuron_mut(n).iter_mut().zip(&row[..dims]) {
-                        *w = num / den;
-                    }
-                }
-            });
-        }
-        comm.barrier();
-    }
-    comm.bcast_f64s(0, &mut cb.weights);
-    comm.barrier();
-
-    let report = MrSomRankReport {
-        rank: comm.rank(),
-        blocks_processed: blocks_processed.into_inner(),
-        busy: busy.into_inner(),
-        finish_time: comm.now(),
-        quarantined: Vec::new(),
-    };
-    (cb, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,7 +377,7 @@ mod tests {
             let reports = World::new(ranks).run(move |comm| {
                 let matrix = VectorMatrix::open(&path).unwrap();
                 let cfg = MrSomConfig { block_size: 16, ..MrSomConfig::new(som2) };
-                run_mrsom(comm, &matrix, &cfg)
+                run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
             });
             for (cb, _) in &reports {
                 assert_close(
@@ -576,7 +398,7 @@ mod tests {
         let reports = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg)
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
         });
         let first = &reports[0].0.weights;
         for (cb, _) in &reports[1..] {
@@ -595,7 +417,7 @@ mod tests {
             let reports = World::new(2).run(move |comm| {
                 let matrix = VectorMatrix::open(&path).unwrap();
                 let cfg = MrSomConfig { block_size, ..MrSomConfig::new(som) };
-                run_mrsom(comm, &matrix, &cfg)
+                run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
             });
             reports.into_iter().next().unwrap().0
         };
@@ -606,40 +428,13 @@ mod tests {
     }
 
     #[test]
-    fn collate_variant_matches_direct_reduce() {
-        let (path, _) = matrix_fixture("collate", 60, 4, 34);
-        let som = som_cfg(4);
-        let p1 = path.clone();
-        let direct = World::new(2).run(move |comm| {
-            let matrix = VectorMatrix::open(&p1).unwrap();
-            run_mrsom(comm, &matrix, &MrSomConfig { block_size: 10, ..MrSomConfig::new(som) })
-        });
-        let p2 = path.clone();
-        let collate = World::new(2).run(move |comm| {
-            let matrix = VectorMatrix::open(&p2).unwrap();
-            run_mrsom_collate(
-                comm,
-                &matrix,
-                &MrSomConfig { block_size: 10, ..MrSomConfig::new(som) },
-            )
-        });
-        assert_close(
-            &direct[0].0.weights,
-            &collate[0].0.weights,
-            1e-9,
-            "collate vs direct reduce",
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn reports_cover_all_blocks() {
         let (path, _) = matrix_fixture("reports", 100, 4, 35);
         let som = som_cfg(4);
         let reports = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg)
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
         });
         let total: u64 = reports.iter().map(|(_, r)| r.blocks_processed).sum();
         assert_eq!(total, 10 * som.epochs as u64, "10 blocks × epochs");
@@ -672,7 +467,7 @@ mod tests {
         let reports = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 20, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg)
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
         });
         for (cb, _) in &reports {
             assert!(cb.torus);
@@ -691,7 +486,13 @@ mod tests {
         let p1 = path.clone();
         let full = World::new(2).run(move |comm| {
             let matrix = VectorMatrix::open(&p1).unwrap();
-            run_mrsom(comm, &matrix, &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) })
+            run_mrsom(
+                comm,
+                &matrix,
+                &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) },
+                &FaultConfig::default(),
+            )
+            .expect("no faults injected")
         });
 
         // Interrupted: same 8-epoch schedule, stopped after 4 epochs
@@ -708,7 +509,7 @@ mod tests {
                 stop_after_epochs: Some(4),
                 ..MrSomConfig::new(som)
             };
-            run_mrsom(comm, &matrix, &cfg)
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
         });
         assert!(
             ckdir.join("som-epoch-0004.cbk").exists(),
@@ -725,7 +526,7 @@ mod tests {
                 checkpoint_every: 2,
                 ..MrSomConfig::new(som)
             };
-            run_mrsom(comm, &matrix, &cfg)
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
         });
         // Resumed run processed only the remaining epochs' blocks.
         let resumed_blocks: u64 = resumed.iter().map(|(_, r)| r.blocks_processed).sum();
@@ -741,25 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn ft_som_without_faults_matches_serial() {
-        let (path, vectors) = matrix_fixture("ftclean", 100, 4, 41);
-        let som = som_cfg(4);
-        let serial = batch_train(&vectors, &som);
-        let p = path.clone();
-        let reports = World::new(3).run(move |comm| {
-            let matrix = VectorMatrix::open(&p).unwrap();
-            let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-            run_mrsom_ft(comm, &matrix, &cfg, &FaultConfig::default())
-                .expect("no faults injected")
-        });
-        for (cb, _) in &reports {
-            assert_close(&cb.weights, &serial.weights, 1e-9, "ft codebook, no faults");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn ft_som_survives_worker_death() {
+    fn survives_worker_death() {
         use mpisim::{FaultPlan, RankOutcome};
         let (path, vectors) = matrix_fixture("ftdeath", 100, 4, 42);
         let som = som_cfg(4);
@@ -769,7 +552,7 @@ mod tests {
             World::new(4).with_faults(FaultPlan::new(9).kill(3, 0.0)).run_faulty(move |comm| {
                 let matrix = VectorMatrix::open(&p).unwrap();
                 let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-                run_mrsom_ft(comm, &matrix, &cfg, &FaultConfig::default())
+                run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
             });
         assert!(outcomes[3].is_died(), "rank 3 was scheduled to die");
         for (rank, out) in outcomes.into_iter().enumerate() {
@@ -791,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn ft_som_mid_epoch_death_during_reduce_is_a_typed_error_not_a_hang() {
+    fn mid_epoch_death_during_reduce_is_a_typed_error_not_a_hang() {
         // Regression for the narrow BSP window the conservation check exists
         // for: a worker finishes its map blocks, then dies *on entry to the
         // epoch's MPI_Reduce* — its accumulator is gone and no scheduler can
@@ -831,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn ft_som_quarantines_poison_blocks_and_completes_partially() {
+    fn quarantines_poison_blocks_and_completes_partially() {
         use mpisim::{FaultPlan, RankOutcome};
         let (path, _) = matrix_fixture("ftpoison", 100, 4, 43);
         let som = som_cfg(4);
@@ -842,7 +625,7 @@ mod tests {
         let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
             let matrix = VectorMatrix::open(&p).unwrap();
             let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-            run_mrsom_ft(comm, &matrix, &cfg, &FaultConfig::default())
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
         });
         let mut weights: Option<Vec<f64>> = None;
         for (rank, out) in outcomes.into_iter().enumerate() {
@@ -867,7 +650,7 @@ mod tests {
         let reports = World::new(4).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 15, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg)
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
         });
         let cb = &reports[0].0;
         let qe = som::quality::quantization_error(cb, &vectors);

@@ -2,6 +2,7 @@
 //! subprocesses: `mb-formatdb` → `mb-blast` → per-rank tabular files, and
 //! `mb-som` on tetranucleotide vectors.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -105,6 +106,68 @@ fn formatdb_blast_pipeline_via_cli() {
     assert!(hits_count > 0, "self-hits expected without exclusion: {out}");
     assert_eq!(total_lines, 0, "exclusion should drop all hits in this fixture");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every per-rank tabular file under `dir`, grouped by query id (first
+/// column), each query's lines in file order.
+fn lines_by_query(dir: &Path, ranks: usize) -> BTreeMap<String, Vec<String>> {
+    let mut by_query: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for rank in 0..ranks {
+        let path = dir.join(format!("hits.rank{rank:04}.tsv"));
+        let content = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));
+        for line in content.lines() {
+            let query = line.split('\t').next().unwrap_or_default().to_string();
+            by_query.entry(query).or_default().push(line.to_string());
+        }
+    }
+    by_query
+}
+
+#[test]
+fn adaptive_blast_writes_the_same_per_query_lines_as_the_default_run() {
+    let dir = std::env::temp_dir().join(format!("cli-adaptive-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (refs, reads) = write_fixture(&dir);
+    let dbdir = dir.join("db");
+    run_ok(Command::new(env!("CARGO_BIN_EXE_mb-formatdb")).args([
+        "--in",
+        refs.to_str().unwrap(),
+        "--out",
+        dbdir.to_str().unwrap(),
+        "--name",
+        "refdb",
+        "--partition-bytes",
+        "1200",
+    ]));
+    let blast = |out: &Path, adaptive: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mb-blast"));
+        cmd.args([
+            "--db",
+            dbdir.to_str().unwrap(),
+            "--name",
+            "refdb",
+            "--queries",
+            reads.to_str().unwrap(),
+            "--ranks",
+            "3",
+            "--evalue",
+            "1e-6",
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        if adaptive {
+            cmd.arg("--adaptive");
+        }
+        run_ok(&mut cmd)
+    };
+    blast(&dir.join("default"), false);
+    blast(&dir.join("adaptive"), true);
+
+    let want = lines_by_query(&dir.join("default"), 3);
+    assert!(!want.is_empty(), "fixture must produce hits");
+    assert_eq!(lines_by_query(&dir.join("adaptive"), 3), want);
     std::fs::remove_dir_all(&dir).ok();
 }
 

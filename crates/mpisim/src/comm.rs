@@ -625,10 +625,18 @@ impl Comm {
 
     /// Element-wise reduction delivered to every rank.
     pub fn allreduce_f64(&self, input: &[f64], output: &mut [f64], op: ReduceOp) {
-        let (all, t) = self.exchange(wire::f64s_to_bytes(input));
         assert_eq!(output.len(), input.len(), "allreduce output length mismatch");
-        Self::fold_contributions(&all, input.len(), output, op);
-        self.finish_collective(t, input.len() * 8);
+        output.copy_from_slice(input);
+        self.allreduce_f64_in_place(output, op);
+    }
+
+    /// [`Comm::allreduce_f64`] with `buf` as both input and output: no
+    /// second buffer of the reduction's size is allocated, which matters for
+    /// multi-megabyte reductions such as a SOM epoch's accumulator.
+    pub fn allreduce_f64_in_place(&self, buf: &mut [f64], op: ReduceOp) {
+        let (all, t) = self.exchange(wire::f64s_to_bytes(buf));
+        Self::fold_contributions(&all, buf.len(), buf, op);
+        self.finish_collective(t, buf.len() * 8);
     }
 
     /// [`Comm::allreduce_f64`] that also returns the agreed *participation
@@ -745,20 +753,27 @@ impl Comm {
 
     /// Fold all contributions into `output`. Empty buffers are skipped: a
     /// dead rank contributes nothing to a reduction (its partial state died
-    /// with it). Non-empty length mismatches still panic, as before.
+    /// with it). Non-empty length mismatches still panic, as before. Later
+    /// contributions are decoded through a fixed-size scratch, so the fold
+    /// allocates nothing however large the reduction.
     fn fold_contributions(all: &[Vec<u8>], elems: usize, output: &mut [f64], op: ReduceOp) {
-        let mut scratch = vec![0.0; elems];
+        const CHUNK: usize = 512;
+        let mut scratch = [0.0f64; CHUNK];
         let mut first = true;
         for contribution in all.iter() {
             if contribution.is_empty() && elems != 0 {
                 continue;
             }
+            assert_eq!(contribution.len(), elems * 8, "payload/buffer length mismatch");
             if first {
                 wire::bytes_into_f64s(contribution, output);
                 first = false;
-            } else {
-                wire::bytes_into_f64s(contribution, &mut scratch);
-                op.fold_into(output, &scratch);
+                continue;
+            }
+            for (out, bytes) in output.chunks_mut(CHUNK).zip(contribution.chunks(CHUNK * 8)) {
+                let src = &mut scratch[..out.len()];
+                wire::bytes_into_f64s(bytes, src);
+                op.fold_into(out, src);
             }
         }
         // The calling rank always contributed, so at least one buffer folded.
@@ -920,6 +935,25 @@ mod tests {
             out[0]
         });
         assert_eq!(results, vec![2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn allreduce_in_place_matches_out_of_place_across_chunk_edges() {
+        // Longer than the fold's scratch and not a multiple of it.
+        let n = 1_300;
+        let results = World::new(3).run(move |comm| {
+            let input: Vec<f64> =
+                (0..n).map(|i| (i * (comm.rank() + 1)) as f64 * 0.1).collect();
+            let mut out = vec![0.0; n];
+            comm.allreduce_f64(&input, &mut out, ReduceOp::Sum);
+            let mut buf = input;
+            comm.allreduce_f64_in_place(&mut buf, ReduceOp::Sum);
+            (out, buf)
+        });
+        for (out, buf) in &results {
+            assert_eq!(out, buf);
+            assert_eq!(out[10], 0.1 * 10.0 + 0.1 * 20.0 + 0.1 * 30.0);
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! * [`MapReduce::map_tasks`] with the three *mapstyles* of the original
 //!   library — chunked, round-robin, and the **master/worker** mode the paper
 //!   relies on for BLAST load balancing (rank 0 hands out task indices to
-//!   workers on request);
+//!   workers on request). There is one master-worker scheduler, and it is
+//!   fault-tolerant ([`sched`]): it survives worker and master deaths,
+//!   stragglers and poison units, and takes an optional per-call affinity
+//!   slice that makes it the locality-aware master;
 //! * [`MapReduce::aggregate`] (hash-partitioned alltoallv key exchange),
 //!   [`MapReduce::convert`] (local KV → KMV grouping),
 //!   [`MapReduce::collate`] = aggregate + convert,

@@ -266,12 +266,22 @@ impl<'c> MapReduce<'c> {
     /// of emitted pairs.
     ///
     /// The map callback receives the global task index and an emitter.
+    /// `MasterWorker` runs through the fault-tolerant scheduler
+    /// ([`MapReduce::map_tasks_ft`] with default settings).
+    ///
+    /// # Panics
+    /// Panics if the master-worker map fails with a typed [`MrError`].
     pub fn map_tasks(
         &mut self,
         ntasks: usize,
         style: MapStyle,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
     ) -> u64 {
+        if style == MapStyle::MasterWorker {
+            return self
+                .map_tasks_ft(ntasks, &FtConfig::default(), f)
+                .unwrap_or_else(|e| panic!("master-worker map failed: {e}"));
+        }
         if let Some(old) = self.kmv.take() {
             self.retire_kmv(&old);
         }
@@ -290,37 +300,9 @@ impl<'c> MapReduce<'c> {
         self.global_count(local)
     }
 
-    /// Collective. Like [`MapReduce::map_tasks`] with the master-worker
-    /// style, but the master schedules with **resource affinity**:
-    /// `affinity[t]` names the resource (e.g. DB partition) task `t` needs,
-    /// and workers preferentially receive tasks for the resource they
-    /// already hold — the paper's proposed locality-aware scheduler.
-    pub fn map_tasks_affinity(
-        &mut self,
-        ntasks: usize,
-        affinity: &[usize],
-        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
-    ) -> u64 {
-        if let Some(old) = self.kmv.take() {
-            self.retire_kmv(&old);
-        }
-        if let Some(old) = self.kv.take() {
-            self.retire_kv(&old);
-        }
-        let (_span, spills0) = self.obs_phase("mr.map");
-        let mut kv = KeyValue::new(&self.settings);
-        crate::sched::assign_and_run_affinity(self.comm, ntasks, affinity, |task| {
-            let mut em = KvEmitter::new(&mut kv);
-            f(task, &mut em);
-        });
-        let local = kv.npairs();
-        self.kv = Some(kv);
-        self.obs_phase_end(spills0, local);
-        self.global_count(local)
-    }
-
-    /// Collective. Like [`MapReduce::map_tasks`] with the master-worker
-    /// style, but scheduled **fault-tolerantly**: worker deaths are detected,
+    /// Collective. The master-worker map, scheduled **fault-tolerantly**
+    /// (and, unlike [`MapReduce::map_tasks`], reporting failure as a typed
+    /// error instead of panicking): worker deaths are detected,
     /// their units (in flight *and* already completed — the emitted pairs
     /// died with the rank) are re-dispatched to survivors, and the run ends
     /// with a cross-rank reconciliation proving every unit contributed to
@@ -367,7 +349,7 @@ impl<'c> MapReduce<'c> {
         cfg: &FtConfig,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
     ) -> Result<FtMapReport, MrError> {
-        self.map_tasks_ft_report_with_verdict(ntasks, cfg, f, &mut |_, _| {})
+        self.map_tasks_ft_report_with_verdict(ntasks, cfg, None, f, &mut |_, _| {})
     }
 
     /// [`MapReduce::map_tasks_ft_report`] with the scheduler's per-execution
@@ -380,10 +362,16 @@ impl<'c> MapReduce<'c> {
     /// numeric accumulator) must buffer per execution and fold on
     /// `commit == true` only; folding at execution time double-counts any
     /// execution the scheduler later discards.
+    ///
+    /// `affinity[t]`, when given, names the resource (e.g. a DB partition)
+    /// unit `t` needs; workers then preferentially receive units of the
+    /// resource they already hold — the paper's proposed locality-aware
+    /// scheduler (see [`crate::sched::assign_and_run_ft_report`]).
     pub fn map_tasks_ft_report_with_verdict(
         &mut self,
         ntasks: usize,
         cfg: &FtConfig,
+        affinity: Option<&[usize]>,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
         on_verdict: &mut dyn FnMut(usize, bool),
     ) -> Result<FtMapReport, MrError> {
@@ -410,6 +398,7 @@ impl<'c> MapReduce<'c> {
             self.comm,
             ntasks,
             cfg,
+            affinity,
             &mut |task| {
                 let mut skv = KeyValue::new(&settings);
                 {

@@ -11,6 +11,11 @@
 //!   "such that each worker is kept occupied as long as there are remaining
 //!   work units", because BLAST work-unit runtimes are highly skewed.
 //!
+//! There is one master-worker scheduler, and it is fault-tolerant
+//! ([`assign_and_run_ft_report`]): it survives worker and master deaths,
+//! stragglers and poison units, and with a per-call affinity slice it is
+//! also the locality-aware master. `MapStyle::MasterWorker` runs through it.
+//!
 //! In a world of one rank every style degenerates to running all tasks
 //! locally.
 
@@ -109,6 +114,10 @@ pub enum MapStyle {
 
 /// Execute `run(task)` for every task index this rank is responsible for.
 /// Returns the task indices executed locally, in execution order.
+///
+/// `MasterWorker` runs through the fault-tolerant scheduler
+/// ([`assign_and_run_ft`]) with default settings and panics only if that
+/// scheduler reports a typed [`SchedError`].
 pub fn assign_and_run(
     comm: &Comm,
     ntasks: usize,
@@ -117,167 +126,19 @@ pub fn assign_and_run(
 ) -> Vec<usize> {
     let size = comm.size();
     let rank = comm.rank();
-    let mut mine = Vec::new();
-
-    if size == 1 {
-        for t in 0..ntasks {
-            run(t);
-            mine.push(t);
-        }
-        return mine;
-    }
-
-    match style {
-        MapStyle::Chunk => {
-            let lo = rank * ntasks / size;
-            let hi = (rank + 1) * ntasks / size;
-            for t in lo..hi {
-                run(t);
-                mine.push(t);
-            }
-        }
-        MapStyle::RoundRobin => {
-            let mut t = rank;
-            while t < ntasks {
-                run(t);
-                mine.push(t);
-                t += size;
-            }
-        }
+    let mine: Vec<usize> = match style {
+        _ if size == 1 => (0..ntasks).collect(),
+        MapStyle::Chunk => (rank * ntasks / size..(rank + 1) * ntasks / size).collect(),
+        MapStyle::RoundRobin => (rank..ntasks).step_by(size).collect(),
         MapStyle::MasterWorker => {
-            if rank == 0 {
-                master_loop(comm, ntasks);
-            } else {
-                loop {
-                    comm.send(0, TAG_REQ, Vec::new());
-                    let (reply, _) = comm.recv_u64s(0, TAG_TASK);
-                    let task = reply[0];
-                    if task == DONE {
-                        break;
-                    }
-                    run(task as usize);
-                    mine.push(task as usize);
-                }
-            }
+            return assign_and_run_ft(comm, ntasks, &FtConfig::default(), run)
+                .unwrap_or_else(|e| panic!("master-worker scheduling failed: {e}"));
         }
+    };
+    for &t in &mine {
+        run(t);
     }
     mine
-}
-
-/// The master side of the dynamic scheduler: serve requests until every
-/// worker has been told there is nothing left.
-fn master_loop(comm: &Comm, ntasks: usize) {
-    let workers = comm.size() - 1;
-    let mut next = 0u64;
-    let mut retired = 0;
-    while retired < workers {
-        let msg = comm.recv(ANY_SOURCE, TAG_REQ);
-        let who = msg.status.source;
-        if (next as usize) < ntasks {
-            comm.send_u64s(who, TAG_TASK, &[next]);
-            next += 1;
-        } else {
-            comm.send_u64s(who, TAG_TASK, &[DONE]);
-            retired += 1;
-        }
-    }
-}
-
-/// Execute tasks with a **locality-aware master** (the paper's future work:
-/// "improving the location-aware work unit scheduler in order to distribute
-/// the work unit tuples to those ranks that have already been processing
-/// the same DB partitions in as many cases as possible").
-///
-/// `affinity[t]` names the resource (DB partition) task `t` needs. The
-/// master remembers each worker's last resource and serves a matching task
-/// when one remains; otherwise it hands out a task from the resource with
-/// the most remaining work (so late-run workers spread across resources
-/// instead of piling onto one). Degenerates to plain dynamic scheduling
-/// when all affinities are distinct.
-///
-/// Returns the task indices executed locally, in execution order.
-///
-/// # Panics
-/// Panics if `affinity.len() != ntasks`.
-pub fn assign_and_run_affinity(
-    comm: &Comm,
-    ntasks: usize,
-    affinity: &[usize],
-    mut run: impl FnMut(usize),
-) -> Vec<usize> {
-    assert_eq!(affinity.len(), ntasks, "one affinity per task");
-    let size = comm.size();
-    let rank = comm.rank();
-    let mut mine = Vec::new();
-
-    if size == 1 {
-        for t in 0..ntasks {
-            run(t);
-            mine.push(t);
-        }
-        return mine;
-    }
-
-    if rank == 0 {
-        affinity_master_loop(comm, affinity);
-    } else {
-        loop {
-            comm.send(0, TAG_REQ, Vec::new());
-            let (reply, _) = comm.recv_u64s(0, TAG_TASK);
-            let task = reply[0];
-            if task == DONE {
-                break;
-            }
-            run(task as usize);
-            mine.push(task as usize);
-        }
-    }
-    mine
-}
-
-fn affinity_master_loop(comm: &Comm, affinity: &[usize]) {
-    use std::collections::HashMap;
-    let workers = comm.size() - 1;
-    // Task queues per resource, FIFO within a resource.
-    let mut queues: HashMap<usize, std::collections::VecDeque<u64>> = HashMap::new();
-    for (t, &a) in affinity.iter().enumerate() {
-        queues.entry(a).or_default().push_back(t as u64);
-    }
-    let mut remaining = affinity.len();
-    let mut last_resource: HashMap<usize, usize> = HashMap::new();
-    let mut retired = 0;
-
-    while retired < workers {
-        let msg = comm.recv(ANY_SOURCE, TAG_REQ);
-        let who = msg.status.source;
-        if remaining == 0 {
-            comm.send_u64s(who, TAG_TASK, &[DONE]);
-            retired += 1;
-            continue;
-        }
-        // Prefer the worker's current resource.
-        let preferred = last_resource.get(&who).copied();
-        let resource = match preferred {
-            Some(r) if queues.get(&r).is_some_and(|q| !q.is_empty()) => r,
-            _ => {
-                // Fall back to the resource with the most remaining tasks.
-                *queues
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .max_by_key(|(_, q)| q.len())
-                    .expect("remaining > 0")
-                    .0
-            }
-        };
-        let task = queues
-            .get_mut(&resource)
-            .expect("resource exists")
-            .pop_front()
-            .expect("queue non-empty");
-        last_resource.insert(who, resource);
-        remaining -= 1;
-        comm.send_u64s(who, TAG_TASK, &[task]);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -474,13 +335,30 @@ pub struct FtRun {
 /// commit)` is called exactly once per completed execution to publish
 /// (`true`) or drop (`false`) that staging. A panicked execution discards
 /// its partial staging before the failure is reported.
+///
+/// `affinity`, when given, names the resource (e.g. a DB partition) each
+/// unit needs: `affinity[t]` for unit `t`. The master then hands a worker a
+/// pending unit of the resource it last received, when one remains, and
+/// otherwise a unit of the resource with the most pending work, so late-run
+/// workers spread across resources instead of piling onto one. This is the
+/// locality-aware scheduler the paper proposes as future work ("distribute
+/// the work unit tuples to those ranks that have already been processing
+/// the same DB partitions"). Units requeued after a death follow the same
+/// rule.
+///
+/// # Panics
+/// Panics if `affinity` is given and its length is not `ntasks`.
 pub fn assign_and_run_ft_report(
     comm: &Comm,
     ntasks: usize,
     cfg: &FtConfig,
+    affinity: Option<&[usize]>,
     run: &mut dyn FnMut(usize),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> Result<FtRun, SchedError> {
+    if let Some(a) = affinity {
+        assert_eq!(a.len(), ntasks, "one affinity per task");
+    }
     if comm.size() == 1 {
         return Ok(ft_run_local(comm, ntasks, cfg, run, verdict));
     }
@@ -495,7 +373,7 @@ pub fn assign_and_run_ft_report(
     if !cfg.failover {
         CURRENT_MASTER.with(|m| m.set(0));
         return if me == 0 {
-            match ft_master_loop(comm, ntasks, cfg, round, None) {
+            match ft_master_loop(comm, ntasks, cfg, affinity, round, None) {
                 MasterExit::Finished(q) => Ok(FtRun { units: Vec::new(), quarantined: q }),
                 MasterExit::Aborted(unit) => Err(SchedError::Aborted { unit }),
                 MasterExit::AllWorkersDead => Err(SchedError::AllWorkersDead),
@@ -545,7 +423,7 @@ pub fn assign_and_run_ft_report(
                 flag = FLAG_NONE;
             }
             let seed = via_failover.then(|| (std::mem::take(&mut mirror), mine.clone()));
-            match ft_master_loop(comm, ntasks, cfg, round, seed) {
+            match ft_master_loop(comm, ntasks, cfg, affinity, round, seed) {
                 MasterExit::Finished(q) => {
                     board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
                     board.close_gate_if(|| true);
@@ -618,7 +496,7 @@ pub fn assign_and_run_ft(
     cfg: &FtConfig,
     mut run: impl FnMut(usize),
 ) -> Result<Vec<usize>, SchedError> {
-    assign_and_run_ft_report(comm, ntasks, cfg, &mut |t| run(t), &mut |_, _| {})
+    assign_and_run_ft_report(comm, ntasks, cfg, None, &mut |t| run(t), &mut |_, _| {})
         .map(|r| r.units)
 }
 
@@ -766,6 +644,11 @@ struct FtMaster<'c> {
     /// reclaimed even if the death itself fell between reap ticks.
     gen_seen: std::collections::HashMap<usize, u64>,
     pending: std::collections::VecDeque<u64>,
+    /// Resource each unit needs (see [`assign_and_run_ft_report`]); `None`
+    /// serves `pending` in FIFO order.
+    affinity: Option<&'c [usize]>,
+    /// Resource of the unit each worker last received.
+    last_resource: std::collections::HashMap<usize, usize>,
     /// Completion flag per unit; a unit owned by a dead worker is un-done.
     done: Vec<bool>,
     ndone: usize,
@@ -877,7 +760,7 @@ impl FtMaster<'_> {
             self.reply(worker, [seq, ABORT, verdict]);
             return;
         }
-        if let Some(unit) = self.pending.pop_front() {
+        if let Some(unit) = self.take_pending(worker) {
             self.attempts[unit as usize] += 1;
             if self.attempts[unit as usize] > self.max_attempts {
                 self.abort = Some(unit);
@@ -894,6 +777,35 @@ impl FtMaster<'_> {
             self.last.insert(worker, (seq, None));
             self.parked.push((worker, seq, verdict));
         }
+    }
+
+    /// Remove and return the pending unit `worker` should run next: FIFO
+    /// without affinity; with it, the first pending unit of the worker's
+    /// last resource, else the first of the resource with the most pending
+    /// units (ties go to the resource whose first unit is queued earliest).
+    fn take_pending(&mut self, worker: usize) -> Option<u64> {
+        let Some(aff) = self.affinity else {
+            return self.pending.pop_front();
+        };
+        let resource_of = |unit: &u64| aff[*unit as usize];
+        let pos = self
+            .last_resource
+            .get(&worker)
+            .and_then(|&r| self.pending.iter().position(|u| resource_of(u) == r))
+            .or_else(|| {
+                // (pending count, first position) per resource.
+                let mut load: std::collections::HashMap<usize, (usize, usize)> =
+                    Default::default();
+                for (pos, unit) in self.pending.iter().enumerate() {
+                    load.entry(resource_of(unit)).or_insert((0, pos)).0 += 1;
+                }
+                load.into_values()
+                    .max_by_key(|&(count, first)| (count, std::cmp::Reverse(first)))
+                    .map(|(_, first)| first)
+            })?;
+        let unit = self.pending.remove(pos)?;
+        self.last_resource.insert(worker, resource_of(&unit));
+        Some(unit)
     }
 
     /// Re-serve every parked worker after the queue or completion state
@@ -1305,6 +1217,7 @@ fn ft_master_loop(
     comm: &Comm,
     ntasks: usize,
     cfg: &FtConfig,
+    affinity: Option<&[usize]>,
     round: u64,
     takeover: Option<(Vec<[u64; LOG_REC_WORDS]>, Vec<usize>)>,
 ) -> MasterExit {
@@ -1338,6 +1251,8 @@ fn ft_master_loop(
             .map(|r| (r, board.generation(r)))
             .collect(),
         pending: Default::default(),
+        affinity,
+        last_resource: Default::default(),
         done: vec![false; ntasks],
         ndone: 0,
         inflight: Default::default(),
@@ -1676,6 +1591,23 @@ mod tests {
         World::new(ranks).run(move |comm| assign_and_run(comm, ntasks, style, |_| {}))
     }
 
+    /// Run the master-worker scheduler with an optional affinity slice and
+    /// return each rank's committed units in execution order.
+    fn run_mw(ranks: usize, ntasks: usize, affinity: Option<Vec<usize>>) -> Vec<Vec<usize>> {
+        World::new(ranks).run(move |comm| {
+            assign_and_run_ft_report(
+                comm,
+                ntasks,
+                &FtConfig::default(),
+                affinity.as_deref(),
+                &mut |_| {},
+                &mut |_, _| {},
+            )
+            .expect("fault-free run")
+            .units
+        })
+    }
+
     fn assert_partition(assignments: &[Vec<usize>], ntasks: usize) {
         let mut all: Vec<usize> = assignments.concat();
         all.sort_unstable();
@@ -1704,6 +1636,10 @@ mod tests {
 
     #[test]
     fn master_worker_partitions_and_master_idles() {
+        let got = run_mw(4, 23, None);
+        assert!(got[0].is_empty(), "master must not execute tasks");
+        assert_partition(&got, 23);
+        // The mapstyle entry point runs the same scheduler.
         let got = run_style(4, 23, MapStyle::MasterWorker);
         assert!(got[0].is_empty(), "master must not execute tasks");
         assert_partition(&got, 23);
@@ -1711,16 +1647,14 @@ mod tests {
 
     #[test]
     fn master_worker_zero_tasks_terminates() {
-        let got = run_style(3, 0, MapStyle::MasterWorker);
-        for m in got {
+        for m in run_mw(3, 0, None) {
             assert!(m.is_empty());
         }
     }
 
     #[test]
     fn master_worker_fewer_tasks_than_workers() {
-        let got = run_style(8, 3, MapStyle::MasterWorker);
-        assert_partition(&got, 3);
+        assert_partition(&run_mw(8, 3, None), 3);
     }
 
     #[test]
@@ -1734,10 +1668,7 @@ mod tests {
     #[test]
     fn affinity_scheduler_partitions_tasks_exactly() {
         let ntasks = 30;
-        let affinity: Vec<usize> = (0..ntasks).map(|t| t % 5).collect();
-        let got = World::new(4).run(move |comm| {
-            assign_and_run_affinity(comm, ntasks, &affinity, |_| {})
-        });
+        let got = run_mw(4, ntasks, Some((0..ntasks).map(|t| t % 5).collect()));
         assert!(got[0].is_empty(), "master must not execute tasks");
         assert_partition(&got, ntasks);
     }
@@ -1748,21 +1679,12 @@ mod tests {
         // fewer resource switches than task count.
         let ntasks = 30;
         let affinity: Vec<usize> = (0..ntasks).map(|t| t / 10).collect();
-        let aff = affinity.clone();
-        let got = World::new(5).run(move |comm| {
-            assign_and_run_affinity(comm, ntasks, &aff, |_| {})
-        });
+        let got = run_mw(5, ntasks, Some(affinity.clone()));
         assert_partition(&got, ntasks);
-        let mut total_switches = 0usize;
-        for tasks in &got[1..] {
-            let mut switches = 0;
-            for w in tasks.windows(2) {
-                if affinity[w[0]] != affinity[w[1]] {
-                    switches += 1;
-                }
-            }
-            total_switches += switches;
-        }
+        let total_switches: usize = got[1..]
+            .iter()
+            .map(|tasks| tasks.windows(2).filter(|w| affinity[w[0]] != affinity[w[1]]).count())
+            .sum();
         // Plain dynamic dispatch of the interleaved stream would switch
         // almost every task; affinity should keep it near the minimum
         // (#resources - 1 per worker at worst).
@@ -1774,16 +1696,37 @@ mod tests {
 
     #[test]
     fn affinity_scheduler_single_rank_and_zero_tasks() {
-        let got = World::new(1).run(|comm| assign_and_run_affinity(comm, 4, &[0, 1, 0, 1], |_| {}));
-        assert_eq!(got[0], vec![0, 1, 2, 3]);
-        let got = World::new(3).run(|comm| assign_and_run_affinity(comm, 0, &[], |_| {}));
-        assert!(got.iter().all(Vec::is_empty));
+        assert_eq!(run_mw(1, 4, Some(vec![0, 1, 0, 1]))[0], vec![0, 1, 2, 3]);
+        assert!(run_mw(3, 0, Some(Vec::new())).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn affinity_scheduler_requeues_a_dead_workers_units_exactly_once() {
+        // Rank 2 dies on its first operation; its resource's units are
+        // requeued and still follow the affinity rule on the survivors.
+        let ntasks = 24;
+        let affinity: Vec<usize> = (0..ntasks).map(|t| t / 8).collect();
+        let outcomes = World::new(4).with_faults(FaultPlan::new(5).kill(2, 0.0)).run_faulty(
+            move |comm| {
+                assign_and_run_ft_report(
+                    comm,
+                    ntasks,
+                    &FtConfig::default(),
+                    Some(&affinity),
+                    &mut |_| comm.charge(1.0),
+                    &mut |_, _| {},
+                )
+                .map(|r| r.units)
+            },
+        );
+        assert!(outcomes[2].is_died());
+        assert_exact_partition(&outcomes, ntasks);
     }
 
     #[test]
     #[should_panic(expected = "one affinity per task")]
     fn affinity_length_mismatch_panics() {
-        let _ = World::new(1).run(|comm| assign_and_run_affinity(comm, 3, &[0], |_| {}));
+        let _ = run_mw(1, 3, Some(vec![0]));
     }
 
     #[test]
@@ -1800,9 +1743,10 @@ mod tests {
         let fast = 1.0;
         let total = slow + (ntasks - 1) as f64 * fast;
         let times = World::new(3).run(move |comm| {
-            assign_and_run(comm, ntasks, MapStyle::MasterWorker, |t| {
+            assign_and_run_ft(comm, ntasks, &FtConfig::default(), |t| {
                 comm.charge(if t == 0 { slow } else { fast });
-            });
+            })
+            .expect("fault-free run");
             comm.barrier();
             comm.now()
         });
@@ -2108,6 +2052,7 @@ mod tests {
                 comm,
                 4,
                 &cfg,
+                None,
                 &mut |_| {
                     std::thread::sleep(Duration::from_millis(100));
                     comm.charge(1.0);
@@ -2153,6 +2098,7 @@ mod tests {
                 comm,
                 10,
                 &FtConfig::default(),
+                None,
                 &mut |_| {},
                 &mut |_, _| {},
             )
@@ -2177,6 +2123,7 @@ mod tests {
                 comm,
                 4,
                 &FtConfig::default(),
+                None,
                 &mut |_| {},
                 &mut |_, _| {},
             )
@@ -2193,6 +2140,7 @@ mod tests {
                 comm,
                 6,
                 &FtConfig::default(),
+                None,
                 &mut |t| {
                     if t == 3 {
                         panic!("bad work unit");
@@ -2222,7 +2170,8 @@ mod tests {
         };
         let plan = FaultPlan::new(29).stall(1, 0.005, 30.0);
         let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
-            assign_and_run_ft_report(comm, 8, &cfg, &mut |_| comm.charge(0.01), &mut |_, _| {})
+            let mut run = |_| comm.charge(0.01);
+            assign_and_run_ft_report(comm, 8, &cfg, None, &mut run, &mut |_, _| {})
         });
         assert!(outcomes[1].is_died(), "straggler must be fenced: {:?}", outcomes[1]);
         let master = outcomes[0].as_done().unwrap().as_ref().expect("master finishes");
@@ -2267,6 +2216,7 @@ mod tests {
                 comm,
                 1,
                 &cfg,
+                None,
                 &mut |_| {
                     comm.charge(0.01); // rank 1 hits its stall window here
                     if comm.rank() == 2 {
@@ -2306,6 +2256,7 @@ mod tests {
                 comm,
                 6,
                 &cfg,
+                None,
                 &mut |_| comm.charge(0.01),
                 &mut |_, commit| {
                     if !commit {

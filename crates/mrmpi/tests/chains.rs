@@ -3,7 +3,7 @@
 //! original library's examples) string operations together.
 
 use mpisim::World;
-use mrmpi::{MapReduce, MapStyle, Settings};
+use mrmpi::{FtConfig, MapReduce, MapStyle, Settings};
 
 /// Compress locally, then collate globally, then reduce — the canonical
 /// combiner pattern (pre-aggregation before the expensive shuffle).
@@ -138,9 +138,14 @@ fn affinity_map_chain() {
     let results = World::new(4).run(|comm| {
         let mut mr = MapReduce::new(comm);
         let affinity: Vec<usize> = (0..24).map(|t| t % 4).collect();
-        mr.map_tasks_affinity(24, &affinity, &mut |t, kv| {
-            kv.emit(&[(t % 6) as u8], &(t as u64).to_le_bytes());
-        });
+        mr.map_tasks_ft_report_with_verdict(
+            24,
+            &FtConfig::default(),
+            Some(&affinity),
+            &mut |t, kv| kv.emit(&[(t % 6) as u8], &(t as u64).to_le_bytes()),
+            &mut |_, _| {},
+        )
+        .expect("fault-free map");
         mr.collate();
         let mut counts = Vec::new();
         mr.reduce(&mut |key, vals, _| counts.push((key[0], vals.count())));

@@ -271,10 +271,12 @@ pub fn simulate_master_worker_affinity(
         let t = free + cluster.dispatch_latency_s;
         let part = match last_worker_cache[w] {
             Some(p) if queues.get(&p).is_some_and(|q| !q.is_empty()) => p,
+            // Ties go to the partition whose next task was queued first, as
+            // in the runtime scheduler, so the simulation is deterministic.
             _ => *queues
                 .iter()
                 .filter(|(_, q)| !q.is_empty())
-                .max_by_key(|(_, q)| q.len())
+                .max_by_key(|(_, q)| (q.len(), std::cmp::Reverse(q.front().copied())))
                 .expect("remaining > 0")
                 .0,
         };

@@ -52,7 +52,20 @@ impl BatchAccumulator {
 
     /// Accumulate with an explicit neighborhood kernel.
     pub fn accumulate_with(&mut self, cb: &Codebook, input: &[f64], sigma: f64, kernel: Kernel) {
-        let bmu = cb.bmu(input);
+        self.accumulate_at(cb, input, cb.bmu(input), sigma, kernel);
+    }
+
+    /// Accumulate one input vector whose BMU against `cb` is already known:
+    /// the neighborhood half of [`BatchAccumulator::accumulate_with`], for
+    /// callers that search BMUs and fold contributions at different times.
+    pub fn accumulate_at(
+        &mut self,
+        cb: &Codebook,
+        input: &[f64],
+        bmu: usize,
+        sigma: f64,
+        kernel: Kernel,
+    ) {
         for n in 0..cb.num_neurons() {
             let h = kernel.eval(cb.grid_dist_sq(bmu, n), sigma);
             if h < 1e-12 {

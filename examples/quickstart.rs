@@ -14,7 +14,7 @@ use bioseq::shred::query_blocks;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::World;
-use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix};
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
 use std::sync::Arc;
@@ -42,7 +42,16 @@ fn main() {
     let db2 = db.clone();
     let blocks2 = blocks.clone();
     let reports = World::new(ranks)
-        .run(move |comm| run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn()));
+        .run(move |comm| {
+            run_mrblast(
+                comm,
+                &db2,
+                &blocks2,
+                &MrBlastConfig::blastn(),
+                &FaultConfig::default(),
+            )
+            .expect("fault-free run")
+        });
 
     let parallel_hits: usize = reports.iter().map(|r| r.hits.len()).sum();
     println!(
@@ -69,7 +78,13 @@ fn main() {
     VectorMatrix::create(&matrix_path, &vectors).expect("write matrix");
     let results = World::new(ranks).run(move |comm| {
         let matrix = VectorMatrix::open(&matrix_path).expect("open matrix");
-        run_mrsom(comm, &matrix, &MrSomConfig { block_size: 30, ..MrSomConfig::new(som) })
+        run_mrsom(
+            comm,
+            &matrix,
+            &MrSomConfig { block_size: 30, ..MrSomConfig::new(som) },
+            &FaultConfig::default(),
+        )
+        .expect("fault-free run")
     });
     let max_dev = results[0]
         .0

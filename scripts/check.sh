@@ -41,7 +41,7 @@ cargo test -q --test golden_trace -- --test-threads=1
 echo "== obs off is a no-op: run without a collector records nothing process-wide =="
 cargo test -q --test obs_noop
 
-echo "== obs smoke: 9-rank traced BLAST via mb-blast, trace schema-validated =="
+echo "== obs smoke: 9-rank traced BLAST via mb-blast, trace schema-validated, FT scheduler counters =="
 cargo build --release -p mrbio -p obs --bins
 OBS_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_SMOKE_DIR"' EXIT
@@ -65,7 +65,17 @@ target/release/mb-formatdb --in "$OBS_SMOKE_DIR/refs.fa" --out "$OBS_SMOKE_DIR/d
   --name refdb --partition-bytes 1024
 target/release/mb-blast --db "$OBS_SMOKE_DIR/db" --name refdb \
   --queries "$OBS_SMOKE_DIR/reads.fa" --ranks 9 --block-size 2 \
-  --out "$OBS_SMOKE_DIR/hits" --trace "$OBS_SMOKE_DIR/trace.json"
+  --out "$OBS_SMOKE_DIR/hits" --trace "$OBS_SMOKE_DIR/trace.json" \
+  > "$OBS_SMOKE_DIR/blast.out"
 target/release/trace-lint "$OBS_SMOKE_DIR/trace.json"
+# The shipped CLI runs the fault-tolerant scheduler: its journal counters are
+# in the stage summary, and a fault-free run commits every dispatched unit.
+dispatched="$(awk '$1 == "sched.dispatch" { print $2 }' "$OBS_SMOKE_DIR/blast.out")"
+committed="$(awk '$1 == "sched.commit" { print $2 }' "$OBS_SMOKE_DIR/blast.out")"
+if [ -z "$dispatched" ] || [ "$dispatched" != "$committed" ]; then
+  echo "mb-blast trace: sched.dispatch='$dispatched' sched.commit='$committed'" >&2
+  exit 1
+fi
+echo "mb-blast ran the FT scheduler: $dispatched units dispatched and committed"
 
 echo "check.sh: all green"

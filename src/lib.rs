@@ -11,7 +11,8 @@
 //! * [`mpisim`] — in-process MPI-like runtime (ranks as threads, collectives,
 //!   virtual clocks);
 //! * [`mrmpi`] — the MapReduce-MPI library port (paged KV/KMV stores,
-//!   map/collate/reduce, master-worker scheduling, out-of-core paging);
+//!   map/collate/reduce, fault-tolerant master-worker scheduling,
+//!   out-of-core paging);
 //! * [`bioseq`] — FASTA IO, 2-bit encoding, database partitioning
 //!   (`formatdb`), read shredding, tetranucleotide composition vectors,
 //!   synthetic workload generators;
@@ -32,7 +33,7 @@
 //! use bioseq::gen::{dna_workload, WorkloadConfig};
 //! use bioseq::shred::query_blocks;
 //! use mpisim::World;
-//! use mrbio::{run_mrblast, MrBlastConfig};
+//! use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
 //! use std::sync::Arc;
 //!
 //! // A small synthetic workload with planted homologies.
@@ -41,9 +42,11 @@
 //! let db = Arc::new(format_db(&w.db, &FormatDbConfig::dna(8_192), &dir, "demo").unwrap());
 //! let blocks = Arc::new(query_blocks(w.queries, 25));
 //!
-//! // Run the parallel search on 4 simulated MPI ranks.
+//! // Run the parallel search on 4 simulated MPI ranks; the master-worker
+//! // scheduler is fault-tolerant, so a failed run is a typed error.
 //! let reports = World::new(4).run(move |comm| {
-//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
+//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+//!         .expect("no faults injected")
 //! });
 //! let hits: usize = reports.iter().map(|r| r.hits.len()).sum();
 //! assert!(hits > 0);

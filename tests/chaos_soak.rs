@@ -19,7 +19,7 @@ use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{
-    run_mrblast_ft, run_mrsom_ft, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix,
+    run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix,
 };
 use mrmpi::{read_poison_log, DiskFaultPlan, FtConfig, MapReduce, Settings};
 use som::batch::batch_train;
@@ -87,7 +87,7 @@ fn run_blast_chaos(
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
     let outcomes = World::new(ranks).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast_ft(comm, &db, &blocks, &cfg, &fault)
+        run_mrblast(comm, &db, &blocks, &cfg, &fault)
     });
     let mut hits = Vec::new();
     let mut quarantined = None;
@@ -307,7 +307,7 @@ fn som_master_kill_mid_training_matches_serial() {
         move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
             let cfg = MrSomConfig { block_size: 16, ..MrSomConfig::new(som) };
-            run_mrsom_ft(comm, &matrix, &cfg, &FaultConfig::default())
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
         },
     );
     let mut died = 0;

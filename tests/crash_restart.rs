@@ -17,7 +17,7 @@ use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::ckpt::BlastCheckpoint;
 use mrbio::{
-    checkpoint_path, disk_faults, run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig,
+    checkpoint_path, disk_faults, run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig,
 };
 use mrmpi::DiskFaultPlan;
 use som::neighborhood::SomConfig;
@@ -65,10 +65,6 @@ fn blast_run(
     World::new(RANKS).run(move |comm| {
         let mut cfg = MrBlastConfig {
             blocks_per_iteration: 2,
-            // Chunk assignment is reproducible run-to-run; the master-worker
-            // schedule depends on measured task durations, which would make
-            // *any* two runs differ in output order, interrupted or not.
-            map_style: mrmpi::MapStyle::Chunk,
             output_dir: Some(out.clone()),
             checkpoint_dir: ck.clone(),
             stop_after_iterations: stop,
@@ -77,7 +73,7 @@ fn blast_run(
         if let Some(plan) = &faults {
             cfg.mr_settings = disk_faults(cfg.mr_settings.clone(), plan.clone_plan());
         }
-        run_mrblast(comm, &db, &blocks, &cfg)
+        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
     });
 }
 
@@ -212,7 +208,13 @@ fn som_resume_with_corrupt_newest_checkpoint_falls_back() {
     let p = mpath.clone();
     let full = World::new(2).run(move |comm| {
         let matrix = mrbio::VectorMatrix::open(&p).unwrap();
-        run_mrsom(comm, &matrix, &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) })
+        run_mrsom(
+            comm,
+            &matrix,
+            &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) },
+            &FaultConfig::default(),
+        )
+        .expect("fault-free run")
     });
 
     // Interrupted mid-training: checkpoints at epochs 2 and 4, killed after 4.
@@ -228,7 +230,7 @@ fn som_resume_with_corrupt_newest_checkpoint_falls_back() {
             stop_after_epochs: Some(4),
             ..MrSomConfig::new(som)
         };
-        run_mrsom(comm, &matrix, &cfg)
+        run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
     });
 
     // The crash also corrupted the newest checkpoint (epoch 4): flip a bit
@@ -251,7 +253,7 @@ fn som_resume_with_corrupt_newest_checkpoint_falls_back() {
             checkpoint_every: 2,
             ..MrSomConfig::new(som)
         };
-        run_mrsom(comm, &matrix, &cfg)
+        run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
     });
     // 6 blocks per epoch; fallback to epoch 2 leaves 6 epochs to retrain.
     let blocks: u64 = resumed.iter().map(|(_, r)| r.blocks_processed).sum();

@@ -2,7 +2,7 @@
 //! executable invariants.
 //!
 //! * MR-MPI BLAST produces the same hit set as the serial engine at every
-//!   rank count, mapstyle, iteration granularity, and paging budget — the
+//!   rank count, iteration granularity, and paging budget — the
 //!   Rust analogue of "using unmodified NCBI Toolkit ensures that the
 //!   results are compatible";
 //! * MR-MPI batch SOM trains the same codebook as the serial batch
@@ -17,10 +17,10 @@ use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{
-    run_mrblast, run_mrblast_ft, run_mrsom, run_mrsom_ft, FaultConfig, MrBlastConfig, MrSomConfig,
+    run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig,
     VectorMatrix,
 };
-use mrmpi::{MapStyle, Settings};
+use mrmpi::Settings;
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
 use std::path::PathBuf;
@@ -76,7 +76,9 @@ fn sorted_keys(hits: impl IntoIterator<Item = Hit>) -> Vec<(String, String, u32,
 fn run_parallel(fx: &BlastFixture, ranks: usize, cfg: MrBlastConfig) -> Vec<Hit> {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
-    let reports = World::new(ranks).run(move |comm| run_mrblast(comm, &db, &blocks, &cfg));
+    let reports = World::new(ranks).run(move |comm| {
+        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+    });
     reports.into_iter().flat_map(|r| r.hits).collect()
 }
 
@@ -91,14 +93,28 @@ fn blast_equivalence_across_rank_counts() {
 }
 
 #[test]
-fn blast_equivalence_across_mapstyles() {
-    let fx = blast_fixture(1002, "styles");
-    let expect = sorted_keys(fx.serial.clone());
-    for style in [MapStyle::MasterWorker, MapStyle::Chunk, MapStyle::RoundRobin] {
-        let cfg = MrBlastConfig { map_style: style, ..MrBlastConfig::blastn() };
-        let got = sorted_keys(run_parallel(&fx, 4, cfg));
-        assert_eq!(got, expect, "mapstyle {style:?}");
-    }
+fn blast_per_rank_output_bytes_do_not_depend_on_the_schedule() {
+    // Which worker runs which unit varies run to run with measured unit
+    // durations, and the locality-aware master changes it outright. Each
+    // rank's output file must not: the driver sorts its keys after the
+    // shuffle.
+    let fx = blast_fixture(1009, "schedule");
+    let run = |tag: &str, locality_aware: bool| -> Vec<Vec<u8>> {
+        let out = fx.dir.join(tag);
+        let cfg = MrBlastConfig {
+            output_dir: Some(out.clone()),
+            locality_aware,
+            ..MrBlastConfig::blastn()
+        };
+        run_parallel(&fx, 4, cfg);
+        (0..4)
+            .map(|r| std::fs::read(out.join(format!("hits.rank{r:04}.tsv"))).expect("rank file"))
+            .collect()
+    };
+    let first = run("first", false);
+    assert!(first.iter().any(|b| !b.is_empty()), "workload must produce hits");
+    assert_eq!(run("second", false), first, "two runs must write identical rank files");
+    assert_eq!(run("locality", true), first, "the locality-aware schedule too");
 }
 
 #[test]
@@ -206,7 +222,7 @@ fn blastx_parallel_equals_serial() {
         let blocks = blocks.clone();
         let reports = World::new(ranks).run(move |comm| {
             let cfg = MrBlastConfig { params, ..MrBlastConfig::blastp() };
-            run_mrblast(comm, &db, &blocks, &cfg)
+            run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
         });
         let got = sorted_keys(reports.into_iter().flat_map(|r| r.hits).collect::<Vec<_>>());
         assert_eq!(got, sorted_keys(serial.clone()), "blastx ranks={ranks}");
@@ -226,7 +242,7 @@ fn run_parallel_ft(fx: &BlastFixture, ranks: usize, plan: FaultPlan) -> (Vec<Hit
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
     let outcomes = World::new(ranks).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast_ft(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+        run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
     });
     let mut hits = Vec::new();
     let mut died = 0;
@@ -297,7 +313,7 @@ fn som_equivalence_with_injected_worker_deaths() {
         let outcomes = World::new(5).with_faults(plan).run_faulty(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
             let cfg = MrSomConfig { block_size: 16, ..MrSomConfig::new(som) };
-            run_mrsom_ft(comm, &matrix, &cfg, &FaultConfig::default())
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
         });
         let mut died = 0;
         for (rank, out) in outcomes.iter().enumerate() {
@@ -343,7 +359,13 @@ fn som_parallel_equals_serial_batch() {
         let p = path.clone();
         let results = World::new(ranks).run(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
-            run_mrsom(comm, &matrix, &MrSomConfig { block_size: 20, ..MrSomConfig::new(som) })
+            run_mrsom(
+                comm,
+                &matrix,
+                &MrSomConfig { block_size: 20, ..MrSomConfig::new(som) },
+                &FaultConfig::default(),
+            )
+            .expect("fault-free run")
         });
         for (cb, _) in &results {
             let max_dev = cb
@@ -359,7 +381,7 @@ fn som_parallel_equals_serial_batch() {
 }
 
 #[test]
-fn som_mapstyles_and_block_sizes_agree() {
+fn som_block_sizes_agree() {
     let vectors = gen::random_vectors(2021, 120, 6);
     let som = SomConfig {
         rows: 5,
@@ -374,21 +396,12 @@ fn som_mapstyles_and_block_sizes_agree() {
     let path = std::env::temp_dir().join(format!("it-som2-{}.bin", std::process::id()));
     VectorMatrix::create(&path, &vectors).expect("write matrix");
     let mut reference: Option<Vec<f64>> = None;
-    for (style, block) in [
-        (MapStyle::MasterWorker, 40),
-        (MapStyle::Chunk, 40),
-        (MapStyle::RoundRobin, 40),
-        (MapStyle::MasterWorker, 80),
-    ] {
+    for block in [40, 80] {
         let p = path.clone();
         let results = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
-            let cfg = MrSomConfig {
-                block_size: block,
-                map_style: style,
-                ..MrSomConfig::new(som)
-            };
-            run_mrsom(comm, &matrix, &cfg)
+            let cfg = MrSomConfig { block_size: block, ..MrSomConfig::new(som) };
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
         });
         let weights = results[0].0.weights.clone();
         match &reference {
@@ -401,7 +414,7 @@ fn som_mapstyles_and_block_sizes_agree() {
                     .fold(0.0, f64::max);
                 assert!(
                     max_dev < 1e-9,
-                    "style {style:?} block {block}: deviation {max_dev}"
+                    "block {block}: deviation {max_dev}"
                 );
             }
         }

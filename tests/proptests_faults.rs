@@ -236,6 +236,7 @@ proptest! {
                 comm,
                 ntasks,
                 &cfg,
+                None,
                 &mut |_unit| comm.charge(1.0),
                 &mut |_, _| {},
             )

@@ -62,6 +62,7 @@ proptest! {
                     comm,
                     ntasks,
                     &cfg2,
+                    None,
                     &mut |_unit| comm.charge(1.0),
                     &mut |_, _| {},
                 )

@@ -1,5 +1,5 @@
-//! Straggler and poison-task resilience, end to end through the BLAST
-//! driver.
+//! Straggler and poison-task resilience, end to end through the BLAST and
+//! SOM drivers.
 //!
 //! * **Straggler smoke** — one of eight workers freezes mid-map. With
 //!   speculation off the run waits out the stall; with speculation on the
@@ -7,6 +7,10 @@
 //!   re-executed on an idle peer, and first-result-wins dedup keeps the
 //!   output bit-for-bit identical to the fault-free run at a fraction of
 //!   the stalled wall clock.
+//! * **SOM staged commits** — a straggling SOM worker recovers just after
+//!   its block was speculatively re-run elsewhere: its result commits, the
+//!   backup's staged rows are discarded, and the codebook still equals the
+//!   serial batch trainer's.
 //! * **Poison quarantine** — units that panic deterministically are retried
 //!   a bounded number of times, then quarantined to a durable, CRC-framed
 //!   `poison.log`; the run completes with an explicit partial result whose
@@ -20,7 +24,7 @@ use blast::hsp::Hit;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast_ft, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix};
 use mrmpi::{read_poison_log, FtConfig, Settings};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -106,7 +110,7 @@ fn run_ft(
     };
     let t0 = std::time::Instant::now();
     let outcomes = world.run_faulty(move |comm| {
-        run_mrblast_ft(comm, &db, &blocks, &cfg, &FaultConfig { ft: ft.clone() })
+        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig { ft: ft.clone() })
     });
     let wall = t0.elapsed().as_secs_f64();
     let mut hits = Vec::new();
@@ -255,4 +259,84 @@ fn poison_units_are_quarantined_durably_and_the_run_reports_them() {
         !fx.serial.is_empty(),
         "fixture sanity: fault-free output is non-empty"
     );
+}
+
+#[test]
+fn som_straggler_that_recovers_wins_and_the_backup_is_discarded() {
+    // Two blocks per epoch, three ranks: the master and workers 1 and 2.
+    // Worker 1's first charge (inside its first block of epoch 0) crosses
+    // the stall trigger, so it goes silent for `stall` while owing that
+    // block. Worker 2 finishes the other block and parks; once worker 1 has
+    // been silent for `suspect_after` (= `stall`), the master re-runs the
+    // block on worker 2. Worker 1 wakes at that moment with only its BMU
+    // search left, while worker 2 must still fold its previous block and
+    // run the whole backup — so worker 1 reports first and commits, and
+    // worker 2 (heard from when it was handed the backup, so not silent)
+    // is not fenced: its staged result is discarded when it reports.
+    // `suspect_after` is far above a block's compute even in an
+    // unoptimised build.
+    let (n, dims) = (80, 128);
+    let vectors = gen::random_vectors(3003, n, dims);
+    let som = som::neighborhood::SomConfig {
+        rows: 40,
+        cols: 40,
+        dims,
+        epochs: 2,
+        sigma0: None,
+        sigma_end: 1.0,
+        seed: 17,
+        ..Default::default()
+    };
+    let serial = som::batch::batch_train(&vectors, &som);
+    let path = std::env::temp_dir().join(format!("it-strag-som-{}.bin", std::process::id()));
+    VectorMatrix::create(&path, &vectors).expect("write matrix");
+
+    let stall = Duration::from_secs(2);
+    let ft = FtConfig {
+        rpc_timeout: Duration::from_millis(2),
+        // A parked worker is answered every `rpc_timeout`; keep the whole
+        // retry budget well above the stall.
+        max_rpc_retries: 5_000,
+        suspect_after: stall,
+        spec_backoff: Duration::from_secs(60),
+        speculate: true,
+        ..FtConfig::default()
+    };
+    let plan = FaultPlan::new(41).stall(1, 1e-12, stall.as_secs_f64());
+    let collector = obs::Collector::new();
+    let p = path.clone();
+    let outcomes = World::new(3)
+        .with_faults(plan)
+        .with_obs(collector.clone())
+        .run_faulty(move |comm| {
+            let matrix = VectorMatrix::open(&p).expect("open matrix");
+            let cfg = MrSomConfig { block_size: n / 2, ..MrSomConfig::new(som) };
+            run_mrsom(comm, &matrix, &cfg, &FaultConfig { ft: ft.clone() })
+        });
+    std::fs::remove_file(&path).ok();
+
+    for (rank, out) in outcomes.iter().enumerate() {
+        match out {
+            RankOutcome::Done(Ok((cb, _))) => {
+                let max_dev = cb
+                    .weights
+                    .iter()
+                    .zip(&serial.weights)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                assert!(max_dev < 1e-9, "rank {rank}: codebook deviates by {max_dev}");
+            }
+            other => panic!("rank {rank} must finish Ok, got {other:?}"),
+        }
+    }
+    let trace = collector.trace();
+    assert!(
+        trace.counter_total("sched.speculative_dispatch") >= 1,
+        "the stalled block must be re-run speculatively"
+    );
+    assert!(
+        trace.counter_total("sched.discard") >= 1,
+        "the losing execution's staged rows must be discarded"
+    );
+    assert_eq!(trace.counter_total("sched.fence"), 0, "nobody is fenced");
 }
