@@ -1,4 +1,5 @@
-//! Microbenchmarks of the SOM kernels: BMU search, one batch accumulation,
+//! Microbenchmarks of the SOM kernels: BMU search (one vector and a
+//! 40-vector work unit), one batch accumulation,
 //! a full epoch, and the accumulator merge — the constants behind the
 //! Fig. 6 scaling model (`SomScenario::per_vector_s`).
 
@@ -31,6 +32,8 @@ fn bench_bmu(c: &mut Criterion) {
     let cb = paper_codebook();
     let input = bioseq::gen::random_vectors(2, 1, 256).remove(0);
     c.bench_function("bmu_50x50x256", |b| b.iter(|| black_box(cb.bmu(&input))));
+    let block = bioseq::gen::random_vectors(3, 40, 256);
+    c.bench_function("bmus_block40_50x50x256", |b| b.iter(|| black_box(cb.bmus(&block))));
 }
 
 fn bench_accumulate(c: &mut Criterion) {

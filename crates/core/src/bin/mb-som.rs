@@ -16,13 +16,16 @@
 
 use bioseq::fasta::read_fasta_file;
 use bioseq::kmer::tetra_frequencies;
-use mpisim::World;
+use mpisim::{ReduceOp, World};
 use mrbio::cliargs::Args;
 use mrbio::{run_mrsom, FaultConfig, MrSomConfig, VectorMatrix};
 use som::neighborhood::{InitMethod, Kernel, SomConfig};
 use som::ppm::{write_codebook_rgb, write_umatrix_pgm};
 use som::quality::quantization_error;
 use som::umatrix::{ridge_valley_ratio, umatrix};
+
+/// Vectors the printed quantization error is computed over.
+const QE_SAMPLE: usize = 2000;
 
 fn usage() {
     println!(
@@ -104,27 +107,36 @@ fn run() -> Result<(), String> {
         ..SomConfig::default()
     };
     let mp = matrix_path.clone();
+    let sample_end = n.min(QE_SAMPLE);
     let t0 = std::time::Instant::now();
     let results = World::new(ranks)
         .run(move |comm| {
             let matrix = VectorMatrix::open(&mp).expect("open matrix");
             let cfg = MrSomConfig { block_size, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+            let (cb, _) = run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+                .map_err(|e| e.to_string())?;
+            // The printed QE, scored in parallel: each rank takes its slice
+            // of the first `sample_end` rows, one allreduce sums the slices.
+            // A rank whose read fails still joins the allreduce, so no peer
+            // waits on it, and then reports the error.
+            let (lo, hi) = slice_of(sample_end, comm.size(), comm.rank());
+            let part = matrix
+                .read_rows(lo, hi)
+                .map(|rows| quantization_error(&cb, &rows) * rows.len() as f64);
+            let mut qe_sum = [*part.as_ref().unwrap_or(&0.0)];
+            comm.allreduce_f64_in_place(&mut qe_sum, ReduceOp::Sum);
+            part.map_err(|e| format!("read QE sample: {e}"))?;
+            Ok::<_, String>((cb, qe_sum[0] / sample_end.max(1) as f64))
         })
         .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    let cb = &results[0].0;
+        .collect::<Result<Vec<_>, _>>()?;
+    let (cb, qe) = &results[0];
     let wall = t0.elapsed().as_secs_f64();
 
-    let matrix = VectorMatrix::open(&matrix_path).map_err(|e| e.to_string())?;
-    let sample_end = n.min(2000);
-    let sample = matrix.read_rows(0, sample_end).map_err(|e| e.to_string())?;
     let u = umatrix(cb);
     println!(
-        "trained in {wall:.2}s; quantization error (first {sample_end} vectors) = {:.5}; \
+        "trained in {wall:.2}s; quantization error (first {sample_end} vectors) = {qe:.5}; \
          U-matrix ridge/valley = {:.2}",
-        quantization_error(cb, &sample),
         ridge_valley_ratio(&u)
     );
     if let Some(path) = umatrix_out {
@@ -139,6 +151,11 @@ fn run() -> Result<(), String> {
         println!("RGB map written to {path}");
     }
     Ok(())
+}
+
+/// Rows `[lo, hi)` of the first `n` that `rank` of `size` scores.
+fn slice_of(n: usize, size: usize, rank: usize) -> (usize, usize) {
+    (n * rank / size, n * (rank + 1) / size)
 }
 
 fn main() {

@@ -6,8 +6,8 @@
 //!    master to all worker nodes at the start of each epoch";
 //! 2. work units — blocks of input vectors described by offsets into the
 //!    on-disk dense matrix — are distributed by the MapReduce `map()`;
-//! 3. each `map()` call accumulates contributions to the numerator and
-//!    denominator of Eq. 5 into two rank-local arrays;
+//! 3. each `map()` call searches its block's best matching units (Eq. 2) in
+//!    one blocked pass over the codebook ([`Codebook::bmus`]);
 //! 4. "at the end of the epoch, a collective MPI_Reduce() call is used to
 //!    sum all newly computed numerators and denominators, and the new
 //!    codebook is computed as per Eq. 5. … No reduce() stage is used in
@@ -16,9 +16,12 @@
 //! The map runs on the fault-tolerant master-worker scheduler, so a unit's
 //! contribution only counts once the scheduler *commits* it. A unit is
 //! staged as its input rows plus their BMU indices (a few kilobytes, not a
-//! codebook-sized accumulator) and its neighborhood is folded into the
-//! epoch accumulator on commit. The epoch reduction is an in-place
-//! `allreduce`, so every rank applies the same update.
+//! codebook-sized accumulator); a commit adds the rows to the rank's
+//! per-BMU sums ([`BmuSums`]: Σx and a count per distinct BMU). After the
+//! map each rank applies the neighborhood once per distinct BMU, folding its
+//! sums into a zeroed numerator/denominator pair of Eq. 5, and the epoch
+//! reduction is an in-place `allreduce` of that pair, so every rank applies
+//! the same update.
 //!
 //! The mix of MapReduce task scheduling and *direct* MPI collectives is the
 //! paper's stated optimization; the `ablation_som_reduce` bench implements
@@ -30,7 +33,7 @@ use std::time::Instant;
 
 use mpisim::{Comm, ReduceOp};
 use mrmpi::{MapReduce, MrError, Settings};
-use som::batch::{init_codebook, BatchAccumulator};
+use som::batch::{init_codebook, BatchAccumulator, BmuSums};
 use som::codebook::Codebook;
 use som::neighborhood::{sigma_schedule, SomConfig};
 
@@ -89,7 +92,7 @@ pub struct MrSomRankReport {
     pub rank: usize,
     /// Work units (vector blocks) processed by this rank over all epochs.
     pub blocks_processed: u64,
-    /// Busy intervals spent in BMU search + accumulation.
+    /// Busy intervals spent in BMU search + the neighborhood fold.
     pub busy: BusyTracker,
     /// Rank-local virtual time at completion.
     pub finish_time: f64,
@@ -104,7 +107,7 @@ pub struct MrSomRankReport {
 /// (identical on all ranks) plus its own report.
 ///
 /// Each epoch's vector blocks are scheduled through the fault-tolerant
-/// master-worker protocol. A dead worker's accumulator dies with it; its
+/// master-worker protocol. A dead worker's per-BMU sums die with it; its
 /// blocks are re-accumulated by survivors, and the per-epoch reduction
 /// carries a block-contribution count validated against the expected
 /// total — a death in the window between the map and the reduce surfaces as
@@ -166,17 +169,15 @@ pub fn run_mrsom(
         let _epoch_span = obs::maybe_span(comm.obs(), "som.epoch");
         let sigma = sigma_schedule(sigma0, som.sigma_end, som.epochs, epoch);
 
-        let acc: RefCell<BatchAccumulator> = RefCell::new(BatchAccumulator::zeros(&cb));
+        let sums = RefCell::new(BmuSums::new(dims));
         let epoch_blocks: RefCell<u64> = RefCell::new(0);
-        // A block's contribution folds into the epoch accumulator only when
-        // the scheduler *commits* its execution. Folding at execution time
-        // would double-count an execution the scheduler later discards —
-        // e.g. a completion carried unarbitrated across a master failover,
-        // which the promoted successor discards and re-dispatches. The
-        // execution stages its rows and their BMUs (the panic-isolated
-        // search); the neighborhood fold runs on commit. A worker commits
-        // its units in execution order, so the accumulation order — and the
-        // result — is that of folding at execution time.
+        // A block's contribution joins the epoch only when the scheduler
+        // *commits* its execution. Adding it at execution time would
+        // double-count an execution the scheduler later discards — e.g. a
+        // completion carried unarbitrated across a master failover, which
+        // the promoted successor discards and re-dispatches. The execution
+        // stages its rows and their BMUs (the panic-isolated block search);
+        // a commit adds them to the rank's per-BMU sums.
         let staged = RefCell::new(None);
         let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
         let ft_report = mr.map_tasks_ft_report_with_verdict(
@@ -189,30 +190,25 @@ pub fn run_mrsom(
                 let inputs = matrix.read_rows(start, end).expect("read vector block");
                 comm.charge(t_load.elapsed().as_secs_f64());
 
-                let clock_start = comm.now();
-                let t0 = Instant::now();
-                let bmus: Vec<usize> = inputs.iter().map(|x| cb.bmu(x)).collect();
-                let elapsed = t0.elapsed().as_secs_f64();
-                comm.charge(elapsed);
-                busy.borrow_mut().record(clock_start, clock_start + elapsed);
+                let bmus = charged(comm, &busy, || cb.bmus(&inputs));
                 *blocks_processed.borrow_mut() += 1;
                 *staged.borrow_mut() = Some((inputs, bmus));
             },
             &mut |_, commit| {
                 let unit = staged.borrow_mut().take();
                 let Some((inputs, bmus)) = unit.filter(|_| commit) else { return };
-                let clock_start = comm.now();
-                let t0 = Instant::now();
-                let mut acc = acc.borrow_mut();
-                for (x, &bmu) in inputs.iter().zip(&bmus) {
-                    acc.accumulate_at(&cb, x, bmu, sigma, som.kernel);
-                }
-                let elapsed = t0.elapsed().as_secs_f64();
-                comm.charge(elapsed);
-                busy.borrow_mut().record(clock_start, clock_start + elapsed);
+                sums.borrow_mut().add_block(&bmus, &inputs);
                 *epoch_blocks.borrow_mut() += 1;
             },
         )?;
+
+        // The neighborhood, once per distinct BMU this rank committed, into
+        // a zeroed accumulator whose numerator has room for the packed
+        // reduction buffer below.
+        let mut numerator = Vec::with_capacity(nn * dims + nn + 1);
+        numerator.resize(nn * dims, 0.0);
+        let mut acc = BatchAccumulator::from_parts(numerator, vec![0.0; nn], dims);
+        charged(comm, &busy, || sums.into_inner().fold_into(&mut acc, &cb, sigma, som.kernel));
 
         // Direct MPI: one in-place allreduce over [numerator ‖ denominator ‖
         // block count]. Dead participants are skipped by the collective; a
@@ -220,9 +216,7 @@ pub fn run_mrsom(
         // accumulator with it) shows up as a short block count, which the
         // conservation check below turns into the same typed verdict on
         // every live rank instead of a silently skewed codebook.
-        let acc = acc.into_inner();
         let mut packed = acc.numerator;
-        packed.reserve_exact(nn + 1);
         packed.extend_from_slice(&acc.denominator);
         packed.push(epoch_blocks.into_inner() as f64);
         comm.allreduce_f64_in_place(&mut packed, ReduceOp::Sum);
@@ -265,6 +259,18 @@ pub fn run_mrsom(
         quarantined,
     };
     Ok((cb, report))
+}
+
+/// Run `work` as rank-local compute: its wall time is charged to the sim
+/// clock and recorded as a busy interval.
+fn charged<T>(comm: &Comm, busy: &RefCell<BusyTracker>, work: impl FnOnce() -> T) -> T {
+    let clock_start = comm.now();
+    let t0 = Instant::now();
+    let out = work();
+    let elapsed = t0.elapsed().as_secs_f64();
+    comm.charge(elapsed);
+    busy.borrow_mut().record(clock_start, clock_start + elapsed);
+    out
 }
 
 /// Checkpoint file layout: `som-epoch-<NNNN>.cbk` per completed epoch. Each

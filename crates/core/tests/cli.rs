@@ -203,6 +203,55 @@ fn som_cli_on_tetra_vectors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The quantization error `mb-som` prints: `… quantization error (first N
+/// vectors) = X; …`.
+fn printed_qe(stdout: &str) -> f64 {
+    let rest = stdout.split("quantization error").nth(1).expect("QE in output");
+    let value = rest.split("= ").nth(1).and_then(|v| v.split(';').next());
+    value.and_then(|v| v.trim().parse().ok()).unwrap_or_else(|| panic!("bad QE: {stdout}"))
+}
+
+#[test]
+fn som_cli_qe_matches_serial_training_at_any_rank_count() {
+    use som::neighborhood::SomConfig;
+    use som::quality::quantization_error;
+
+    let dir = std::env::temp_dir().join(format!("cli-som-qe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // 100 rows: the ranks' QE slices cannot split them evenly three ways.
+    let vectors = bioseq::gen::random_vectors(77, 100, 8);
+    let matrix = dir.join("m.bin");
+    mrbio::VectorMatrix::create(&matrix, &vectors).unwrap();
+    let som = SomConfig { rows: 5, cols: 6, dims: 8, epochs: 4, seed: 7, ..SomConfig::default() };
+    let want = quantization_error(&som::batch::batch_train(&vectors, &som), &vectors);
+
+    for ranks in ["1", "3"] {
+        let out = run_ok(Command::new(env!("CARGO_BIN_EXE_mb-som")).args([
+            "--input",
+            matrix.to_str().unwrap(),
+            "--rows",
+            "5",
+            "--cols",
+            "6",
+            "--epochs",
+            "4",
+            "--seed",
+            "7",
+            "--block-size",
+            "16",
+            "--ranks",
+            ranks,
+        ]));
+        assert!(out.contains("(first 100 vectors)"), "som output: {out}");
+        let got = printed_qe(&out);
+        assert!(
+            (got - want).abs() <= 1e-4 * want + 1e-5,
+            "--ranks {ranks}: printed QE {got} vs serial {want}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_rejects_unknown_flags() {
     let out = Command::new(env!("CARGO_BIN_EXE_mb-blast"))

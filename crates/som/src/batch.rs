@@ -7,6 +7,13 @@
 //! order-independent and splittable across workers — the parallel driver in
 //! the `mrbio` crate sums per-rank accumulators with `MPI_Reduce`, exactly
 //! as Fig. 2 of the paper shows.
+//!
+//! Both halves run as blocked dense linear algebra: [`Codebook::bmus`]
+//! searches a whole block's BMUs in one pass over the codebook, and
+//! [`BmuSums`] sums the inputs per distinct BMU so the neighborhood is
+//! applied once per BMU rather than once per input.
+
+use std::collections::BTreeMap;
 
 use crate::codebook::Codebook;
 use crate::neighborhood::{sigma_schedule, InitMethod, Kernel, SomConfig};
@@ -52,38 +59,12 @@ impl BatchAccumulator {
 
     /// Accumulate with an explicit neighborhood kernel.
     pub fn accumulate_with(&mut self, cb: &Codebook, input: &[f64], sigma: f64, kernel: Kernel) {
-        self.accumulate_at(cb, input, cb.bmu(input), sigma, kernel);
-    }
-
-    /// Accumulate one input vector whose BMU against `cb` is already known:
-    /// the neighborhood half of [`BatchAccumulator::accumulate_with`], for
-    /// callers that search BMUs and fold contributions at different times.
-    pub fn accumulate_at(
-        &mut self,
-        cb: &Codebook,
-        input: &[f64],
-        bmu: usize,
-        sigma: f64,
-        kernel: Kernel,
-    ) {
-        for n in 0..cb.num_neurons() {
-            let h = kernel.eval(cb.grid_dist_sq(bmu, n), sigma);
-            if h < 1e-12 {
-                continue; // negligible neighborhood weight
-            }
-            self.denominator[n] += h;
-            let row = &mut self.numerator[n * self.dims..(n + 1) * self.dims];
-            for (acc, &x) in row.iter_mut().zip(input) {
-                *acc += h * x;
-            }
-        }
+        self.accumulate_rows(cb, &[input], sigma, kernel);
     }
 
     /// Accumulate a block of inputs (a MapReduce work unit).
     pub fn accumulate_block(&mut self, cb: &Codebook, inputs: &[Vec<f64>], sigma: f64) {
-        for x in inputs {
-            self.accumulate(cb, x, sigma);
-        }
+        self.accumulate_rows(cb, inputs, sigma, Kernel::Gaussian);
     }
 
     /// Accumulate a block with an explicit kernel.
@@ -94,9 +75,21 @@ impl BatchAccumulator {
         sigma: f64,
         kernel: Kernel,
     ) {
-        for x in inputs {
-            self.accumulate_with(cb, x, sigma, kernel);
-        }
+        self.accumulate_rows(cb, inputs, sigma, kernel);
+    }
+
+    /// The one accumulation path: block BMU search, per-BMU sums, one
+    /// neighborhood fold.
+    fn accumulate_rows(
+        &mut self,
+        cb: &Codebook,
+        inputs: &[impl AsRef<[f64]>],
+        sigma: f64,
+        kernel: Kernel,
+    ) {
+        let mut sums = BmuSums::new(cb.dims);
+        sums.add_block(&cb.bmus(inputs), inputs);
+        sums.fold_into(self, cb, sigma, kernel);
     }
 
     /// Merge another accumulator into this one (the MPI_Reduce sum).
@@ -131,12 +124,103 @@ impl BatchAccumulator {
     }
 }
 
-/// Serial batch training: the reference implementation the parallel version
-/// must match bit-for-bit (floating-point summation order inside one epoch
-/// is per-neuron accumulation in input order; the parallel version preserves
-/// it within blocks and sums block results, which is associative only up to
-/// rounding — the comparison tests use an exact block split that keeps
-/// summation order identical, plus epsilon comparisons elsewhere).
+/// Σx and an input count per distinct BMU: the per-BMU-sum form of Eq. 5.
+///
+/// Every input with BMU `b` contributes `h_b,i · x` to neuron `i`'s
+/// numerator, so the inputs sharing a BMU can be summed first and the
+/// neighborhood applied once per distinct BMU, not once per input (as in
+/// Somoclu's batch kernel). Sparse: only BMUs that occur are stored,
+/// iterated in BMU-index order.
+#[derive(Debug, Clone)]
+pub struct BmuSums {
+    dims: usize,
+    /// BMU index → (inputs with that BMU, their Σx).
+    sums: BTreeMap<usize, (f64, Vec<f64>)>,
+}
+
+impl BmuSums {
+    /// No inputs yet, for `dims`-dimensional vectors.
+    pub fn new(dims: usize) -> Self {
+        BmuSums { dims, sums: BTreeMap::new() }
+    }
+
+    /// Add one input whose BMU is `bmu`.
+    fn add(&mut self, bmu: usize, input: &[f64]) {
+        assert_eq!(input.len(), self.dims, "input dims must match");
+        let (count, sum) = self.sums.entry(bmu).or_insert_with(|| (0.0, vec![0.0; self.dims]));
+        *count += 1.0;
+        for (s, &x) in sum.iter_mut().zip(input) {
+            *s += x;
+        }
+    }
+
+    /// Add a block of inputs with their BMUs (`bmus[i]` is the BMU of
+    /// `inputs[i]`).
+    pub fn add_block(&mut self, bmus: &[usize], inputs: &[impl AsRef<[f64]>]) {
+        assert_eq!(bmus.len(), inputs.len(), "one BMU per input");
+        for (&bmu, x) in bmus.iter().zip(inputs) {
+            self.add(bmu, x.as_ref());
+        }
+    }
+
+    /// Add every input's neighborhood contribution to `acc`: for each
+    /// neuron `i` and each distinct BMU `b`, `h_b,i · count_b` to the
+    /// denominator and `h_b,i · Σx_b` to the numerator row. The kernel
+    /// values are those of [`Kernel::eval`] on the grid distance, tabulated
+    /// per grid offset; terms with `h < 1e-12` are skipped, as per input.
+    /// Neurons are the outer loop, so each numerator row is written once,
+    /// four BMUs per pass.
+    pub fn fold_into(&self, acc: &mut BatchAccumulator, cb: &Codebook, sigma: f64, kernel: Kernel) {
+        assert_eq!(acc.dims, self.dims, "accumulator dims must match");
+        assert_eq!(acc.denominator.len(), cb.num_neurons(), "accumulator shape must match");
+        if self.sums.is_empty() {
+            return;
+        }
+        let h_table: Vec<f64> = (0..cb.rows)
+            .flat_map(|dy| (0..cb.cols).map(move |dx| (dx, dy)))
+            .map(|(dx, dy)| kernel.eval(cb.grid_offset_dist_sq(dx, dy), sigma))
+            .collect();
+        let bmus: Vec<((usize, usize), f64, &[f64])> = self
+            .sums
+            .iter()
+            .map(|(&b, (count, sum))| (cb.coords(b), *count, sum.as_slice()))
+            .collect();
+        let mut terms: Vec<(f64, &[f64])> = Vec::with_capacity(bmus.len());
+        let rows = acc.numerator.chunks_exact_mut(self.dims);
+        for (n, (row, den)) in rows.zip(acc.denominator.iter_mut()).enumerate() {
+            let (nx, ny) = cb.coords(n);
+            terms.clear();
+            for &((bx, by), count, sum) in &bmus {
+                let h = h_table[by.abs_diff(ny) * cb.cols + bx.abs_diff(nx)];
+                if h < 1e-12 {
+                    continue; // negligible neighborhood weight
+                }
+                *den += h * count;
+                terms.push((h, sum));
+            }
+            let mut groups = terms.chunks_exact(4);
+            for g in &mut groups {
+                let [(h0, s0), (h1, s1), (h2, s2), (h3, s3)] = [g[0], g[1], g[2], g[3]];
+                let sums = s0.iter().zip(s1).zip(s2).zip(s3);
+                for (r, (((a, b), c), d)) in row.iter_mut().zip(sums) {
+                    *r += h0 * a + h1 * b + h2 * c + h3 * d;
+                }
+            }
+            for &(h, sum) in groups.remainder() {
+                for (r, &x) in row.iter_mut().zip(sum) {
+                    *r += h * x;
+                }
+            }
+        }
+    }
+}
+
+/// Serial batch training: the reference implementation the parallel
+/// version must match. Both run the same kernels (block BMU search, per-BMU
+/// sums, one neighborhood fold), so the BMUs agree exactly; the parallel
+/// version sums each rank's share separately and adds the accumulators,
+/// which is associative only up to rounding — the comparison tests allow
+/// 1e-9.
 pub fn batch_train(inputs: &[Vec<f64>], config: &SomConfig) -> Codebook {
     let mut cb = init_codebook(config, inputs);
     let sigma0 = config.sigma0_for(cb.half_diagonal());

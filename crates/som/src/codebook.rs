@@ -7,6 +7,35 @@
 
 use rand::Rng;
 
+/// Bytes of input vectors per tile of [`Codebook::bmus`]: 16 256-d vectors,
+/// which stay in a 48 KB L1 data cache next to the weight row in flight.
+const BMU_TILE_BYTES: usize = 32 * 1024;
+
+/// Independent accumulators per dot product: enough sums in flight to hide
+/// the latency of the vector adds.
+const LANES: usize = 8;
+
+/// `a·b` over [`LANES`] independent lane sums (which LLVM vectorizes along
+/// the lanes), then the tail past the last full chunk.
+#[inline]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let (ac, bc) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail: f64 = ac.remainder().iter().zip(bc.remainder()).map(|(x, y)| x * y).sum();
+    for (a, b) in ac.zip(bc) {
+        for ((s, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+            *s += x * y;
+        }
+    }
+    lane_sum(&acc) + tail
+}
+
+/// Pairwise sum of the lanes, in a fixed order.
+#[inline]
+fn lane_sum(a: &[f64; LANES]) -> f64 {
+    ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+}
+
 /// A rows × cols grid of `dims`-dimensional weight vectors, stored row-major
 /// in one flat buffer (neuron `(x, y)` at index `y * cols + x`).
 #[derive(Debug, Clone, PartialEq)]
@@ -80,21 +109,51 @@ impl Codebook {
         self.neuron(idx).iter().zip(input).map(|(w, x)| (w - x) * (w - x)).sum()
     }
 
-    /// Best matching unit for `input` (Eq. 2). Ties resolve to the lowest
-    /// neuron index: the paper breaks ties randomly, but a deterministic rule
-    /// is required for the parallel == serial bit-for-bit tests, and with
-    /// continuous inputs ties have measure zero.
+    /// Best matching unit for `input` (Eq. 2): [`Codebook::bmus`] on a
+    /// block of one.
     pub fn bmu(&self, input: &[f64]) -> usize {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for i in 0..self.num_neurons() {
-            let d = self.dist_sq(i, input);
-            if d < best_d {
-                best_d = d;
-                best = i;
+        self.bmus(&[input])[0]
+    }
+
+    /// Best matching units for a block of inputs (Eq. 2), as blocked dense
+    /// linear algebra: `‖x − w‖² = ‖x‖² + ‖w‖² − 2·x·w`, and `‖x‖²` does not
+    /// depend on the neuron, so the BMU of `x` is the argmin over neurons of
+    /// `‖w‖² − 2·x·w`. Neuron norms are computed once per call. Neurons are
+    /// the outer loop; the inputs are taken in tiles that stay in L1, and
+    /// each weight row, once loaded, is scored against the whole tile.
+    ///
+    /// Ties resolve to the lowest neuron index: the paper breaks ties
+    /// randomly, but a deterministic rule is required for the parallel ==
+    /// serial tests, and with continuous inputs ties have measure zero. An
+    /// input's scores do not depend on the other inputs in the block, so
+    /// neither does its BMU.
+    ///
+    /// # Panics
+    /// Panics if an input's length differs from `dims`.
+    pub fn bmus(&self, inputs: &[impl AsRef<[f64]>]) -> Vec<usize> {
+        for x in inputs {
+            assert_eq!(x.as_ref().len(), self.dims, "input dims must match the codebook");
+        }
+        let norms: Vec<f64> = (0..self.num_neurons())
+            .map(|n| {
+                let w = self.neuron(n);
+                dot(w, w)
+            })
+            .collect();
+        let tile = (BMU_TILE_BYTES / (8 * self.dims)).max(1);
+        let mut best = vec![(f64::INFINITY, 0usize); inputs.len()];
+        for (xs, best) in inputs.chunks(tile).zip(best.chunks_mut(tile)) {
+            for (n, &norm) in norms.iter().enumerate() {
+                let w = self.neuron(n);
+                for (x, slot) in xs.iter().zip(best.iter_mut()) {
+                    let score = norm - 2.0 * dot(w, x.as_ref());
+                    if score < slot.0 {
+                        *slot = (score, n);
+                    }
+                }
             }
         }
-        best
+        best.into_iter().map(|(_, n)| n).collect()
     }
 
     /// Squared distance between two neurons in *grid* space (respecting the
@@ -103,8 +162,16 @@ impl Codebook {
     pub fn grid_dist_sq(&self, a: usize, b: usize) -> f64 {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
-        let mut dx = (ax as f64 - bx as f64).abs();
-        let mut dy = (ay as f64 - by as f64).abs();
+        self.grid_offset_dist_sq(ax.abs_diff(bx), ay.abs_diff(by))
+    }
+
+    /// Squared grid distance spanned by a column offset `dx` and a row
+    /// offset `dy` (`dx < cols`, `dy < rows`); on a torus each offset wraps
+    /// to the shorter way round.
+    #[inline]
+    pub(crate) fn grid_offset_dist_sq(&self, dx: usize, dy: usize) -> f64 {
+        let mut dx = dx as f64;
+        let mut dy = dy as f64;
         if self.torus {
             dx = dx.min(self.cols as f64 - dx);
             dy = dy.min(self.rows as f64 - dy);

@@ -43,7 +43,7 @@ pub mod ppm;
 pub mod quality;
 pub mod umatrix;
 
-pub use batch::{batch_train, init_codebook, BatchAccumulator};
+pub use batch::{batch_train, init_codebook, BatchAccumulator, BmuSums};
 pub use codebook::Codebook;
 pub use neighborhood::{gaussian, sigma_schedule, InitMethod, Kernel, SomConfig};
 pub use online::online_train;

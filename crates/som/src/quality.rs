@@ -11,7 +11,9 @@ pub fn quantization_error(cb: &Codebook, inputs: &[Vec<f64>]) -> f64 {
     if inputs.is_empty() {
         return 0.0;
     }
-    inputs.iter().map(|x| cb.dist_sq(cb.bmu(x), x).sqrt()).sum::<f64>() / inputs.len() as f64
+    let bmus = cb.bmus(inputs);
+    inputs.iter().zip(bmus).map(|(x, b)| cb.dist_sq(b, x).sqrt()).sum::<f64>()
+        / inputs.len() as f64
 }
 
 /// Fraction of inputs whose best and second-best matching units are *not*

@@ -29,6 +29,9 @@ cargo test -q --test crash_restart som_resume_with_corrupt_newest_checkpoint_fal
 echo "== straggler smoke: speculation hides a stalled worker, bit-for-bit BLAST =="
 cargo test -q --test stragglers speculation_hides_a_straggler_and_output_stays_bit_for_bit
 
+echo "== straggler smoke: a recovered SOM straggler commits, its backup is discarded =="
+cargo test -q --test stragglers som_straggler_that_recovers_wins_and_the_backup_is_discarded
+
 echo "== failover smoke: rank 0 (master) killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test chaos_soak failover_smoke_master_kill_mid_map_bit_for_bit
 

@@ -13,8 +13,10 @@ use blast::Scoring;
 use mpisim::wire;
 use mrmpi::hashfn::key_owner;
 use mrmpi::{KeyValue, Settings};
-use som::batch::BatchAccumulator;
+use rand::{Rng, SeedableRng};
+use som::batch::{BatchAccumulator, BmuSums};
 use som::codebook::Codebook;
+use som::neighborhood::Kernel;
 
 fn dna_seq() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(proptest::sample::select(b"ACGTacgtNRY-".to_vec()), 0..300)
@@ -187,6 +189,80 @@ proptest! {
         let d_best = cb.dist_sq(bmu, &input);
         for n in 0..cb.num_neurons() {
             prop_assert!(d_best <= cb.dist_sq(n, &input) + 1e-15);
+        }
+    }
+
+    #[test]
+    fn block_bmus_reach_the_true_minimum(
+        dims in (1usize..24).prop_filter("dims not a multiple of 8", |d| d % 8 != 0),
+        block in (1usize..20).prop_filter("length not a multiple of 4", |n| n % 4 != 0),
+        rows in 1usize..6,
+        cols in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cb = Codebook::random(rows, cols, dims, &mut rng, -1.0, 1.0);
+        let inputs: Vec<Vec<f64>> = (0..block)
+            .map(|_| (0..dims).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect())
+            .collect();
+        let bmus = cb.bmus(&inputs);
+        prop_assert_eq!(bmus.len(), block);
+        for (x, &bmu) in inputs.iter().zip(&bmus) {
+            let d_min = (0..cb.num_neurons()).map(|n| cb.dist_sq(n, x)).fold(f64::INFINITY, f64::min);
+            let d_bmu = cb.dist_sq(bmu, x);
+            prop_assert!(d_bmu - d_min <= 1e-12 * d_min, "BMU distance {d_bmu} vs minimum {d_min}");
+            prop_assert_eq!(cb.bmu(x), bmu, "single-vector and block search disagree");
+        }
+        // Exact ties: every neuron equal, so every input's BMU is neuron 0.
+        let mut flat = cb.clone();
+        let first = cb.neuron(0).to_vec();
+        for n in 0..flat.num_neurons() {
+            flat.neuron_mut(n).copy_from_slice(&first);
+        }
+        prop_assert!(flat.bmus(&inputs).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn bmu_sums_fold_equals_per_vector_accumulation(
+        rows in 1usize..7,
+        cols in 1usize..7,
+        dims in 1usize..12,
+        block in 1usize..40,
+        sigma in 0.3f64..6.0,
+        bubble in any::<bool>(),
+        torus in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cb = Codebook::random(rows, cols, dims, &mut rng, 0.0, 1.0).with_torus(torus);
+        let kernel = if bubble { Kernel::Bubble } else { Kernel::Gaussian };
+        let inputs: Vec<Vec<f64>> =
+            (0..block).map(|_| (0..dims).map(|_| rng.random::<f64>()).collect()).collect();
+        let bmus = cb.bmus(&inputs);
+        let mut sums = BmuSums::new(dims);
+        sums.add_block(&bmus, &inputs);
+        let mut got = BatchAccumulator::zeros(&cb);
+        sums.fold_into(&mut got, &cb, sigma, kernel);
+        // The per-vector form of Eq. 5: every input's neighborhood, one
+        // input at a time.
+        let mut want = BatchAccumulator::zeros(&cb);
+        for (x, &bmu) in inputs.iter().zip(&bmus) {
+            for n in 0..cb.num_neurons() {
+                let h = kernel.eval(cb.grid_dist_sq(bmu, n), sigma);
+                if h < 1e-12 {
+                    continue;
+                }
+                want.denominator[n] += h;
+                for (acc, &v) in want.numerator[n * dims..(n + 1) * dims].iter_mut().zip(x) {
+                    *acc += h * v;
+                }
+            }
+        }
+        for (a, b) in got.denominator.iter().zip(&want.denominator) {
+            prop_assert!((a - b).abs() < 1e-9, "denominator {a} vs {b}");
+        }
+        for (a, b) in got.numerator.iter().zip(&want.numerator) {
+            prop_assert!((a - b).abs() < 1e-9, "numerator {a} vs {b}");
         }
     }
 

@@ -7,10 +7,10 @@
 //!   re-executed on an idle peer, and first-result-wins dedup keeps the
 //!   output bit-for-bit identical to the fault-free run at a fraction of
 //!   the stalled wall clock.
-//! * **SOM staged commits** — a straggling SOM worker recovers just after
-//!   its block was speculatively re-run elsewhere: its result commits, the
-//!   backup's staged rows are discarded, and the codebook still equals the
-//!   serial batch trainer's.
+//! * **SOM staged commits** — a straggling SOM worker recovers after its
+//!   block was speculatively re-run on a peer that then stalls too: its
+//!   result commits, the backup's staged rows are discarded, and the
+//!   codebook still equals the serial batch trainer's.
 //! * **Poison quarantine** — units that panic deterministically are retried
 //!   a bounded number of times, then quarantined to a durable, CRC-framed
 //!   `poison.log`; the run completes with an explicit partial result whose
@@ -263,23 +263,25 @@ fn poison_units_are_quarantined_durably_and_the_run_reports_them() {
 
 #[test]
 fn som_straggler_that_recovers_wins_and_the_backup_is_discarded() {
-    // Two blocks per epoch, three ranks: the master and workers 1 and 2.
-    // Worker 1's first charge (inside its first block of epoch 0) crosses
-    // the stall trigger, so it goes silent for `stall` while owing that
-    // block. Worker 2 finishes the other block and parks; once worker 1 has
-    // been silent for `suspect_after` (= `stall`), the master re-runs the
-    // block on worker 2. Worker 1 wakes at that moment with only its BMU
-    // search left, while worker 2 must still fold its previous block and
-    // run the whole backup — so worker 1 reports first and commits, and
-    // worker 2 (heard from when it was handed the backup, so not silent)
-    // is not fenced: its staged result is discarded when it reports.
-    // `suspect_after` is far above a block's compute even in an
-    // unoptimised build.
-    let (n, dims) = (80, 128);
+    // One block per epoch, three ranks: the master and workers 1 and 2.
+    // Both workers carry the same stall rule, which fires at a worker's
+    // first compute charge — the read of its first block. In epoch 0 one
+    // worker (A) takes the block and stalls; the other (B) is parked with
+    // nothing charged. Once A has been silent for `suspect_after`, the
+    // master re-runs the block on B, whose read now fires B's stall. A
+    // wakes `stall - suspect_after` later with only its BMU search left and
+    // commits, while B is still frozen: the straggler wins whatever
+    // commit-time work either side has. B was heard from when it was
+    // handed the backup and has been silent for less than `suspect_after`
+    // when A commits, so it is not fenced; its staged result is discarded
+    // when it wakes and reports. Both margins (the backup starts 0.4 s
+    // before A wakes, and B is 0.8 s short of suspicion when A commits)
+    // are far above a block's compute even in an unoptimised build.
+    let (n, dims) = (40, 64);
     let vectors = gen::random_vectors(3003, n, dims);
     let som = som::neighborhood::SomConfig {
-        rows: 40,
-        cols: 40,
+        rows: 30,
+        cols: 30,
         dims,
         epochs: 2,
         sigma0: None,
@@ -291,18 +293,19 @@ fn som_straggler_that_recovers_wins_and_the_backup_is_discarded() {
     let path = std::env::temp_dir().join(format!("it-strag-som-{}.bin", std::process::id()));
     VectorMatrix::create(&path, &vectors).expect("write matrix");
 
-    let stall = Duration::from_secs(2);
+    let suspect_after = Duration::from_millis(1200);
+    let stall = 1.6;
     let ft = FtConfig {
         rpc_timeout: Duration::from_millis(2),
         // A parked worker is answered every `rpc_timeout`; keep the whole
-        // retry budget well above the stall.
+        // retry budget well above the stalls.
         max_rpc_retries: 5_000,
-        suspect_after: stall,
+        suspect_after,
         spec_backoff: Duration::from_secs(60),
         speculate: true,
         ..FtConfig::default()
     };
-    let plan = FaultPlan::new(41).stall(1, 1e-12, stall.as_secs_f64());
+    let plan = FaultPlan::new(41).stall(1, 1e-12, stall).stall(2, 1e-12, stall);
     let collector = obs::Collector::new();
     let p = path.clone();
     let outcomes = World::new(3)
@@ -310,7 +313,7 @@ fn som_straggler_that_recovers_wins_and_the_backup_is_discarded() {
         .with_obs(collector.clone())
         .run_faulty(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open matrix");
-            let cfg = MrSomConfig { block_size: n / 2, ..MrSomConfig::new(som) };
+            let cfg = MrSomConfig { block_size: n, ..MrSomConfig::new(som) };
             run_mrsom(comm, &matrix, &cfg, &FaultConfig { ft: ft.clone() })
         });
     std::fs::remove_file(&path).ok();
