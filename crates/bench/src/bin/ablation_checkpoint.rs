@@ -23,16 +23,17 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
-use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel};
+use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions};
 use std::sync::Arc;
 
 fn main() {
     let cluster = ClusterModel::ranger();
+    let clean = Conditions::default();
     let scenario = BlastScenario::paper_nucleotide(80_000, 1000);
     let tasks = scenario.tasks();
     let cores = 1024;
 
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &clean);
     println!(
         "Fault-free baseline: {} work units on {} cores -> {} min\n",
         tasks.len(),

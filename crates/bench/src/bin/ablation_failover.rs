@@ -28,8 +28,8 @@ use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
 use mrmpi::FtConfig;
 use perfmodel::{
-    simulate_master_worker, simulate_master_worker_abort_restart,
-    simulate_master_worker_failover, BlastScenario, ClusterModel,
+    simulate_master_worker, simulate_master_worker_abort_restart, BlastScenario, ClusterModel,
+    Conditions, MasterDeath,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -174,11 +174,12 @@ fn main() {
 
     // ---- model: failover vs abort-and-restart at 1024 cores ----
     let cluster = ClusterModel::ranger();
+    let clean = Conditions::default();
     let scenario = BlastScenario::paper_nucleotide(80_000, 1000);
     let tasks = scenario.tasks();
     let cores = 1024;
     let (detect_s, elect_s) = (15.0, 5.0);
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &clean);
 
     header(
         "Model: master dies mid-run (1024 cores, makespan minutes)",
@@ -187,15 +188,16 @@ fn main() {
     let mut model_json = Vec::new();
     for &frac in &[0.25f64, 0.5, 0.75] {
         let dies_at = base.makespan_s * frac;
-        let fo = simulate_master_worker_failover(
+        let fo = simulate_master_worker(
             &cluster,
             cores,
             &tasks,
             scenario.partition_gb,
-            dies_at,
-            detect_s,
-            elect_s,
-            &[],
+            &Conditions {
+                detect_s,
+                master_death: Some(MasterDeath { at_s: dies_at, failover_s: elect_s }),
+                ..Default::default()
+            },
         );
         let ar = simulate_master_worker_abort_restart(
             &cluster,

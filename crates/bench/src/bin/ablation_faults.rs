@@ -18,19 +18,18 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
-use perfmodel::{
-    simulate_master_worker, simulate_master_worker_faulty, BlastScenario, ClusterModel, Failure,
-};
+use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions, Failure};
 use std::sync::Arc;
 
 fn main() {
     let cluster = ClusterModel::ranger();
+    let clean = Conditions::default();
     let scenario = BlastScenario::paper_nucleotide(80_000, 1000);
     let tasks = scenario.tasks();
     let cores = 1024;
     let detect_s = 0.5;
 
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &clean);
     println!(
         "Fault-free baseline: {} work units on {} cores -> {} min\n",
         tasks.len(),
@@ -55,13 +54,12 @@ fn main() {
                 at_s: base.makespan_s * frac,
             })
             .collect();
-        let r = simulate_master_worker_faulty(
+        let r = simulate_master_worker(
             &cluster,
             cores,
             &tasks,
             scenario.partition_gb,
-            &failures,
-            detect_s,
+            &Conditions { failures: &failures, detect_s, ..Default::default() },
         );
         row(&[
             nfail.to_string(),

@@ -10,7 +10,7 @@
 use bench::{header, minutes, percent, row};
 use bioseq::faindex::guided_blocks;
 use perfmodel::blastsim::sample_skews;
-use perfmodel::des::{simulate_master_worker, Task};
+use perfmodel::des::{simulate_master_worker, Conditions, Task};
 use perfmodel::{BlastScenario, ClusterModel};
 
 /// Build the work-unit list for an arbitrary block schedule: costs scale
@@ -35,6 +35,7 @@ fn tasks_for_schedule(
 
 fn main() {
     let cluster = ClusterModel::ranger();
+    let clean = Conditions::default();
     let base = BlastScenario::paper_nucleotide(80_000, 1000);
     let costs = base.costs;
 
@@ -49,7 +50,7 @@ fn main() {
         let ranges = guided_blocks(80_000, 1000, 100, workers);
         let tasks =
             tasks_for_schedule(&ranges, base.n_partitions, costs.per_query_s, costs.sigma_log, costs.seed);
-        let guided = simulate_master_worker(&cluster, cores, &tasks, base.partition_gb);
+        let guided = simulate_master_worker(&cluster, cores, &tasks, base.partition_gb, &clean);
 
         row(&[
             cores.to_string(),

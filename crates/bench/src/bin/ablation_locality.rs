@@ -17,21 +17,23 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
-use perfmodel::{simulate_master_worker, simulate_master_worker_affinity, BlastScenario, ClusterModel};
+use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions};
 use std::sync::Arc;
 
 fn main() {
     let cluster = ClusterModel::ranger();
     let scenario = BlastScenario::paper_nucleotide(80_000, 1000);
     let tasks = scenario.tasks();
+    let (clean, affinity) =
+        (Conditions::default(), Conditions { affinity: true, ..Default::default() });
 
     header(
         "Ablation: locality-aware master, 80K-query nucleotide workload (model)",
         &["cores", "plain_min", "locality_min", "plain_loads", "locality_loads", "speedup"],
     );
     for &cores in &PAPER_CORES {
-        let plain = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
-        let loc = simulate_master_worker_affinity(&cluster, cores, &tasks, scenario.partition_gb);
+        let plain = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &clean);
+        let loc = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &affinity);
         row(&[
             cores.to_string(),
             minutes(plain.makespan_s),
@@ -48,8 +50,9 @@ fn main() {
     // using smaller query blocks").
     let fine = BlastScenario::paper_nucleotide(80_000, 250); // 320 blocks
     let fine_tasks = fine.tasks();
-    let plain_fine = simulate_master_worker(&cluster, 1024, &fine_tasks, fine.partition_gb);
-    let loc_fine = simulate_master_worker_affinity(&cluster, 1024, &fine_tasks, fine.partition_gb);
+    let plain_fine = simulate_master_worker(&cluster, 1024, &fine_tasks, fine.partition_gb, &clean);
+    let loc_fine =
+        simulate_master_worker(&cluster, 1024, &fine_tasks, fine.partition_gb, &affinity);
     println!(
         "250-query blocks at 1024 cores: plain {} min vs locality {} min \
          ({} of the reload penalty removed)",

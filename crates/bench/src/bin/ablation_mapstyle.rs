@@ -8,11 +8,12 @@
 //! scale, on identical task sets.
 
 use bench::{header, minutes, percent, row, PAPER_CORES};
-use perfmodel::des::{simulate_master_worker, simulate_static, Schedule};
+use perfmodel::des::{simulate_master_worker, simulate_static, Conditions, Schedule};
 use perfmodel::{BlastScenario, ClusterModel};
 
 fn main() {
     let cluster = ClusterModel::ranger();
+    let clean = Conditions::default();
     let scenario = BlastScenario::paper_nucleotide(80_000, 1000);
     let tasks = scenario.tasks();
 
@@ -21,7 +22,7 @@ fn main() {
         &["cores", "master_worker_min", "round_robin_min", "chunk_min", "rr_penalty", "chunk_penalty"],
     );
     for &cores in &PAPER_CORES {
-        let mw = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+        let mw = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &clean);
         let rr =
             simulate_static(&cluster, cores, &tasks, scenario.partition_gb, Schedule::RoundRobin);
         let ch = simulate_static(&cluster, cores, &tasks, scenario.partition_gb, Schedule::Chunk);

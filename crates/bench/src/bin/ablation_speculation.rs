@@ -24,21 +24,19 @@ use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
 use mrmpi::FtConfig;
-use perfmodel::{
-    simulate_master_worker, simulate_master_worker_speculative, BlastScenario, ClusterModel,
-    Stall,
-};
+use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions, Stall};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     let cluster = ClusterModel::ranger();
+    let clean = Conditions::default();
     let scenario = BlastScenario::paper_nucleotide(80_000, 1000);
     let tasks = scenario.tasks();
     let cores = 1024;
 
-    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+    let base = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &clean);
     println!(
         "Fault-free baseline: {} work units on {} cores -> {} min\n",
         tasks.len(),
@@ -55,23 +53,19 @@ fn main() {
     for &stall_min in &[5.0f64, 15.0, 60.0] {
         let stalls =
             [Stall { worker: 17, at_s: base.makespan_s * 0.3, dur_s: stall_min * 60.0 }];
-        let off = simulate_master_worker_speculative(
+        let off = simulate_master_worker(
             &cluster,
             cores,
             &tasks,
             scenario.partition_gb,
-            &stalls,
-            15.0,
-            false,
+            &Conditions { stalls: &stalls, ..Default::default() },
         );
-        let on = simulate_master_worker_speculative(
+        let on = simulate_master_worker(
             &cluster,
             cores,
             &tasks,
             scenario.partition_gb,
-            &stalls,
-            15.0,
-            true,
+            &Conditions { stalls: &stalls, suspect_after_s: Some(15.0), ..Default::default() },
         );
         let hidden = (off.makespan_s - on.makespan_s) / (off.makespan_s - base.makespan_s);
         row(&[
@@ -135,22 +129,35 @@ fn main() {
             )
         });
         let wall = t0.elapsed().as_secs_f64();
+        // A surviving rank's typed error is reported, not dropped with its
+        // hits: the run failed, it did not merely differ.
         let mut lines: Vec<String> = Vec::new();
-        for out in outcomes {
-            if let RankOutcome::Done(Ok(rep)) = out {
-                lines.extend(rep.hits.iter().map(blast::format::tabular_line));
+        let mut errors: Vec<String> = Vec::new();
+        for (rank, out) in outcomes.into_iter().enumerate() {
+            match out {
+                RankOutcome::Done(Ok(rep)) => {
+                    lines.extend(rep.hits.iter().map(blast::format::tabular_line))
+                }
+                RankOutcome::Done(Err(e)) => errors.push(format!("rank {rank}: {e}")),
+                RankOutcome::Died { .. } => {}
             }
         }
         lines.sort();
         let trace = collector.trace();
         trace.validate().expect("bench trace must be well-formed");
-        (wall, lines, trace)
+        (wall, lines, errors, trace)
     };
 
-    let (t_clean, hits_clean, trace_clean) = run(false, None);
+    let (t_clean, hits_clean, errors_clean, trace_clean) = run(false, None);
+    assert!(errors_clean.is_empty(), "fault-free run failed: {errors_clean:?}");
     let stall_plan = || FaultPlan::new(3).stall(4, 0.002, stall_s);
-    let (t_off, hits_off, trace_off) = run(false, Some(stall_plan()));
-    let (t_on, hits_on, trace_on) = run(true, Some(stall_plan()));
+    let (t_off, hits_off, errors_off, trace_off) = run(false, Some(stall_plan()));
+    let (t_on, hits_on, errors_on, trace_on) = run(true, Some(stall_plan()));
+    let exact = |hits: &Vec<String>, errors: &[String]| errors.is_empty() && *hits == hits_clean;
+    let verdict = |hits: &Vec<String>, errors: &[String]| match errors.first() {
+        Some(e) => format!("error: {e}"),
+        None => if *hits == hits_clean { "yes" } else { "NO" }.into(),
+    };
     assert_eq!(
         trace_clean.counter_total("sched.speculative_dispatch"),
         0,
@@ -171,13 +178,13 @@ fn main() {
         "stall, speculation off".into(),
         format!("{t_off:.3}"),
         percent(t_off / t_clean - 1.0),
-        if hits_off == hits_clean { "yes" } else { "NO" }.into(),
+        verdict(&hits_off, &errors_off),
     ]);
     row(&[
         "stall, speculation on".into(),
         format!("{t_on:.3}"),
         percent(t_on / t_clean - 1.0),
-        if hits_on == hits_clean { "yes" } else { "NO" }.into(),
+        verdict(&hits_on, &errors_on),
     ]);
     println!(
         "\nWith speculation off the run waits out the stall; with it on, the \
@@ -192,8 +199,8 @@ fn main() {
          \"spec_on_bit_for_bit\": {},\n    \"stages_clean\": {},\n    \
          \"stages_spec_off\": {},\n    \"stages_spec_on\": {}\n  }}\n}}\n",
         json_rows.join(",\n"),
-        hits_off == hits_clean,
-        hits_on == hits_clean,
+        exact(&hits_off, &errors_off),
+        exact(&hits_on, &errors_on),
         stage_json(&trace_clean),
         stage_json(&trace_off),
         stage_json(&trace_on),

@@ -10,7 +10,7 @@
 use bench::{header, minutes, percent, row, PAPER_CORES};
 use bioseq::faindex::guided_blocks;
 use perfmodel::blastsim::sample_skews;
-use perfmodel::des::{simulate_master_worker, simulate_master_worker_affinity, Task};
+use perfmodel::des::{simulate_master_worker, Conditions, Task};
 use perfmodel::{BlastScenario, ClusterModel};
 
 fn tasks_for_schedule(
@@ -35,6 +35,8 @@ fn main() {
     let cluster = ClusterModel::ranger();
     let base = BlastScenario::paper_nucleotide(80_000, 1000);
     let costs = base.costs;
+    let (clean, affinity) =
+        (Conditions::default(), Conditions { affinity: true, ..Default::default() });
 
     header(
         "Future work combined: paper config vs locality vs guided vs both (80K queries)",
@@ -44,7 +46,7 @@ fn main() {
         let paper = base.simulate(&cluster, cores).makespan_s;
         let fixed_tasks = base.tasks();
         let locality =
-            simulate_master_worker_affinity(&cluster, cores, &fixed_tasks, base.partition_gb)
+            simulate_master_worker(&cluster, cores, &fixed_tasks, base.partition_gb, &affinity)
                 .makespan_s
                 + base.collate_cost(&cluster, cores);
 
@@ -59,13 +61,15 @@ fn main() {
             costs.seed,
         );
         let guided =
-            simulate_master_worker(&cluster, cores, &guided_tasks, base.partition_gb).makespan_s
+            simulate_master_worker(&cluster, cores, &guided_tasks, base.partition_gb, &clean)
+                .makespan_s
                 + base.collate_cost(&cluster, cores);
-        let both = simulate_master_worker_affinity(
+        let both = simulate_master_worker(
             &cluster,
             cores,
             &guided_tasks,
             base.partition_gb,
+            &affinity,
         )
         .makespan_s
             + base.collate_cost(&cluster, cores);

@@ -20,13 +20,14 @@ use blast::SearchParams;
 use mpisim::World;
 use mrbio::htc::{run_htc, HtcAssignment};
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
-use perfmodel::des::{simulate_master_worker, simulate_static, Schedule};
+use perfmodel::des::{simulate_master_worker, simulate_static, Conditions, Schedule};
 use perfmodel::{BlastScenario, ClusterModel};
 use std::sync::Arc;
 
 fn main() {
     // ---- paper scale ----
     let cluster = ClusterModel::ranger();
+    let clean = Conditions::default();
     let scenario = BlastScenario::paper_protein();
     let tasks = scenario.tasks();
     header(
@@ -34,7 +35,8 @@ fn main() {
         &["cores", "master_worker_min", "static_rr_min", "static_penalty"],
     );
     for cores in [256, 512, 1024] {
-        let dynamic = simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb);
+        let dynamic =
+            simulate_master_worker(&cluster, cores, &tasks, scenario.partition_gb, &clean);
         let fixed =
             simulate_static(&cluster, cores, &tasks, scenario.partition_gb, Schedule::RoundRobin);
         row(&[

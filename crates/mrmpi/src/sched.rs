@@ -1058,6 +1058,10 @@ impl FtMaster<'_> {
             {
                 self.comm.fence(worker);
                 self.journal(LOG_FENCE, unit, worker);
+                // The fenced rank's committed outputs die with it: reclaim
+                // them now, before anything can judge the run settled.
+                self.known_dead.insert(worker);
+                self.reclaim(worker);
             }
         }
     }
@@ -2160,6 +2164,19 @@ mod tests {
         // is fenced, and everything it had committed is re-executed — the
         // committed union is still an exact partition, long before the
         // stall window ends.
+        fenced_straggler_run(0.005);
+    }
+
+    #[test]
+    fn ft_straggler_fenced_after_committing_has_its_units_rerun() {
+        // As above, but the stall strikes in the second unit: the straggler
+        // has committed one unit when it is fenced. That unit must be
+        // reclaimed at the fence, or the master sees every unit done, sends
+        // DONE to everyone, and the run ends in `AllWorkersDead`.
+        fenced_straggler_run(0.015);
+    }
+
+    fn fenced_straggler_run(stall_at: f64) {
         let start = std::time::Instant::now();
         let cfg = FtConfig {
             rpc_timeout: Duration::from_millis(25),
@@ -2168,9 +2185,22 @@ mod tests {
             spec_backoff: Duration::from_millis(50),
             ..FtConfig::default()
         };
-        let plan = FaultPlan::new(29).stall(1, 0.005, 30.0);
+        let plan = FaultPlan::new(29).stall(1, stall_at, 30.0);
+        // Rank 2 starts once rank 1 holds the unit its stall strikes, so the
+        // stall never lands on a clock advanced by rank 2's replies instead.
+        let gate = std::sync::Barrier::new(2);
         let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
-            let mut run = |_| comm.charge(0.01);
+            if comm.rank() == 2 {
+                gate.wait();
+            }
+            let mut gated = comm.rank() != 1;
+            let mut run = |_| {
+                if !gated && comm.now() + 0.01 >= stall_at {
+                    gated = true;
+                    gate.wait();
+                }
+                comm.charge(0.01)
+            };
             assign_and_run_ft_report(comm, 8, &cfg, None, &mut run, &mut |_, _| {})
         });
         assert!(outcomes[1].is_died(), "straggler must be fenced: {:?}", outcomes[1]);

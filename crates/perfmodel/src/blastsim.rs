@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cluster::ClusterModel;
-use crate::des::{simulate_master_worker, SimResult, Task};
+use crate::des::{simulate_master_worker, Conditions, SimResult, Task};
 
 /// Enumeration order of the (block × partition) work-unit matrix — i.e. the
 /// dispatch order of the dynamic scheduler.
@@ -182,7 +182,8 @@ impl BlastScenario {
     /// Simulate the master-worker run at `cores` cores, including the
     /// collate/reduce tail.
     pub fn simulate(&self, cluster: &ClusterModel, cores: usize) -> SimResult {
-        let mut r = simulate_master_worker(cluster, cores, &self.tasks(), self.partition_gb);
+        let (tasks, clean) = (self.tasks(), Conditions::default());
+        let mut r = simulate_master_worker(cluster, cores, &tasks, self.partition_gb, &clean);
         r.makespan_s += self.collate_cost(cluster, cores);
         r
     }

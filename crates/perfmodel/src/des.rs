@@ -12,10 +12,17 @@
 //! 3. **tail idling** — "the entire MPI program then has to wait for that
 //!    longest unit of work to finish".
 //!
+//! [`simulate_master_worker`] is one event loop. Its [`Conditions`] add what
+//! the runtime scheduler in `mrmpi::sched` survives, alone or combined:
+//! partition-affinity dispatch, fail-stop worker deaths, stragglers with
+//! speculative backups, and a master death with failover.
+//!
 //! Static schedules (round-robin / chunk) are simulated for the HTC and
 //!    mapstyle-ablation comparisons.
 
 use crate::cluster::ClusterModel;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// One work unit: the DB partition it needs and its search compute cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,14 +33,12 @@ pub struct Task {
     pub cost_s: f64,
 }
 
-/// Scheduling policy.
+/// Static scheduling policy (all cores compute; see [`simulate_static`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Dynamic: rank 0 dedicated master, `cores − 1` workers pull tasks.
-    MasterWorker,
-    /// Static: task `t` on worker `t % workers`, all cores compute.
+    /// Task `t` on worker `t % workers`.
     RoundRobin,
-    /// Static: contiguous task ranges, all cores compute.
+    /// Contiguous task ranges.
     Chunk,
 }
 
@@ -52,11 +57,12 @@ pub struct SimResult {
     pub warm_loads: u64,
     /// Total search seconds across workers (the "useful" work).
     pub total_search_s: f64,
-    /// Work units executed more than once because their worker died — the
-    /// re-dispatch cost of fault recovery (0 for the fault-free simulators).
+    /// Work units re-queued because the worker holding their result died or
+    /// was promoted to master — the re-dispatch cost of fault recovery (0
+    /// without [`Conditions::failures`] or [`Conditions::master_death`]).
     pub redispatched: u64,
     /// Speculative backup copies launched against suspected stragglers
-    /// (0 outside [`simulate_master_worker_speculative`]).
+    /// (0 unless [`Conditions::suspect_after_s`] is set).
     pub speculated: usize,
     /// Cores the run was charged for (workers + dedicated master if any).
     pub cores: usize,
@@ -146,175 +152,37 @@ struct LoadModel<'a> {
     cluster: &'a ClusterModel,
     partition_gb: f64,
     cache: LruCache,
+    cold: u64,
+    warm: u64,
 }
 
 impl<'a> LoadModel<'a> {
     fn new(cluster: &'a ClusterModel, cores: usize, partition_gb: f64) -> Self {
         let nodes = cluster.nodes_for(cores);
         let capacity = cluster.cache_capacity(partition_gb, 4.0).saturating_mul(nodes);
-        LoadModel { cluster, partition_gb, cache: LruCache::new(capacity) }
+        LoadModel { cluster, partition_gb, cache: LruCache::new(capacity), cold: 0, warm: 0 }
     }
 
-    /// Load cost of `part`; updates the combined cache and counters.
-    fn load(&mut self, _core: usize, part: usize, cold: &mut u64, warm: &mut u64) -> f64 {
+    /// Load cost of `part` on a worker holding partition `held`. A worker
+    /// that already holds it keeps its DB object ("cached between map()
+    /// invocations on a given rank") and pays nothing; otherwise it
+    /// (re-)maps, warm or cold per the combined cache, and now holds `part`.
+    fn load(&mut self, held: &mut Option<usize>, part: usize) -> f64 {
+        if *held == Some(part) {
+            return 0.0;
+        }
+        *held = Some(part);
         if self.cache.touch(part) {
-            *warm += 1;
+            self.warm += 1;
             self.cluster.warm_load_s_per_gb * self.partition_gb
         } else {
-            *cold += 1;
+            self.cold += 1;
             self.cluster.cold_load_s_per_gb * self.partition_gb
         }
     }
 }
 
-/// Simulate the dynamic master-worker schedule over `tasks` (in dispatch
-/// order) on `cores` cores of `cluster`, with DB partitions of
-/// `partition_gb` GB.
-///
-/// # Panics
-/// Panics if fewer than 2 cores are requested (a dedicated master needs at
-/// least one worker).
-pub fn simulate_master_worker(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-) -> SimResult {
-    assert!(cores >= 2, "master-worker needs >= 2 cores");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Min-heap of (free_time, worker). Workers are cores 1..cores (core 0 is
-    // the master).
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..workers).map(|w| std::cmp::Reverse((OrdF64(0.0), w))).collect();
-
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-
-    for task in tasks {
-        let std::cmp::Reverse((OrdF64(free), w)) = heap.pop().expect("worker heap never empty");
-        let t = free + cluster.dispatch_latency_s;
-        // Worker-level cache: a worker that just used this partition keeps
-        // its DB object ("cached between map() invocations on a given
-        // rank"); otherwise it (re-)maps, warm or cold per the node cache.
-        let load = if last_worker_cache[w] == Some(task.part) {
-            0.0
-        } else {
-            last_worker_cache[w] = Some(task.part);
-            // Worker core id: skip the master core (core 0).
-            loads.load(w + 1, task.part, &mut cold, &mut warm)
-        };
-        let start = t + load;
-        let end = start + task.cost_s;
-        busy_intervals[w].push((start, end));
-        worker_busy[w] += task.cost_s;
-        heap.push(std::cmp::Reverse((OrdF64(end), w)));
-    }
-
-    let makespan = heap.into_iter().map(|std::cmp::Reverse((OrdF64(t), _))| t).fold(0.0, f64::max);
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched: 0,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// Simulate the **locality-aware** master-worker schedule: the master keeps
-/// per-partition task queues and serves a freed worker a task for the
-/// partition it already holds when one remains, falling back to the
-/// partition with the most remaining work. This is the paper's future-work
-/// scheduler ("distribute the work unit tuples to those ranks that have
-/// already been processing the same DB partitions"), quantified by the
-/// `ablation_locality` bench.
-///
-/// # Panics
-/// Panics if fewer than 2 cores are requested.
-pub fn simulate_master_worker_affinity(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-) -> SimResult {
-    assert!(cores >= 2, "master-worker needs >= 2 cores");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Per-partition FIFO queues of task indices, dispatch preferring the
-    // worker's held partition.
-    let mut queues: std::collections::HashMap<usize, std::collections::VecDeque<usize>> =
-        std::collections::HashMap::new();
-    for (i, t) in tasks.iter().enumerate() {
-        queues.entry(t.part).or_default().push_back(i);
-    }
-    let mut remaining = tasks.len();
-
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..workers).map(|w| std::cmp::Reverse((OrdF64(0.0), w))).collect();
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-    let mut finish = vec![0.0f64; workers];
-
-    while remaining > 0 {
-        let std::cmp::Reverse((OrdF64(free), w)) = heap.pop().expect("worker heap never empty");
-        let t = free + cluster.dispatch_latency_s;
-        let part = match last_worker_cache[w] {
-            Some(p) if queues.get(&p).is_some_and(|q| !q.is_empty()) => p,
-            // Ties go to the partition whose next task was queued first, as
-            // in the runtime scheduler, so the simulation is deterministic.
-            _ => *queues
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .max_by_key(|(_, q)| (q.len(), std::cmp::Reverse(q.front().copied())))
-                .expect("remaining > 0")
-                .0,
-        };
-        let task_idx =
-            queues.get_mut(&part).expect("chosen queue").pop_front().expect("non-empty");
-        remaining -= 1;
-        let task = tasks[task_idx];
-        let load = if last_worker_cache[w] == Some(task.part) {
-            0.0
-        } else {
-            last_worker_cache[w] = Some(task.part);
-            loads.load(w + 1, task.part, &mut cold, &mut warm)
-        };
-        let start = t + load;
-        let end = start + task.cost_s;
-        busy_intervals[w].push((start, end));
-        worker_busy[w] += task.cost_s;
-        finish[w] = end;
-        heap.push(std::cmp::Reverse((OrdF64(end), w)));
-    }
-
-    let makespan = finish.iter().copied().fold(0.0, f64::max);
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched: 0,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// A scheduled fail-stop worker failure for
-/// [`simulate_master_worker_faulty`].
+/// A scheduled fail-stop worker failure (see [`Conditions::failures`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Failure {
     /// Worker index (0-based over the `cores − 1` workers).
@@ -323,246 +191,284 @@ pub struct Failure {
     pub at_s: f64,
 }
 
-/// Simulate the master-worker schedule under fail-stop worker deaths with
-/// re-dispatch, mirroring the recovery protocol in `mrmpi::sched`:
-///
-/// * a worker that dies loses its in-flight unit **and every unit it had
-///   already completed** (the emitted key-values die with the rank), all of
-///   which the master re-dispatches to survivors once the death is detected
-///   `detect_s` seconds later;
-/// * deaths after the last unit completes change nothing (the run's output
-///   has already been reconciled);
-/// * `SimResult::redispatched` counts the units that had to be redone —
-///   the recovery cost on top of the fault-free makespan.
+/// A scheduled straggler episode (see [`Conditions::stalls`]): the worker
+/// freezes for `dur_s` wall-clock seconds (GC pause, flaky NIC, contended
+/// node) but does not die — work in progress resumes afterwards.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stall {
+    /// Worker index (0-based over the `cores − 1` workers).
+    pub worker: usize,
+    /// Virtual time at which the freeze begins, in seconds.
+    pub at_s: f64,
+    /// Freeze duration in seconds.
+    pub dur_s: f64,
+}
+
+/// The dedicated master's death (see [`Conditions::master_death`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MasterDeath {
+    /// Virtual time at which the master dies, in seconds.
+    pub at_s: f64,
+    /// Election + scheduler-log replay + committed-claim gather, paid after
+    /// the workers' failure detector (`detect_s`) gives up on the old master.
+    pub failover_s: f64,
+}
+
+/// What befalls a master-worker run besides its work, mirroring the protocol
+/// in `mrmpi::sched`. `Conditions::default()` is the fault-free run; the
+/// fields compose freely.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Conditions<'a> {
+    /// Locality-aware dispatch, the paper's future-work scheduler
+    /// ("distribute the work unit tuples to those ranks that have already
+    /// been processing the same DB partitions"): a freed worker takes the
+    /// first available unit of the partition it holds, else one from the
+    /// partition with the most available units (ties to the earliest-queued
+    /// unit). Off, units go out in (available-from, index) order.
+    pub affinity: bool,
+    /// Fail-stop worker deaths. A dead worker loses its in-flight unit
+    /// **and every unit it had already completed** (the emitted key-values
+    /// die with the rank); the master re-queues them `detect_s` after the
+    /// death. Deaths after the last unit completes change nothing.
+    pub failures: &'a [Failure],
+    /// Stragglers: a [`Stall`] makes the unit its worker is executing (or
+    /// the next one it is handed) finish `dur_s` late.
+    pub stalls: &'a [Stall],
+    /// Failure-detection delay in seconds, for worker deaths and the master.
+    pub detect_s: f64,
+    /// The master dies: no unit is dispatched until, `detect_s +
+    /// failover_s` later, the lowest live worker is promoted to master.
+    /// Meanwhile workers finish their unit and carry it unarbitrated; at the
+    /// promotion the survivors' carried units commit and the promoted
+    /// worker's unit is re-queued. The run ends one worker short. A failure
+    /// that hits the promoted master is a plain worker death; a second
+    /// election is not modelled.
+    pub master_death: Option<MasterDeath>,
+    /// Speculative re-execution: a unit this many seconds past its
+    /// stall-free end is re-launched (once) on an idle worker. The first
+    /// completion wins; the loser appears in no busy interval, as the
+    /// scheduler's commit/discard keeps duplicates out of the output. `None`
+    /// means no speculation: the makespan absorbs every stall.
+    pub suspect_after_s: Option<f64>,
+}
+
+// Event kinds, in their order at equal times: a unit finishing exactly at the
+// master's death counts as unarbitrated, and one finishing exactly on its
+// suspicion deadline is never speculated against.
+const EV_MASTER_DEATH: u8 = 0;
+const EV_DEATH: u8 = 1;
+const EV_FREE: u8 = 2;
+const EV_SUSPECT: u8 = 3;
+const EV_PROMOTE: u8 = 4;
+const EV_WAKE: u8 = 5;
+
+/// Units waiting for a worker, ordered by (available-from, index): units
+/// re-queued after a death only become available once the master has
+/// detected it. With affinity they are bucketed by partition; without it
+/// every unit shares one bucket, so a take is the earliest-queued unit.
+struct Pool {
+    buckets: BTreeMap<usize, BTreeSet<(OrdF64, usize)>>,
+    affinity: bool,
+    /// The latest available-from time of any unit ever queued.
+    latest: f64,
+}
+
+impl Pool {
+    fn push(&mut self, at: f64, unit: usize, part: usize) {
+        let bucket = if self.affinity { part } else { 0 };
+        self.buckets.entry(bucket).or_default().insert((OrdF64(at), unit));
+        self.latest = self.latest.max(at);
+    }
+
+    /// Take the unit a worker holding partition `held` gets at `now`: the
+    /// first available one of its own partition, else one from the bucket
+    /// with the most available units, ties to the earliest-queued unit.
+    fn take(&mut self, now: f64, held: Option<usize>) -> Option<usize> {
+        type Units = BTreeSet<(OrdF64, usize)>;
+        let ready = |units: &Units| units.first().is_some_and(|k| k.0 .0 <= now);
+        let (all, cutoff) = (self.latest <= now, (OrdF64(now), usize::MAX));
+        let available = |u: &Units| if all { u.len() } else { u.range(..=cutoff).count() };
+        let bucket = match held {
+            Some(p) if self.affinity && self.buckets.get(&p).is_some_and(ready) => Some(p),
+            _ => self
+                .buckets
+                .iter()
+                .filter(|(_, units)| ready(units))
+                .max_by_key(|(_, units)| (available(units), Reverse(units.first().copied())))
+                .map(|(&b, _)| b),
+        }?;
+        let units = self.buckets.get_mut(&bucket).expect("chosen bucket");
+        let (_, unit) = units.pop_first().expect("ready");
+        if units.is_empty() {
+            self.buckets.remove(&bucket);
+        }
+        Some(unit)
+    }
+}
+
+/// Simulate the dynamic master-worker schedule over `tasks` (in dispatch
+/// order) on `cores` cores of `cluster`, with DB partitions of
+/// `partition_gb` GB, under `conditions`.
 ///
 /// `total_search_s` and the busy intervals count *completed* executions
-/// only (re-runs included); compute cut short by a death is not charged.
+/// only: re-runs after a death are included, while compute cut short by a
+/// death or promotion, and a speculative race's losing copy, are not.
 ///
 /// # Panics
-/// Panics if fewer than 2 cores are requested, if a failure names a
-/// nonexistent worker, or if every worker dies with units unfinished (the
-/// protocol's `AllWorkersDead` outcome — the model has no makespan then).
-pub fn simulate_master_worker_faulty(
+/// Panics if fewer than 2 cores are requested (a dedicated master needs at
+/// least one worker), fewer than 3 with a master death (master, successor,
+/// one worker), if a failure or stall names a nonexistent worker, or if
+/// every worker dies with units unfinished (the protocol's `AllWorkersDead`
+/// outcome — the model has no makespan then).
+pub fn simulate_master_worker(
     cluster: &ClusterModel,
     cores: usize,
     tasks: &[Task],
     partition_gb: f64,
-    failures: &[Failure],
-    detect_s: f64,
+    conditions: &Conditions,
 ) -> SimResult {
     assert!(cores >= 2, "master-worker needs >= 2 cores");
+    let failover_cores = cores >= 3 || conditions.master_death.is_none();
+    assert!(failover_cores, "failover needs >= 3 cores: master, successor, one worker");
     let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Event queue: (time, kind, worker). At equal times deaths precede
-    // completions; since a dead worker's completed units are re-dispatched
-    // anyway, the tie-break cannot change which work is redone — it only
-    // keeps the trace deterministic.
-    const EV_DEATH: u8 = 0;
-    const EV_FREE: u8 = 1;
-    const EV_WAKE: u8 = 2;
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, u8, usize)>> =
-        std::collections::BinaryHeap::new();
-    for f in failures {
-        assert!(f.worker < workers, "failure names worker {} of {workers}", f.worker);
-        events.push(std::cmp::Reverse((OrdF64(f.at_s), EV_DEATH, f.worker)));
+    let mut sim = Sim {
+        cluster,
+        tasks,
+        suspect_after_s: conditions.suspect_after_s,
+        loads: LoadModel::new(cluster, cores, partition_gb),
+        events: BinaryHeap::new(),
+        stalls: vec![VecDeque::new(); workers],
+        inflight: vec![None; workers],
+        held: vec![None; workers],
+    };
+    let mut sorted: Vec<&Stall> = conditions.stalls.iter().collect();
+    sorted.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("no NaN stall times"));
+    for s in sorted {
+        assert!(s.worker < workers, "stall names worker {} of {workers}", s.worker);
+        sim.stalls[s.worker].push_back((s.at_s, s.dur_s));
     }
-    events.push(std::cmp::Reverse((OrdF64(0.0), EV_WAKE, 0)));
+    if let Some(m) = conditions.master_death {
+        sim.event(m.at_s, EV_MASTER_DEATH, 0);
+    }
+    for f in conditions.failures {
+        assert!(f.worker < workers, "failure names worker {} of {workers}", f.worker);
+        sim.event(f.at_s, EV_DEATH, f.worker);
+    }
+    sim.event(0.0, EV_WAKE, 0);
 
-    // Unit pool ordered by (available-from, index): re-dispatched units
-    // only become available once the master has detected the death.
-    let mut pool: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..tasks.len()).map(|i| std::cmp::Reverse((OrdF64(0.0), i))).collect();
-
+    let mut pool = Pool { buckets: BTreeMap::new(), affinity: conditions.affinity, latest: 0.0 };
+    for (i, t) in tasks.iter().enumerate() {
+        pool.push(0.0, i, t.part);
+    }
     let mut alive = vec![true; workers];
-    let mut idle: std::collections::BTreeSet<usize> = (0..workers).collect();
-    let mut inflight: Vec<Option<(usize, f64, f64)>> = vec![None; workers];
+    let mut idle: BTreeSet<usize> = (0..workers).collect();
     let mut completed: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    // Each worker's one unarbitrated completion while the master is down.
+    let mut carried: Vec<Option<usize>> = vec![None; workers];
+    // A result exists for the unit: committed or carried.
+    let mut done = vec![false; tasks.len()];
+    let mut backed_up = vec![false; tasks.len()];
     let mut busy_intervals = vec![Vec::new(); workers];
     let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
+    let mut frozen = false;
     let mut ndone = 0usize;
     let mut redispatched = 0u64;
+    let mut speculated = 0usize;
     let mut makespan = 0.0f64;
 
     while ndone < tasks.len() {
-        let Some(std::cmp::Reverse((OrdF64(now), kind, w))) = events.pop() else {
+        let Some(Reverse((OrdF64(now), kind, w))) = sim.events.pop() else {
             break; // every worker dead with units remaining
         };
+        // Each arm either falls through to the dispatch sweep or, when the
+        // event changed nothing a sweep could use, `continue`s past it.
         match kind {
+            EV_MASTER_DEATH => {
+                frozen = true;
+                let m = conditions.master_death.expect("scheduled master death");
+                sim.event(now + conditions.detect_s + m.failover_s, EV_PROMOTE, 0);
+            }
             EV_DEATH => {
                 if !alive[w] {
                     continue;
                 }
                 alive[w] = false;
                 idle.remove(&w);
-                last_worker_cache[w] = None;
-                let mut lost = 0u64;
-                if let Some((task, _, _)) = inflight[w].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    lost += 1;
+                sim.held[w] = None;
+                // Its in-flight unit (unless a losing speculative copy), its
+                // carried unit and every unit it committed die with it.
+                let at = now + conditions.detect_s;
+                ndone -= completed[w].len();
+                let inflight = sim.inflight[w].take().map(|r| r.0).filter(|&t| !done[t]);
+                let lost: Vec<usize> = inflight
+                    .into_iter()
+                    .chain(carried[w].take())
+                    .chain(completed[w].drain(..))
+                    .collect();
+                for &task in &lost {
+                    done[task] = false;
+                    pool.push(at, task, tasks[task].part);
                 }
-                for task in completed[w].drain(..) {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    ndone -= 1;
-                    lost += 1;
-                }
-                redispatched += lost;
-                if lost > 0 {
-                    events.push(std::cmp::Reverse((OrdF64(now + detect_s), EV_WAKE, 0)));
+                redispatched += lost.len() as u64;
+                if !lost.is_empty() {
+                    sim.event(at, EV_WAKE, 0);
                 }
             }
             EV_FREE => {
-                if !alive[w] {
-                    continue; // this completion was preempted by the death
+                // Nothing in flight: preempted by a death or the promotion.
+                let Some((task, start, end, _)) = sim.inflight[w].take() else {
+                    continue;
+                };
+                idle.insert(w);
+                if done[task] {
+                    continue; // lost the race to a speculative copy
                 }
-                let (task, start, end) = inflight[w].take().expect("free without inflight");
-                completed[w].push(task);
-                ndone += 1;
+                done[task] = true;
                 busy_intervals[w].push((start, end));
                 worker_busy[w] += tasks[task].cost_s;
-                makespan = makespan.max(end);
-                idle.insert(w);
+                if frozen {
+                    carried[w] = Some(task); // unarbitrated until failover
+                } else {
+                    completed[w].push(task);
+                    ndone += 1;
+                    makespan = makespan.max(end);
+                }
             }
-            _ => {} // EV_WAKE: fall through to the dispatch sweep below
-        }
-        // Dispatch sweep: hand every currently available unit to an idle
-        // worker (idle set iterates in worker order — deterministic).
-        while let Some(&std::cmp::Reverse((OrdF64(avail), task))) = pool.peek() {
-            if avail > now {
-                break;
-            }
-            let Some(&w) = idle.iter().next() else { break };
-            pool.pop();
-            idle.remove(&w);
-            let t = now + cluster.dispatch_latency_s;
-            let load = if last_worker_cache[w] == Some(tasks[task].part) {
-                0.0
-            } else {
-                last_worker_cache[w] = Some(tasks[task].part);
-                loads.load(w + 1, tasks[task].part, &mut cold, &mut warm)
-            };
-            let start = t + load;
-            let end = start + tasks[task].cost_s;
-            inflight[w] = Some((task, start, end));
-            events.push(std::cmp::Reverse((OrdF64(end), EV_FREE, w)));
-        }
-    }
-    assert!(
-        ndone == tasks.len(),
-        "all {workers} workers dead with {} of {} units unfinished",
-        tasks.len() - ndone,
-        tasks.len()
-    );
-
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// Simulate the master-worker schedule through a **master death and
-/// failover**, mirroring the election protocol in `mrmpi::sched`:
-///
-/// * the dedicated master dies at `master_dies_at_s`; from that instant no
-///   new units are dispatched. Workers already computing run their unit to
-///   completion, then sit idle retrying the dead master;
-/// * `detect_s` later the workers' failure detector gives up on the old
-///   master, and after a further `failover_s` (election + scheduler-log
-///   replay + committed-claim gather) the **lowest-indexed live worker is
-///   promoted** to acting master and dispatch resumes;
-/// * completions that landed during the dead-master window were never
-///   arbitrated: survivors carry them to the new master, which commits them
-///   at first contact — except the promoted worker's own carried unit,
-///   which the role transition discards and re-queues (counted in
-///   [`SimResult::redispatched`]), exactly as the scheduler does;
-/// * the promotion permanently converts one compute core into the master
-///   role, so the tail of the run proceeds with one fewer worker on the
-///   same `cores`-core allocation;
-/// * worker `failures` compose as in [`simulate_master_worker_faulty`]
-///   (dead workers lose in-flight *and* committed units). A failure that
-///   hits the already-promoted master is treated as a plain worker death;
-///   the cost of a second election is not modelled here — the scheduler
-///   tests cover cascaded master deaths;
-/// * a `master_dies_at_s` past the fault-free makespan changes nothing.
-///
-/// # Panics
-/// Panics if fewer than 3 cores are requested (a failover needs a worker
-/// left over after the promotion), if a failure names a nonexistent worker,
-/// or if every worker dies with units unfinished.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_master_worker_failover(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-    master_dies_at_s: f64,
-    detect_s: f64,
-    failover_s: f64,
-    failures: &[Failure],
-) -> SimResult {
-    assert!(cores >= 3, "failover needs >= 3 cores: master, successor, one worker");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Event queue: (time, kind, worker). The master death sorts before
-    // completions at the same instant, so a unit finishing exactly then
-    // counts as unarbitrated — the conservative reading.
-    const EV_MDEATH: u8 = 0;
-    const EV_DEATH: u8 = 1;
-    const EV_FREE: u8 = 2;
-    const EV_PROMOTE: u8 = 3;
-    const EV_WAKE: u8 = 4;
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, u8, usize)>> =
-        std::collections::BinaryHeap::new();
-    events.push(std::cmp::Reverse((OrdF64(master_dies_at_s), EV_MDEATH, 0)));
-    for f in failures {
-        assert!(f.worker < workers, "failure names worker {} of {workers}", f.worker);
-        events.push(std::cmp::Reverse((OrdF64(f.at_s), EV_DEATH, f.worker)));
-    }
-    events.push(std::cmp::Reverse((OrdF64(0.0), EV_WAKE, 0)));
-
-    let mut pool: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, usize)>> =
-        (0..tasks.len()).map(|i| std::cmp::Reverse((OrdF64(0.0), i))).collect();
-
-    let mut alive = vec![true; workers];
-    let mut idle: std::collections::BTreeSet<usize> = (0..workers).collect();
-    let mut inflight: Vec<Option<(usize, f64, f64)>> = vec![None; workers];
-    let mut completed: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    // A worker's single unarbitrated completion while the master is down
-    // (it cannot receive another unit until arbitration resumes).
-    let mut carried: Vec<Option<usize>> = vec![None; workers];
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-    let mut frozen = false;
-    let mut promoted: Option<usize> = None;
-    let mut ndone = 0usize;
-    let mut redispatched = 0u64;
-    let mut makespan = 0.0f64;
-
-    while ndone < tasks.len() {
-        let Some(std::cmp::Reverse((OrdF64(now), kind, w))) = events.pop() else {
-            break; // every worker dead with units remaining
-        };
-        match kind {
-            EV_MDEATH => {
-                frozen = true;
-                events.push(std::cmp::Reverse((
-                    OrdF64(now + detect_s + failover_s),
-                    EV_PROMOTE,
-                    0,
-                )));
+            EV_SUSPECT => {
+                // Speculate only against a unit that is genuinely overdue —
+                // still in flight past its stall-free deadline plus grace —
+                // and back each unit up at most once (the scheduler's
+                // backoff keeps duplicates bounded the same way). With no
+                // idle worker, or no master to dispatch, re-check one grace
+                // period later instead of giving up.
+                let task = w;
+                let grace = sim.suspect_after_s.expect("suspicion checks imply a grace period");
+                if done[task] || backed_up[task] {
+                    continue;
+                }
+                let running = sim
+                    .inflight
+                    .iter()
+                    .enumerate()
+                    .find(|(_, slot)| matches!(slot, Some((t, ..)) if *t == task));
+                let Some((primary, &Some((_, _, end, due)))) = running else {
+                    continue;
+                };
+                // Skip a copy that completes momentarily, and a re-run
+                // dispatched since the check was queued (it has its own).
+                if end <= now + 1e-12 || due + grace > now {
+                    continue;
+                }
+                let backup =
+                    if frozen { None } else { idle.iter().copied().find(|&b| b != primary) };
+                let Some(backup) = backup else {
+                    sim.event(now + grace, EV_SUSPECT, task);
+                    continue;
+                };
+                idle.remove(&backup);
+                backed_up[task] = true;
+                speculated += 1;
+                sim.dispatch(backup, task, now);
             }
             EV_PROMOTE => {
                 // Elect the lowest live worker; its carried or in-flight
@@ -570,12 +476,10 @@ pub fn simulate_master_worker_failover(
                 let Some(p) = (0..workers).find(|&w| alive[w]) else {
                     continue; // all dead; the assert below reports it
                 };
-                if let Some((task, _, _)) = inflight[p].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now), task)));
-                    redispatched += 1;
-                }
-                if let Some(task) = carried[p].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now), task)));
+                let inflight = sim.inflight[p].take().map(|r| r.0).filter(|&t| !done[t]);
+                for task in inflight.into_iter().chain(carried[p].take()) {
+                    done[task] = false;
+                    pool.push(now, task, tasks[task].part);
                     redispatched += 1;
                 }
                 // Survivors' carried completions commit at first contact.
@@ -587,74 +491,24 @@ pub fn simulate_master_worker_failover(
                     }
                 }
                 idle.remove(&p);
-                promoted = Some(p);
                 frozen = false;
-            }
-            EV_DEATH => {
-                if !alive[w] {
-                    continue;
-                }
-                alive[w] = false;
-                idle.remove(&w);
-                last_worker_cache[w] = None;
-                let mut lost = 0u64;
-                if let Some((task, _, _)) = inflight[w].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    lost += 1;
-                }
-                if let Some(task) = carried[w].take() {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    lost += 1;
-                }
-                for task in completed[w].drain(..) {
-                    pool.push(std::cmp::Reverse((OrdF64(now + detect_s), task)));
-                    ndone -= 1;
-                    lost += 1;
-                }
-                redispatched += lost;
-                if lost > 0 {
-                    events.push(std::cmp::Reverse((OrdF64(now + detect_s), EV_WAKE, 0)));
-                }
-            }
-            EV_FREE => {
-                if !alive[w] || promoted == Some(w) {
-                    continue; // preempted by a death or by the promotion
-                }
-                let Some((task, start, end)) = inflight[w].take() else { continue };
-                busy_intervals[w].push((start, end));
-                worker_busy[w] += tasks[task].cost_s;
-                idle.insert(w);
-                if frozen {
-                    carried[w] = Some(task); // unarbitrated until failover
-                } else {
-                    completed[w].push(task);
-                    ndone += 1;
-                    makespan = makespan.max(end);
-                }
             }
             _ => {} // EV_WAKE: fall through to the dispatch sweep
         }
         if frozen {
             continue; // nobody arbitrates; no dispatch until the promotion
         }
-        while let Some(&std::cmp::Reverse((OrdF64(avail), task))) = pool.peek() {
-            if avail > now {
+        // Dispatch sweep: hand every currently available unit to an idle
+        // worker (idle set iterates in worker order — deterministic).
+        while let Some(&w) = idle.first() {
+            let Some(task) = pool.take(now, sim.held[w]) else {
                 break;
-            }
-            let Some(&w) = idle.iter().next() else { break };
-            pool.pop();
-            idle.remove(&w);
-            let t = now + cluster.dispatch_latency_s;
-            let load = if last_worker_cache[w] == Some(tasks[task].part) {
-                0.0
-            } else {
-                last_worker_cache[w] = Some(tasks[task].part);
-                loads.load(w + 1, tasks[task].part, &mut cold, &mut warm)
             };
-            let start = t + load;
-            let end = start + tasks[task].cost_s;
-            inflight[w] = Some((task, start, end));
-            events.push(std::cmp::Reverse((OrdF64(end), EV_FREE, w)));
+            if done[task] {
+                continue; // re-queued, then won by a copy already running
+            }
+            idle.remove(&w);
+            sim.dispatch(w, task, now);
         }
     }
     assert!(
@@ -664,17 +518,62 @@ pub fn simulate_master_worker_failover(
         tasks.len()
     );
 
-    let total_search: f64 = worker_busy.iter().sum();
     SimResult {
         makespan_s: makespan,
+        total_search_s: worker_busy.iter().sum(),
         worker_busy,
         busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
+        cold_loads: sim.loads.cold,
+        warm_loads: sim.loads.warm,
         redispatched,
-        speculated: 0,
+        speculated,
         cores,
+    }
+}
+
+/// The per-worker state a dispatch touches, and the event queue.
+struct Sim<'a> {
+    cluster: &'a ClusterModel,
+    tasks: &'a [Task],
+    suspect_after_s: Option<f64>,
+    loads: LoadModel<'a>,
+    /// (time, kind, worker — or unit, for suspicion checks), earliest first.
+    events: BinaryHeap<Reverse<(OrdF64, u8, usize)>>,
+    /// Per-worker (at, duration) stalls, earliest first, until absorbed.
+    stalls: Vec<VecDeque<(f64, f64)>>,
+    /// (unit, start, end, stall-free end) per worker.
+    inflight: Vec<Option<(usize, f64, f64, f64)>>,
+    /// The partition each worker's DB object holds.
+    held: Vec<Option<usize>>,
+}
+
+impl Sim<'_> {
+    fn event(&mut self, at: f64, kind: u8, x: usize) {
+        self.events.push(Reverse((OrdF64(at), kind, x)));
+    }
+
+    /// Hand `task` to `w` at `now` and queue its completion. A pending
+    /// stall overlapping the execution window extends it; the suspicion
+    /// check fires `suspect_after_s` past the *stall-free* end, keyed by
+    /// unit, not worker: by the time it fires the worker may long since be
+    /// running something else.
+    fn dispatch(&mut self, w: usize, task: usize, now: f64) {
+        let t = now + self.cluster.dispatch_latency_s;
+        let start = t + self.loads.load(&mut self.held[w], self.tasks[task].part);
+        let nominal_end = start + self.tasks[task].cost_s;
+        let mut end = nominal_end;
+        while let Some(&(at, dur)) = self.stalls[w].front() {
+            if at >= end {
+                break;
+            }
+            end += dur;
+            self.stalls[w].pop_front();
+        }
+        self.inflight[w] = Some((task, start, end, nominal_end));
+        self.event(end, EV_FREE, w);
+        if let Some(grace) = self.suspect_after_s {
+            self.event(nominal_end + grace, EV_SUSPECT, task);
+        }
     }
 }
 
@@ -696,13 +595,11 @@ pub fn simulate_master_worker_abort_restart(
     master_dies_at_s: f64,
     detect_s: f64,
 ) -> SimResult {
-    let clean = simulate_master_worker(cluster, cores, tasks, partition_gb);
+    let clean = simulate_master_worker(cluster, cores, tasks, partition_gb, &Conditions::default());
     if master_dies_at_s >= clean.makespan_s {
         return clean;
     }
     let abort_at = master_dies_at_s + detect_s;
-    // The restart is a fresh allocation running the identical schedule.
-    let rerun = clean.clone();
     let mut busy_intervals: Vec<Vec<(f64, f64)>> = vec![Vec::new(); cores - 1];
     let mut worker_busy = vec![0.0f64; cores - 1];
     let mut redispatched = 0u64;
@@ -715,251 +612,23 @@ pub fn simulate_master_worker_abort_restart(
             redispatched += 1;
         }
     }
-    // The restart, shifted to begin once the abort is declared.
-    for (w, intervals) in rerun.busy_intervals.iter().enumerate() {
+    // The restart is a fresh allocation running the identical schedule,
+    // shifted to begin once the abort is declared.
+    for (w, intervals) in clean.busy_intervals.iter().enumerate() {
         for &(s, e) in intervals {
             busy_intervals[w].push((s + abort_at, e + abort_at));
         }
-        worker_busy[w] += rerun.worker_busy[w];
+        worker_busy[w] += clean.worker_busy[w];
     }
-    let total_search: f64 = worker_busy.iter().sum();
     SimResult {
-        makespan_s: abort_at + rerun.makespan_s,
+        makespan_s: abort_at + clean.makespan_s,
+        total_search_s: worker_busy.iter().sum(),
         worker_busy,
         busy_intervals,
-        cold_loads: rerun.cold_loads,
-        warm_loads: rerun.warm_loads,
-        total_search_s: total_search,
+        cold_loads: clean.cold_loads,
+        warm_loads: clean.warm_loads,
         redispatched,
         speculated: 0,
-        cores,
-    }
-}
-
-/// A scheduled straggler episode for
-/// [`simulate_master_worker_speculative`]: the worker freezes for `dur_s`
-/// wall-clock seconds (GC pause, flaky NIC, contended node) but does not
-/// die — work in progress resumes afterwards.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stall {
-    /// Worker index (0-based over the `cores − 1` workers).
-    pub worker: usize,
-    /// Virtual time at which the freeze begins, in seconds.
-    pub at_s: f64,
-    /// Freeze duration in seconds.
-    pub dur_s: f64,
-}
-
-/// Simulate the master-worker schedule under **stragglers** with optional
-/// speculative re-execution, mirroring the heartbeat/speculation protocol in
-/// `mrmpi::sched`:
-///
-/// * a [`Stall`] freezes its worker: the unit it is executing (or the next
-///   unit it is handed) finishes `dur_s` late;
-/// * the master expects a unit to complete in its known cost; once a unit is
-///   `suspect_after_s` overdue the worker is *suspected*;
-/// * with `speculate` on, a suspected worker's in-flight unit is re-launched
-///   on an idle worker; the **first completion wins**, the duplicate is
-///   discarded (its compute appears in no busy interval, exactly as the
-///   scheduler's commit/discard dedup keeps duplicate emissions out of the
-///   output), and the run does not wait for the loser;
-/// * with `speculate` off, the makespan simply absorbs every stall — the
-///   baseline the `ablation_speculation` bench compares against.
-///
-/// `SimResult::speculated` counts backup launches.
-///
-/// # Panics
-/// Panics if fewer than 2 cores are requested or a stall names a
-/// nonexistent worker.
-pub fn simulate_master_worker_speculative(
-    cluster: &ClusterModel,
-    cores: usize,
-    tasks: &[Task],
-    partition_gb: f64,
-    stalls: &[Stall],
-    suspect_after_s: f64,
-    speculate: bool,
-) -> SimResult {
-    assert!(cores >= 2, "master-worker needs >= 2 cores");
-    let workers = cores - 1;
-    let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
-
-    // Per-worker stall schedule, earliest first, consumed as units absorb
-    // them.
-    let mut pending_stalls: Vec<std::collections::VecDeque<(f64, f64)>> =
-        vec![std::collections::VecDeque::new(); workers];
-    {
-        let mut sorted: Vec<&Stall> = stalls.iter().collect();
-        sorted.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("no NaN stall times"));
-        for s in sorted {
-            assert!(s.worker < workers, "stall names worker {} of {workers}", s.worker);
-            pending_stalls[s.worker].push_back((s.at_s, s.dur_s));
-        }
-    }
-
-    // Events: completions, overdue checks, dispatch wakeups. At equal times
-    // completions precede suspicion checks, so a unit finishing exactly on
-    // its deadline is never speculated against.
-    const EV_FREE: u8 = 0;
-    const EV_SPEC: u8 = 1;
-    const EV_WAKE: u8 = 2;
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<(OrdF64, u8, usize)>> =
-        std::collections::BinaryHeap::new();
-    events.push(std::cmp::Reverse((OrdF64(0.0), EV_WAKE, 0)));
-
-    let mut pool: std::collections::VecDeque<usize> = (0..tasks.len()).collect();
-    let mut idle: std::collections::BTreeSet<usize> = (0..workers).collect();
-    // (task, start, effective_end) per worker.
-    let mut inflight: Vec<Option<(usize, f64, f64)>> = vec![None; workers];
-    let mut done = vec![false; tasks.len()];
-    let mut backed_up = vec![false; tasks.len()];
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut last_worker_cache: Vec<Option<usize>> = vec![None; workers];
-    let mut ndone = 0usize;
-    let mut speculated = 0usize;
-    let mut makespan = 0.0f64;
-
-    // Hand `task` to `w` at `now`; returns nothing, queues the completion.
-    // A pending stall overlapping the execution window extends it; the
-    // overdue check fires `suspect_after_s` past the *stall-free* end.
-    let dispatch = |w: usize,
-                        task: usize,
-                        now: f64,
-                        loads: &mut LoadModel,
-                        cold: &mut u64,
-                        warm: &mut u64,
-                        pending_stalls: &mut Vec<std::collections::VecDeque<(f64, f64)>>,
-                        inflight: &mut Vec<Option<(usize, f64, f64)>>,
-                        last_worker_cache: &mut Vec<Option<usize>>,
-                        events: &mut std::collections::BinaryHeap<
-                            std::cmp::Reverse<(OrdF64, u8, usize)>,
-                        >| {
-        let t = now + cluster.dispatch_latency_s;
-        let load = if last_worker_cache[w] == Some(tasks[task].part) {
-            0.0
-        } else {
-            last_worker_cache[w] = Some(tasks[task].part);
-            loads.load(w + 1, tasks[task].part, cold, warm)
-        };
-        let start = t + load;
-        let nominal_end = start + tasks[task].cost_s;
-        let mut end = nominal_end;
-        while let Some(&(at, dur)) = pending_stalls[w].front() {
-            if at < end {
-                end += dur;
-                pending_stalls[w].pop_front();
-            } else {
-                break;
-            }
-        }
-        inflight[w] = Some((task, start, end));
-        events.push(std::cmp::Reverse((OrdF64(end), EV_FREE, w)));
-        if speculate {
-            // Overdue check keyed by *unit*, not worker: by the time it
-            // fires the worker may long since be running something else.
-            events.push(std::cmp::Reverse((
-                OrdF64(nominal_end + suspect_after_s),
-                EV_SPEC,
-                task,
-            )));
-        }
-    };
-
-    while ndone < tasks.len() {
-        let std::cmp::Reverse((OrdF64(now), kind, w)) =
-            events.pop().expect("stalled workers always finish eventually");
-        match kind {
-            EV_FREE => {
-                let Some((task, start, end)) = inflight[w].take() else { continue };
-                idle.insert(w);
-                if done[task] {
-                    continue; // lost the race to a speculative copy
-                }
-                done[task] = true;
-                ndone += 1;
-                busy_intervals[w].push((start, end));
-                worker_busy[w] += tasks[task].cost_s;
-                makespan = makespan.max(end);
-            }
-            EV_SPEC => {
-                // `w` is the *unit* here. Speculate only against a unit
-                // that is genuinely overdue — still in flight past its
-                // stall-free deadline plus grace — and back each unit up at
-                // most once (the scheduler's backoff keeps duplicates
-                // bounded the same way). With every worker busy, re-check
-                // one grace period later instead of giving up.
-                let task = w;
-                if done[task] || backed_up[task] {
-                    continue;
-                }
-                let running = inflight
-                    .iter()
-                    .enumerate()
-                    .find(|(_, slot)| matches!(slot, Some((t, _, _)) if *t == task));
-                let Some((primary, &Some((_, _, end)))) = running else { continue };
-                if end <= now + 1e-12 {
-                    continue; // completes momentarily; not worth a copy
-                }
-                let Some(&backup) = idle.iter().find(|&&b| b != primary) else {
-                    events.push(std::cmp::Reverse((
-                        OrdF64(now + suspect_after_s),
-                        EV_SPEC,
-                        task,
-                    )));
-                    continue;
-                };
-                idle.remove(&backup);
-                backed_up[task] = true;
-                speculated += 1;
-                dispatch(
-                    backup,
-                    task,
-                    now,
-                    &mut loads,
-                    &mut cold,
-                    &mut warm,
-                    &mut pending_stalls,
-                    &mut inflight,
-                    &mut last_worker_cache,
-                    &mut events,
-                );
-            }
-            _ => {} // EV_WAKE: fall through to the dispatch sweep
-        }
-        while !pool.is_empty() {
-            let Some(&w) = idle.iter().next() else { break };
-            let task = pool.pop_front().expect("non-empty");
-            if done[task] {
-                continue;
-            }
-            idle.remove(&w);
-            dispatch(
-                w,
-                task,
-                now,
-                &mut loads,
-                &mut cold,
-                &mut warm,
-                &mut pending_stalls,
-                &mut inflight,
-                &mut last_worker_cache,
-                &mut events,
-            );
-        }
-    }
-
-    let total_search: f64 = worker_busy.iter().sum();
-    SimResult {
-        makespan_s: makespan,
-        worker_busy,
-        busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
-        redispatched: 0,
-        speculated,
         cores,
     }
 }
@@ -973,27 +642,18 @@ pub fn simulate_static(
     schedule: Schedule,
 ) -> SimResult {
     assert!(cores >= 1);
-    assert!(schedule != Schedule::MasterWorker, "use simulate_master_worker");
     let mut loads = LoadModel::new(cluster, cores, partition_gb);
-    let (mut cold, mut warm) = (0u64, 0u64);
     let mut busy_intervals = vec![Vec::new(); cores];
     let mut worker_busy = vec![0.0f64; cores];
     let mut clock = vec![0.0f64; cores];
-    let mut last_part: Vec<Option<usize>> = vec![None; cores];
+    let mut held: Vec<Option<usize>> = vec![None; cores];
 
     for (i, task) in tasks.iter().enumerate() {
         let w = match schedule {
             Schedule::RoundRobin => i % cores,
             Schedule::Chunk => i * cores / tasks.len().max(1),
-            Schedule::MasterWorker => unreachable!(),
         };
-        let load = if last_part[w] == Some(task.part) {
-            0.0
-        } else {
-            last_part[w] = Some(task.part);
-            loads.load(w, task.part, &mut cold, &mut warm)
-        };
-        let start = clock[w] + load;
+        let start = clock[w] + loads.load(&mut held[w], task.part);
         let end = start + task.cost_s;
         busy_intervals[w].push((start, end));
         worker_busy[w] += task.cost_s;
@@ -1001,14 +661,13 @@ pub fn simulate_static(
     }
 
     let makespan = clock.iter().copied().fold(0.0, f64::max);
-    let total_search: f64 = worker_busy.iter().sum();
     SimResult {
         makespan_s: makespan,
+        total_search_s: worker_busy.iter().sum(),
         worker_busy,
         busy_intervals,
-        cold_loads: cold,
-        warm_loads: warm,
-        total_search_s: total_search,
+        cold_loads: loads.cold,
+        warm_loads: loads.warm,
         redispatched: 0,
         speculated: 0,
         cores,
@@ -1054,14 +713,26 @@ mod tests {
     fn uniform_tasks_give_ceil_distribution() {
         // 10 tasks, 3 cores (2 workers), unit cost, zero overheads:
         // makespan = ceil(10/2) = 5.
-        let r = simulate_master_worker(&cheap_cluster(), 3, &uniform_tasks(10, 1.0), 0.0);
+        let r = simulate_master_worker(
+            &cheap_cluster(),
+            3,
+            &uniform_tasks(10, 1.0),
+            0.0,
+            &Conditions::default(),
+        );
         assert!((r.makespan_s - 5.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.total_search_s, 10.0);
     }
 
     #[test]
     fn single_worker_serializes() {
-        let r = simulate_master_worker(&cheap_cluster(), 2, &uniform_tasks(7, 2.0), 0.0);
+        let r = simulate_master_worker(
+            &cheap_cluster(),
+            2,
+            &uniform_tasks(7, 2.0),
+            0.0,
+            &Conditions::default(),
+        );
         assert!((r.makespan_s - 14.0).abs() < 1e-9);
     }
 
@@ -1071,7 +742,7 @@ mod tests {
         let mut tasks = vec![Task { part: 0, cost_s: 50.0 }];
         tasks.extend((0..40).map(|i| Task { part: i % 4, cost_s: 1.0 }));
         let cluster = cheap_cluster();
-        let dynamic = simulate_master_worker(&cluster, 5, &tasks, 0.0);
+        let dynamic = simulate_master_worker(&cluster, 5, &tasks, 0.0, &Conditions::default());
         let static_rr = simulate_static(&cluster, 5, &tasks, 0.0, Schedule::RoundRobin);
         assert!(
             dynamic.makespan_s < static_rr.makespan_s,
@@ -1087,7 +758,13 @@ mod tests {
     #[test]
     fn tail_idling_appears_when_tasks_scarce() {
         // 5 equal tasks on 4 workers: one worker runs 2 → utilization 5/8.
-        let r = simulate_master_worker(&cheap_cluster(), 5, &uniform_tasks(5, 1.0), 0.0);
+        let r = simulate_master_worker(
+            &cheap_cluster(),
+            5,
+            &uniform_tasks(5, 1.0),
+            0.0,
+            &Conditions::default(),
+        );
         assert!((r.makespan_s - 2.0).abs() < 1e-9);
         let util = r.total_search_s / (r.makespan_s * 4.0); // worker cores
         assert!((util - 5.0 / 8.0).abs() < 1e-9);
@@ -1103,9 +780,8 @@ mod tests {
         };
         // 2 cores → 1 worker, alternating partitions 0,1,0,1 of 1 GB; node
         // cache holds both → first two cold, rest warm.
-        let tasks: Vec<Task> =
-            (0..6).map(|i| Task { part: i % 2, cost_s: 1.0 }).collect();
-        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0);
+        let tasks: Vec<Task> = (0..6).map(|i| Task { part: i % 2, cost_s: 1.0 }).collect();
+        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0, &Conditions::default());
         assert_eq!(r.cold_loads, 2);
         assert_eq!(r.warm_loads, 4);
         // makespan = 2 cold (10s) + 4 warm (1s) + 6 × 1s search.
@@ -1120,7 +796,7 @@ mod tests {
             ..ClusterModel::ranger()
         };
         let tasks = vec![Task { part: 3, cost_s: 1.0 }; 5];
-        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0);
+        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0, &Conditions::default());
         assert_eq!(r.cold_loads, 1, "partition loaded once, then rank-cached");
         assert!((r.makespan_s - 15.0).abs() < 1e-9);
     }
@@ -1135,7 +811,7 @@ mod tests {
             ..ClusterModel::ranger()
         };
         let tasks: Vec<Task> = (0..6).map(|i| Task { part: i % 2, cost_s: 1.0 }).collect();
-        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0);
+        let r = simulate_master_worker(&cluster, 2, &tasks, 1.0, &Conditions::default());
         assert_eq!(r.cold_loads, 6, "alternating partitions must thrash a 1-slot cache");
     }
 
@@ -1144,7 +820,7 @@ mod tests {
         // Few long tasks at the end starve most workers.
         let mut tasks = uniform_tasks(40, 1.0);
         tasks.push(Task { part: 0, cost_s: 10.0 });
-        let r = simulate_master_worker(&cheap_cluster(), 9, &tasks, 0.0);
+        let r = simulate_master_worker(&cheap_cluster(), 9, &tasks, 0.0, &Conditions::default());
         let curve = r.utilization_curve(10);
         assert!(curve[0] > 0.8, "start busy: {curve:?}");
         assert!(curve[9] < 0.4, "tail idle: {curve:?}");
@@ -1159,10 +835,15 @@ mod tests {
             ..ClusterModel::ranger()
         };
         // 8 partitions × 16 unit tasks, interleaved (block-major) order.
-        let tasks: Vec<Task> =
-            (0..128).map(|i| Task { part: i % 8, cost_s: 1.0 }).collect();
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
-        let affine = simulate_master_worker_affinity(&cluster, 5, &tasks, 1.0);
+        let tasks: Vec<Task> = (0..128).map(|i| Task { part: i % 8, cost_s: 1.0 }).collect();
+        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0, &Conditions::default());
+        let affine = simulate_master_worker(
+            &cluster,
+            5,
+            &tasks,
+            1.0,
+            &Conditions { affinity: true, ..Default::default() },
+        );
         assert_eq!(plain.total_search_s, affine.total_search_s);
         // With affinity, each of 4 workers should touch ~2 partitions; the
         // plain dispatcher reloads nearly every task.
@@ -1186,7 +867,13 @@ mod tests {
         let cluster = cheap_cluster();
         let mut tasks = vec![Task { part: 0, cost_s: 30.0 }];
         tasks.extend((0..40).map(|i| Task { part: 1 + i % 3, cost_s: 1.0 }));
-        let r = simulate_master_worker_affinity(&cluster, 5, &tasks, 0.0);
+        let r = simulate_master_worker(
+            &cluster,
+            5,
+            &tasks,
+            0.0,
+            &Conditions { affinity: true, ..Default::default() },
+        );
         let lower = 30.0f64.max(70.0 / 4.0);
         assert!(r.makespan_s <= lower * 1.35, "affinity makespan {}", r.makespan_s);
         assert_eq!(r.total_search_s, 70.0);
@@ -1212,8 +899,14 @@ mod tests {
         };
         let mut tasks = vec![Task { part: 0, cost_s: 9.0 }];
         tasks.extend((0..30).map(|i| Task { part: i % 4, cost_s: 1.0 + (i % 3) as f64 }));
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
-        let faulty = simulate_master_worker_faulty(&cluster, 5, &tasks, 1.0, &[], 0.5);
+        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0, &Conditions::default());
+        let faulty = simulate_master_worker(
+            &cluster,
+            5,
+            &tasks,
+            1.0,
+            &Conditions { detect_s: 0.5, ..Default::default() },
+        );
         assert!((plain.makespan_s - faulty.makespan_s).abs() < 1e-9);
         assert_eq!(plain.cold_loads, faulty.cold_loads);
         assert_eq!(plain.warm_loads, faulty.warm_loads);
@@ -1225,13 +918,12 @@ mod tests {
         // 12 unit tasks, 4 cores (3 workers), one dead at t=0: the closed
         // form is ceil(12/2) = 6 on the two survivors.
         let fails = [Failure { worker: 1, at_s: 0.0 }];
-        let r = simulate_master_worker_faulty(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             4,
             &uniform_tasks(12, 1.0),
             0.0,
-            &fails,
-            0.25,
+            &Conditions { failures: &fails, detect_s: 0.25, ..Default::default() },
         );
         assert!((r.makespan_s - 6.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 0, "a worker that never got a unit loses none");
@@ -1242,13 +934,12 @@ mod tests {
         // 3 workers, 12 unit tasks. Worker 0 dies at t=2.5: it has finished
         // units at t=1 and t=2 and is mid-unit — all 3 must be redone.
         let fails = [Failure { worker: 0, at_s: 2.5 }];
-        let r = simulate_master_worker_faulty(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             4,
             &uniform_tasks(12, 1.0),
             0.0,
-            &fails,
-            0.0,
+            &Conditions { failures: &fails, detect_s: 0.0, ..Default::default() },
         );
         assert_eq!(r.redispatched, 3);
         // 12 final + 2 re-runs of completed units = 14 completed executions
@@ -1266,7 +957,13 @@ mod tests {
         // takes 2s, then worker 1 reruns the 3s unit: makespan = 1+2+3.
         let tasks = vec![Task { part: 0, cost_s: 3.0 }];
         let fails = [Failure { worker: 0, at_s: 1.0 }];
-        let r = simulate_master_worker_faulty(&cheap_cluster(), 3, &tasks, 0.0, &fails, 2.0);
+        let r = simulate_master_worker(
+            &cheap_cluster(),
+            3,
+            &tasks,
+            0.0,
+            &Conditions { failures: &fails, detect_s: 2.0, ..Default::default() },
+        );
         assert!((r.makespan_s - 6.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 1);
     }
@@ -1274,13 +971,12 @@ mod tests {
     #[test]
     fn death_after_completion_changes_nothing() {
         let fails = [Failure { worker: 0, at_s: 1e6 }];
-        let r = simulate_master_worker_faulty(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             3,
             &uniform_tasks(10, 1.0),
             0.0,
-            &fails,
-            0.5,
+            &Conditions { failures: &fails, detect_s: 0.5, ..Default::default() },
         );
         assert!((r.makespan_s - 5.0).abs() < 1e-9);
         assert_eq!(r.redispatched, 0);
@@ -1290,13 +986,12 @@ mod tests {
     #[should_panic(expected = "workers dead")]
     fn all_workers_dead_panics_with_units_unfinished() {
         let fails = [Failure { worker: 0, at_s: 0.0 }, Failure { worker: 1, at_s: 0.0 }];
-        simulate_master_worker_faulty(
+        simulate_master_worker(
             &cheap_cluster(),
             3,
             &uniform_tasks(4, 1.0),
             0.0,
-            &fails,
-            0.1,
+            &Conditions { failures: &fails, detect_s: 0.1, ..Default::default() },
         );
     }
 
@@ -1310,10 +1005,14 @@ mod tests {
         };
         let mut tasks = vec![Task { part: 0, cost_s: 9.0 }];
         tasks.extend((0..30).map(|i| Task { part: i % 4, cost_s: 1.0 + (i % 3) as f64 }));
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
+        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0, &Conditions::default());
         for speculate in [false, true] {
-            let spec = simulate_master_worker_speculative(
-                &cluster, 5, &tasks, 1.0, &[], 0.5, speculate,
+            let spec = simulate_master_worker(
+                &cluster,
+                5,
+                &tasks,
+                1.0,
+                &Conditions { suspect_after_s: speculate.then_some(0.5), ..Default::default() },
             );
             assert!(
                 (plain.makespan_s - spec.makespan_s).abs() < 1e-9,
@@ -1330,14 +1029,12 @@ mod tests {
         // 8 unit tasks on 2 workers; worker 0 freezes 10s inside its first
         // unit: without speculation the makespan pays the entire stall.
         let stalls = [Stall { worker: 0, at_s: 0.5, dur_s: 10.0 }];
-        let r = simulate_master_worker_speculative(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             3,
             &uniform_tasks(8, 1.0),
             0.0,
-            &stalls,
-            0.5,
-            false,
+            &Conditions { stalls: &stalls, ..Default::default() },
         );
         // Worker 1 clears the other 7 units by t=7; worker 0's unit lands at
         // t=11 and dominates.
@@ -1348,14 +1045,12 @@ mod tests {
     #[test]
     fn speculation_hides_the_stall_and_first_result_wins() {
         let stalls = [Stall { worker: 0, at_s: 0.5, dur_s: 10.0 }];
-        let r = simulate_master_worker_speculative(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             3,
             &uniform_tasks(8, 1.0),
             0.0,
-            &stalls,
-            0.5,
-            true,
+            &Conditions { stalls: &stalls, suspect_after_s: Some(0.5), ..Default::default() },
         );
         // Worker 1 finishes the other 7 by t=7; the stuck unit is declared
         // overdue at t=1.5 and its backup runs on worker 1 as soon as it
@@ -1373,14 +1068,12 @@ mod tests {
         // backup (launched at suspicion) can finish; output conservation
         // still holds — the unit counts once.
         let stalls = [Stall { worker: 0, at_s: 0.2, dur_s: 1.2 }];
-        let r = simulate_master_worker_speculative(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             3,
             &uniform_tasks(2, 1.0),
             0.0,
-            &stalls,
-            0.1,
-            true,
+            &Conditions { stalls: &stalls, suspect_after_s: Some(0.1), ..Default::default() },
         );
         assert!((r.total_search_s - 2.0).abs() < 1e-9, "search {}", r.total_search_s);
         assert!(r.makespan_s <= 2.2 + 1e-9, "makespan {}", r.makespan_s);
@@ -1392,13 +1085,21 @@ mod tests {
         // speculation the fleet's makespan is within noise of fault-free.
         let cluster = cheap_cluster();
         let tasks = uniform_tasks(4096, 30.0);
-        let clean = simulate_master_worker(&cluster, 1024, &tasks, 0.0);
+        let clean = simulate_master_worker(&cluster, 1024, &tasks, 0.0, &Conditions::default());
         let stalls = [Stall { worker: 17, at_s: 10.0, dur_s: 3600.0 }];
-        let stalled = simulate_master_worker_speculative(
-            &cluster, 1024, &tasks, 0.0, &stalls, 15.0, false,
+        let stalled = simulate_master_worker(
+            &cluster,
+            1024,
+            &tasks,
+            0.0,
+            &Conditions { stalls: &stalls, ..Default::default() },
         );
-        let spec = simulate_master_worker_speculative(
-            &cluster, 1024, &tasks, 0.0, &stalls, 15.0, true,
+        let spec = simulate_master_worker(
+            &cluster,
+            1024,
+            &tasks,
+            0.0,
+            &Conditions { stalls: &stalls, suspect_after_s: Some(15.0), ..Default::default() },
         );
         assert!(stalled.makespan_s > clean.makespan_s + 3000.0, "{}", stalled.makespan_s);
         assert!(
@@ -1420,8 +1121,18 @@ mod tests {
         };
         let mut tasks = vec![Task { part: 0, cost_s: 9.0 }];
         tasks.extend((0..30).map(|i| Task { part: i % 4, cost_s: 1.0 + (i % 3) as f64 }));
-        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0);
-        let fo = simulate_master_worker_failover(&cluster, 5, &tasks, 1.0, 1e6, 0.5, 0.5, &[]);
+        let plain = simulate_master_worker(&cluster, 5, &tasks, 1.0, &Conditions::default());
+        let fo = simulate_master_worker(
+            &cluster,
+            5,
+            &tasks,
+            1.0,
+            &Conditions {
+                detect_s: 0.5,
+                master_death: Some(MasterDeath { at_s: 1e6, failover_s: 0.5 }),
+                ..Default::default()
+            },
+        );
         assert!((plain.makespan_s - fo.makespan_s).abs() < 1e-9);
         assert_eq!(plain.cold_loads, fo.cold_loads);
         assert_eq!(plain.warm_loads, fo.warm_loads);
@@ -1436,15 +1147,16 @@ mod tests {
         // carried unit commits then, worker 0 is promoted and its carried
         // unit is discarded. The single remaining worker clears units 6, 7
         // and the re-run at t=5, 6, 7.
-        let r = simulate_master_worker_failover(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             3,
             &uniform_tasks(8, 1.0),
             0.0,
-            2.5,
-            1.0,
-            0.5,
-            &[],
+            &Conditions {
+                detect_s: 1.0,
+                master_death: Some(MasterDeath { at_s: 2.5, failover_s: 0.5 }),
+                ..Default::default()
+            },
         );
         assert!((r.makespan_s - 7.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 1, "exactly the promoted worker's carried unit");
@@ -1459,15 +1171,16 @@ mod tests {
         // 2 is re-queued (its partial compute uncharged); worker 1 finishes
         // unit 3 at t=4 and then serially clears units 4, 5 and the re-run:
         // makespan 4 + 3 × 2 = 10.
-        let r = simulate_master_worker_failover(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             3,
             &uniform_tasks(6, 2.0),
             0.0,
-            2.5,
-            1.0,
-            0.4,
-            &[],
+            &Conditions {
+                detect_s: 1.0,
+                master_death: Some(MasterDeath { at_s: 2.5, failover_s: 0.4 }),
+                ..Default::default()
+            },
         );
         assert!((r.makespan_s - 10.0).abs() < 1e-9, "makespan {}", r.makespan_s);
         assert_eq!(r.redispatched, 1);
@@ -1479,21 +1192,89 @@ mod tests {
         // Worker 2 dies mid-run, then the master dies: both recoveries land
         // in one run and every unit still completes exactly once.
         let fails = [Failure { worker: 2, at_s: 1.5 }];
-        let r = simulate_master_worker_failover(
+        let r = simulate_master_worker(
             &cheap_cluster(),
             4,
             &uniform_tasks(12, 1.0),
             0.0,
-            2.5,
-            0.5,
-            0.5,
-            &fails,
+            &Conditions {
+                failures: &fails,
+                detect_s: 0.5,
+                master_death: Some(MasterDeath { at_s: 2.5, failover_s: 0.5 }),
+                ..Default::default()
+            },
         );
         // Worker 2 loses its completed unit and its in-flight unit; the
         // promoted worker discards one more.
         assert_eq!(r.redispatched, 3, "redispatched {}", r.redispatched);
         assert!(r.total_search_s >= 12.0 - 1e-9);
         assert!(r.makespan_s >= 12.0 / 3.0);
+    }
+
+    #[test]
+    fn every_condition_composes_in_one_run() {
+        // Affinity + a worker death + a stall with speculation + a master
+        // failover, all in one run on 5 workers.
+        let tasks = uniform_tasks(30, 1.0);
+        let fails = [Failure { worker: 2, at_s: 1.5 }];
+        let stalls = [Stall { worker: 4, at_s: 0.5, dur_s: 50.0 }];
+        let all = Conditions {
+            affinity: true,
+            failures: &fails,
+            stalls: &stalls,
+            detect_s: 0.5,
+            master_death: Some(MasterDeath { at_s: 3.5, failover_s: 0.5 }),
+            suspect_after_s: Some(0.5),
+        };
+        let cluster = cheap_cluster();
+        let r = simulate_master_worker(&cluster, 6, &tasks, 0.0, &all);
+        // Every unit completed at least once; the stall is hidden.
+        assert!(r.total_search_s >= 30.0 - 1e-9, "search {}", r.total_search_s);
+        assert!(r.makespan_s < 20.0, "makespan {}", r.makespan_s);
+        assert_eq!(r.speculated, 1);
+        // Worker 2's completed and in-flight units, plus the successor's.
+        assert!(r.redispatched >= 3, "redispatched {}", r.redispatched);
+
+        // Each condition alone equals the run with the others emptied —
+        // and with the others present but scheduled after the run ends.
+        let late = 1e9;
+        let late_fails = [Failure { worker: 2, at_s: late }];
+        let late_stalls = [Stall { worker: 4, at_s: late, dur_s: 50.0 }];
+        let empty = Conditions {
+            affinity: false,
+            failures: &[],
+            stalls: &[],
+            master_death: None,
+            suspect_after_s: None,
+            ..all
+        };
+        let alone = [
+            Conditions { affinity: true, ..empty },
+            Conditions { failures: &fails, ..empty },
+            Conditions { stalls: &stalls, suspect_after_s: all.suspect_after_s, ..empty },
+            Conditions { master_death: all.master_death, ..empty },
+        ];
+        for one in alone {
+            let neutral = Conditions {
+                failures: if one.failures.is_empty() { &late_fails } else { one.failures },
+                stalls: if one.stalls.is_empty() { &late_stalls } else { one.stalls },
+                master_death: one
+                    .master_death
+                    .or(Some(MasterDeath { at_s: late, failover_s: 0.5 })),
+                suspect_after_s: one.suspect_after_s.or(Some(0.5)),
+                ..one
+            };
+            let a = simulate_master_worker(&cluster, 6, &tasks, 0.0, &one);
+            let b = simulate_master_worker(&cluster, 6, &tasks, 0.0, &neutral);
+            assert!(a.total_search_s >= 30.0 - 1e-9, "{one:?}");
+            assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits(), "{one:?}");
+            assert_eq!(a.busy_intervals, b.busy_intervals, "{one:?}");
+            assert_eq!(
+                (a.cold_loads, a.warm_loads, a.redispatched, a.speculated),
+                (b.cold_loads, b.warm_loads, b.redispatched, b.speculated),
+                "{one:?}"
+            );
+        }
     }
 
     #[test]
@@ -1507,7 +1288,17 @@ mod tests {
         // 18 units had completed by t=9 (9 per worker) and are thrown away.
         assert_eq!(abort.redispatched, 18);
         assert!((abort.total_search_s - 38.0).abs() < 1e-9, "search {}", abort.total_search_s);
-        let fo = simulate_master_worker_failover(&cluster, 3, &tasks, 0.0, 8.0, 1.0, 0.5, &[]);
+        let fo = simulate_master_worker(
+            &cluster,
+            3,
+            &tasks,
+            0.0,
+            &Conditions {
+                detect_s: 1.0,
+                master_death: Some(MasterDeath { at_s: 8.0, failover_s: 0.5 }),
+                ..Default::default()
+            },
+        );
         assert!(
             fo.makespan_s < abort.makespan_s - 1e-9,
             "failover {} must beat abort-restart {}",
@@ -1519,7 +1310,8 @@ mod tests {
     #[test]
     fn abort_restart_with_late_death_matches_plain() {
         let tasks = uniform_tasks(10, 1.0);
-        let plain = simulate_master_worker(&cheap_cluster(), 3, &tasks, 0.0);
+        let plain =
+            simulate_master_worker(&cheap_cluster(), 3, &tasks, 0.0, &Conditions::default());
         let r = simulate_master_worker_abort_restart(&cheap_cluster(), 3, &tasks, 0.0, 1e6, 1.0);
         assert!((r.makespan_s - plain.makespan_s).abs() < 1e-9);
         assert_eq!(r.redispatched, 0);
@@ -1527,7 +1319,13 @@ mod tests {
 
     #[test]
     fn core_seconds_and_mean_utilization() {
-        let r = simulate_master_worker(&cheap_cluster(), 3, &uniform_tasks(4, 1.0), 0.0);
+        let r = simulate_master_worker(
+            &cheap_cluster(),
+            3,
+            &uniform_tasks(4, 1.0),
+            0.0,
+            &Conditions::default(),
+        );
         assert!((r.makespan_s - 2.0).abs() < 1e-9);
         assert!((r.core_seconds() - 6.0).abs() < 1e-9);
         // 4 search-seconds over 6 core-seconds (master idles by design).

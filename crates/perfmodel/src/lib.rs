@@ -18,7 +18,9 @@
 //!
 //! This crate models exactly those mechanisms: a [`cluster`] description
 //! (nodes, cores, RAM, interconnect, filesystem), a deterministic
-//! discrete-event simulator of the master-worker and static schedules
+//! discrete-event simulator of the master-worker schedule — one event loop
+//! whose [`Conditions`] compose partition affinity, worker deaths, stalls
+//! with speculation and master failover — and of static schedules
 //! ([`des`]), per-node partition RAM caching, a skewed work-unit cost
 //! model ([`blastsim`]) whose constants are calibrated against real runs of
 //! our engine ([`calibrate`]), and a BSP model of the batch SOM epoch
@@ -47,8 +49,7 @@ pub mod somsim;
 pub use blastsim::{BlastScenario, WorkUnitCosts};
 pub use cluster::ClusterModel;
 pub use des::{
-    simulate_master_worker, simulate_master_worker_abort_restart, simulate_master_worker_affinity,
-    simulate_master_worker_failover, simulate_master_worker_faulty,
-    simulate_master_worker_speculative, simulate_static, Failure, Schedule, SimResult, Stall,
+    simulate_master_worker, simulate_master_worker_abort_restart, simulate_static, Conditions,
+    Failure, MasterDeath, Schedule, SimResult, Stall,
 };
 pub use somsim::SomScenario;

@@ -20,6 +20,12 @@ cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_wo
 echo "== fault-mode smoke: DES dead-worker closed form =="
 cargo test -q --test perfmodel_validation faulty_des_matches_reduced_worker_closed_form
 
+echo "== DES pin: paper-scale results of every simulated condition, exact =="
+cargo test -q --test perfmodel_validation des_pins_paper_scale_results_for_every_condition
+
+echo "== straggler regression: a fenced straggler's committed unit is reclaimed and re-run =="
+cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_straggler_fenced_after_committing_has_its_units_rerun
+
 echo "== crash-consistency smoke: BLAST kill-and-restart, bit-for-bit output =="
 cargo test -q --test crash_restart blast_crash_restart_bit_for_bit
 

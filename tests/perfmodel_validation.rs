@@ -8,8 +8,11 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
-use perfmodel::des::{simulate_master_worker, simulate_master_worker_faulty, Failure, Task};
-use perfmodel::{ClusterModel, SomScenario};
+use perfmodel::des::{
+    simulate_master_worker, simulate_master_worker_abort_restart, Conditions, Failure, MasterDeath,
+    Stall, Task,
+};
+use perfmodel::{BlastScenario, ClusterModel, SomScenario};
 use std::sync::Arc;
 
 /// A cluster with free communication and loads, for compute-only checks.
@@ -64,7 +67,7 @@ fn des_makespan_matches_real_master_worker_run() {
         .collect();
     assert_eq!(tasks.len() as u64, reports.iter().map(|r| r.map_calls).sum::<u64>());
 
-    let sim = simulate_master_worker(&free_cluster(), ranks, &tasks, 0.0);
+    let sim = simulate_master_worker(&free_cluster(), ranks, &tasks, 0.0, &Conditions::default());
     // Both the real scheduler and the DES produce work-conserving schedules
     // of the same task multiset, but they dispatch in different orders, so
     // the deterministic guarantee is Graham's list-scheduling bound: both
@@ -97,7 +100,7 @@ fn des_is_work_conserving_and_balanced() {
     // makespan exactly: ceil(n/workers) × cost.
     let tasks: Vec<Task> = (0..100).map(|i| Task { part: i % 7, cost_s: 2.0 }).collect();
     for cores in [2usize, 5, 11, 101] {
-        let r = simulate_master_worker(&free_cluster(), cores, &tasks, 0.0);
+        let r = simulate_master_worker(&free_cluster(), cores, &tasks, 0.0, &Conditions::default());
         let workers = cores - 1;
         let ideal = (100usize.div_ceil(workers)) as f64 * 2.0;
         assert!(
@@ -231,7 +234,13 @@ fn faulty_des_matches_reduced_worker_closed_form() {
     for (cores, n, c) in [(4usize, 12usize, 1.0f64), (6, 23, 2.0), (9, 40, 0.5)] {
         let tasks: Vec<Task> = (0..n).map(|i| Task { part: i % 3, cost_s: c }).collect();
         let fails = [Failure { worker: 0, at_s: 0.0 }];
-        let r = simulate_master_worker_faulty(&cluster, cores, &tasks, 0.0, &fails, 0.25);
+        let r = simulate_master_worker(
+            &cluster,
+            cores,
+            &tasks,
+            0.0,
+            &Conditions { failures: &fails, detect_s: 0.25, ..Default::default() },
+        );
         let survivors = cores - 2;
         let expect = n.div_ceil(survivors) as f64 * c;
         assert!(
@@ -248,4 +257,49 @@ fn faulty_des_matches_reduced_worker_closed_form() {
         let total: f64 = r.worker_busy.iter().sum();
         assert!((total - n as f64 * c).abs() < 1e-9, "every unit ran exactly once");
     }
+}
+
+#[test]
+fn des_pins_paper_scale_results_for_every_condition() {
+    // The paper's 80K-query nucleotide workload (8720 units) at 128 cores,
+    // once per kind of run the model offers. The expected values are exact:
+    // any change to dispatch order, load accounting or float evaluation
+    // order in the event loop shows up here.
+    let cluster = ClusterModel::ranger();
+    let scenario = BlastScenario::paper_nucleotide(80_000, 1000);
+    let (tasks, gb) = (scenario.tasks(), scenario.partition_gb);
+    let fails = [Failure { worker: 5, at_s: 500.0 }, Failure { worker: 77, at_s: 1100.0 }];
+    let stalls = [Stall { worker: 17, at_s: 600.0, dur_s: 3600.0 }];
+    let death = Some(MasterDeath { at_s: 900.0, failover_s: 60.0 });
+    let runs = [
+        ("fault-free", Conditions::default()),
+        ("affinity", Conditions { affinity: true, ..Default::default() }),
+        ("worker deaths", Conditions { failures: &fails, detect_s: 30.0, ..Default::default() }),
+        (
+            "failover",
+            Conditions { failures: &fails, detect_s: 30.0, master_death: death, ..Default::default() },
+        ),
+        ("stall", Conditions { stalls: &stalls, ..Default::default() }),
+        (
+            "stall, speculation",
+            Conditions { stalls: &stalls, suspect_after_s: Some(15.0), ..Default::default() },
+        ),
+    ];
+    // (makespan_s, redispatched, speculated, cold_loads, warm_loads)
+    let expected: [(f64, u64, usize, u64, u64); 6] = [
+        (1745.7504048091687, 0, 0, 109, 8535),
+        (1712.731076432428, 0, 0, 109, 212),
+        (1759.8619842086064, 67, 0, 109, 8611),
+        (1841.582643737192, 67, 0, 109, 8613),
+        (4215.326088709013, 0, 0, 109, 8543),
+        (1754.5026644905743, 0, 1, 109, 8544),
+    ];
+    for ((name, conditions), want) in runs.iter().zip(expected) {
+        let r = simulate_master_worker(&cluster, 128, &tasks, gb, conditions);
+        let got = (r.makespan_s, r.redispatched, r.speculated, r.cold_loads, r.warm_loads);
+        assert_eq!(got, want, "{name}");
+    }
+    let abort = simulate_master_worker_abort_restart(&cluster, 128, &tasks, gb, 900.0, 30.0);
+    let got = (abort.makespan_s, abort.redispatched, abort.cold_loads, abort.warm_loads);
+    assert_eq!(got, (2675.7504048091687, 4772, 109, 8535), "abort-restart");
 }

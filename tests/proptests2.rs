@@ -122,7 +122,7 @@ proptest! {
     #[test]
     fn des_makespan_bounds(costs in proptest::collection::vec(0.01f64..20.0, 1..80),
                            cores in 2usize..20) {
-        use perfmodel::des::{simulate_master_worker, Task};
+        use perfmodel::des::{simulate_master_worker, Conditions, Task};
         use perfmodel::ClusterModel;
         let cluster = ClusterModel {
             cold_load_s_per_gb: 0.0,
@@ -132,7 +132,7 @@ proptest! {
         };
         let tasks: Vec<Task> =
             costs.iter().map(|&c| Task { part: 0, cost_s: c }).collect();
-        let r = simulate_master_worker(&cluster, cores, &tasks, 0.0);
+        let r = simulate_master_worker(&cluster, cores, &tasks, 0.0, &Conditions::default());
         let total: f64 = costs.iter().sum();
         let longest = costs.iter().copied().fold(0.0, f64::max);
         let workers = (cores - 1) as f64;
