@@ -44,7 +44,8 @@ fn bench_collate(c: &mut Criterion) {
                             let key = (t as u64 * 37 + i) % 500;
                             kv.emit(&key.to_le_bytes(), &i.to_le_bytes());
                         }
-                    });
+                    })
+                    .expect("fault-free map");
                     mr.collate()
                 });
                 black_box(totals[0])
@@ -62,7 +63,8 @@ fn bench_reduce(c: &mut Criterion) {
                     for i in 0..200u64 {
                         kv.emit(&((t as u64 + i) % 97).to_le_bytes(), b"x");
                     }
-                });
+                })
+                .expect("fault-free map");
                 mr.collate();
                 let mut total = 0u64;
                 mr.reduce(&mut |_k, vals, _| total += vals.count() as u64);
@@ -82,6 +84,8 @@ fn bench_master_worker_dispatch(c: &mut Criterion) {
                 mr.map_tasks(1000, MapStyle::MasterWorker, &mut |_t, kv| {
                     kv.emit(b"", b"");
                 })
+                .expect("fault-free map")
+                .pairs
             });
             black_box(counts[0])
         })

@@ -223,9 +223,12 @@ fn main() {
         ));
     }
     println!(
-        "\nFailover pays detection + election + one discarded unit; \
-         abort-and-restart pays detection plus the entire run again. The \
-         later the master dies, the more failover saves.\n"
+        "\nFailover pays detection + election + one discarded unit, plus the \
+         claim gather: the successor dispatches nothing until every survivor \
+         has finished its in-flight unit and re-registered, so an early death \
+         idles the fleet for the longest unit then running. Abort-and-restart \
+         pays detection plus the entire run again. The later the master dies, \
+         the more failover saves.\n"
     );
 
     let json = format!(

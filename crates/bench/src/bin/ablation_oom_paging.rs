@@ -24,7 +24,8 @@ fn run_job(settings: Settings) -> (f64, u64, u64) {
                 let key = ((t * 160 + i) % 4000) as u64;
                 kv.emit(&key.to_le_bytes(), &[0xabu8; 64]);
             }
-        });
+        })
+        .expect("fault-free map");
         mr.collate();
         let mut groups = 0u64;
         mr.reduce(&mut |_k, vals, _| {

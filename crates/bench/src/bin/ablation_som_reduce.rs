@@ -61,7 +61,8 @@ fn run_mrsom_collate(comm: &Comm, matrix: &VectorMatrix, cfg: &MrSomConfig) -> C
                 row.push(acc.denominator[n]);
                 kv.emit(&(n as u64).to_le_bytes(), &mpisim::wire::f64s_to_bytes(&row));
             }
-        });
+        })
+        .expect("fault-free map");
 
         mr.collate();
         mr.reduce(&mut |key, values, out| {

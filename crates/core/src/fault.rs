@@ -26,9 +26,6 @@
 //!   on every rank or coordinate through the lowest *live* rank
 //!   ([`ft_root`]). The only rank-0 assumption left is at **startup**
 //!   (initializing/loading state before the first work unit is dispatched).
-//!   The legacy fail-fast behaviour — master loss aborts with a typed
-//!   [`mrmpi::SchedError::MasterDied`] — is kept behind
-//!   [`FaultConfig::abort_on_master_loss`] for the failover ablation.
 //!
 //! **Disk faults** are the other half of the fault story. Process deaths are
 //! injected with [`mpisim::FaultPlan`]; storage misbehaviour — torn writes,
@@ -72,16 +69,6 @@ impl FaultConfig {
     /// results stay bit-for-bit identical to a fault-free run.
     pub fn speculative() -> Self {
         FaultConfig { ft: FtConfig { speculate: true, ..FtConfig::default() } }
-    }
-
-    /// Defaults with **master failover disabled**: the death (or prolonged
-    /// unreachability) of the acting master aborts the run with the legacy
-    /// typed [`mrmpi::SchedError::MasterDied`] /
-    /// [`mrmpi::SchedError::MasterUnreachable`] errors instead of electing a
-    /// successor. Kept for the failover ablation (abort-and-restart versus
-    /// fail-over-in-place) and for callers that prefer fail-fast.
-    pub fn abort_on_master_loss() -> Self {
-        FaultConfig { ft: FtConfig { failover: false, ..FtConfig::default() } }
     }
 
     /// This config with the scheduler's replicated log also appended to a

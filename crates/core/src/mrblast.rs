@@ -33,7 +33,7 @@ use blast::hsp::{sort_and_truncate, Hit};
 use blast::search::{BlastSearcher, PreparedQueries};
 use blast::SearchParams;
 use mpisim::Comm;
-use mrmpi::{MapReduce, MrError, Settings};
+use mrmpi::{MapPlan, MapReduce, MrError, Settings};
 
 use crate::ckpt::{self, RestartPoint, RunFingerprint};
 use crate::fault::FaultConfig;
@@ -166,8 +166,7 @@ pub struct MrBlastRankReport {
 /// [`mrmpi::sched`]); the per-iteration restart checkpoint is written by
 /// the lowest live rank ([`crate::ckpt::record_iteration`]), so
 /// checkpointing also survives rank 0. Only startup (checkpoint load before
-/// any unit is dispatched) assumes rank 0 is alive. The legacy fail-fast
-/// behaviour is available via [`FaultConfig::abort_on_master_loss`].
+/// any unit is dispatched) assumes rank 0 is alive.
 pub fn run_mrblast(
     comm: &Comm,
     db: &BlastDb,
@@ -285,13 +284,8 @@ pub fn run_mrblast(
                 kv.emit(hit.query_id.as_bytes(), &hit.encode());
             }
         };
-        let ft_report = mr.map_tasks_ft_report_with_verdict(
-            ntasks,
-            &fault.ft,
-            affinity.as_deref(),
-            &mut map_body,
-            &mut |_, _| {},
-        )?;
+        let plan = MapPlan { affinity: affinity.as_deref(), ..(&fault.ft).into() };
+        let ft_report = mr.map_tasks(ntasks, plan, &mut map_body)?;
         // Re-encode this iteration's quarantined scheduler units (partition-
         // major within the iteration) as stable global `(block, partition)`
         // ids so the final report is meaningful across iterations.

@@ -32,7 +32,7 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use mpisim::{Comm, ReduceOp};
-use mrmpi::{MapReduce, MrError, Settings};
+use mrmpi::{MapPlan, MapReduce, MrError, Settings};
 use som::batch::{init_codebook, BatchAccumulator, BmuSums};
 use som::codebook::Codebook;
 use som::neighborhood::{sigma_schedule, SomConfig};
@@ -178,12 +178,18 @@ pub fn run_mrsom(
         // the promoted successor discards and re-dispatches. The execution
         // stages its rows and their BMUs (the panic-isolated block search);
         // a commit adds them to the rank's per-BMU sums.
-        let staged = RefCell::new(None);
+        let staged = RefCell::new(None::<(Vec<Vec<f64>>, Vec<usize>)>);
         let mut mr = MapReduce::with_settings(comm, cfg.mr_settings.clone());
-        let ft_report = mr.map_tasks_ft_report_with_verdict(
+        let mut fold = |_: usize, commit: bool| {
+            let unit = staged.borrow_mut().take();
+            let Some((inputs, bmus)) = unit.filter(|_| commit) else { return };
+            sums.borrow_mut().add_block(&bmus, &inputs);
+            *epoch_blocks.borrow_mut() += 1;
+        };
+        let plan = MapPlan { verdict: Some(&mut fold), ..(&fault.ft).into() };
+        let ft_report = mr.map_tasks(
             blocks.len(),
-            &fault.ft,
-            None,
+            plan,
             &mut |b, _kv| {
                 let (start, end) = blocks[b];
                 let t_load = Instant::now();
@@ -193,12 +199,6 @@ pub fn run_mrsom(
                 let bmus = charged(comm, &busy, || cb.bmus(&inputs));
                 *blocks_processed.borrow_mut() += 1;
                 *staged.borrow_mut() = Some((inputs, bmus));
-            },
-            &mut |_, commit| {
-                let unit = staged.borrow_mut().take();
-                let Some((inputs, bmus)) = unit.filter(|_| commit) else { return };
-                sums.borrow_mut().add_block(&bmus, &inputs);
-                *epoch_blocks.borrow_mut() += 1;
             },
         )?;
 

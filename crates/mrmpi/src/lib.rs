@@ -9,13 +9,15 @@
 //! * a [`MapReduce`] object bound to a communicator, owning at most one
 //!   distributed **KeyValue** (KV) or **KeyMultiValue** (KMV) dataset at a
 //!   time;
-//! * [`MapReduce::map_tasks`] with the three *mapstyles* of the original
-//!   library — chunked, round-robin, and the **master/worker** mode the paper
-//!   relies on for BLAST load balancing (rank 0 hands out task indices to
-//!   workers on request). There is one master-worker scheduler, and it is
-//!   fault-tolerant ([`sched`]): it survives worker and master deaths,
-//!   stragglers and poison units, and takes an optional per-call affinity
-//!   slice that makes it the locality-aware master;
+//! * [`MapReduce::map_tasks`], the one map, with the three *mapstyles* of
+//!   the original library — chunked, round-robin, and the **master/worker**
+//!   mode the paper relies on for BLAST load balancing (rank 0 hands out
+//!   task indices to workers on request). There is one master-worker
+//!   scheduler, and it is fault-tolerant ([`sched`]): it survives worker
+//!   and master deaths, stragglers and poison units, and a [`MapPlan`] with
+//!   an affinity slice makes it the locality-aware master. Its decisions
+//!   are one pure state machine, [`sched::core::Core`], which `perfmodel`'s
+//!   simulator drives too;
 //! * [`MapReduce::aggregate`] (hash-partitioned alltoallv key exchange),
 //!   [`MapReduce::convert`] (local KV → KMV grouping),
 //!   [`MapReduce::collate`] = aggregate + convert,
@@ -38,7 +40,8 @@
 //!     let mut mr = MapReduce::new(comm);
 //!     mr.map_tasks(8, MapStyle::Chunk, &mut |task, kv| {
 //!         kv.emit(&[(task % 3) as u8], b"x");
-//!     });
+//!     })
+//!     .expect("fault-free map");
 //!     mr.collate();
 //!     let mut out = Vec::new();
 //!     mr.reduce(&mut |key, values, _kv| {
@@ -64,6 +67,6 @@ pub mod spool;
 pub use durable::{DiskFaultPlan, DurableError};
 pub use kmv::KeyMultiValue;
 pub use kv::{KeyValue, KvEmitter, KvError};
-pub use mapreduce::{read_poison_log, FtMapReport, MapReduce, MrError, MultiValues};
+pub use mapreduce::{read_poison_log, FtMapReport, MapPlan, MapReduce, MrError, MultiValues};
 pub use sched::{FtConfig, FtRun, MapStyle, SchedError};
 pub use settings::Settings;

@@ -14,7 +14,7 @@ use crate::durable::{self, DurableError};
 use crate::hashfn::{fnv1a, key_owner};
 use crate::kmv::{KeyMultiValue, ValueCursor};
 use crate::kv::{decode_entry, encode_entry, validate_page, KeyValue, KvEmitter, KvError};
-use crate::sched::{assign_and_run, assign_and_run_ft_report, FtConfig, MapStyle, SchedError};
+use crate::sched::{assign_and_run, FtConfig, MapStyle, SchedError};
 use crate::settings::Settings;
 
 /// Alias for the value cursor handed to reduce callbacks.
@@ -25,11 +25,11 @@ pub type KvMapFn<'a> = dyn FnMut(&[u8], &[u8], &mut KvEmitter<'_>) + 'a;
 
 /// Typed failure of a fault-tolerant MapReduce operation.
 ///
-/// The fault-tolerant entry points ([`MapReduce::map_tasks_ft`],
-/// [`MapReduce::try_aggregate`]) guarantee that every live rank returns the
-/// same success/failure verdict: error status is itself combined with an
-/// allreduce before any rank returns, so callers can bail out consistently
-/// without stranding a peer inside a collective.
+/// The fault-tolerant entry points ([`MapReduce::map_tasks`] with
+/// [`MapStyle::MasterWorker`], [`MapReduce::try_aggregate`]) guarantee that
+/// every live rank returns the same success/failure verdict: error status is
+/// itself combined with an allreduce before any rank returns, so callers can
+/// bail out consistently without stranding a peer inside a collective.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MrError {
     /// The fault-tolerant scheduler failed (worker/master deaths beyond
@@ -129,8 +129,7 @@ pub struct MrStats {
     pub local_spills: u64,
 }
 
-/// Report of a partial-result-aware fault-tolerant map
-/// ([`MapReduce::map_tasks_ft_report`]).
+/// Report of a map ([`MapReduce::map_tasks`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FtMapReport {
     /// Global number of committed KV pairs.
@@ -138,6 +137,39 @@ pub struct FtMapReport {
     /// Quarantined (poison) unit indices of this map call, sorted; identical
     /// on every live rank.
     pub quarantined: Vec<u64>,
+}
+
+/// How one [`MapReduce::map_tasks`] call schedules its tasks. A bare
+/// [`MapStyle`] converts into a plan with the default [`FtConfig`], no
+/// affinity and no verdict hook, and a `&FtConfig` into a master-worker
+/// plan with that configuration; set the other fields with struct-update
+/// syntax, e.g. `MapPlan { affinity: Some(&parts), ..(&cfg).into() }`.
+pub struct MapPlan<'a> {
+    /// Task-to-rank assignment.
+    pub style: MapStyle,
+    /// Master-worker scheduler settings; `None` means the defaults.
+    pub ft: Option<&'a FtConfig>,
+    /// `affinity[t]` names the resource (e.g. a DB partition) task `t`
+    /// needs; a master-worker run then preferentially hands workers tasks
+    /// of the resource they already hold — the paper's proposed
+    /// locality-aware scheduler (see [`crate::sched::assign_and_run`]).
+    pub affinity: Option<&'a [usize]>,
+    /// Called as `verdict(task, commit)` once per completed execution, as
+    /// its staged output is published (`true`) or dropped (`false`).
+    pub verdict: Option<&'a mut dyn FnMut(usize, bool)>,
+}
+
+impl From<MapStyle> for MapPlan<'_> {
+    fn from(style: MapStyle) -> Self {
+        MapPlan { style, ft: None, affinity: None, verdict: None }
+    }
+}
+
+/// A scheduler configuration implies the master-worker style.
+impl<'a> From<&'a FtConfig> for MapPlan<'a> {
+    fn from(ft: &'a FtConfig) -> Self {
+        MapPlan { ft: Some(ft), ..MapStyle::MasterWorker.into() }
+    }
 }
 
 /// Append `units` to the durable poison log at `path` (one 8-byte
@@ -261,120 +293,53 @@ impl<'c> MapReduce<'c> {
 
     // ------------------------------------------------------------------ map
 
-    /// Collective. Run `ntasks` map tasks distributed per `style`, replacing
-    /// any existing dataset with the emitted KV. Returns the *global* number
-    /// of emitted pairs.
+    /// Collective. Run `ntasks` map tasks scheduled per `plan`, replacing
+    /// any existing dataset with the emitted KV. The map callback receives
+    /// the global task index and an emitter. A bare [`MapStyle`] is a plan
+    /// with the default [`FtConfig`], no affinity and no verdict hook.
     ///
-    /// The map callback receives the global task index and an emitter.
-    /// `MasterWorker` runs through the fault-tolerant scheduler
-    /// ([`MapReduce::map_tasks_ft`] with default settings).
+    /// `Chunk` and `RoundRobin` emit straight into the KV. `MasterWorker`
+    /// runs the fault-tolerant scheduler ([`crate::sched::assign_and_run`]):
+    /// worker deaths are detected, their units (in flight *and* already
+    /// completed — the emitted pairs died with the rank) are re-dispatched
+    /// to survivors, and the run ends with a cross-rank reconciliation
+    /// proving every unit contributed to the surviving output exactly once.
+    /// Every live rank returns the same `Ok`/`Err` verdict; on `Err` the
+    /// engine holds no KV dataset.
     ///
-    /// # Panics
-    /// Panics if the master-worker map fails with a typed [`MrError`].
-    pub fn map_tasks(
-        &mut self,
-        ntasks: usize,
-        style: MapStyle,
-        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
-    ) -> u64 {
-        if style == MapStyle::MasterWorker {
-            return self
-                .map_tasks_ft(ntasks, &FtConfig::default(), f)
-                .unwrap_or_else(|e| panic!("master-worker map failed: {e}"));
-        }
-        if let Some(old) = self.kmv.take() {
-            self.retire_kmv(&old);
-        }
-        if let Some(old) = self.kv.take() {
-            self.retire_kv(&old);
-        }
-        let (_span, spills0) = self.obs_phase("mr.map");
-        let mut kv = KeyValue::new(&self.settings);
-        assign_and_run(self.comm, ntasks, style, |task| {
-            let mut em = KvEmitter::new(&mut kv);
-            f(task, &mut em);
-        });
-        let local = kv.npairs();
-        self.kv = Some(kv);
-        self.obs_phase_end(spills0, local);
-        self.global_count(local)
-    }
-
-    /// Collective. The master-worker map, scheduled **fault-tolerantly**
-    /// (and, unlike [`MapReduce::map_tasks`], reporting failure as a typed
-    /// error instead of panicking): worker deaths are detected,
-    /// their units (in flight *and* already completed — the emitted pairs
-    /// died with the rank) are re-dispatched to survivors, and the run ends
-    /// with a cross-rank reconciliation proving every unit contributed to
-    /// the surviving output exactly once.
+    /// A master-worker unit that keeps panicking is *quarantined* (after
+    /// [`FtConfig::poison_retries`] attempts) instead of failing the run,
+    /// and the returned report names every quarantined unit on every rank;
+    /// a caller that cannot accept a partial result checks
+    /// [`FtMapReport::quarantined`] itself. When [`Settings::poison_log`] is
+    /// set, the final acting master also appends the quarantined units to
+    /// that durable CRC-framed log.
     ///
-    /// Every live rank returns the same `Ok`/`Err` verdict. On `Err` the
-    /// engine holds no KV dataset. A quarantined (poison) unit is an error
-    /// for this strict entry point — use [`MapReduce::map_tasks_ft_report`]
-    /// to accept an explicit partial result instead.
-    ///
-    /// Returns the global number of emitted pairs on the surviving ranks.
-    pub fn map_tasks_ft(
-        &mut self,
-        ntasks: usize,
-        cfg: &FtConfig,
-        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
-    ) -> Result<u64, MrError> {
-        let report = self.map_tasks_ft_report(ntasks, cfg, f)?;
-        if !report.quarantined.is_empty() {
-            return Err(MrError::DataLost {
-                what: "map units quarantined as poison",
-                expected: ntasks as u64,
-                got: ntasks as u64 - report.quarantined.len() as u64,
-            });
-        }
-        Ok(report.pairs)
-    }
-
-    /// Collective. The partial-result-aware fault-tolerant map: like
-    /// [`MapReduce::map_tasks_ft`], but a work unit that keeps panicking is
-    /// *quarantined* (after [`FtConfig::poison_retries`] attempts) instead of
-    /// failing the run, and the returned report names every quarantined unit
-    /// on every rank. When [`Settings::poison_log`] is set, the final acting
-    /// master (rank 0 unless a failover promoted a successor) also appends
-    /// the quarantined units to that durable CRC-framed log.
-    ///
-    /// Map emissions are **staged** per unit and only published when the
-    /// master's first-result-wins verdict commits them, so with speculative
-    /// re-execution ([`FtConfig::speculate`]) the surviving output is
-    /// bit-for-bit what a fault-free run produces.
-    pub fn map_tasks_ft_report(
-        &mut self,
-        ntasks: usize,
-        cfg: &FtConfig,
-        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
-    ) -> Result<FtMapReport, MrError> {
-        self.map_tasks_ft_report_with_verdict(ntasks, cfg, None, f, &mut |_, _| {})
-    }
-
-    /// [`MapReduce::map_tasks_ft_report`] with the scheduler's per-execution
-    /// arbitration exposed: `on_verdict(unit, commit)` fires exactly once per
-    /// completed execution of `f`, right as its staged KV is published
+    /// Master-worker emissions are **staged** per unit and only published
+    /// when the master's first-result-wins verdict commits them, so with
+    /// speculative re-execution ([`FtConfig::speculate`]) the surviving
+    /// output is bit-for-bit what a fault-free run produces.
+    /// [`MapPlan::verdict`] exposes that arbitration: it fires exactly once
+    /// per completed execution of `f`, right as its staged KV is published
     /// (`true`) or dropped (`false` — a speculative backup won, or the unit
     /// was carried unarbitrated across a master failover and discarded).
-    ///
     /// Map callbacks whose result lives *outside* the KV (e.g. a local
     /// numeric accumulator) must buffer per execution and fold on
-    /// `commit == true` only; folding at execution time double-counts any
-    /// execution the scheduler later discards.
+    /// `commit == true` only.
     ///
-    /// `affinity[t]`, when given, names the resource (e.g. a DB partition)
-    /// unit `t` needs; workers then preferentially receive units of the
-    /// resource they already hold — the paper's proposed locality-aware
-    /// scheduler (see [`crate::sched::assign_and_run_ft_report`]).
-    pub fn map_tasks_ft_report_with_verdict(
+    /// Returns the global number of emitted (committed) pairs.
+    pub fn map_tasks<'p>(
         &mut self,
         ntasks: usize,
-        cfg: &FtConfig,
-        affinity: Option<&[usize]>,
+        plan: impl Into<MapPlan<'p>>,
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
-        on_verdict: &mut dyn FnMut(usize, bool),
     ) -> Result<FtMapReport, MrError> {
+        let MapPlan { style, ft, affinity, mut verdict } = plan.into();
+        let mut on_verdict = |unit: usize, commit: bool| {
+            if let Some(v) = verdict.as_deref_mut() {
+                v(unit, commit);
+            }
+        };
         if let Some(old) = self.kmv.take() {
             self.retire_kmv(&old);
         }
@@ -382,22 +347,31 @@ impl<'c> MapReduce<'c> {
             self.retire_kv(&old);
         }
         let (_span, spills0) = self.obs_phase("mr.map");
+        if style != MapStyle::MasterWorker {
+            let mut kv = KeyValue::new(&self.settings);
+            let run = &mut |task| f(task, &mut KvEmitter::new(&mut kv));
+            let cfg = FtConfig::default();
+            assign_and_run(self.comm, ntasks, style, &cfg, affinity, run, &mut on_verdict)
+                .expect("static mapstyles cannot fail");
+            let local = kv.npairs();
+            self.kv = Some(kv);
+            self.obs_phase_end(spills0, local);
+            return Ok(FtMapReport { pairs: self.global_count(local), quarantined: Vec::new() });
+        }
         let kv = std::cell::RefCell::new(KeyValue::new(&self.settings));
         let staging: std::cell::RefCell<Option<KeyValue>> = std::cell::RefCell::new(None);
         let settings = self.settings.clone();
-        // Master failover must be enabled in both the scheduler config and
-        // the engine settings; the scheduler log shares the engine's disk
-        // fault plan unless the caller installed its own.
-        let mut cfg = cfg.clone();
-        cfg.failover = cfg.failover && self.settings.master_failover;
+        // The scheduler log shares the engine's disk fault plan unless the
+        // caller installed its own.
+        let mut cfg = ft.cloned().unwrap_or_default();
         if cfg.log_faults.is_none() {
             cfg.log_faults = self.settings.disk_faults.clone();
         }
-        let cfg = &cfg;
-        let sched = assign_and_run_ft_report(
+        let sched = assign_and_run(
             self.comm,
             ntasks,
-            cfg,
+            style,
+            &cfg,
             affinity,
             &mut |task| {
                 let mut skv = KeyValue::new(&settings);
@@ -1104,7 +1078,8 @@ mod tests {
                     for w in docs[t].split_whitespace() {
                         kv.emit(w.as_bytes(), &1u64.to_le_bytes());
                     }
-                });
+                })
+                .expect("fault-free map");
                 mr.collate();
                 let mut counts: Vec<(String, usize)> = Vec::new();
                 mr.reduce(&mut |key, vals, _| {
@@ -1132,7 +1107,8 @@ mod tests {
             let mut mr = MapReduce::new(comm);
             mr.map_tasks(40, MapStyle::Chunk, &mut |t, kv| {
                 kv.emit(&[(t % 10) as u8], &(t as u64).to_le_bytes());
-            });
+            })
+            .expect("fault-free map");
             let groups = mr.collate();
             assert_eq!(groups, 10);
             let mut local_keys = Vec::new();
@@ -1153,7 +1129,8 @@ mod tests {
             let mut mr = MapReduce::new(comm);
             mr.map_tasks(6, MapStyle::Chunk, &mut |t, kv| {
                 kv.emit(&[t as u8], &[t as u8]);
-            });
+            })
+            .expect("fault-free map");
             mr.map_kv(&mut |k, v, out| {
                 // Duplicate each pair with doubled value.
                 out.emit(k, v);
@@ -1171,7 +1148,8 @@ mod tests {
             mr.map_tasks(2, MapStyle::RoundRobin, &mut |_, kv| {
                 kv.emit(b"k", b"1");
                 kv.emit(b"k", b"1");
-            });
+            })
+            .expect("fault-free map");
             mr.compress(&mut |key, vals, out| {
                 let n = vals.count() as u64;
                 out.emit(key, &n.to_le_bytes());
@@ -1189,7 +1167,8 @@ mod tests {
                 kv.emit(b"zebra", b"");
                 kv.emit(b"apple", b"");
                 kv.emit(b"mango", b"");
-            });
+            })
+            .expect("fault-free map");
             mr.sort_keys(|a, b| a.cmp(b));
             let mut keys = Vec::new();
             mr.kv_for_each(|k, _| keys.push(k.to_vec()));
@@ -1204,7 +1183,8 @@ mod tests {
             let mut mr = MapReduce::new(comm);
             mr.map_tasks(8, MapStyle::RoundRobin, &mut |t, kv| {
                 kv.emit(&[t as u8], b"v");
-            });
+            })
+            .expect("fault-free map");
             let total = mr.gather(2);
             assert_eq!(total, 8);
             mr.kv_local_count()
@@ -1221,7 +1201,8 @@ mod tests {
                 let mut mr = MapReduce::with_settings(comm, settings.clone());
                 mr.map_tasks(60, MapStyle::Chunk, &mut |t, kv| {
                     kv.emit(&[(t % 7) as u8], &(t as u64).to_le_bytes());
-                });
+                })
+                .expect("fault-free map");
                 mr.collate();
                 let mut out: Vec<(u8, Vec<u64>)> = Vec::new();
                 mr.reduce(&mut |key, vals, _| {
@@ -1249,6 +1230,8 @@ mod tests {
             mr.map_tasks(30, MapStyle::MasterWorker, &mut |t, kv| {
                 kv.emit(&(t as u64).to_le_bytes(), b"done");
             })
+            .expect("fault-free map")
+            .pairs
         });
         assert_eq!(results, vec![30, 30, 30, 30]);
     }
@@ -1259,7 +1242,8 @@ mod tests {
             let mut mr = MapReduce::new(comm);
             mr.map_tasks(9, MapStyle::RoundRobin, &mut |t, kv| {
                 kv.emit(&[(t % 3) as u8], b"");
-            });
+            })
+            .expect("fault-free map");
             let s1 = mr.stats();
             mr.collate();
             let s2 = mr.stats();
@@ -1291,27 +1275,30 @@ mod tests {
     use mpisim::{FaultPlan, RankOutcome};
 
     #[test]
-    fn map_tasks_ft_without_faults_matches_map_tasks() {
+    fn master_worker_map_with_a_config_matches_the_bare_style() {
         let results = World::new(4).run(|comm| {
             let mut mr = MapReduce::new(comm);
-            mr.map_tasks_ft(30, &FtConfig::default(), &mut |t, kv| {
+            mr.map_tasks(30, &FtConfig::default(), &mut |t, kv| {
                 kv.emit(&(t as u64).to_le_bytes(), b"done");
             })
             .expect("no faults injected")
+            .pairs
         });
         assert_eq!(results, vec![30, 30, 30, 30]);
     }
 
     #[test]
-    fn map_tasks_ft_recovers_all_pairs_after_a_worker_death() {
+    fn master_worker_map_recovers_all_pairs_after_a_worker_death() {
         // Rank 2 dies on its first operation; every one of the 24 units must
         // still contribute exactly one pair to the surviving global KV.
         let plan = FaultPlan::new(17).kill(2, 0.0);
         let outcomes = World::new(4).with_faults(plan).run_faulty(|comm| {
             let mut mr = MapReduce::new(comm);
-            let n = mr.map_tasks_ft(24, &FtConfig::default(), &mut |t, kv| {
-                kv.emit(&(t as u64).to_le_bytes(), b"x");
-            })?;
+            let n = mr
+                .map_tasks(24, &FtConfig::default(), &mut |t, kv| {
+                    kv.emit(&(t as u64).to_le_bytes(), b"x");
+                })?
+                .pairs;
             // The shuffle must also conserve all 24 pairs.
             let after = mr.try_aggregate()?;
             Ok::<(u64, u64), MrError>((n, after))
@@ -1331,11 +1318,11 @@ mod tests {
     }
 
     #[test]
-    fn map_tasks_ft_reports_consistent_error_when_all_workers_die() {
+    fn master_worker_map_reports_consistent_error_when_all_workers_die() {
         let plan = FaultPlan::new(29).kill(1, 0.0).kill(2, 0.0);
         let outcomes = World::new(3).with_faults(plan).run_faulty(|comm| {
             let mut mr = MapReduce::new(comm);
-            mr.map_tasks_ft(8, &FtConfig::default(), &mut |_, kv| kv.emit(b"k", b"v"))
+            mr.map_tasks(8, &FtConfig::default(), &mut |_, kv| kv.emit(b"k", b"v"))
         });
         match &outcomes[0] {
             RankOutcome::Done(Err(MrError::Sched(SchedError::AllWorkersDead))) => {}
@@ -1344,7 +1331,7 @@ mod tests {
     }
 
     #[test]
-    fn map_tasks_ft_report_quarantines_poison_and_logs_durably() {
+    fn master_worker_map_quarantines_poison_and_logs_durably() {
         let dir = std::env::temp_dir().join(format!("mrmpi-poison-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let log = dir.join("poison.log");
@@ -1355,7 +1342,7 @@ mod tests {
             move |comm| {
             let settings = Settings { poison_log: Some(log.clone()), ..Settings::default() };
             let mut mr = MapReduce::with_settings(comm, settings);
-            let report = mr.map_tasks_ft_report(16, &FtConfig::default(), &mut |t, kv| {
+            let report = mr.map_tasks(16, &FtConfig::default(), &mut |t, kv| {
                 kv.emit(&(t as u64).to_le_bytes(), b"x");
             })?;
             Ok::<FtMapReport, MrError>(report)
@@ -1373,15 +1360,16 @@ mod tests {
         }
         // The quarantine survives the run in the durable CRC-framed log.
         assert_eq!(read_poison_log(&log).unwrap(), vec![3, 9]);
-        // The strict entry point refuses partial results with a typed error.
+        // A single-rank world quarantines through the same core and reports
+        // the partial result the same way.
         let plan = FaultPlan::new(7).poison(5);
-        let outcomes = World::new(2).with_faults(plan).run_faulty(|comm| {
+        let outcomes = World::new(1).with_faults(plan).run_faulty(|comm| {
             let mut mr = MapReduce::new(comm);
-            mr.map_tasks_ft(8, &FtConfig::default(), &mut |_, kv| kv.emit(b"k", b"v"))
+            mr.map_tasks(8, &FtConfig::default(), &mut |_, kv| kv.emit(b"k", b"v"))
         });
         match &outcomes[0] {
-            RankOutcome::Done(Err(MrError::DataLost { expected: 8, got: 7, .. })) => {}
-            other => panic!("strict entry point: {other:?}"),
+            RankOutcome::Done(Ok(FtMapReport { pairs: 7, quarantined })) if quarantined == &[5] => {}
+            other => panic!("single-rank quarantine: {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1399,7 +1387,7 @@ mod tests {
                 move |comm| {
                 let settings = Settings { poison_log: Some(log.clone()), ..Settings::default() };
                 let mut mr = MapReduce::with_settings(comm, settings);
-                mr.map_tasks_ft_report(6, &FtConfig::default(), &mut |t, kv| {
+                mr.map_tasks(6, &FtConfig::default(), &mut |t, kv| {
                     kv.emit(&[t as u8], b"v");
                 })
             }});
@@ -1415,7 +1403,8 @@ mod tests {
             let mut mr = MapReduce::new(comm);
             mr.map_tasks(12, MapStyle::RoundRobin, &mut |t, kv| {
                 kv.emit(&[(t % 5) as u8], &(t as u64).to_le_bytes());
-            });
+            })
+            .expect("fault-free map");
             let n = mr.try_aggregate().expect("healthy world");
             // All pairs for one key live on one rank now.
             let mut local = std::collections::HashMap::<u8, usize>::new();

@@ -11,79 +11,59 @@
 //!   "such that each worker is kept occupied as long as there are remaining
 //!   work units", because BLAST work-unit runtimes are highly skewed.
 //!
-//! There is one master-worker scheduler, and it is fault-tolerant
-//! ([`assign_and_run_ft_report`]): it survives worker and master deaths,
-//! stragglers and poison units, and with a per-call affinity slice it is
-//! also the locality-aware master. `MapStyle::MasterWorker` runs through it.
+//! [`assign_and_run`] is the one entry point for all three. The
+//! master-worker scheduler is fault-tolerant: it survives worker and master
+//! deaths, stragglers and poison units, and with a per-call affinity slice
+//! it is also the locality-aware master. Its decisions live in one pure
+//! state machine, [`core::Core`]; this module is the IO shell that drives
+//! it from mpisim messages and the fault board, and `perfmodel`'s
+//! discrete-event simulator drives the same core from its event queue.
 //!
-//! In a world of one rank every style degenerates to running all tasks
-//! locally.
+//! In a world of one rank every style runs all tasks locally.
 
-use std::time::Duration;
+pub mod core;
+
+use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 use mpisim::{Comm, MpiError, ANY_SOURCE};
+
+use self::core::{Code, Core, Out, Outcome, Policy, Record, Takeover, Verdict};
+use self::core::{LOG_COMMIT, LOG_DISCARD, LOG_DISPATCH, LOG_FENCE, LOG_QUARANTINE};
 
 /// Tag for a worker's "give me work" request.
 const TAG_REQ: u32 = 0x4D52_0001;
 /// Tag for the master's task assignment / termination reply.
 const TAG_TASK: u32 = 0x4D52_0002;
 
-/// Sentinel index meaning "no more tasks".
+// Sentinel codes: "no more tasks", "the run is abandoned", "no unit
+// completed yet"; a `completed` value confirming receipt of DONE/ABORT (the
+// master answers retransmissions until every live worker said farewell, so
+// a dropped termination reply cannot strand one); a reply telling a parked
+// worker "no work yet, but I am alive" (resetting its retry budget); and
+// the sequence number of a one-way progress beacon ([`ft_beacon`]).
 const DONE: u64 = u64::MAX;
-/// Sentinel index meaning "the run is being abandoned" (fault-tolerant
-/// scheduler only).
 const ABORT: u64 = u64::MAX - 1;
-/// Sentinel for "no unit completed yet" in a worker's request.
 const NO_UNIT: u64 = u64::MAX - 2;
-/// Sentinel `completed` value confirming receipt of `DONE`/`ABORT`
-/// (fault-tolerant scheduler only). The master keeps answering
-/// retransmissions until every live worker has said farewell, so a dropped
-/// termination reply cannot strand a worker.
 const FAREWELL: u64 = u64::MAX - 3;
-/// Sentinel reply telling a parked worker "no work yet, but I am alive"
-/// (fault-tolerant scheduler only); resets the worker's retry budget so a
-/// long-running unit elsewhere cannot exhaust it.
 const WAIT: u64 = u64::MAX - 4;
-/// Sentinel sequence number marking a one-way progress beacon
-/// ([`ft_beacon`]): the master refreshes the sender's heartbeat deadline and
-/// sends no reply, bypassing the request/seq dedup machinery entirely.
 const BEACON: u64 = u64::MAX - 5;
 
-/// Worker-request completion flags (third word of the request).
+// A request's completion flag: none, ran clean (its staged output awaits a
+// verdict), or panicked (nothing staged).
 const FLAG_NONE: u64 = 0;
-/// The reported unit ran to completion; its staged output awaits a verdict.
 const FLAG_OK: u64 = 1;
-/// The reported unit panicked (or was poison-injected); nothing is staged.
 const FLAG_PANIC: u64 = 2;
 
-/// Master-reply verdicts (third word of the reply) for the completion the
-/// worker reported in the request being answered.
+// A reply's verdict on the completion its request reported.
 const V_NONE: u64 = 0;
-/// First result for the unit: publish the staged output.
 const V_COMMIT: u64 = 1;
-/// A backup (or the primary) already won the unit: drop the staged output.
 const V_DISCARD: u64 = 2;
 
-// Scheduler-log record kinds. Every master state transition is journaled as
-// one `[round, lsn, kind, unit, worker]` record — appended to the durable
-// log ([`FtConfig::log_path`]) and mirrored to the standby rank by
-// piggybacking on reply traffic ([`FtConfig::mirror`]), so an elected
-// successor can replay the acting master's accounting.
-/// A unit was handed to a worker (primary or speculative dispatch).
-const LOG_DISPATCH: u64 = 1;
-/// A completion won its unit; the worker's staged output was published.
-const LOG_COMMIT: u64 = 2;
-/// A completion lost arbitration; its staged output was dropped.
-const LOG_DISCARD: u64 = 3;
-/// The unit exhausted its poison retries and was quarantined.
-const LOG_QUARANTINE: u64 = 4;
-/// A silent straggler was fenced off the run after losing to a backup.
-const LOG_FENCE: u64 = 5;
-
-/// Words per scheduler-log record: `[round, lsn, kind, unit, worker]`.
+/// Words per scheduler-log record on the wire and on disk:
+/// `[round, lsn, kind, unit, worker]`.
 const LOG_REC_WORDS: usize = 5;
-/// Cap on log records piggybacked onto one reply, bounding message size;
-/// the remainder follows on subsequent replies.
+/// Cap on log records piggybacked onto one reply; the rest follow later.
 const MAX_PIGGYBACK: usize = 32;
 /// Words of a reply frame before the piggybacked log records:
 /// `[seq_echo, code, verdict, epoch, nrec]`.
@@ -112,46 +92,11 @@ pub enum MapStyle {
     MasterWorker,
 }
 
-/// Execute `run(task)` for every task index this rank is responsible for.
-/// Returns the task indices executed locally, in execution order.
-///
-/// `MasterWorker` runs through the fault-tolerant scheduler
-/// ([`assign_and_run_ft`]) with default settings and panics only if that
-/// scheduler reports a typed [`SchedError`].
-pub fn assign_and_run(
-    comm: &Comm,
-    ntasks: usize,
-    style: MapStyle,
-    mut run: impl FnMut(usize),
-) -> Vec<usize> {
-    let size = comm.size();
-    let rank = comm.rank();
-    let mine: Vec<usize> = match style {
-        _ if size == 1 => (0..ntasks).collect(),
-        MapStyle::Chunk => (rank * ntasks / size..(rank + 1) * ntasks / size).collect(),
-        MapStyle::RoundRobin => (rank..ntasks).step_by(size).collect(),
-        MapStyle::MasterWorker => {
-            return assign_and_run_ft(comm, ntasks, &FtConfig::default(), run)
-                .unwrap_or_else(|e| panic!("master-worker scheduling failed: {e}"));
-        }
-    };
-    for &t in &mine {
-        run(t);
-    }
-    mine
-}
-
-// ----------------------------------------------------------------------
-// Fault-tolerant master-worker scheduling
-// ----------------------------------------------------------------------
-
-/// Tuning knobs of the fault-tolerant scheduler ([`assign_and_run_ft`]).
+/// Tuning knobs of the fault-tolerant master-worker scheduler.
 #[derive(Debug, Clone)]
 pub struct FtConfig {
-    /// Per-request wall-clock timeout for a worker waiting on the master's
-    /// reply (and for the master waiting on requests). This is the liveness
-    /// backstop that bounds every blocking wait; it is not charged to the
-    /// virtual clock.
+    /// Wall-clock timeout of one wait for a reply (or, on the master, for a
+    /// request): the liveness backstop bounding every blocking wait.
     pub rpc_timeout: Duration,
     /// How many times a worker re-sends one request before concluding the
     /// master is unreachable.
@@ -159,45 +104,29 @@ pub struct FtConfig {
     /// How many times one work unit may be dispatched (first dispatch
     /// included) before the master aborts the whole run.
     pub max_attempts: usize,
-    /// Enable speculative re-execution of units stuck on *suspected*
-    /// (heartbeat-silent) workers. Off by default: speculation trades spare
-    /// cycles for tail latency and is only worthwhile when stragglers are
-    /// expected.
+    /// Speculatively re-execute units stuck on *suspected* workers. Off by
+    /// default: it trades spare cycles for tail latency.
     pub speculate: bool,
-    /// Heartbeat deadline of the failure detector: a worker with a unit in
-    /// flight that has been silent (no request, no beacon) for this long is
-    /// declared *suspected*. Wall-clock, like [`FtConfig::rpc_timeout`].
+    /// Heartbeat deadline: a worker with a unit in flight that has been
+    /// silent (no request, no beacon) this long is *suspected*.
     pub suspect_after: Duration,
-    /// Initial backoff between speculative launches of the same unit; it
-    /// doubles after each launch so a genuinely slow unit does not fan out
-    /// across every idle worker.
+    /// Initial backoff between backups of one unit; doubles per launch.
     pub spec_backoff: Duration,
     /// How many times one unit may panic before it is *quarantined* (dropped
     /// from the run and reported) instead of retried. Must stay below
     /// [`FtConfig::max_attempts`] or the run aborts before quarantine fires.
     pub poison_retries: usize,
-    /// Treat the master as a *role*, not a rank (the default). When the
-    /// acting master dies — or stalls past a worker's whole retry budget —
-    /// survivors depose it and elect the lowest eligible rank as successor,
-    /// which replays the scheduler log, gathers the survivors' commit
-    /// claims, and resumes dispatch. When `false`, master loss keeps the
-    /// legacy fail-fast behaviour: workers return
-    /// [`SchedError::MasterDied`] / [`SchedError::MasterUnreachable`].
-    pub failover: bool,
     /// Mirror scheduler-log records to the standby (the lowest eligible
-    /// non-master rank) by piggybacking them on reply traffic, so a
-    /// successor can replay accounting without a durable log. Only
-    /// meaningful with [`FtConfig::failover`]; on by default.
+    /// non-master rank) on reply traffic, so a successor can replay them
+    /// without a durable log. On by default.
     pub mirror: bool,
-    /// Durable scheduler-log file: every master state transition is
-    /// appended as a CRC-framed record through [`crate::durable`]. A
-    /// successor master replays the longer of this file and its mirrored
-    /// copy. `None` (the default) relies on mirroring alone.
+    /// Durable scheduler-log file of CRC-framed records; a successor
+    /// replays the longer of it and its mirrored copy. `None` (the
+    /// default) relies on mirroring alone.
     pub log_path: Option<std::path::PathBuf>,
-    /// Seeded disk-fault plan consulted on scheduler-log appends, letting
-    /// chaos campaigns tear or corrupt the log itself. Log damage is never
-    /// fatal: replay recovers the valid prefix and the claim gather covers
-    /// the rest.
+    /// Seeded disk-fault plan for scheduler-log appends. Log damage is
+    /// never fatal: replay recovers the valid prefix and the claim gather
+    /// covers the rest.
     pub log_faults: Option<std::sync::Arc<crate::durable::DiskFaultPlan>>,
 }
 
@@ -211,7 +140,6 @@ impl Default for FtConfig {
             suspect_after: Duration::from_millis(500),
             spec_backoff: Duration::from_millis(300),
             poison_retries: 3,
-            failover: true,
             mirror: true,
             log_path: None,
             log_faults: None,
@@ -219,7 +147,20 @@ impl Default for FtConfig {
     }
 }
 
-/// Typed failure of a fault-tolerant scheduled run.
+impl FtConfig {
+    /// The scheduling policy these knobs give [`core::Core`].
+    pub fn policy(&self) -> Policy {
+        Policy {
+            max_attempts: self.max_attempts,
+            poison_retries: self.poison_retries,
+            speculate: self.speculate,
+            suspect_after: self.suspect_after.as_secs_f64(),
+            spec_backoff: self.spec_backoff.as_secs_f64(),
+        }
+    }
+}
+
+/// Typed failure of a master-worker scheduled run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
     /// The master exhausted [`FtConfig::max_attempts`] dispatches of `unit`
@@ -228,9 +169,9 @@ pub enum SchedError {
         /// The unit that kept failing.
         unit: u64,
     },
-    /// A worker could not reach the master within its retry budget.
+    /// No rank was left to take over an unreachable master.
     MasterUnreachable,
-    /// The master rank died; workers cannot make progress.
+    /// The master died and no rank was left to take over.
     MasterDied,
     /// Every worker died before all units completed.
     AllWorkersDead,
@@ -251,13 +192,13 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
-/// Outcome of a fault-tolerant scheduled run ([`assign_and_run_ft_report`]).
+/// Outcome of a scheduled run ([`assign_and_run`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FtRun {
-    /// Unit indices whose output this rank *committed* (first-result-wins),
-    /// in execution order. Empty on a rank that only ever held the master
-    /// role; a worker elected master mid-run keeps the units it committed
-    /// while it was serving.
+    /// Unit indices whose output this rank *committed*, in execution order.
+    /// Empty on a rank that only ever held the master role; a worker
+    /// elected master mid-run keeps the units it committed while it was
+    /// serving.
     pub units: Vec<usize>,
     /// Units quarantined as poison (each panicked
     /// [`FtConfig::poison_retries`] times), sorted. Populated on the *final
@@ -266,91 +207,56 @@ pub struct FtRun {
     pub quarantined: Vec<u64>,
 }
 
-/// Dynamic master-worker scheduling that survives worker deaths, stragglers,
-/// and poison work units.
+/// Execute `run(unit)` for every unit this rank is responsible for under
+/// `style`, calling `verdict(unit, commit)` exactly once per completed
+/// execution to publish (`true`) or drop (`false`) what it staged.
 ///
-/// Protocol (at-least-once RPC with master-side dedup, so dropped or delayed
-/// messages are harmless):
+/// `Chunk` and `RoundRobin` assign units statically; every execution
+/// commits. `MasterWorker` is dynamic master-worker scheduling that
+/// survives worker deaths, master deaths, stragglers and poison units;
+/// every decision is [`core::Core`]'s (see its docs for the rules), and
+/// this module carries them over an at-least-once RPC with master-side
+/// dedup, so dropped or delayed messages are harmless:
 ///
-/// * a worker's request carries `[seq, completed, flag, epoch, generation,
-///   nclaims, claims…]`: `flag` says whether `completed` ran clean
-///   (`FLAG_OK`) or panicked (`FLAG_PANIC`); `epoch` is the rank the worker
-///   believes holds the master role (the fencing tag); `generation` is the
-///   sender's incarnation number (a restarted rank's stale traffic is
-///   fenced by it); the claim list — the units this worker has committed —
-///   rides only on the first request to each new master. The worker
-///   re-sends the same request on timeout and the master de-duplicates by
-///   `seq` (re-sending its cached reply), so a completion is recorded
-///   exactly once;
-/// * the master's reply carries `[seq_echo, code, verdict, epoch, nrec,
-///   records…]`: `code` is a unit index, `DONE`, or `ABORT`; `verdict`
-///   arbitrates the reported completion (`V_COMMIT` publishes the staged
-///   output, `V_DISCARD` drops it — a backup already won); `epoch` fences
-///   replies from a deposed zombie ex-master; the trailing records mirror
-///   the scheduler log to the standby rank. The worker discards replies
-///   whose echo or epoch does not match.
-/// * workers may additionally send one-way `[BEACON, …]` progress beacons
-///   mid-unit ([`ft_beacon`]) to keep the failure detector's heartbeat
-///   deadline at bay during long compute phases.
+/// * a worker's request is `[seq, completed, flag, epoch, generation,
+///   nclaims, claims…]`: `flag` says whether `completed` ran clean or
+///   panicked; `epoch` is the rank the worker believes holds the master
+///   role; `generation` is the sender's incarnation (a restarted rank's
+///   stale traffic is fenced by it); the claims — the units this worker
+///   has committed — ride only on the first request to each new master.
+///   The worker re-sends a request on timeout and the master answers a
+///   duplicate `seq` from its reply cache;
+/// * the master's reply is `[seq_echo, code, verdict, epoch, nrec,
+///   records…]`: `code` is a unit index, `DONE` or `ABORT`; `verdict`
+///   publishes or drops the reported completion's staged output; `epoch`
+///   fences a deposed zombie ex-master; the records mirror the scheduler
+///   log to the standby rank;
+/// * workers may send one-way progress beacons mid-unit ([`ft_beacon`]).
 ///
-/// Fault handling (fail-stop deaths are detected perfectly via the fault
-/// board; *stragglers* only via heartbeat silence):
+/// The master is a *role*, not a rank: when the acting master dies — or
+/// stalls past a worker's whole retry budget and is *deposed* on the fault
+/// board — the survivors elect the lowest eligible rank (alive, never
+/// died, not departed or deposed this round). Eligibility only shrinks, so
+/// elected ranks strictly increase within a round and every rank converges
+/// on the same master; its rank is the fencing epoch. The successor
+/// replays the scheduler log (the durable file or its standby mirror),
+/// credits departed ranks' manifests and gathers every survivor's claims
+/// before it dispatches again, so output stays bit-for-bit that of a
+/// fault-free run. A restarted rank rejoins as a fresh incarnation.
 ///
-/// * a confirmed-dead worker's units — in flight **and** committed (the
-///   emitted pairs died with the rank) — go back in the queue;
-/// * with [`FtConfig::speculate`], a worker silent past
-///   [`FtConfig::suspect_after`] with a unit in flight is declared
-///   *suspected*; its unit is speculatively re-dispatched to idle workers
-///   with exponential backoff. The first result wins; the loser's output is
-///   discarded by verdict, keeping output bit-for-bit identical to a
-///   fault-free run. When a backup wins and the straggler is still silent,
-///   the master *fences* it (declares it dead on the board) so it stops
-///   burning wall-clock — indistinguishable from a crash at that instant;
-/// * a unit that panics [`FtConfig::poison_retries`] times is quarantined:
-///   reported in [`FtRun::quarantined`] instead of crashing the run or
-///   aborting it — an explicit partial result;
-/// * a unit dispatched more than [`FtConfig::max_attempts`] times aborts the
-///   run with a typed error on every rank — no hang, no silent loss.
-///
-/// The master itself is a *role*, not a rank (with [`FtConfig::failover`],
-/// the default): rank 0 coordinates initially, but when the acting master
-/// dies — or stalls past a worker's whole RPC retry budget and is *deposed*
-/// on the fault board — the survivors elect the lowest eligible rank as the
-/// successor. Eligibility (alive, never died, not departed or deposed this
-/// round) is shrink-only, so elected ranks strictly increase within a round
-/// and every rank converges on the same master from local board reads; the
-/// winner's rank doubles as the fencing *epoch* carried by every message,
-/// which silences a stalled zombie ex-master's stale replies. The successor
-/// replays the replicated scheduler log (durable file and/or the mirrored
-/// copy it received as standby), merges departed ranks' manifests, then
-/// holds dispatch until every surviving worker has re-registered its
-/// committed-unit claims — so no committed unit is ever re-dispatched and
-/// the run's output stays bit-for-bit identical to a fault-free run. A
-/// restarted rank rejoins as a fresh incarnation in the current epoch and
-/// receives fresh units (its stale traffic is fenced by generation).
-/// Without failover, master loss keeps the legacy typed errors
-/// ([`SchedError::MasterDied`] / [`SchedError::MasterUnreachable`]).
-///
-/// `run(unit)` executes a unit, emitting into *staging*; `verdict(unit,
-/// commit)` is called exactly once per completed execution to publish
-/// (`true`) or drop (`false`) that staging. A panicked execution discards
-/// its partial staging before the failure is reported.
-///
-/// `affinity`, when given, names the resource (e.g. a DB partition) each
-/// unit needs: `affinity[t]` for unit `t`. The master then hands a worker a
-/// pending unit of the resource it last received, when one remains, and
-/// otherwise a unit of the resource with the most pending work, so late-run
-/// workers spread across resources instead of piling onto one. This is the
+/// `affinity[t]`, when given, names the resource (e.g. a DB partition) unit
+/// `t` needs: a worker then gets a pending unit of the resource it last
+/// received, else one of the resource with the most pending units — the
 /// locality-aware scheduler the paper proposes as future work ("distribute
 /// the work unit tuples to those ranks that have already been processing
-/// the same DB partitions"). Units requeued after a death follow the same
-/// rule.
+/// the same DB partitions"). Requeued units follow the same rule.
 ///
 /// # Panics
 /// Panics if `affinity` is given and its length is not `ntasks`.
-pub fn assign_and_run_ft_report(
+pub fn assign_and_run(
     comm: &Comm,
     ntasks: usize,
+    style: MapStyle,
     cfg: &FtConfig,
     affinity: Option<&[usize]>,
     run: &mut dyn FnMut(usize),
@@ -359,56 +265,51 @@ pub fn assign_and_run_ft_report(
     if let Some(a) = affinity {
         assert_eq!(a.len(), ntasks, "one affinity per task");
     }
-    if comm.size() == 1 {
-        return Ok(ft_run_local(comm, ntasks, cfg, run, verdict));
+    let (size, rank) = (comm.size(), comm.rank());
+    let units: Vec<usize> = match style {
+        MapStyle::MasterWorker if size == 1 => return ft_run_local(comm, ntasks, cfg, run, verdict),
+        MapStyle::MasterWorker => return ft_run(comm, ntasks, cfg, affinity, run, verdict),
+        _ if size == 1 => (0..ntasks).collect(),
+        MapStyle::Chunk => (rank * ntasks / size..(rank + 1) * ntasks / size).collect(),
+        MapStyle::RoundRobin => (rank..ntasks).step_by(size).collect(),
+    };
+    for &t in &units {
+        run(t);
+        verdict(t, true);
     }
+    Ok(FtRun { units, quarantined: Vec::new() })
+}
+
+/// The master role's state machine across failovers, for a world of at
+/// least two ranks.
+fn ft_run(
+    comm: &Comm,
+    ntasks: usize,
+    cfg: &FtConfig,
+    affinity: Option<&[usize]>,
+    run: &mut dyn FnMut(usize),
+    verdict: &mut dyn FnMut(usize, bool),
+) -> Result<FtRun, SchedError> {
     let round = comm.next_round();
     let board = comm.board();
     let me = comm.rank();
     let mut mine: Vec<usize> = Vec::new();
-    let mut mirror: Vec<[u64; LOG_REC_WORDS]> = Vec::new();
+    let mut mirror: Vec<Record> = Vec::new();
     let mut seq = 0u64;
     let (mut completed, mut flag) = (NO_UNIT, FLAG_NONE);
 
-    if !cfg.failover {
-        CURRENT_MASTER.with(|m| m.set(0));
-        return if me == 0 {
-            match ft_master_loop(comm, ntasks, cfg, affinity, round, None) {
-                MasterExit::Finished(q) => Ok(FtRun { units: Vec::new(), quarantined: q }),
-                MasterExit::Aborted(unit) => Err(SchedError::Aborted { unit }),
-                MasterExit::AllWorkersDead => Err(SchedError::AllWorkersDead),
-                // Nobody deposes a master when failover is off; treat a
-                // spurious deposition as unreachability.
-                MasterExit::Deposed => Err(SchedError::MasterUnreachable),
-            }
-        } else {
-            match ft_worker_phase(
-                comm, cfg, 0, run, verdict, &mut mine, &mut mirror, &mut seq, &mut completed,
-                &mut flag,
-            ) {
-                WorkerExit::Done => Ok(FtRun { units: mine, quarantined: Vec::new() }),
-                WorkerExit::Abort => Err(SchedError::Aborted { unit: u64::MAX }),
-                WorkerExit::MasterGone { died: true } => Err(SchedError::MasterDied),
-                WorkerExit::MasterGone { died: false } => Err(SchedError::MasterUnreachable),
-            }
-        };
-    }
-
-    // Failover: run the role state machine. `via_failover` distinguishes a
-    // takeover (commits may exist — replay and gather before dispatching)
-    // from being the round's first master.
     let Some(mut master) = board.elect_coordinator(round) else {
-        // Nobody can lead. A rejoiner that revived into a world with no
-        // coordinator left bails out empty; an original rank reports the
-        // legacy error.
-        return if comm.incarnation() > 0 {
-            Ok(FtRun::default())
-        } else {
-            Err(SchedError::MasterUnreachable)
-        };
+        // Nobody can lead: a rejoiner bails out empty, an original rank errs.
+        let rejoiner = comm.incarnation() > 0;
+        return if rejoiner { Ok(FtRun::default()) } else { Err(SchedError::MasterUnreachable) };
     };
     CURRENT_MASTER.with(|m| m.set(master));
-    let mut via_failover = false;
+    // `via_failover` distinguishes a takeover (commits may exist — replay
+    // and gather before dispatching) from being the round's first master.
+    // Elected ranks strictly increase within a round, so only rank 0 knows
+    // no master preceded it: a rank that starts late may find its first
+    // election already landing on a successor, and must take over like one.
+    let mut via_failover = master != 0;
     let mut last_died;
     loop {
         if master == me {
@@ -424,16 +325,16 @@ pub fn assign_and_run_ft_report(
             }
             let seed = via_failover.then(|| (std::mem::take(&mut mirror), mine.clone()));
             match ft_master_loop(comm, ntasks, cfg, affinity, round, seed) {
-                MasterExit::Finished(q) => {
-                    board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
-                    board.close_gate_if(|| true);
-                    return Ok(FtRun { units: mine, quarantined: q });
+                Some(outcome) => {
+                    if matches!(outcome, Outcome::Finished(_)) {
+                        board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
+                        board.close_gate_if(|| true);
+                    }
+                    return ended(outcome, mine);
                 }
-                MasterExit::Aborted(unit) => return Err(SchedError::Aborted { unit }),
-                MasterExit::AllWorkersDead => return Err(SchedError::AllWorkersDead),
                 // Peers lost patience during a stall and elected around us:
                 // step down and serve the successor as a worker.
-                MasterExit::Deposed => last_died = false,
+                None => last_died = false,
             }
         } else {
             match ft_worker_phase(
@@ -468,39 +369,18 @@ pub fn assign_and_run_ft_report(
             };
         };
         master = next;
-        // This election only ever runs on failover (the round's first
-        // master is picked before the loop), so a fault-free trace carries
-        // zero `sched.elect` events.
+        // Only failover elects here, so a fault-free trace has no
+        // `sched.elect` events.
         if let Some(o) = comm.obs() {
             o.add("sched.elections", 1);
-            o.instant(
-                o.now(),
-                "sched.elect",
-                format!(
-                    "master role moved {lost} -> {master} ({})",
-                    if last_died { "predecessor died" } else { "predecessor unreachable" }
-                ),
-            );
+            let why = if last_died { "predecessor died" } else { "predecessor unreachable" };
+            o.instant(o.now(), "sched.elect", format!("master role moved {lost} -> {master} ({why})"));
         }
         CURRENT_MASTER.with(|m| m.set(master));
     }
 }
 
-/// Compatibility wrapper over [`assign_and_run_ft_report`] for callers whose
-/// `run` publishes directly (no staging): every committed unit's output is
-/// already in place, and discards cannot happen without speculation.
-/// Returns the unit indices committed locally, in execution order.
-pub fn assign_and_run_ft(
-    comm: &Comm,
-    ntasks: usize,
-    cfg: &FtConfig,
-    mut run: impl FnMut(usize),
-) -> Result<Vec<usize>, SchedError> {
-    assign_and_run_ft_report(comm, ntasks, cfg, None, &mut |t| run(t), &mut |_, _| {})
-        .map(|r| r.units)
-}
-
-/// Send a one-way progress beacon to the *acting* FT master (tracked across
+/// Send a one-way progress beacon to the *acting* master (tracked across
 /// failovers), refreshing this worker's heartbeat deadline. Call from inside
 /// a long-running work unit (e.g. after loading a database partition) so a
 /// genuinely busy worker is not mistaken for a straggler. No-op on the
@@ -511,209 +391,211 @@ pub fn ft_beacon(comm: &Comm) {
     }
     let master = CURRENT_MASTER.with(|m| m.get());
     if comm.rank() != master {
-        comm.send_u64s(
-            master,
-            TAG_REQ,
-            &[BEACON, 0, 0, master as u64, comm.incarnation(), 0],
-        );
+        comm.send_u64s(master, TAG_REQ, &[BEACON, 0, 0, master as u64, comm.incarnation(), 0]);
     }
 }
 
-/// Single-rank degenerate case: run every unit locally with panic isolation
-/// and the same retry-then-quarantine policy as the distributed path.
+/// Single-rank degenerate case: the rank is master and only worker at once,
+/// so it drives [`Core`] directly, with no messages — the same
+/// retry-then-quarantine policy as the distributed path. Units run in index
+/// order (there is no partition to stay on), and time stands still at
+/// zero, so a panicked unit is retried before the next one starts.
 fn ft_run_local(
     comm: &Comm,
     ntasks: usize,
     cfg: &FtConfig,
     run: &mut dyn FnMut(usize),
     verdict: &mut dyn FnMut(usize, bool),
-) -> FtRun {
+) -> Result<FtRun, SchedError> {
+    let me = comm.rank();
+    let mut core = Core::new(ntasks, cfg.policy(), None, None, 0.0);
     let mut units = Vec::new();
-    let mut quarantined = Vec::new();
-    for t in 0..ntasks {
-        let mut fails = 0usize;
-        loop {
-            if let Some(o) = comm.obs() {
-                o.add("sched.dispatch", 1);
-            }
-            if run_unit_isolated(comm, t as u64, run) {
-                verdict(t, true);
-                units.push(t);
-                if let Some(o) = comm.obs() {
-                    o.add("sched.commit", 1);
-                    o.add("sched.worker_commit", 1);
+    let mut report = None;
+    loop {
+        core.request(me, report, &[], 0.0);
+        let mut next = None;
+        while let Some(out) = core.poll() {
+            match out {
+                Out::Journal(rec) => journal_obs(comm, &rec),
+                Out::Reply { code, verdict: v, .. } => {
+                    if let Some((unit, true)) = report {
+                        settle(comm, unit, v == Verdict::Commit, verdict, &mut units);
+                    }
+                    next = Some(code);
                 }
-                break;
-            }
-            verdict(t, false); // drop any partial staging from the panic
-            fails += 1;
-            if fails >= cfg.poison_retries.max(1) {
-                quarantined.push(t as u64);
-                if let Some(o) = comm.obs() {
-                    o.add("sched.quarantine", 1);
-                    o.instant(
-                        o.now(),
-                        "sched.quarantine",
-                        format!("unit {t} quarantined (single rank)"),
-                    );
-                }
-                break;
+                Out::Suspect(_) | Out::Backup { .. } => {}
             }
         }
+        report = match next.expect("a lone worker is never parked") {
+            Code::Unit(unit) => Some((unit, execute(comm, unit, run, verdict))),
+            Code::Done | Code::Abort => return ended(core.outcome(), units),
+        };
     }
-    FtRun { units, quarantined }
+}
+
+/// The run's result on the rank whose master tenure ended with `outcome`.
+fn ended(outcome: Outcome, units: Vec<usize>) -> Result<FtRun, SchedError> {
+    match outcome {
+        Outcome::Finished(quarantined) => Ok(FtRun { units, quarantined }),
+        Outcome::Aborted(unit) => Err(SchedError::Aborted { unit }),
+        Outcome::AllWorkersDead => Err(SchedError::AllWorkersDead),
+    }
 }
 
 /// Execute one unit with panic isolation: a poison injection from the fault
-/// plan or a genuine panic inside `run` yields `false` instead of tearing
-/// the rank down. An injected *rank death* is not a unit failure and keeps
-/// unwinding.
-fn run_unit_isolated(comm: &Comm, unit: u64, run: &mut dyn FnMut(usize)) -> bool {
+/// plan or a genuine panic inside `run` yields `false` (and drops whatever
+/// the execution staged) instead of tearing the rank down. An injected
+/// *rank death* is not a unit failure and keeps unwinding.
+fn execute(
+    comm: &Comm,
+    unit: u64,
+    run: &mut dyn FnMut(usize),
+    verdict: &mut dyn FnMut(usize, bool),
+) -> bool {
     let _span = obs::maybe_span(comm.obs(), "sched.unit");
-    if comm.unit_poisoned(unit) {
-        return false;
+    let clean = !comm.unit_poisoned(unit)
+        && match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(unit as usize))) {
+            Ok(()) => true,
+            Err(payload) if payload.is::<mpisim::RankDeath>() => std::panic::resume_unwind(payload),
+            Err(_) => false,
+        };
+    if !clean {
+        verdict(unit as usize, false);
     }
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(unit as usize))) {
-        Ok(()) => true,
-        Err(payload) => {
-            if payload.downcast_ref::<mpisim::RankDeath>().is_some() {
-                std::panic::resume_unwind(payload);
-            }
-            false
+    clean
+}
+
+/// Apply the master's verdict on this worker's clean execution of `unit`:
+/// publish (`commit`) or drop its staging, and remember a committed unit.
+fn settle(
+    comm: &Comm,
+    unit: u64,
+    commit: bool,
+    verdict: &mut dyn FnMut(usize, bool),
+    mine: &mut Vec<usize>,
+) {
+    verdict(unit as usize, commit);
+    if let Some(o) = comm.obs() {
+        o.add(if commit { "sched.worker_commit" } else { "sched.worker_discard" }, 1);
+    }
+    if commit {
+        mine.push(unit as usize);
+    }
+}
+
+/// A scheduler-log record from its `[round, lsn, kind, unit, worker]` words.
+fn decode_record(w: &[u64]) -> Record {
+    Record { lsn: w[1], kind: w[2], unit: w[3], worker: w[4] as usize }
+}
+
+/// The metrics registry's view of one scheduler-log record.
+fn journal_obs(comm: &Comm, rec: &Record) {
+    let Some(o) = comm.obs() else { return };
+    match rec.kind {
+        LOG_DISPATCH => o.add("sched.dispatch", 1),
+        LOG_COMMIT => o.add("sched.commit", 1),
+        LOG_DISCARD => o.add("sched.discard", 1),
+        LOG_QUARANTINE => {
+            o.add("sched.quarantine", 1);
+            o.instant(
+                o.now(),
+                "sched.quarantine",
+                format!("unit {} quarantined (last worker {})", rec.unit, rec.worker),
+            );
         }
+        LOG_FENCE => o.add("sched.fence", 1),
+        _ => {}
     }
 }
 
-/// How one tenure of the master role ended.
-enum MasterExit {
-    /// Every unit is accounted for and every live worker confirmed
-    /// termination; carries the sorted quarantine list.
-    Finished(Vec<u64>),
-    /// Peers deposed this master (it stalled past their patience) and
-    /// elected a successor; step down and rejoin as a worker.
-    Deposed,
-    /// A unit exhausted [`FtConfig::max_attempts`]; the run is abandoned.
-    Aborted(u64),
-    /// Work remains but no worker is left to run it.
-    AllWorkersDead,
-}
-
-/// How one tenure serving a particular master ended, on the worker side.
+/// How one tenure serving a particular master ended: termination
+/// confirmed, the run abandoned, or the master gone — confirmed dead
+/// (`died`) or silent past the whole retry budget.
 enum WorkerExit {
-    /// Termination confirmed; this worker's run is over.
     Done,
-    /// The master abandoned the run.
     Abort,
-    /// The master is gone: confirmed dead (`died`) or silent past the whole
-    /// retry budget (`!died`). The role state machine elects a successor.
     MasterGone { died: bool },
 }
 
-/// Master bookkeeping for one tenure of the master role.
-struct FtMaster<'c> {
+/// The IO shell around [`Core`] for one tenure of the master role: wire
+/// framing, request dedup, epoch and generation fencing, mirror
+/// piggybacks, durable log appends, fault-board reads and the `sched.*`
+/// metrics. Every scheduling decision is the core's.
+struct Master<'c> {
     comm: &'c Comm,
-    max_attempts: usize,
-    poison_retries: usize,
-    speculate: bool,
-    suspect_after: Duration,
-    spec_backoff: Duration,
+    cfg: &'c FtConfig,
+    core: Core<'c>,
     /// Scheduler round this tenure belongs to (scopes fault-board state).
     round: u64,
     /// Fencing epoch — this master's own rank, stamped on every reply.
     epoch: u64,
-    /// Piggyback log records to the standby rank on replies?
-    mirror_on: bool,
-    log_path: Option<std::path::PathBuf>,
-    log_faults: Option<std::sync::Arc<crate::durable::DiskFaultPlan>>,
-    /// The full scheduler log of this round as this master knows it:
-    /// replayed prefix (from the durable file or its own standby mirror)
-    /// plus everything journaled during this tenure.
-    log_all: Vec<[u64; LOG_REC_WORDS]>,
-    /// Next log sequence number to assign.
-    lsn_next: u64,
-    /// How many of `log_all`'s records each worker has been sent.
-    mirrored_upto: std::collections::HashMap<usize, usize>,
-    /// Ranks still owed a first contact before dispatch may open (an
-    /// elected successor's gather barrier); `None` once dispatch is open.
-    gathering: Option<std::collections::HashSet<usize>>,
-    /// Workers that have made first contact this tenure (their claim lists
-    /// are merged exactly once).
-    greeted: std::collections::HashSet<usize>,
+    /// The core's clock: wall-clock seconds since the tenure began.
+    clock: Instant,
+    /// How many of the core's log records each worker has been sent.
+    mirrored_upto: HashMap<usize, usize>,
     /// Last incarnation generation observed per worker; a bump means the
-    /// rank died and rejoined, so its previous incarnation's state is
-    /// reclaimed even if the death itself fell between reap ticks.
-    gen_seen: std::collections::HashMap<usize, u64>,
-    pending: std::collections::VecDeque<u64>,
-    /// Resource each unit needs (see [`assign_and_run_ft_report`]); `None`
-    /// serves `pending` in FIFO order.
-    affinity: Option<&'c [usize]>,
-    /// Resource of the unit each worker last received.
-    last_resource: std::collections::HashMap<usize, usize>,
-    /// Completion flag per unit; a unit owned by a dead worker is un-done.
-    done: Vec<bool>,
-    ndone: usize,
-    /// Unit currently running on each worker. Under speculation several
-    /// workers may be running the *same* unit; the first completion wins.
-    inflight: std::collections::HashMap<usize, u64>,
-    /// Committed units whose output lives on each worker.
-    owned: std::collections::HashMap<usize, Vec<u64>>,
-    /// Dispatch attempts per unit.
-    attempts: Vec<usize>,
-    /// Panic count per unit; at `poison_retries` the unit is quarantined.
-    fails: Vec<usize>,
-    /// Units given up on as poison, in quarantine order.
-    quarantined: Vec<u64>,
+    /// rank died and rejoined, even if the death fell between reap ticks.
+    gen_seen: HashMap<usize, u64>,
     /// Highest request sequence number seen per worker, with the cached
-    /// reply for duplicate-request retransmission.
-    last: std::collections::HashMap<usize, (u64, Option<Vec<u64>>)>,
-    /// Workers waiting for work while the queue is empty but units are
-    /// still outstanding on other workers, with the verdict owed to their
-    /// reported completion (delivered with the eventual assignment).
-    parked: Vec<(usize, u64, u64)>,
-    /// Wall-clock instant each worker was last heard from (request or
-    /// beacon); the failure detector's heartbeat state.
-    last_heard: std::collections::HashMap<usize, std::time::Instant>,
-    /// Per-unit speculative-launch gate: earliest next launch and the
-    /// current (doubling) backoff.
-    spec_next: std::collections::HashMap<u64, (std::time::Instant, Duration)>,
-    retired: std::collections::HashSet<usize>,
-    known_dead: std::collections::HashSet<usize>,
-    abort: Option<u64>,
+    /// reply for duplicate-request retransmission (`None` while parked).
+    last: HashMap<usize, (u64, Option<Vec<u64>>)>,
+    /// Workers that confirmed termination with a farewell.
+    retired: HashSet<usize>,
 }
 
-impl FtMaster<'_> {
-    /// Journal one master state transition: append to the in-memory log
-    /// (mirrored to the standby via reply piggybacks) and to the durable
-    /// log file when configured. A failed durable append is tolerated — the
-    /// log is redundancy on top of the claim gather, never load-bearing on
-    /// its own.
-    fn journal(&mut self, kind: u64, unit: u64, worker: usize) {
-        // Every master transition flows through here, so this is also the
-        // single choke point feeding the metrics registry.
-        if let Some(o) = self.comm.obs() {
-            match kind {
-                LOG_DISPATCH => o.add("sched.dispatch", 1),
-                LOG_COMMIT => o.add("sched.commit", 1),
-                LOG_DISCARD => o.add("sched.discard", 1),
-                LOG_QUARANTINE => {
-                    o.add("sched.quarantine", 1);
-                    o.instant(
-                        o.now(),
-                        "sched.quarantine",
-                        format!("unit {unit} quarantined (last worker {worker})"),
-                    );
+impl Master<'_> {
+    fn now(&self) -> f64 {
+        self.clock.elapsed().as_secs_f64()
+    }
+
+    /// Carry out the core's decisions, in order.
+    fn pump(&mut self) {
+        while let Some(out) = self.core.poll() {
+            match out {
+                Out::Reply { worker, code, verdict } => {
+                    let code = match code { Code::Unit(u) => u, Code::Done => DONE, Code::Abort => ABORT };
+                    let verdict = match verdict {
+                        Verdict::None => V_NONE,
+                        Verdict::Commit => V_COMMIT,
+                        Verdict::Discard => V_DISCARD,
+                    };
+                    let seq = self.last.get(&worker).map_or(0, |l| l.0);
+                    self.reply(worker, [seq, code, verdict]);
                 }
-                LOG_FENCE => o.add("sched.fence", 1),
-                _ => {}
+                Out::Journal(rec) => {
+                    journal_obs(self.comm, &rec);
+                    if rec.kind == LOG_FENCE {
+                        // The straggler wakes from its stall at the board
+                        // check and unwinds exactly like a crashed rank.
+                        self.comm.fence(rec.worker);
+                    }
+                    // A failed durable append is tolerated — the log is
+                    // redundancy on top of the claim gather, never
+                    // load-bearing on its own.
+                    if let Some(path) = &self.cfg.log_path {
+                        let bytes = mpisim::wire::u64s_to_bytes(&self.wire(&rec));
+                        let _ = crate::durable::append_record(path, &bytes, self.cfg.log_faults.as_deref());
+                    }
+                }
+                Out::Suspect(worker) => {
+                    self.comm.mark_suspected(worker);
+                    if let Some(o) = self.comm.obs() {
+                        o.add("sched.suspect", 1);
+                    }
+                }
+                Out::Backup { unit, worker } => {
+                    let Some(o) = self.comm.obs() else { continue };
+                    o.add("sched.speculative_dispatch", 1);
+                    let why = format!("unit {unit} re-dispatched to backup worker {worker}");
+                    o.instant(o.now(), "sched.speculate", why);
+                }
             }
         }
-        let rec = [self.round, self.lsn_next, kind, unit, worker as u64];
-        self.lsn_next += 1;
-        self.log_all.push(rec);
-        if let Some(path) = &self.log_path {
-            let bytes = mpisim::wire::u64s_to_bytes(&rec);
-            let _ = crate::durable::append_record(path, &bytes, self.log_faults.as_deref());
-        }
+    }
+
+    /// `[round, lsn, kind, unit, worker]`, as logged and mirrored.
+    fn wire(&self, rec: &Record) -> [u64; LOG_REC_WORDS] {
+        [self.round, rec.lsn, rec.kind, rec.unit, rec.worker as u64]
     }
 
     /// The standby rank mirroring the scheduler log: the lowest eligible
@@ -730,13 +612,13 @@ impl FtMaster<'_> {
     /// records when `worker` is the current standby.
     fn reply(&mut self, worker: usize, head: [u64; 3]) {
         let mut payload = vec![head[0], head[1], head[2], self.epoch, 0];
-        if self.mirror_on && Some(worker) == self.standby() {
-            let from = self.mirrored_upto.get(&worker).copied().unwrap_or(0);
-            let from = from.min(self.log_all.len());
-            let n = (self.log_all.len() - from).min(MAX_PIGGYBACK);
+        if self.cfg.mirror && Some(worker) == self.standby() {
+            let log = self.core.log();
+            let from = self.mirrored_upto.get(&worker).copied().unwrap_or(0).min(log.len());
+            let n = (log.len() - from).min(MAX_PIGGYBACK);
             payload[4] = n as u64;
-            for rec in &self.log_all[from..from + n] {
-                payload.extend_from_slice(rec);
+            for rec in &log[from..from + n] {
+                payload.extend_from_slice(&self.wire(rec));
             }
             self.mirrored_upto.insert(worker, from + n);
         }
@@ -744,325 +626,48 @@ impl FtMaster<'_> {
         self.comm.send_u64s(worker, TAG_TASK, &payload);
     }
 
-    /// Every unit is accounted for: committed on a live worker or
-    /// quarantined.
-    fn settled(&self) -> bool {
-        self.ndone + self.quarantined.len() == self.done.len()
-    }
-
-    /// Answer `worker`'s request `seq`: hand out a unit, tell it the run is
-    /// over, or park it until outstanding units resolve. `verdict` is the
-    /// arbitration owed for the completion that came with this request.
-    /// Retirement is *not* recorded here — only a [`FAREWELL`] confirms the
-    /// worker actually received a termination reply.
-    fn serve(&mut self, worker: usize, seq: u64, verdict: u64) {
-        if self.abort.is_some() {
-            self.reply(worker, [seq, ABORT, verdict]);
-            return;
-        }
-        if let Some(unit) = self.take_pending(worker) {
-            self.attempts[unit as usize] += 1;
-            if self.attempts[unit as usize] > self.max_attempts {
-                self.abort = Some(unit);
-                self.reply(worker, [seq, ABORT, verdict]);
-                self.flush_parked();
-                return;
-            }
-            self.inflight.insert(worker, unit);
-            self.journal(LOG_DISPATCH, unit, worker);
-            self.reply(worker, [seq, unit, verdict]);
-        } else if self.settled() {
-            self.reply(worker, [seq, DONE, verdict]);
-        } else {
-            self.last.insert(worker, (seq, None));
-            self.parked.push((worker, seq, verdict));
-        }
-    }
-
-    /// Remove and return the pending unit `worker` should run next: FIFO
-    /// without affinity; with it, the first pending unit of the worker's
-    /// last resource, else the first of the resource with the most pending
-    /// units (ties go to the resource whose first unit is queued earliest).
-    fn take_pending(&mut self, worker: usize) -> Option<u64> {
-        let Some(aff) = self.affinity else {
-            return self.pending.pop_front();
-        };
-        let resource_of = |unit: &u64| aff[*unit as usize];
-        let pos = self
-            .last_resource
-            .get(&worker)
-            .and_then(|&r| self.pending.iter().position(|u| resource_of(u) == r))
-            .or_else(|| {
-                // (pending count, first position) per resource.
-                let mut load: std::collections::HashMap<usize, (usize, usize)> =
-                    Default::default();
-                for (pos, unit) in self.pending.iter().enumerate() {
-                    load.entry(resource_of(unit)).or_insert((0, pos)).0 += 1;
-                }
-                load.into_values()
-                    .max_by_key(|&(count, first)| (count, std::cmp::Reverse(first)))
-                    .map(|(_, first)| first)
-            })?;
-        let unit = self.pending.remove(pos)?;
-        self.last_resource.insert(worker, resource_of(&unit));
-        Some(unit)
-    }
-
-    /// Re-serve every parked worker after the queue or completion state
-    /// changed (requeue after a death, last unit completed, abort).
-    fn flush_parked(&mut self) {
-        let parked = std::mem::take(&mut self.parked);
-        for (worker, seq, verdict) in parked {
-            if self.known_dead.contains(&worker) {
-                continue;
-            }
-            self.serve(worker, seq, verdict);
-        }
-    }
-
-    /// Should `unit` go back in the queue? Not if its result is already in
-    /// (or given up on), not if it is already queued, and not if another
-    /// worker is still running it (that execution may yet win).
-    fn should_requeue(&self, unit: u64) -> bool {
-        !self.done[unit as usize]
-            && !self.quarantined.contains(&unit)
-            && !self.pending.contains(&unit)
-            && !self.inflight.values().any(|&u| u == unit)
-    }
-
-    /// Reclaim everything `worker` owned: the in-flight unit (unless a
-    /// speculative copy already resolved it) and all committed units (their
-    /// output died with the rank) go back to the pending queue.
-    fn reclaim(&mut self, worker: usize) {
-        self.retired.remove(&worker);
-        self.parked.retain(|&(w, _, _)| w != worker);
-        let inflight = self.inflight.remove(&worker);
-        for unit in self.owned.remove(&worker).unwrap_or_default() {
-            self.done[unit as usize] = false;
-            self.ndone -= 1;
-            if self.should_requeue(unit) {
-                self.pending.push_back(unit);
-            }
-        }
-        if let Some(unit) = inflight {
-            if self.should_requeue(unit) {
-                self.pending.push_back(unit);
-            }
-        }
-    }
-
     /// A bumped incarnation generation means `worker` died and rejoined —
-    /// possibly entirely between two reap ticks, so the death itself may
-    /// never be observed. Reclaim the previous incarnation's state and
-    /// reset its protocol bookkeeping (the fresh incarnation restarts its
-    /// sequence numbers and owes a fresh first contact).
+    /// possibly entirely between two reap ticks. The fresh incarnation
+    /// restarts its sequence numbers and owes a fresh first contact.
     fn note_generation(&mut self, worker: usize) {
         let g = self.comm.board().generation(worker);
-        let seen = self.gen_seen.get(&worker).copied().unwrap_or(0);
-        if g <= seen {
+        if g <= self.gen_seen.get(&worker).copied().unwrap_or(0) {
             return;
         }
         self.gen_seen.insert(worker, g);
-        self.known_dead.remove(&worker);
-        self.greeted.remove(&worker);
         self.last.remove(&worker);
-        self.last_heard.insert(worker, std::time::Instant::now());
-        self.reclaim(worker);
+        self.retired.remove(&worker);
+        let now = self.now();
+        self.core.rejoin(worker, now);
     }
 
-    /// Detect newly-dead and newly-rejoined workers and reclaim what their
-    /// gone incarnations owned. Master-agnostic: scans every rank but this
-    /// one, since any rank may hold the master role.
-    fn reap_deaths(&mut self) {
-        for worker in 0..self.comm.size() {
-            if worker == self.comm.rank() {
-                continue;
-            }
+    /// Feed the core the fault board's news — deaths, restarts, departed
+    /// gather members — and its periodic tick.
+    fn reap(&mut self) {
+        let (board, me, now) = (self.comm.board(), self.comm.rank(), self.now());
+        for worker in (0..self.comm.size()).filter(|&w| w != me) {
             self.note_generation(worker);
-            if self.comm.is_alive(worker) || self.known_dead.contains(&worker) {
-                continue;
+            if !self.comm.is_alive(worker) {
+                self.core.death(worker, now, now);
             }
-            self.known_dead.insert(worker);
-            self.reclaim(worker);
         }
-        self.tick_gather();
-        if !self.pending.is_empty() || self.settled() {
-            self.flush_parked();
-        }
-    }
-
-    /// Progress the takeover gather barrier: drop members that died, and
-    /// credit members that departed cleanly with their board manifest
-    /// instead of a claim contact. Opens dispatch when the last expected
-    /// contact resolves.
-    fn tick_gather(&mut self) {
-        let Some(expected) = &self.gathering else { return };
-        let board = self.comm.board();
-        let resolved: Vec<(usize, bool)> = expected
-            .iter()
-            .filter_map(|&r| {
-                if !board.is_alive(r) {
-                    Some((r, false))
-                } else if board.is_departed(r, self.round) {
-                    Some((r, true))
-                } else {
-                    None
-                }
-            })
+        let departed: Vec<usize> = self
+            .core
+            .awaiting()
+            .filter(|&r| board.is_alive(r) && board.is_departed(r, self.round))
             .collect();
-        for (r, departed_alive) in resolved {
-            if departed_alive {
-                for u in self.comm.board().departure_manifest(r, self.round) {
-                    if (u as usize) < self.done.len() && !self.done[u as usize] {
-                        self.done[u as usize] = true;
-                        self.ndone += 1;
-                        self.owned.entry(r).or_default().push(u);
-                        self.journal(LOG_COMMIT, u, r);
-                    }
-                }
-            }
-            if let Some(expected) = &mut self.gathering {
-                expected.remove(&r);
-            }
+        for r in departed {
+            self.core.depart(r, &board.departure_manifest(r, self.round), now);
         }
-        if self.gathering.as_ref().is_some_and(|e| e.is_empty()) {
-            self.finish_gather();
-        }
-    }
-
-    /// The last expected survivor has re-registered: build the pending
-    /// queue from everything not committed-or-quarantined and open
-    /// dispatch.
-    fn finish_gather(&mut self) {
-        self.gathering = None;
-        for unit in 0..self.done.len() as u64 {
-            if self.should_requeue(unit) {
-                self.pending.push_back(unit);
-            }
-        }
-        self.flush_parked();
+        self.core.tick(now);
+        self.pump();
     }
 
     /// Record a sign of life from `worker` and lift any suspicion.
     fn note_heard(&mut self, worker: usize) {
-        self.last_heard.insert(worker, std::time::Instant::now());
+        self.core.heartbeat(worker, self.now());
         if self.comm.is_suspected(worker) {
             self.comm.clear_suspected(worker);
-        }
-    }
-
-    /// Has `worker` been silent past the heartbeat deadline?
-    fn silent(&self, worker: usize) -> bool {
-        self.last_heard
-            .get(&worker)
-            .is_none_or(|t| t.elapsed() >= self.suspect_after)
-    }
-
-    /// The failure-detector + speculation tick, run once per master loop
-    /// iteration (so at least every `rpc_timeout`):
-    ///
-    /// 1. workers with a unit in flight that missed the heartbeat deadline
-    ///    are marked *suspected* on the fault board (advisory);
-    /// 2. each unit running only on suspected workers is re-dispatched to a
-    ///    parked, unsuspected worker, gated by per-unit exponential backoff.
-    fn tick_speculation(&mut self) {
-        if !self.speculate {
-            return;
-        }
-        let now = std::time::Instant::now();
-        let mut stuck: Vec<u64> = Vec::new();
-        let mut healthy: std::collections::HashSet<u64> = Default::default();
-        for (&worker, &unit) in &self.inflight {
-            if self.known_dead.contains(&worker) {
-                continue;
-            }
-            if self.silent(worker) {
-                if !self.comm.is_suspected(worker) {
-                    self.comm.mark_suspected(worker);
-                    if let Some(o) = self.comm.obs() {
-                        o.add("sched.suspect", 1);
-                    }
-                }
-                stuck.push(unit);
-            } else {
-                healthy.insert(unit);
-            }
-        }
-        stuck.sort_unstable();
-        stuck.dedup();
-        for unit in stuck {
-            if healthy.contains(&unit)
-                || self.done[unit as usize]
-                || self.quarantined.contains(&unit)
-                || self.pending.contains(&unit)
-            {
-                continue;
-            }
-            let (gate, backoff) = self
-                .spec_next
-                .get(&unit)
-                .copied()
-                .unwrap_or((now, self.spec_backoff));
-            if now < gate {
-                continue;
-            }
-            // A backup needs an idle, trusted worker; waking a parked one
-            // delivers the assignment as the (pushed) answer to its parked
-            // request.
-            let Some(pos) = self.parked.iter().position(|&(w, _, _)| {
-                !self.comm.is_suspected(w) && !self.known_dead.contains(&w)
-            }) else {
-                continue;
-            };
-            let (worker, seq, verdict) = self.parked.remove(pos);
-            self.attempts[unit as usize] += 1;
-            if self.attempts[unit as usize] > self.max_attempts {
-                self.abort = Some(unit);
-                self.reply(worker, [seq, ABORT, verdict]);
-                self.flush_parked();
-                return;
-            }
-            self.inflight.insert(worker, unit);
-            if let Some(o) = self.comm.obs() {
-                o.add("sched.speculative_dispatch", 1);
-                o.instant(
-                    o.now(),
-                    "sched.speculate",
-                    format!("unit {unit} re-dispatched to backup worker {worker}"),
-                );
-            }
-            self.journal(LOG_DISPATCH, unit, worker);
-            self.reply(worker, [seq, unit, verdict]);
-            self.spec_next.insert(unit, (now + backoff, backoff.saturating_mul(2)));
-        }
-    }
-
-    /// A backup just won `unit`: fence any *still-silent* suspected loser
-    /// that is running the same unit. The winner is alive, so fencing can
-    /// never remove the last worker; the fenced straggler wakes from its
-    /// stall at the board check and unwinds exactly like a crashed rank.
-    fn fence_silent_losers(&mut self, unit: u64, winner: usize) {
-        if !self.speculate {
-            return;
-        }
-        let losers: Vec<usize> = self
-            .inflight
-            .iter()
-            .filter(|&(&w, &u)| u == unit && w != winner)
-            .map(|(&w, _)| w)
-            .collect();
-        for worker in losers {
-            if self.comm.is_suspected(worker)
-                && self.silent(worker)
-                && self.comm.is_alive(worker)
-            {
-                self.comm.fence(worker);
-                self.journal(LOG_FENCE, unit, worker);
-                // The fenced rank's committed outputs die with it: reclaim
-                // them now, before anything can judge the run settled.
-                self.known_dead.insert(worker);
-                self.reclaim(worker);
-            }
         }
     }
 
@@ -1075,18 +680,14 @@ impl FtMaster<'_> {
         gen: u64,
         claims: &[u64],
     ) {
+        // Drop stale traffic from a dead incarnation of a restarted rank
+        // (fenced by generation) and requests queued before a death or a
+        // fence: their sender will never apply a verdict.
         if gen != self.comm.board().generation(worker) {
-            // Stale traffic from a dead incarnation of a since-restarted
-            // rank: fenced by generation.
             return;
         }
         self.note_generation(worker);
-        if self.known_dead.contains(&worker) || !self.comm.is_alive(worker) {
-            // Request queued before the death (or before a fence this loop
-            // iteration has not reaped yet): its sender is gone and will
-            // never apply a verdict, so accepting a completion here would
-            // mark a unit done with its staged output lost — and a commit
-            // from a dead "winner" could fence the last live worker.
+        if self.core.is_dead(worker) || !self.comm.is_alive(worker) {
             return;
         }
         self.note_heard(worker);
@@ -1095,7 +696,7 @@ impl FtMaster<'_> {
                 // Duplicate of a request already seen: re-send the cached
                 // reply (the original may have been dropped). A parked
                 // worker has no reply yet; answer WAIT (uncached — the real
-                // assignment will come through `flush_parked`) so its retry
+                // assignment comes when the core serves it) so its retry
                 // budget survives arbitrarily long units elsewhere.
                 match cached.clone() {
                     Some(payload) => self.comm.send_u64s(worker, TAG_TASK, &payload),
@@ -1106,82 +707,15 @@ impl FtMaster<'_> {
                 return;
             }
         }
+        self.last.insert(worker, (seq, None));
         if completed == FAREWELL {
             self.retired.insert(worker);
-            self.reply(worker, [seq, DONE, V_NONE]);
-            return;
+            return self.reply(worker, [seq, DONE, V_NONE]);
         }
-        self.last.insert(worker, (seq, None));
-        let first_contact = self.greeted.insert(worker);
-        if first_contact {
-            // Merge the worker's committed-unit claims: after a failover
-            // the successor learns which outputs already live on this rank
-            // and must never re-dispatch them.
-            for &u in claims {
-                if (u as usize) < self.done.len() && !self.done[u as usize] {
-                    self.done[u as usize] = true;
-                    self.ndone += 1;
-                    self.owned.entry(worker).or_default().push(u);
-                    self.journal(LOG_COMMIT, u, worker);
-                }
-            }
-            if let Some(expected) = &mut self.gathering {
-                expected.remove(&worker);
-                if expected.is_empty() {
-                    self.finish_gather();
-                }
-            }
-        }
-        let mut verdict = V_NONE;
-        if completed != NO_UNIT {
-            let u = completed as usize;
-            match flag {
-                FLAG_OK if u < self.done.len() => {
-                    // A first contact may carry a completion the previous
-                    // master never arbitrated; it is trusted like an
-                    // in-flight match.
-                    let known =
-                        self.inflight.get(&worker) == Some(&completed) || first_contact;
-                    let first = known && !self.done[u] && !self.quarantined.contains(&completed);
-                    if self.inflight.get(&worker) == Some(&completed) {
-                        self.inflight.remove(&worker);
-                    }
-                    if first {
-                        self.done[u] = true;
-                        self.ndone += 1;
-                        self.owned.entry(worker).or_default().push(completed);
-                        verdict = V_COMMIT;
-                        self.journal(LOG_COMMIT, completed, worker);
-                        self.fence_silent_losers(completed, worker);
-                        if self.settled() {
-                            self.flush_parked();
-                        }
-                    } else {
-                        verdict = V_DISCARD;
-                        self.journal(LOG_DISCARD, completed, worker);
-                    }
-                }
-                FLAG_PANIC if u < self.done.len() => {
-                    if self.inflight.get(&worker) == Some(&completed) {
-                        self.inflight.remove(&worker);
-                    }
-                    self.fails[u] += 1;
-                    if self.fails[u] >= self.poison_retries {
-                        if !self.quarantined.contains(&completed) {
-                            self.quarantined.push(completed);
-                            self.journal(LOG_QUARANTINE, completed, worker);
-                            if self.settled() {
-                                self.flush_parked();
-                            }
-                        }
-                    } else if self.should_requeue(completed) {
-                        self.pending.push_back(completed);
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.serve(worker, seq, verdict);
+        let reported = completed != NO_UNIT && matches!(flag, FLAG_OK | FLAG_PANIC);
+        let report = reported.then_some((completed, flag == FLAG_OK));
+        self.core.request(worker, report, claims, self.now());
+        self.pump();
     }
 
     /// Count live, not-yet-departed workers and whether every one of them
@@ -1189,206 +723,97 @@ impl FtMaster<'_> {
     /// this one. A rank that departed cleanly this round (e.g. under a
     /// predecessor master) counts as confirmed.
     fn live_workers_all_retired(&self) -> (usize, bool) {
-        let mut live = 0;
-        let mut all_retired = true;
-        for worker in 0..self.comm.size() {
-            if worker == self.comm.rank() {
-                continue;
-            }
-            if self.known_dead.contains(&worker) || !self.comm.is_alive(worker) {
-                continue;
-            }
-            if self.comm.board().is_departed(worker, self.round) {
-                continue;
-            }
-            live += 1;
-            if !self.retired.contains(&worker) {
-                all_retired = false;
-            }
-        }
-        (live, all_retired)
+        let board = self.comm.board();
+        (0..self.comm.size())
+            .filter(|&w| w != self.comm.rank() && !self.core.is_dead(w) && board.is_alive(w))
+            .filter(|&w| !board.is_departed(w, self.round))
+            .fold((0, true), |(live, all), w| (live + 1, all && self.retired.contains(&w)))
     }
 }
 
-/// One tenure of the master role. `takeover` is `None` for the round's
-/// first master (full pending queue, no gather) and
-/// `Some((mirror, my_claims))` for an elected successor: it replays the
-/// scheduler log (the longer of the durable file and the mirrored copy it
-/// received as standby), seeds its own committed units, merges
-/// already-departed ranks' manifests, and holds dispatch behind a gather
-/// barrier until every surviving worker has re-registered its claims.
+/// One tenure of the master role, ending with the core's outcome once every
+/// live worker confirmed termination (or none is left), or `None` when
+/// peers deposed this master during a stall. `takeover` is `None` for the
+/// round's first master and `Some((mirror, my_claims))` for a successor,
+/// whose core replays the longer of the durable log and its standby mirror.
 fn ft_master_loop(
     comm: &Comm,
     ntasks: usize,
     cfg: &FtConfig,
     affinity: Option<&[usize]>,
     round: u64,
-    takeover: Option<(Vec<[u64; LOG_REC_WORDS]>, Vec<usize>)>,
-) -> MasterExit {
-    let now = std::time::Instant::now();
+    takeover: Option<(Vec<Record>, Vec<usize>)>,
+) -> Option<Outcome> {
     let board = comm.board();
     let me = comm.rank();
     // Late restarts may rejoin while a run is in progress; the gate closes
     // again when this (or a successor) master finishes the round.
     board.open_gate();
-    let mut m = FtMaster {
+    let takeover = takeover.map(|(mirror, mine)| {
+        // Both copies are prefixes (maybe with append gaps) of one log.
+        let mut from_file = Vec::new();
+        if let Some(path) = &cfg.log_path {
+            for bytes in crate::durable::read_record_stream(path).unwrap_or_default() {
+                let words = mpisim::wire::bytes_to_u64s(&bytes);
+                if words.len() == LOG_REC_WORDS && words[0] == round {
+                    from_file.push(decode_record(&words));
+                }
+            }
+        }
+        let log = if from_file.len() >= mirror.len() { from_file } else { mirror };
+        // Own commits survive the promotion; departed ranks left manifests;
+        // every other live rank is awaited.
+        let mut claims = vec![(me, mine.iter().map(|&u| u as u64).collect())];
+        let mut expected = std::collections::BTreeSet::new();
+        for r in (0..comm.size()).filter(|&r| r != me) {
+            if board.is_departed(r, round) {
+                claims.push((r, board.departure_manifest(r, round)));
+            } else if board.is_alive(r) {
+                expected.insert(r);
+            }
+        }
+        Takeover { log, claims, expected }
+    });
+    let mut m = Master {
         comm,
-        max_attempts: cfg.max_attempts,
-        poison_retries: cfg.poison_retries.max(1),
-        speculate: cfg.speculate,
-        suspect_after: cfg.suspect_after,
-        spec_backoff: cfg.spec_backoff,
+        cfg,
+        core: Core::new(ntasks, cfg.policy(), affinity, takeover, 0.0),
         round,
         epoch: me as u64,
-        mirror_on: cfg.mirror,
-        log_path: cfg.log_path.clone(),
-        log_faults: cfg.log_faults.clone(),
-        log_all: Vec::new(),
-        lsn_next: 0,
-        mirrored_upto: Default::default(),
-        gathering: None,
-        greeted: Default::default(),
+        clock: Instant::now(),
+        mirrored_upto: HashMap::new(),
         // Baseline at the board's current generations so only *future*
         // restarts read as incarnation bumps.
         gen_seen: (0..comm.size())
             .filter(|&r| r != me)
             .map(|r| (r, board.generation(r)))
             .collect(),
-        pending: Default::default(),
-        affinity,
-        last_resource: Default::default(),
-        done: vec![false; ntasks],
-        ndone: 0,
-        inflight: Default::default(),
-        owned: Default::default(),
-        attempts: vec![0; ntasks],
-        fails: vec![0; ntasks],
-        quarantined: Vec::new(),
-        last: Default::default(),
-        parked: Vec::new(),
-        // Workers start with a full heartbeat budget: nobody is suspect
-        // before they have had `suspect_after` to make first contact.
-        last_heard: (0..comm.size()).filter(|&w| w != me).map(|w| (w, now)).collect(),
-        spec_next: Default::default(),
-        retired: Default::default(),
-        known_dead: Default::default(),
-        abort: None,
+        last: HashMap::new(),
+        retired: HashSet::new(),
     };
-    match takeover {
-        None => m.pending = (0..ntasks as u64).collect(),
-        Some((mirror, my_claims)) => {
-            // Replay the replicated log. The durable file and the standby
-            // mirror are both prefixes (possibly with append gaps) of the
-            // same totally-ordered log; the longer copy wins.
-            let mut from_file: Vec<[u64; LOG_REC_WORDS]> = Vec::new();
-            if let Some(path) = &cfg.log_path {
-                if let Ok(records) = crate::durable::read_record_stream(path) {
-                    for bytes in records {
-                        let words = mpisim::wire::bytes_to_u64s(&bytes);
-                        if words.len() == LOG_REC_WORDS && words[0] == round {
-                            from_file.push([words[0], words[1], words[2], words[3], words[4]]);
-                        }
-                    }
-                }
-            }
-            let log = if from_file.len() >= mirror.len() { from_file } else { mirror };
-            // Only dispatch attempts and quarantine verdicts are trusted
-            // from the log: a journaled COMMIT's output may have died with
-            // its rank, so commits flow exclusively from live workers'
-            // claims and departed ranks' manifests.
-            for rec in &log {
-                let unit = rec[3] as usize;
-                if unit >= ntasks {
-                    continue;
-                }
-                match rec[2] {
-                    LOG_DISPATCH => m.attempts[unit] += 1,
-                    LOG_QUARANTINE if !m.quarantined.contains(&rec[3]) => {
-                        m.fails[unit] = m.poison_retries;
-                        m.quarantined.push(rec[3]);
-                    }
-                    _ => {}
-                }
-                m.lsn_next = m.lsn_next.max(rec[1] + 1);
-            }
-            m.log_all = log;
-            // This rank's own committed output survives the promotion.
-            for unit in my_claims {
-                if unit < ntasks && !m.done[unit] {
-                    m.done[unit] = true;
-                    m.ndone += 1;
-                    m.owned.entry(me).or_default().push(unit as u64);
-                    m.journal(LOG_COMMIT, unit as u64, me);
-                }
-            }
-            // Ranks that already departed cleanly this round left their
-            // manifests on the board instead of a claim contact.
-            let mut expected: std::collections::HashSet<usize> = Default::default();
-            for r in (0..comm.size()).filter(|&r| r != me) {
-                if board.is_departed(r, round) {
-                    for u in board.departure_manifest(r, round) {
-                        if (u as usize) < ntasks && !m.done[u as usize] {
-                            m.done[u as usize] = true;
-                            m.ndone += 1;
-                            m.owned.entry(r).or_default().push(u);
-                            m.journal(LOG_COMMIT, u, r);
-                        }
-                    }
-                } else if board.is_alive(r) {
-                    expected.insert(r);
-                }
-            }
-            // Dispatch stays closed until every expected survivor makes
-            // first contact (or dies / departs); `finish_gather` then
-            // builds the pending queue from whatever is still unaccounted.
-            m.gathering = Some(expected);
-        }
-    }
-    // Consecutive quiet ticks tolerated once no unit can still be running:
-    // a live worker retries at least once per `rpc_timeout`, so a longer
-    // silence means every unconfirmed worker is gone (e.g. its farewell and
-    // all retransmissions were dropped).
+    m.pump();
+    // Quiet ticks tolerated once no unit can still be running: a live
+    // worker retries at least once per `rpc_timeout`, so a longer silence
+    // means every unconfirmed worker is gone.
     let quiet_limit = cfg.max_rpc_retries + 5;
     let mut quiet = 0usize;
     loop {
-        if cfg.failover && board.is_deposed(me, round) {
+        if board.is_deposed(me, round) {
             // Peers elected around us during a stall; any replies we send
             // from here on are fenced by epoch. Step down.
-            return MasterExit::Deposed;
+            return None;
         }
-        m.reap_deaths();
-        m.tick_speculation();
+        m.reap();
         let (live, all_confirmed) = m.live_workers_all_retired();
-        let finish = |m: &FtMaster| match m.abort {
-            Some(unit) => MasterExit::Aborted(unit),
-            None if m.settled() => {
-                let mut q = m.quarantined.clone();
-                q.sort_unstable();
-                MasterExit::Finished(q)
-            }
-            // Outstanding units with nobody left to run them (workers died
-            // after confirming, taking completed output with them).
-            None => MasterExit::AllWorkersDead,
-        };
-        if live == 0 || all_confirmed {
-            return finish(&m);
-        }
-        // No unit can be mid-execution once every unit is settled, or once
-        // the run aborted with nothing in flight — only (bounded)
-        // termination chatter remains, so prolonged silence is safe to act
-        // on.
-        let drained = m.settled() || (m.abort.is_some() && m.inflight.is_empty());
-        if drained && quiet > quiet_limit {
-            return finish(&m);
+        if live == 0 || all_confirmed || (m.core.drained() && quiet > quiet_limit) {
+            return Some(m.core.outcome());
         }
         match comm.recv_timeout(ANY_SOURCE, TAG_REQ, cfg.rpc_timeout) {
             Ok(msg) => {
                 quiet = 0;
                 let req = mpisim::wire::bytes_to_u64s(&msg.data);
                 if req[0] == BEACON {
-                    if req.len() < REQ_HEAD
-                        || req[4] == board.generation(msg.status.source)
-                    {
+                    if req.len() < REQ_HEAD || req[4] == board.generation(msg.status.source) {
                         if let Some(o) = comm.obs() {
                             o.add("sched.heartbeats", 1);
                         }
@@ -1419,14 +844,12 @@ fn ft_master_loop(
     }
 }
 
-/// One at-least-once request round against the acting `master`: send
-/// `[seq, completed, flag, epoch, generation, nclaims, claims…]`, resend on
-/// timeout (master-side dedup makes this harmless), and return the
-/// `(code, verdict)` of the reply whose sequence echo and epoch both match.
-/// Log records piggybacked on any reply from the master are absorbed into
-/// `mirror` (this worker may be the standby). Errors report how the master
-/// was lost: `Err(true)` = confirmed dead, `Err(false)` = silent past the
-/// whole retry budget.
+/// One at-least-once request round against the acting `master`: send the
+/// request, resend on timeout, and return the `(code, verdict)` of the
+/// reply whose sequence echo and epoch both match, absorbing piggybacked
+/// log records into `mirror` (this worker may be the standby). `Err(true)`
+/// means the master is confirmed dead, `Err(false)` silent past the whole
+/// retry budget.
 #[allow(clippy::too_many_arguments)]
 fn ft_request(
     comm: &Comm,
@@ -1436,16 +859,9 @@ fn ft_request(
     completed: u64,
     flag: u64,
     claims: &[u64],
-    mirror: &mut Vec<[u64; LOG_REC_WORDS]>,
+    mirror: &mut Vec<Record>,
 ) -> Result<(u64, u64), bool> {
-    let mut frame = vec![
-        seq,
-        completed,
-        flag,
-        master as u64,
-        comm.incarnation(),
-        claims.len() as u64,
-    ];
+    let mut frame = vec![seq, completed, flag, master as u64, comm.incarnation(), claims.len() as u64];
     frame.extend_from_slice(claims);
     let mut resends = 0usize;
     let mut need_send = true;
@@ -1467,18 +883,9 @@ fn ft_request(
                 // delivery was dropped. Records arrive in lsn order;
                 // strictly-increasing lsn both de-duplicates retransmitted
                 // windows and tolerates gaps from failed durable appends.
-                let nrec = (reply[4] as usize)
-                    .min((reply.len() - REPLY_HEAD) / LOG_REC_WORDS);
-                for i in 0..nrec {
-                    let at = REPLY_HEAD + i * LOG_REC_WORDS;
-                    let rec = [
-                        reply[at],
-                        reply[at + 1],
-                        reply[at + 2],
-                        reply[at + 3],
-                        reply[at + 4],
-                    ];
-                    if mirror.last().is_none_or(|last| rec[1] > last[1]) {
+                let records = reply[REPLY_HEAD..].chunks_exact(LOG_REC_WORDS);
+                for rec in records.take(reply[4] as usize).map(decode_record) {
+                    if mirror.last().is_none_or(|last| rec.lsn > last.lsn) {
                         mirror.push(rec);
                     }
                 }
@@ -1524,67 +931,46 @@ fn ft_worker_phase(
     run: &mut dyn FnMut(usize),
     verdict: &mut dyn FnMut(usize, bool),
     mine: &mut Vec<usize>,
-    mirror: &mut Vec<[u64; LOG_REC_WORDS]>,
+    mirror: &mut Vec<Record>,
     seq: &mut u64,
     completed: &mut u64,
     flag: &mut u64,
 ) -> WorkerExit {
-    let mut first = true;
+    // Committed-unit claims ride only on the first request to this master.
+    let mut claims: Vec<u64> = mine.iter().map(|&u| u as u64).collect();
     let outcome = loop {
         *seq += 1;
-        // Committed-unit claims ride only on the first request to this
-        // master; it merges them exactly once (keyed on first contact).
-        let claims: Vec<u64> = if first {
-            mine.iter().map(|&u| u as u64).collect()
-        } else {
-            Vec::new()
-        };
-        first = false;
         let (code, verd) =
             match ft_request(comm, cfg, master, *seq, *completed, *flag, &claims, mirror) {
                 Ok(r) => r,
-                // The un-arbitrated completion (if any) stays in
+                // The unjudged completion (if any) stays in
                 // `completed`/`flag` for the role state machine to resolve.
                 Err(died) => return WorkerExit::MasterGone { died },
             };
-        // The reply arbitrates the completion this request reported: commit
-        // publishes the staged output, discard drops it (a backup won).
-        // Panicked executions already dropped their partial staging.
+        claims.clear();
+        // The reply judges the completion this request reported (panicked
+        // executions already dropped their partial staging).
         if *completed != NO_UNIT && *flag == FLAG_OK {
-            let commit = verd == V_COMMIT;
-            verdict(*completed as usize, commit);
-            if let Some(o) = comm.obs() {
-                o.add(if commit { "sched.worker_commit" } else { "sched.worker_discard" }, 1);
-            }
-            if commit {
-                mine.push(*completed as usize);
-            }
+            settle(comm, *completed, verd == V_COMMIT, verdict, mine);
         }
         *completed = NO_UNIT;
         *flag = FLAG_NONE;
         match code {
             DONE => break WorkerExit::Done,
-            // Workers don't learn which unit exhausted its budget; the
-            // master's own return value carries it.
             ABORT => break WorkerExit::Abort,
             unit => {
-                if run_unit_isolated(comm, unit, run) {
-                    *flag = FLAG_OK;
-                } else {
-                    verdict(unit as usize, false); // drop partial staging
-                    *flag = FLAG_PANIC;
-                }
+                *flag = if execute(comm, unit, run, verdict) { FLAG_OK } else { FLAG_PANIC };
                 *completed = unit;
             }
         }
     };
-    // Confirm we saw the termination reply so the master can stop serving
-    // retransmissions. Best-effort: if the master is already gone (or the
-    // farewell keeps getting dropped), we still return our result.
+    // Confirm the termination reply so the master can stop serving
+    // retransmissions; best-effort, the master may already be gone.
     *seq += 1;
     let _ = ft_request(comm, cfg, master, *seq, FAREWELL, FLAG_NONE, &[], mirror);
     outcome
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -1592,14 +978,42 @@ mod tests {
     use mpisim::World;
 
     fn run_style(ranks: usize, ntasks: usize, style: MapStyle) -> Vec<Vec<usize>> {
-        World::new(ranks).run(move |comm| assign_and_run(comm, ntasks, style, |_| {}))
+        World::new(ranks).run(move |comm| {
+            let cfg = FtConfig::default();
+            assign_and_run(comm, ntasks, style, &cfg, None, &mut |_| {}, &mut |_, _| {})
+                .expect("scheduled run")
+                .units
+        })
+    }
+
+    /// The master-worker scheduler with a verdict hook.
+    fn mw_report(
+        comm: &Comm,
+        ntasks: usize,
+        cfg: &FtConfig,
+        affinity: Option<&[usize]>,
+        run: &mut dyn FnMut(usize),
+        verdict: &mut dyn FnMut(usize, bool),
+    ) -> Result<FtRun, SchedError> {
+        assign_and_run(comm, ntasks, MapStyle::MasterWorker, cfg, affinity, run, verdict)
+    }
+
+    /// The master-worker scheduler's committed units, for a `run` that
+    /// publishes directly.
+    fn mw_units(
+        comm: &Comm,
+        ntasks: usize,
+        cfg: &FtConfig,
+        mut run: impl FnMut(usize),
+    ) -> Result<Vec<usize>, SchedError> {
+        mw_report(comm, ntasks, cfg, None, &mut |t| run(t), &mut |_, _| {}).map(|r| r.units)
     }
 
     /// Run the master-worker scheduler with an optional affinity slice and
     /// return each rank's committed units in execution order.
     fn run_mw(ranks: usize, ntasks: usize, affinity: Option<Vec<usize>>) -> Vec<Vec<usize>> {
         World::new(ranks).run(move |comm| {
-            assign_and_run_ft_report(
+            mw_report(
                 comm,
                 ntasks,
                 &FtConfig::default(),
@@ -1712,7 +1126,7 @@ mod tests {
         let affinity: Vec<usize> = (0..ntasks).map(|t| t / 8).collect();
         let outcomes = World::new(4).with_faults(FaultPlan::new(5).kill(2, 0.0)).run_faulty(
             move |comm| {
-                assign_and_run_ft_report(
+                mw_report(
                     comm,
                     ntasks,
                     &FtConfig::default(),
@@ -1747,7 +1161,7 @@ mod tests {
         let fast = 1.0;
         let total = slow + (ntasks - 1) as f64 * fast;
         let times = World::new(3).run(move |comm| {
-            assign_and_run_ft(comm, ntasks, &FtConfig::default(), |t| {
+            mw_units(comm, ntasks, &FtConfig::default(), |t| {
                 comm.charge(if t == 0 { slow } else { fast });
             })
             .expect("fault-free run");
@@ -1766,7 +1180,7 @@ mod tests {
     use mpisim::{FaultPlan, RankOutcome};
     use std::sync::Arc as StdArc;
 
-    /// Run `assign_and_run_ft` under `plan` and return, per rank, either the
+    /// Run the master-worker scheduler under `plan` and return, per rank, either the
     /// locally executed unit list or the death time.
     fn ft_run(
         size: usize,
@@ -1779,7 +1193,7 @@ mod tests {
         }
         let world = world;
         world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, ntasks, &FtConfig::default(), |_| {})
+            mw_units(comm, ntasks, &FtConfig::default(), |_| {})
         })
     }
 
@@ -1849,7 +1263,7 @@ mod tests {
         let plan = FaultPlan::new(7).kill(1, 5.5);
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 12, &FtConfig::default(), |_| comm.charge(1.0))
+            mw_units(comm, 12, &FtConfig::default(), |_| comm.charge(1.0))
         });
         assert!(outcomes[1].is_died());
         assert_exact_partition(&outcomes, 12);
@@ -1902,25 +1316,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ft_worker_reports_master_death_without_failover() {
-        // Legacy fail-fast mode: with failover disabled, master loss stays a
-        // typed error instead of triggering an election.
-        let plan = FaultPlan::new(5).kill(0, 0.0);
-        let world = World::new(3).with_faults(plan);
-        let cfg = FtConfig { failover: false, ..FtConfig::default() };
-        let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 6, &cfg, |_| {})
-        });
-        assert!(outcomes[0].is_died());
-        for o in &outcomes[1..] {
-            match o {
-                RankOutcome::Done(Err(SchedError::MasterDied)) => {}
-                other => panic!("worker should report MasterDied, got {other:?}"),
-            }
-        }
-    }
-
     // ---- master failover, elections, rejoin ----
 
     #[test]
@@ -1932,7 +1327,7 @@ mod tests {
         let plan = FaultPlan::new(11).kill(0, 2.5);
         let world = World::new(4).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 12, &FtConfig::default(), |_| comm.charge(1.0))
+            mw_units(comm, 12, &FtConfig::default(), |_| comm.charge(1.0))
         });
         assert!(outcomes[0].is_died());
         for o in &outcomes[1..] {
@@ -1949,13 +1344,45 @@ mod tests {
         let plan = FaultPlan::new(17).kill(0, 2.5).kill(1, 4.0);
         let world = World::new(5).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 20, &FtConfig::default(), |_| comm.charge(1.0))
+            mw_units(comm, 20, &FtConfig::default(), |_| comm.charge(1.0))
         });
         assert!(outcomes[0].is_died() && outcomes[1].is_died());
         for o in &outcomes[2..] {
             assert!(matches!(o, RankOutcome::Done(Ok(_))), "outcome: {o:?}");
         }
         assert_exact_partition(&outcomes, 20);
+    }
+
+    #[test]
+    fn ft_late_starter_whose_first_election_lands_on_it_takes_over() {
+        // Rank 1 enters the round only after rank 0 (the first master) has
+        // died, so its very first election picks itself. The others have
+        // committed units under rank 0 already: rank 1 must gather their
+        // claims like any successor before it dispatches, not hand out
+        // units they hold (each such re-run ends in a discard).
+        let plan = FaultPlan::new(17).kill(0, 2.5);
+        let world = World::new(5).with_faults(plan);
+        let outcomes = world.run_faulty(move |comm| {
+            if comm.rank() == 1 {
+                while comm.is_alive(0) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            let mut discards = 0;
+            let cfg = FtConfig::default();
+            mw_report(comm, 20, &cfg, None, &mut |_| comm.charge(1.0), &mut |_, commit| {
+                discards += usize::from(!commit);
+            })
+            .map(|r| (r.units, discards))
+        });
+        assert!(outcomes[0].is_died());
+        let mut units = Vec::new();
+        for o in &outcomes[1..] {
+            let RankOutcome::Done(Ok((mine, discards))) = o else { panic!("outcome: {o:?}") };
+            assert_eq!(*discards, 0, "a re-run of a claimed unit");
+            units.push(RankOutcome::Done(Ok(mine.clone())));
+        }
+        assert_exact_partition(&units, 20);
     }
 
     #[test]
@@ -1973,7 +1400,7 @@ mod tests {
         };
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 8, &cfg, |_| comm.charge(0.01))
+            mw_units(comm, 8, &cfg, |_| comm.charge(0.01))
         });
         for o in &outcomes {
             assert!(matches!(o, RankOutcome::Done(Ok(_))), "outcome: {o:?}");
@@ -1990,7 +1417,7 @@ mod tests {
         let plan = FaultPlan::new(19).kill(1, 1.5).restart(1, 0.05);
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 8, &FtConfig::default(), |_| {
+            mw_units(comm, 8, &FtConfig::default(), |_| {
                 std::thread::sleep(Duration::from_millis(50));
                 comm.charge(1.0);
             })
@@ -2021,7 +1448,7 @@ mod tests {
         let plan = FaultPlan::new(43).kill(1, 0.0).restart(1, 0.5);
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft(comm, 6, &FtConfig::default(), |_| {})
+            mw_units(comm, 6, &FtConfig::default(), |_| {})
         });
         assert!(outcomes[1].is_died(), "late rejoiner must stay dead: {:?}", outcomes[1]);
         assert!(matches!(&outcomes[0], RankOutcome::Done(Ok(_))));
@@ -2052,7 +1479,7 @@ mod tests {
         };
         let world = World::new(3).with_faults(plan);
         let outcomes = world.run_faulty(move |comm| {
-            assign_and_run_ft_report(
+            mw_report(
                 comm,
                 4,
                 &cfg,
@@ -2098,7 +1525,7 @@ mod tests {
     fn ft_poisoned_units_are_quarantined_and_run_completes() {
         let plan = FaultPlan::new(13).poison(2).poison(7);
         let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
-            assign_and_run_ft_report(
+            mw_report(
                 comm,
                 10,
                 &FtConfig::default(),
@@ -2123,7 +1550,7 @@ mod tests {
     fn ft_single_rank_quarantines_poison_too() {
         let plan = FaultPlan::new(17).poison(1);
         let outcomes = World::new(1).with_faults(plan).run_faulty(move |comm| {
-            assign_and_run_ft_report(
+            mw_report(
                 comm,
                 4,
                 &FtConfig::default(),
@@ -2140,7 +1567,7 @@ mod tests {
     #[test]
     fn ft_genuine_panic_in_run_is_isolated_and_quarantined() {
         let outcomes = World::new(3).run_faulty(move |comm| {
-            assign_and_run_ft_report(
+            mw_report(
                 comm,
                 6,
                 &FtConfig::default(),
@@ -2201,7 +1628,7 @@ mod tests {
                 }
                 comm.charge(0.01)
             };
-            assign_and_run_ft_report(comm, 8, &cfg, None, &mut run, &mut |_, _| {})
+            mw_report(comm, 8, &cfg, None, &mut run, &mut |_, _| {})
         });
         assert!(outcomes[1].is_died(), "straggler must be fenced: {:?}", outcomes[1]);
         let master = outcomes[0].as_done().unwrap().as_ref().expect("master finishes");
@@ -2242,7 +1669,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(50));
             }
             let mut verdicts: Vec<(usize, bool)> = Vec::new();
-            let run = assign_and_run_ft_report(
+            let run = mw_report(
                 comm,
                 1,
                 &cfg,
@@ -2282,7 +1709,7 @@ mod tests {
         let plan = FaultPlan::new(37).stall(1, 0.005, 0.2);
         let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
             let mut discards = 0usize;
-            let run = assign_and_run_ft_report(
+            let run = mw_report(
                 comm,
                 6,
                 &cfg,

@@ -38,13 +38,6 @@ pub struct Settings {
     /// file, so poison units survive the process for post-mortem triage.
     /// `None` (the default) keeps quarantine in-memory only.
     pub poison_log: Option<PathBuf>,
-    /// When `true` (the default) the fault-tolerant scheduler treats the
-    /// master as a *role*: if the acting master dies or becomes unreachable,
-    /// survivors elect the lowest eligible rank as the new master and the
-    /// run continues. When `false`, master loss aborts the run with the
-    /// legacy typed `MasterDied`/`MasterUnreachable` errors — kept for the
-    /// DES failover ablation and for callers that prefer fail-fast.
-    pub master_failover: bool,
     /// Tracing/metrics ring for the rank running this engine. `None` (the
     /// default) turns every obs hook into a branch on a `None` — zero
     /// counters are touched. [`crate::MapReduce::with_settings`] fills this
@@ -62,7 +55,6 @@ impl Default for Settings {
             tmpdir: Settings::unique_spill_dir(),
             disk_faults: None,
             poison_log: None,
-            master_failover: true,
             obs: None,
         }
     }
@@ -78,7 +70,6 @@ impl Settings {
             tmpdir: tmpdir.into(),
             disk_faults: None,
             poison_log: None,
-            master_failover: true,
             obs: None,
         }
     }

@@ -3,7 +3,7 @@
 //! original library's examples) string operations together.
 
 use mpisim::World;
-use mrmpi::{FtConfig, MapReduce, MapStyle, Settings};
+use mrmpi::{FtConfig, MapPlan, MapReduce, MapStyle, Settings};
 
 /// Compress locally, then collate globally, then reduce — the canonical
 /// combiner pattern (pre-aggregation before the expensive shuffle).
@@ -17,7 +17,8 @@ fn compress_then_collate_wordcount() {
                 for i in 0..50u64 {
                     kv.emit(&((t as u64 + i) % 10).to_le_bytes(), &1u64.to_le_bytes());
                 }
-            });
+            })
+            .expect("fault-free map");
             // Local combiner: sum duplicate keys within the rank.
             mr.compress(&mut |key, vals, out| {
                 let sum: u64 = vals
@@ -55,7 +56,8 @@ fn two_mapreduce_cycles_chained() {
         // Cycle 1: count occurrences of t % 7.
         mr.map_tasks(70, MapStyle::MasterWorker, &mut |t, kv| {
             kv.emit(&[(t % 7) as u8], b"");
-        });
+        })
+        .expect("fault-free map");
         mr.collate();
         mr.reduce(&mut |key, vals, out| {
             out.emit(&[(vals.count() % 3) as u8], key); // re-key by count mod 3
@@ -79,7 +81,8 @@ fn gather_then_sort_on_master() {
         mr.map_tasks(30, MapStyle::Chunk, &mut |t, kv| {
             // Keys descending so sorting is observable.
             kv.emit(&[(29 - t) as u8], &(t as u64).to_le_bytes());
-        });
+        })
+        .expect("fault-free map");
         mr.gather(1);
         if comm.rank() == 0 {
             mr.sort_keys(|a, b| a.cmp(b));
@@ -103,7 +106,8 @@ fn paged_chain_equals_unpaged() {
                 for i in 0..25u64 {
                     kv.emit(&((t as u64 * 25 + i) % 13).to_le_bytes(), &[t as u8; 40]);
                 }
-            });
+            })
+            .expect("fault-free map");
             mr.compress(&mut |key, vals, out| {
                 out.emit(key, &(vals.count() as u64).to_le_bytes());
             });
@@ -138,12 +142,11 @@ fn affinity_map_chain() {
     let results = World::new(4).run(|comm| {
         let mut mr = MapReduce::new(comm);
         let affinity: Vec<usize> = (0..24).map(|t| t % 4).collect();
-        mr.map_tasks_ft_report_with_verdict(
+        let cfg = FtConfig::default();
+        mr.map_tasks(
             24,
-            &FtConfig::default(),
-            Some(&affinity),
+            MapPlan { affinity: Some(&affinity), ..(&cfg).into() },
             &mut |t, kv| kv.emit(&[(t % 6) as u8], &(t as u64).to_le_bytes()),
-            &mut |_, _| {},
         )
         .expect("fault-free map");
         mr.collate();
@@ -165,7 +168,8 @@ fn sort_values_orders_pairs() {
             kv.emit(b"k", &9u64.to_le_bytes());
             kv.emit(b"k", &3u64.to_le_bytes());
             kv.emit(b"k", &7u64.to_le_bytes());
-        });
+        })
+        .expect("fault-free map");
         mr.sort_values(|a, b| {
             u64::from_le_bytes(a.try_into().unwrap())
                 .cmp(&u64::from_le_bytes(b.try_into().unwrap()))
@@ -185,7 +189,8 @@ fn sort_multivalues_orders_within_groups() {
         let mut mr = MapReduce::new(comm);
         mr.map_tasks(8, MapStyle::RoundRobin, &mut |t, kv| {
             kv.emit(&[(t % 2) as u8], &((t * 13 % 7) as u64).to_le_bytes());
-        });
+        })
+        .expect("fault-free map");
         mr.collate();
         mr.sort_multivalues(|a, b| a.cmp(b));
         let mut ordered = true;
@@ -229,9 +234,12 @@ fn broadcast_replicates_root_kv() {
 fn empty_dataset_chain() {
     let results = World::new(2).run(|comm| {
         let mut mr = MapReduce::new(comm);
-        let n = mr.map_tasks(10, MapStyle::Chunk, &mut |_t, _kv| {
-            // emit nothing
-        });
+        let n = mr
+            .map_tasks(10, MapStyle::Chunk, &mut |_t, _kv| {
+                // emit nothing
+            })
+            .expect("static map")
+            .pairs;
         assert_eq!(n, 0);
         mr.collate();
         let mut called = 0;
@@ -253,7 +261,8 @@ fn oversized_keys_and_values_through_collate() {
             let big_key = vec![(t % 2) as u8; 200]; // bigger than a page
             let big_val = vec![t as u8; 500];
             kv.emit(&big_key, &big_val);
-        });
+        })
+        .expect("fault-free map");
         mr.collate();
         let mut groups = Vec::new();
         mr.reduce(&mut |key, vals, _| {

@@ -12,17 +12,20 @@
 //! 3. **tail idling** — "the entire MPI program then has to wait for that
 //!    longest unit of work to finish".
 //!
-//! [`simulate_master_worker`] is one event loop. Its [`Conditions`] add what
-//! the runtime scheduler in `mrmpi::sched` survives, alone or combined:
+//! [`simulate_master_worker`] is one event loop driving the runtime's own
+//! scheduler core, `mrmpi::sched::core::Core`: every dispatch, requeue,
+//! verdict, backup and fence it simulates is that core's decision. Its
+//! [`Conditions`] add what the runtime survives, alone or combined:
 //! partition-affinity dispatch, fail-stop worker deaths, stragglers with
 //! speculative backups, and a master death with failover.
 //!
 //! Static schedules (round-robin / chunk) are simulated for the HTC and
-//!    mapstyle-ablation comparisons.
+//! mapstyle-ablation comparisons.
 
 use crate::cluster::ClusterModel;
+use mrmpi::sched::core::{Code, Core, Out, Policy, Takeover, Verdict, LOG_FENCE};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// One work unit: the DB partition it needs and its search compute cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,9 +60,9 @@ pub struct SimResult {
     pub warm_loads: u64,
     /// Total search seconds across workers (the "useful" work).
     pub total_search_s: f64,
-    /// Work units re-queued because the worker holding their result died or
-    /// was promoted to master — the re-dispatch cost of fault recovery (0
-    /// without [`Conditions::failures`] or [`Conditions::master_death`]).
+    /// Dispatches beyond one per unit, speculative backups aside: units
+    /// re-run because the worker holding their result died, was fenced or
+    /// was promoted to master — the re-dispatch cost of fault recovery.
     pub redispatched: u64,
     /// Speculative backup copies launched against suspected stragglers
     /// (0 unless [`Conditions::suspect_after_s`] is set).
@@ -69,6 +72,22 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    fn new(
+        makespan_s: f64,
+        (worker_busy, busy_intervals): (Vec<f64>, Vec<Vec<(f64, f64)>>),
+        loads: &LoadModel,
+        redispatched: u64,
+        speculated: usize,
+        cores: usize,
+    ) -> Self {
+        let (cold_loads, warm_loads) = (loads.cold, loads.warm);
+        let total_search_s = worker_busy.iter().sum();
+        SimResult {
+            makespan_s, worker_busy, busy_intervals, cold_loads, warm_loads, total_search_s,
+            redispatched, speculated, cores,
+        }
+    }
+
     /// Core-seconds charged: makespan × allocated cores.
     pub fn core_seconds(&self) -> f64 {
         self.makespan_s * self.cores as f64
@@ -209,14 +228,13 @@ pub struct Stall {
 pub struct MasterDeath {
     /// Virtual time at which the master dies, in seconds.
     pub at_s: f64,
-    /// Election + scheduler-log replay + committed-claim gather, paid after
-    /// the workers' failure detector (`detect_s`) gives up on the old master.
+    /// Election + log replay, paid after `detect_s`; the claim gather then
+    /// lasts until every survivor's in-flight unit is done.
     pub failover_s: f64,
 }
 
-/// What befalls a master-worker run besides its work, mirroring the protocol
-/// in `mrmpi::sched`. `Conditions::default()` is the fault-free run; the
-/// fields compose freely.
+/// What befalls a master-worker run besides its work. `Conditions::default()`
+/// is the fault-free run; the fields compose freely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Conditions<'a> {
     /// Locality-aware dispatch, the paper's future-work scheduler
@@ -228,27 +246,30 @@ pub struct Conditions<'a> {
     pub affinity: bool,
     /// Fail-stop worker deaths. A dead worker loses its in-flight unit
     /// **and every unit it had already completed** (the emitted key-values
-    /// die with the rank); the master re-queues them `detect_s` after the
-    /// death. Deaths after the last unit completes change nothing.
+    /// die with the rank); they are re-queued, in unit order, `detect_s`
+    /// after the death. Deaths after the last unit completes change nothing.
     pub failures: &'a [Failure],
     /// Stragglers: a [`Stall`] makes the unit its worker is executing (or
     /// the next one it is handed) finish `dur_s` late.
     pub stalls: &'a [Stall],
     /// Failure-detection delay in seconds, for worker deaths and the master.
     pub detect_s: f64,
-    /// The master dies: no unit is dispatched until, `detect_s +
-    /// failover_s` later, the lowest live worker is promoted to master.
-    /// Meanwhile workers finish their unit and carry it unarbitrated; at the
-    /// promotion the survivors' carried units commit and the promoted
-    /// worker's unit is re-queued. The run ends one worker short. A failure
-    /// that hits the promoted master is a plain worker death; a second
-    /// election is not modelled.
+    /// The master dies: nothing is dispatched until, `detect_s +
+    /// failover_s` later, the lowest live worker becomes master, dropping
+    /// its own unit. Meanwhile workers finish their unit and hold it
+    /// unjudged. The successor gathers every other survivor's claims and
+    /// held units — waiting for those still running — and only then
+    /// rebuilds its queue in unit order. The run ends one worker short; a
+    /// failure that hits the new master is a plain worker death, and a
+    /// second election is not modelled.
     pub master_death: Option<MasterDeath>,
-    /// Speculative re-execution: a unit this many seconds past its
-    /// stall-free end is re-launched (once) on an idle worker. The first
-    /// completion wins; the loser appears in no busy interval, as the
-    /// scheduler's commit/discard keeps duplicates out of the output. `None`
-    /// means no speculation: the makespan absorbs every stall.
+    /// Speculative re-execution: a worker silent this many seconds past its
+    /// unit's stall-free end is suspected, and the unit is backed up on an
+    /// idle worker (again, at doubling intervals from this one, while every
+    /// copy is silent). The first completion wins and the loser appears in
+    /// no busy interval; a silent straggler that lost is fenced and its
+    /// committed units re-run. `None` means no speculation: the makespan
+    /// absorbs every stall.
     pub suspect_after_s: Option<f64>,
 }
 
@@ -261,58 +282,18 @@ const EV_FREE: u8 = 2;
 const EV_SUSPECT: u8 = 3;
 const EV_PROMOTE: u8 = 4;
 const EV_WAKE: u8 = 5;
-
-/// Units waiting for a worker, ordered by (available-from, index): units
-/// re-queued after a death only become available once the master has
-/// detected it. With affinity they are bucketed by partition; without it
-/// every unit shares one bucket, so a take is the earliest-queued unit.
-struct Pool {
-    buckets: BTreeMap<usize, BTreeSet<(OrdF64, usize)>>,
-    affinity: bool,
-    /// The latest available-from time of any unit ever queued.
-    latest: f64,
-}
-
-impl Pool {
-    fn push(&mut self, at: f64, unit: usize, part: usize) {
-        let bucket = if self.affinity { part } else { 0 };
-        self.buckets.entry(bucket).or_default().insert((OrdF64(at), unit));
-        self.latest = self.latest.max(at);
-    }
-
-    /// Take the unit a worker holding partition `held` gets at `now`: the
-    /// first available one of its own partition, else one from the bucket
-    /// with the most available units, ties to the earliest-queued unit.
-    fn take(&mut self, now: f64, held: Option<usize>) -> Option<usize> {
-        type Units = BTreeSet<(OrdF64, usize)>;
-        let ready = |units: &Units| units.first().is_some_and(|k| k.0 .0 <= now);
-        let (all, cutoff) = (self.latest <= now, (OrdF64(now), usize::MAX));
-        let available = |u: &Units| if all { u.len() } else { u.range(..=cutoff).count() };
-        let bucket = match held {
-            Some(p) if self.affinity && self.buckets.get(&p).is_some_and(ready) => Some(p),
-            _ => self
-                .buckets
-                .iter()
-                .filter(|(_, units)| ready(units))
-                .max_by_key(|(_, units)| (available(units), Reverse(units.first().copied())))
-                .map(|(&b, _)| b),
-        }?;
-        let units = self.buckets.get_mut(&bucket).expect("chosen bucket");
-        let (_, unit) = units.pop_first().expect("ready");
-        if units.is_empty() {
-            self.buckets.remove(&bucket);
-        }
-        Some(unit)
-    }
-}
+const EV_START: u8 = 6;
 
 /// Simulate the dynamic master-worker schedule over `tasks` (in dispatch
 /// order) on `cores` cores of `cluster`, with DB partitions of
-/// `partition_gb` GB, under `conditions`.
+/// `partition_gb` GB, under `conditions`. The scheduler core decides; the
+/// simulator adds what it does not know: partition loads, stalls,
+/// detection delays and busy intervals.
 ///
 /// `total_search_s` and the busy intervals count *completed* executions
 /// only: re-runs after a death are included, while compute cut short by a
-/// death or promotion, and a speculative race's losing copy, are not.
+/// death, promotion or fence, and a speculative race's losing copy, are
+/// not.
 ///
 /// # Panics
 /// Panics if fewer than 2 cores are requested (a dedicated master needs at
@@ -331,15 +312,21 @@ pub fn simulate_master_worker(
     let failover_cores = cores >= 3 || conditions.master_death.is_none();
     assert!(failover_cores, "failover needs >= 3 cores: master, successor, one worker");
     let workers = cores - 1;
+    let grace = conditions.suspect_after_s;
     let mut sim = Sim {
         cluster,
         tasks,
-        suspect_after_s: conditions.suspect_after_s,
+        grace,
         loads: LoadModel::new(cluster, cores, partition_gb),
         events: BinaryHeap::new(),
         stalls: vec![VecDeque::new(); workers],
-        inflight: vec![None; workers],
+        slot: vec![None; workers],
         held: vec![None; workers],
+        alive: vec![true; workers],
+        busy_intervals: vec![Vec::new(); workers],
+        worker_busy: vec![0.0; workers],
+        dispatched: 0,
+        speculated: 0,
     };
     let mut sorted: Vec<&Stall> = conditions.stalls.iter().collect();
     sorted.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("no NaN stall times"));
@@ -354,210 +341,205 @@ pub fn simulate_master_worker(
         assert!(f.worker < workers, "failure names worker {} of {workers}", f.worker);
         sim.event(f.at_s, EV_DEATH, f.worker);
     }
-    sim.event(0.0, EV_WAKE, 0);
+    sim.event(0.0, EV_START, 0);
 
-    let mut pool = Pool { buckets: BTreeMap::new(), affinity: conditions.affinity, latest: 0.0 };
-    for (i, t) in tasks.iter().enumerate() {
-        pool.push(0.0, i, t.part);
-    }
-    let mut alive = vec![true; workers];
-    let mut idle: BTreeSet<usize> = (0..workers).collect();
-    let mut completed: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    // Each worker's one unarbitrated completion while the master is down.
-    let mut carried: Vec<Option<usize>> = vec![None; workers];
-    // A result exists for the unit: committed or carried.
-    let mut done = vec![false; tasks.len()];
-    let mut backed_up = vec![false; tasks.len()];
-    let mut busy_intervals = vec![Vec::new(); workers];
-    let mut worker_busy = vec![0.0f64; workers];
-    let mut frozen = false;
-    let mut ndone = 0usize;
-    let mut redispatched = 0u64;
-    let mut speculated = 0usize;
+    // The model's speculation backoff is its suspicion grace period.
+    let policy = Policy {
+        max_attempts: usize::MAX,
+        poison_retries: 1,
+        speculate: grace.is_some(),
+        suspect_after: grace.unwrap_or(f64::INFINITY),
+        spec_backoff: grace.unwrap_or(f64::INFINITY),
+    };
+    let parts: Vec<usize> = tasks.iter().map(|t| t.part).collect();
+    let affinity = conditions.affinity.then_some(parts.as_slice());
+    // The acting master's core; `None` from the master's death until the
+    // promotion, while `orphan` holds the dead master's state.
+    let mut core = Some(Core::new(tasks.len(), policy, affinity, None, 0.0));
+    let mut orphan = None;
     let mut makespan = 0.0f64;
 
-    while ndone < tasks.len() {
-        let Some(Reverse((OrdF64(now), kind, w))) = sim.events.pop() else {
-            break; // every worker dead with units remaining
-        };
-        // Each arm either falls through to the dispatch sweep or, when the
-        // event changed nothing a sweep could use, `continue`s past it.
-        match kind {
-            EV_MASTER_DEATH => {
-                frozen = true;
+    while !core.as_ref().is_some_and(Core::settled) {
+        let Some(Reverse((at, kind, w))) = sim.events.pop() else { break };
+        let now = f64::from_bits(at);
+        makespan = now;
+        match (kind, core.as_mut()) {
+            (EV_START, Some(c)) => {
+                for w in (0..workers).filter(|&w| sim.alive[w]) {
+                    c.request(w, None, &[], now);
+                }
+                sim.pump(c, now);
+            }
+            (EV_MASTER_DEATH, _) => {
+                orphan = core.take();
                 let m = conditions.master_death.expect("scheduled master death");
                 sim.event(now + conditions.detect_s + m.failover_s, EV_PROMOTE, 0);
             }
-            EV_DEATH => {
-                if !alive[w] {
-                    continue;
-                }
-                alive[w] = false;
-                idle.remove(&w);
+            (EV_DEATH, c) if sim.alive[w] => {
+                sim.alive[w] = false;
                 sim.held[w] = None;
-                // Its in-flight unit (unless a losing speculative copy), its
-                // carried unit and every unit it committed die with it.
-                let at = now + conditions.detect_s;
-                ndone -= completed[w].len();
-                let inflight = sim.inflight[w].take().map(|r| r.0).filter(|&t| !done[t]);
-                let lost: Vec<usize> = inflight
-                    .into_iter()
-                    .chain(carried[w].take())
-                    .chain(completed[w].drain(..))
-                    .collect();
-                for &task in &lost {
-                    done[task] = false;
-                    pool.push(at, task, tasks[task].part);
+                // A finished execution's compute happened; its result died.
+                if let Some(e) = sim.slot[w].take().filter(|e| e.end <= now) {
+                    sim.record(w, e);
                 }
-                redispatched += lost.len() as u64;
-                if !lost.is_empty() {
+                // While the master is down the successor finds it dead.
+                if let Some(c) = c {
+                    let at = now + conditions.detect_s;
+                    c.death(w, now, at);
+                    sim.pump(c, now);
                     sim.event(at, EV_WAKE, 0);
                 }
             }
-            EV_FREE => {
-                // Nothing in flight: preempted by a death or the promotion.
-                let Some((task, start, end, _)) = sim.inflight[w].take() else {
-                    continue;
-                };
-                idle.insert(w);
-                if done[task] {
-                    continue; // lost the race to a speculative copy
-                }
-                done[task] = true;
-                busy_intervals[w].push((start, end));
-                worker_busy[w] += tasks[task].cost_s;
-                if frozen {
-                    carried[w] = Some(task); // unarbitrated until failover
-                } else {
-                    completed[w].push(task);
-                    ndone += 1;
-                    makespan = makespan.max(end);
+            // The unit ends; without a master to ask, the worker holds its
+            // result for the successor.
+            (EV_FREE, Some(c)) => {
+                if let Some(e) = sim.slot[w] {
+                    c.request(w, Some((e.unit as u64, true)), &[], now);
+                    sim.pump(c, now);
                 }
             }
-            EV_SUSPECT => {
-                // Speculate only against a unit that is genuinely overdue —
-                // still in flight past its stall-free deadline plus grace —
-                // and back each unit up at most once (the scheduler's
-                // backoff keeps duplicates bounded the same way). With no
-                // idle worker, or no master to dispatch, re-check one grace
-                // period later instead of giving up.
-                let task = w;
-                let grace = sim.suspect_after_s.expect("suspicion checks imply a grace period");
-                if done[task] || backed_up[task] {
-                    continue;
+            (EV_SUSPECT, c) => {
+                // Tick while this execution overruns `nominal_end + grace`.
+                let grace = grace.expect("suspicion checks imply a grace period");
+                let Some(e) = sim.slot[w] else { continue };
+                if e.nominal_end + grace > now || e.end <= now + 1e-12 {
+                    continue; // a newer execution, or one finishing now
                 }
-                let running = sim
-                    .inflight
-                    .iter()
-                    .enumerate()
-                    .find(|(_, slot)| matches!(slot, Some((t, ..)) if *t == task));
-                let Some((primary, &Some((_, _, end, due)))) = running else {
-                    continue;
-                };
-                // Skip a copy that completes momentarily, and a re-run
-                // dispatched since the check was queued (it has its own).
-                if end <= now + 1e-12 || due + grace > now {
-                    continue;
+                if let Some(c) = c {
+                    c.tick(now);
+                    sim.pump(c, now);
                 }
-                let backup =
-                    if frozen { None } else { idle.iter().copied().find(|&b| b != primary) };
-                let Some(backup) = backup else {
-                    sim.event(now + grace, EV_SUSPECT, task);
-                    continue;
-                };
-                idle.remove(&backup);
-                backed_up[task] = true;
-                speculated += 1;
-                sim.dispatch(backup, task, now);
+                sim.event(now + grace, EV_SUSPECT, w);
             }
-            EV_PROMOTE => {
-                // Elect the lowest live worker; its carried or in-flight
-                // unit is discarded by the role transition and re-queued.
-                let Some(p) = (0..workers).find(|&w| alive[w]) else {
+            (EV_PROMOTE, _) => {
+                let Some(p) = (0..workers).find(|&w| sim.alive[w]) else {
                     continue; // all dead; the assert below reports it
                 };
-                let inflight = sim.inflight[p].take().map(|r| r.0).filter(|&t| !done[t]);
-                for task in inflight.into_iter().chain(carried[p].take()) {
-                    done[task] = false;
-                    pool.push(now, task, tasks[task].part);
-                    redispatched += 1;
+                let dead: Core = orphan.take().expect("a dead master to succeed");
+                // The lowest live worker becomes master and drops its unit.
+                // A survivor's unjudged unit is reported, not claimed.
+                if let Some(e) = sim.slot[p].take().filter(|e| e.end <= now) {
+                    sim.record(p, e);
                 }
-                // Survivors' carried completions commit at first contact.
-                for w in 0..workers {
-                    if let Some(task) = carried[w].take() {
-                        completed[w].push(task);
-                        ndone += 1;
-                        makespan = makespan.max(now);
+                let mut claims = Vec::new();
+                let mut expected = BTreeSet::new();
+                for r in (0..workers).filter(|&r| sim.alive[r]) {
+                    let unjudged = sim.slot[r].map(|e| e.unit as u64);
+                    let mine = dead.committed(r).iter().copied().filter(|&u| Some(u) != unjudged);
+                    claims.push((r, mine.collect()));
+                    if r != p {
+                        expected.insert(r);
                     }
                 }
-                idle.remove(&p);
-                frozen = false;
+                let takeover = Takeover { log: dead.log().to_vec(), claims, expected };
+                let c = core.insert(Core::new(tasks.len(), policy, affinity, Some(takeover), now));
+                for r in (0..workers).filter(|&r| r != p && sim.alive[r]) {
+                    match sim.slot[r] {
+                        Some(e) if e.end > now => {} // reports when it ends
+                        e => c.request(r, e.map(|e| (e.unit as u64, true)), &[], now),
+                    }
+                }
+                sim.pump(c, now);
             }
-            _ => {} // EV_WAKE: fall through to the dispatch sweep
-        }
-        if frozen {
-            continue; // nobody arbitrates; no dispatch until the promotion
-        }
-        // Dispatch sweep: hand every currently available unit to an idle
-        // worker (idle set iterates in worker order — deterministic).
-        while let Some(&w) = idle.first() {
-            let Some(task) = pool.take(now, sim.held[w]) else {
-                break;
-            };
-            if done[task] {
-                continue; // re-queued, then won by a copy already running
+            (EV_WAKE, Some(c)) => {
+                c.tick(now);
+                sim.pump(c, now);
             }
-            idle.remove(&w);
-            sim.dispatch(w, task, now);
+            _ => {}
         }
     }
-    assert!(
-        ndone == tasks.len(),
-        "all {workers} workers dead with {} of {} units unfinished",
-        tasks.len() - ndone,
-        tasks.len()
-    );
+    let settled = core.as_ref().is_some_and(Core::settled);
+    assert!(settled, "all {workers} workers dead before the {} units finished", tasks.len());
 
-    SimResult {
-        makespan_s: makespan,
-        total_search_s: worker_busy.iter().sum(),
-        worker_busy,
-        busy_intervals,
-        cold_loads: sim.loads.cold,
-        warm_loads: sim.loads.warm,
-        redispatched,
-        speculated,
-        cores,
-    }
+    let redispatched = sim.dispatched - tasks.len() as u64;
+    let busy = (sim.worker_busy, sim.busy_intervals);
+    SimResult::new(makespan, busy, &sim.loads, redispatched, sim.speculated, cores)
 }
 
-/// The per-worker state a dispatch touches, and the event queue.
+/// One execution of a unit on a worker, kept until the master's verdict on
+/// it reaches the worker; `nominal_end` is its end had no stall struck.
+#[derive(Debug, Clone, Copy)]
+struct Exec {
+    unit: usize,
+    start: f64,
+    end: f64,
+    nominal_end: f64,
+}
+
+/// The simulated workers, their load model and the event queue.
 struct Sim<'a> {
     cluster: &'a ClusterModel,
     tasks: &'a [Task],
-    suspect_after_s: Option<f64>,
+    grace: Option<f64>,
     loads: LoadModel<'a>,
-    /// (time, kind, worker — or unit, for suspicion checks), earliest first.
-    events: BinaryHeap<Reverse<(OrdF64, u8, usize)>>,
+    /// (time, kind, worker), earliest first. Times are never negative, so
+    /// their bit patterns order like their values.
+    events: BinaryHeap<Reverse<(u64, u8, usize)>>,
     /// Per-worker (at, duration) stalls, earliest first, until absorbed.
     stalls: Vec<VecDeque<(f64, f64)>>,
-    /// (unit, start, end, stall-free end) per worker.
-    inflight: Vec<Option<(usize, f64, f64, f64)>>,
+    /// Each worker's current execution.
+    slot: Vec<Option<Exec>>,
     /// The partition each worker's DB object holds.
     held: Vec<Option<usize>>,
+    alive: Vec<bool>,
+    busy_intervals: Vec<Vec<(f64, f64)>>,
+    worker_busy: Vec<f64>,
+    /// Primary (non-backup) dispatches.
+    dispatched: u64,
+    speculated: usize,
 }
 
 impl Sim<'_> {
     fn event(&mut self, at: f64, kind: u8, x: usize) {
-        self.events.push(Reverse((OrdF64(at), kind, x)));
+        debug_assert!(at >= 0.0, "event time {at}");
+        self.events.push(Reverse((at.to_bits(), kind, x)));
+    }
+
+    fn record(&mut self, w: usize, e: Exec) {
+        self.busy_intervals[w].push((e.start, e.end));
+        self.worker_busy[w] += self.tasks[e.unit].cost_s;
+    }
+
+    /// Carry out the core's decisions at `now`: deliver each reply's
+    /// verdict (a discarded execution leaves no busy interval), start the
+    /// unit it hands out, and fence what the core fences.
+    fn pump(&mut self, core: &mut Core, now: f64) {
+        let mut backup = false;
+        while let Some(out) = core.poll() {
+            match out {
+                Out::Reply { worker, code, verdict } => {
+                    if let Some(e) = self.slot[worker].take() {
+                        if verdict != Verdict::Discard {
+                            self.record(worker, e);
+                        }
+                    }
+                    if let Code::Unit(unit) = code {
+                        if !std::mem::take(&mut backup) {
+                            self.dispatched += 1;
+                        }
+                        let heard = self.dispatch(worker, unit as usize, now);
+                        core.heartbeat(worker, heard);
+                    }
+                }
+                Out::Backup { .. } => {
+                    backup = true;
+                    self.speculated += 1;
+                }
+                // A fenced straggler is stopped mid-unit, like a crash.
+                Out::Journal(rec) if rec.kind == LOG_FENCE => {
+                    self.alive[rec.worker] = false;
+                    self.slot[rec.worker] = None;
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Hand `task` to `w` at `now` and queue its completion. A pending
-    /// stall overlapping the execution window extends it; the suspicion
-    /// check fires `suspect_after_s` past the *stall-free* end, keyed by
-    /// unit, not worker: by the time it fires the worker may long since be
-    /// running something else.
-    fn dispatch(&mut self, w: usize, task: usize, now: f64) {
+    /// stall overlapping the execution window extends it. The worker
+    /// beacons until the *stall-free* end, which is returned: its last
+    /// heartbeat, `grace` before the suspicion check.
+    fn dispatch(&mut self, w: usize, task: usize, now: f64) -> f64 {
         let t = now + self.cluster.dispatch_latency_s;
         let start = t + self.loads.load(&mut self.held[w], self.tasks[task].part);
         let nominal_end = start + self.tasks[task].cost_s;
@@ -569,16 +551,17 @@ impl Sim<'_> {
             end += dur;
             self.stalls[w].pop_front();
         }
-        self.inflight[w] = Some((task, start, end, nominal_end));
+        self.slot[w] = Some(Exec { unit: task, start, end, nominal_end });
         self.event(end, EV_FREE, w);
-        if let Some(grace) = self.suspect_after_s {
-            self.event(nominal_end + grace, EV_SUSPECT, task);
+        if let Some(grace) = self.grace {
+            self.event(nominal_end + grace, EV_SUSPECT, w);
         }
+        nominal_end
     }
 }
 
-/// Simulate the legacy **abort-and-restart** answer to a master death (the
-/// `abort_on_master_loss` ablation baseline): the run aborts `detect_s`
+/// Simulate the **abort-and-restart** answer to a master death, the MPI
+/// default that failover is measured against: the run aborts `detect_s`
 /// after the master dies at `master_dies_at_s` — every completed unit is
 /// thrown away — and the whole job re-runs from scratch on a fresh
 /// allocation of the same size (page caches cold again).
@@ -625,11 +608,8 @@ pub fn simulate_master_worker_abort_restart(
         total_search_s: worker_busy.iter().sum(),
         worker_busy,
         busy_intervals,
-        cold_loads: clean.cold_loads,
-        warm_loads: clean.warm_loads,
         redispatched,
-        speculated: 0,
-        cores,
+        ..clean
     }
 }
 
@@ -661,35 +641,7 @@ pub fn simulate_static(
     }
 
     let makespan = clock.iter().copied().fold(0.0, f64::max);
-    SimResult {
-        makespan_s: makespan,
-        total_search_s: worker_busy.iter().sum(),
-        worker_busy,
-        busy_intervals,
-        cold_loads: loads.cold,
-        warm_loads: loads.warm,
-        redispatched: 0,
-        speculated: 0,
-        cores,
-    }
-}
-
-/// Total-orderable f64 for the event heap (costs are never NaN).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("no NaN times")
-    }
+    SimResult::new(makespan, (worker_busy, busy_intervals), &loads, 0, 0, cores)
 }
 
 #[cfg(test)]
@@ -1228,10 +1180,14 @@ mod tests {
         };
         let cluster = cheap_cluster();
         let r = simulate_master_worker(&cluster, 6, &tasks, 0.0, &all);
-        // Every unit completed at least once; the stall is hidden.
+        // Every unit completed at least once. The stall outlives the
+        // master, and the successor rebuilds its queue in unit order only
+        // after the claim gather, which waits for every survivor's first
+        // contact — the stalled worker 4's at t = 51 included. So no backup
+        // runs and the makespan absorbs the stall.
         assert!(r.total_search_s >= 30.0 - 1e-9, "search {}", r.total_search_s);
-        assert!(r.makespan_s < 20.0, "makespan {}", r.makespan_s);
-        assert_eq!(r.speculated, 1);
+        assert!(r.makespan_s > 51.0 && r.makespan_s < 60.0, "makespan {}", r.makespan_s);
+        assert_eq!(r.speculated, 0);
         // Worker 2's completed and in-flight units, plus the successor's.
         assert!(r.redispatched >= 3, "redispatched {}", r.redispatched);
 

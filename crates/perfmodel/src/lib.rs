@@ -19,8 +19,9 @@
 //! This crate models exactly those mechanisms: a [`cluster`] description
 //! (nodes, cores, RAM, interconnect, filesystem), a deterministic
 //! discrete-event simulator of the master-worker schedule — one event loop
-//! whose [`Conditions`] compose partition affinity, worker deaths, stalls
-//! with speculation and master failover — and of static schedules
+//! driving the runtime's own scheduler core (`mrmpi::sched::core`), whose
+//! [`Conditions`] compose partition affinity, worker deaths, stalls with
+//! speculation and master failover — and of static schedules
 //! ([`des`]), per-node partition RAM caching, a skewed work-unit cost
 //! model ([`blastsim`]) whose constants are calibrated against real runs of
 //! our engine ([`calibrate`]), and a BSP model of the batch SOM epoch

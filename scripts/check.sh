@@ -26,6 +26,12 @@ cargo test -q --test perfmodel_validation des_pins_paper_scale_results_for_every
 echo "== straggler regression: a fenced straggler's committed unit is reclaimed and re-run =="
 cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_straggler_fenced_after_committing_has_its_units_rerun
 
+echo "== exactly-once regression: a successor judges the last survivor's carried unit before requeueing it =="
+cargo test -q -p mrmpi --lib -- --exact sched::core::tests::successor_judges_the_last_survivors_carried_unit_before_requeueing_it
+
+echo "== scheduler core property: every interleaving commits each unit exactly once or quarantines it =="
+cargo test -q -p mrmpi --lib -- --exact sched::core::tests::core_commits_every_unit_exactly_once_under_any_interleaving
+
 echo "== crash-consistency smoke: BLAST kill-and-restart, bit-for-bit output =="
 cargo test -q --test crash_restart blast_crash_restart_bit_for_bit
 

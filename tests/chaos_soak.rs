@@ -359,7 +359,7 @@ fn master_death_mid_collate_next_round_elects_and_stays_exact() {
             let mut collected: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
             for round in 0..2u64 {
                 let mut mr = MapReduce::new(comm);
-                mr.map_tasks_ft_report(UNITS as usize, &cfg, &mut |task, kv| {
+                mr.map_tasks(UNITS as usize, &cfg, &mut |task, kv| {
                     comm.charge(1.0);
                     let unit = round * UNITS + task as u64;
                     kv.emit(&unit.to_le_bytes(), &[unit as u8, (unit * 3) as u8]);

@@ -118,7 +118,7 @@ fn synthetic_trace() -> obs::Trace {
     let collector = obs::Collector::new();
     World::new(1).with_obs(collector.clone()).run(|comm| {
         let mut mr = MapReduce::with_settings(comm, Settings::default());
-        mr.map_tasks_ft_report(6, &FtConfig::default(), &mut |t, kv| {
+        mr.map_tasks(6, &FtConfig::default(), &mut |t, kv| {
             comm.charge(0.25);
             kv.emit(&[(t % 3) as u8], &[t as u8]);
         })

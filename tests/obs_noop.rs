@@ -12,7 +12,7 @@ fn obs_off_records_nothing_process_wide() {
     let before = obs::touched_count();
     World::new(3).run(|comm| {
         let mut mr = MapReduce::with_settings(comm, Settings::default());
-        mr.map_tasks_ft_report(9, &FtConfig::default(), &mut |t, kv| {
+        mr.map_tasks(9, &FtConfig::default(), &mut |t, kv| {
             comm.charge(0.05);
             kv.emit(&[(t % 4) as u8], &[t as u8]);
         })

@@ -2,7 +2,7 @@
 //!
 //! Two families of invariants:
 //!
-//! * the fault-tolerant scheduler ([`mrmpi::sched::assign_and_run_ft`])
+//! * the master-worker scheduler ([`mrmpi::sched::assign_and_run`])
 //!   never loses or duplicates a work unit across the surviving ranks, for
 //!   arbitrary seeded fault plans (worker deaths at arbitrary virtual
 //!   times, lossy and delayed master-worker links);
@@ -15,8 +15,20 @@ use proptest::prelude::*;
 
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrmpi::kv::{try_decode_entry, validate_page};
-use mrmpi::sched::assign_and_run_ft;
-use mrmpi::{FtConfig, KvError, SchedError};
+use mrmpi::sched::assign_and_run;
+use mrmpi::{FtConfig, KvError, MapStyle, SchedError};
+
+/// The master-worker scheduler's committed units, for a `run` that
+/// publishes directly.
+fn mw_units(
+    comm: &mpisim::Comm,
+    ntasks: usize,
+    cfg: &FtConfig,
+    run: &mut dyn FnMut(usize),
+) -> Result<Vec<usize>, SchedError> {
+    assign_and_run(comm, ntasks, MapStyle::MasterWorker, cfg, None, run, &mut |_, _| {})
+        .map(|r| r.units)
+}
 use std::time::Duration;
 
 /// Encode pairs in the KV page wire format (klen, vlen as u32 LE, then the
@@ -100,11 +112,11 @@ proptest! {
         let outcomes = World::new(size).with_faults(plan).run_faulty(move |comm| {
             // Each unit charges 1s of virtual time so that nonzero strike
             // times fire mid-run, not just at the first operation.
-            assign_and_run_ft(comm, ntasks, &cfg, |_unit| comm.charge(1.0))
+            mw_units(comm, ntasks, &cfg, &mut |_unit| comm.charge(1.0))
         });
 
         // The sched-level contract (callers add cross-rank reconciliation on
-        // top, see `MapReduce::map_tasks_ft`):
+        // top, see `MapReduce::map_tasks`):
         //  * a unit never runs on two surviving ranks — exactly-once from
         //    the output's point of view;
         //  * with no deaths fired, the partition is exact and every rank
@@ -181,7 +193,7 @@ proptest! {
             ..FtConfig::default()
         };
         let outcomes = World::new(size).with_faults(plan).run_faulty(move |comm| {
-            assign_and_run_ft(comm, ntasks, &cfg, |_unit| {})
+            mw_units(comm, ntasks, &cfg, &mut |_unit| {})
         });
         assert_exact_partition(&outcomes, ntasks, 0)?;
     }
@@ -232,9 +244,10 @@ proptest! {
         let outcomes = World::new(size).with_faults(plan).run_faulty(move |comm| {
             // Each unit charges 1s of virtual time so strike times fire
             // mid-run; wall-clock stall durations stay under 50 ms.
-            mrmpi::sched::assign_and_run_ft_report(
+            assign_and_run(
                 comm,
                 ntasks,
+                MapStyle::MasterWorker,
                 &cfg,
                 None,
                 &mut |_unit| comm.charge(1.0),

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrmpi::sched::assign_and_run_ft_report;
-use mrmpi::{DiskFaultPlan, FtConfig, MapReduce, Settings};
+use mrmpi::sched::assign_and_run;
+use mrmpi::{DiskFaultPlan, FtConfig, MapReduce, MapStyle, Settings};
 
 proptest! {
     #[test]
@@ -58,9 +58,10 @@ proptest! {
             .with_faults(plan)
             .with_obs(collector.clone())
             .run_faulty(move |comm| {
-                assign_and_run_ft_report(
+                assign_and_run(
                     comm,
                     ntasks,
+                    MapStyle::MasterWorker,
                     &cfg2,
                     None,
                     &mut |_unit| comm.charge(1.0),
@@ -191,7 +192,7 @@ proptest! {
                 }
                 .with_disk_faults(disk2.clone());
                 let mut mr = MapReduce::with_settings(comm, settings);
-                let report = mr.map_tasks_ft_report(ntasks, &FtConfig::default(), &mut |t, kv| {
+                let report = mr.map_tasks(ntasks, &FtConfig::default(), &mut |t, kv| {
                     comm.charge(0.2);
                     for i in 0..8u8 {
                         kv.emit(&[(t % 3) as u8, i], &[t as u8; 16]);
