@@ -26,9 +26,9 @@ fn bench_p2p(c: &mut Criterion) {
                 for _ in 0..100 {
                     if comm.rank() == 0 {
                         comm.send(1, 7, vec![1u8; 1024]);
-                        last = comm.recv(1, ANY_TAG).data[0];
+                        last = comm.recv(1, ANY_TAG).expect("peer alive").data[0];
                     } else {
-                        let msg = comm.recv(0, 7);
+                        let msg = comm.recv(0, 7).expect("peer alive");
                         comm.send(0, 8, msg.data);
                         last = 1;
                     }

@@ -46,7 +46,7 @@ fn bench_collate(c: &mut Criterion) {
                         }
                     })
                     .expect("fault-free map");
-                    mr.collate()
+                    mr.collate().expect("fault-free shuffle")
                 });
                 black_box(totals[0])
             })
@@ -65,7 +65,7 @@ fn bench_reduce(c: &mut Criterion) {
                     }
                 })
                 .expect("fault-free map");
-                mr.collate();
+                mr.collate().expect("fault-free shuffle");
                 let mut total = 0u64;
                 mr.reduce(&mut |_k, vals, _| total += vals.count() as u64);
                 total

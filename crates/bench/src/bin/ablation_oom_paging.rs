@@ -26,7 +26,7 @@ fn run_job(settings: Settings) -> (f64, u64, u64) {
             }
         })
         .expect("fault-free map");
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         let mut groups = 0u64;
         mr.reduce(&mut |_k, vals, _| {
             groups += vals.count() as u64;

@@ -64,7 +64,7 @@ fn run_mrsom_collate(comm: &Comm, matrix: &VectorMatrix, cfg: &MrSomConfig) -> C
         })
         .expect("fault-free map");
 
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         mr.reduce(&mut |key, values, out| {
             let mut sum = vec![0.0f64; dims + 1];
             for v in values {

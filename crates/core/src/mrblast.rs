@@ -296,10 +296,11 @@ pub fn run_mrblast(
             report.quarantined.push(global_block * nparts as u64 + part_idx as u64);
         }
 
-        // Checked shuffle + local grouping (collate() with accounting). The
-        // committed pairs arrive in an order that depends on the schedule;
-        // sorting the keys makes this rank's output independent of it.
-        mr.try_aggregate()?;
+        // collate() with a key sort between the shuffle and the grouping:
+        // the committed pairs arrive in an order that depends on the
+        // schedule; sorting the keys makes this rank's output independent
+        // of it.
+        mr.aggregate()?;
         mr.sort_keys(|a, b| a.cmp(b));
         mr.convert();
 

@@ -210,29 +210,13 @@ pub fn run_mrsom(
         let mut acc = BatchAccumulator::from_parts(numerator, vec![0.0; nn], dims);
         charged(comm, &busy, || sums.into_inner().fold_into(&mut acc, &cb, sigma, som.kernel));
 
-        // Direct MPI: one in-place allreduce over [numerator ‖ denominator ‖
-        // block count]. Dead participants are skipped by the collective; a
-        // participant that died between the map and this reduce (taking its
-        // accumulator with it) shows up as a short block count, which the
-        // conservation check below turns into the same typed verdict on
-        // every live rank instead of a silently skewed codebook.
-        let mut packed = acc.numerator;
-        packed.extend_from_slice(&acc.denominator);
-        packed.push(epoch_blocks.into_inner() as f64);
-        comm.allreduce_f64_in_place(&mut packed, ReduceOp::Sum);
-
-        let got = packed.pop().unwrap_or(0.0).round() as u64;
         // Quarantined (poison) blocks are a *known* partial result — they
         // reduce the expected contribution count; anything else missing is
         // silent data loss.
+        let mut packed = acc.numerator;
+        packed.extend_from_slice(&acc.denominator);
         let expected = (blocks.len() - ft_report.quarantined.len()) as u64;
-        if got != expected {
-            return Err(MrError::DataLost {
-                what: "SOM epoch block contributions",
-                expected,
-                got,
-            });
-        }
+        allreduce_epoch(comm, &mut packed, epoch_blocks.into_inner(), expected)?;
         quarantined.extend_from_slice(&ft_report.quarantined);
 
         let denominator = packed.split_off(nn * dims);
@@ -259,6 +243,28 @@ pub fn run_mrsom(
         quarantined,
     };
     Ok((cb, report))
+}
+
+/// The epoch's direct MPI step: one in-place allreduce over
+/// `[numerator ‖ denominator ‖ blocks]`, after which `packed` holds the
+/// summed `[numerator ‖ denominator]`. Dead participants are skipped by the
+/// collective; a participant that died between the map and this reduce
+/// (taking its accumulator with it) shows up as a short block count, which
+/// the conservation check turns into the same typed verdict on every live
+/// rank instead of a silently skewed codebook.
+fn allreduce_epoch(
+    comm: &Comm,
+    packed: &mut Vec<f64>,
+    blocks: u64,
+    expected: u64,
+) -> Result<(), MrError> {
+    packed.push(blocks as f64);
+    comm.allreduce_f64_in_place(packed, ReduceOp::Sum);
+    let got = packed.pop().unwrap_or(0.0).round() as u64;
+    if got != expected {
+        return Err(MrError::DataLost { what: "SOM epoch block contributions", expected, got });
+    }
+    Ok(())
 }
 
 /// Run `work` as rank-local compute: its wall time is charged to the sim
@@ -583,29 +589,28 @@ mod tests {
     fn mid_epoch_death_during_reduce_is_a_typed_error_not_a_hang() {
         // Regression for the narrow BSP window the conservation check exists
         // for: a worker finishes its map blocks, then dies *on entry to the
-        // epoch's MPI_Reduce* — its accumulator is gone and no scheduler can
+        // epoch's reduce* — its accumulator is gone and no scheduler can
         // re-run the work, because the master already counted it done. The
         // death is placed deterministically by burning virtual time between
-        // accumulation and the reduce; the strict collective must turn it
-        // into the same typed verdict on every survivor, never a deadlock.
-        use mpisim::{FaultPlan, MpiError, RankOutcome};
+        // accumulation and the reduce; the epoch's reduce must turn it into
+        // the same typed verdict on every survivor, never a deadlock.
+        use mpisim::{FaultPlan, RankOutcome};
         let som = som_cfg(4);
         let cb0 = init_codebook(&som, &[]);
         let plan = FaultPlan::new(51).kill(2, 1.0);
         let outcomes = World::new(4).with_faults(plan).run_faulty(move |comm| {
-            // One SOM epoch, Fig. 2 shape: everyone accumulates locally...
+            // One SOM epoch, Fig. 2 shape: everyone accumulates one block...
             let vec_block = vec![vec![0.25; 4]; 8];
             let mut acc = BatchAccumulator::zeros(&cb0);
             acc.accumulate_block_with(&cb0, &vec_block, 1.0, som.kernel);
             // ...then rank 2's clock crosses its kill time before the
-            // reduce: it unwinds at the collective's entry preflight.
+            // reduce, taking its committed block with it.
             if comm.rank() == 2 {
                 comm.charge(2.0);
             }
             let mut packed = acc.numerator;
             packed.extend_from_slice(&acc.denominator);
-            let mut summed = vec![0.0; packed.len()];
-            comm.try_reduce_f64(0, &packed, &mut summed, mpisim::ReduceOp::Sum)
+            allreduce_epoch(comm, &mut packed, 1, 4)
         });
         assert!(outcomes[2].is_died(), "rank 2 dies at the reduce");
         for (rank, out) in outcomes.iter().enumerate() {
@@ -613,8 +618,12 @@ mod tests {
                 continue;
             }
             match out {
-                RankOutcome::Done(Err(MpiError::RankDead { rank: 2, .. })) => {}
-                other => panic!("rank {rank}: want RankDead{{2}}, got {other:?}"),
+                RankOutcome::Done(Err(MrError::DataLost {
+                    what: "SOM epoch block contributions",
+                    expected: 4,
+                    got: 3,
+                })) => {}
+                other => panic!("rank {rank}: want DataLost 4→3, got {other:?}"),
             }
         }
     }

@@ -2,15 +2,16 @@
 //!
 //! The runtime panics on programming errors (rank out of bounds, mismatched
 //! collective participation) because those are unrecoverable bugs, exactly as
-//! a real MPI implementation would abort. Recoverable conditions — currently
-//! only a world torn down while a rank is blocked in `recv` — are reported as
-//! [`MpiError`].
+//! a real MPI implementation would abort. Recoverable conditions a receive
+//! can meet — a torn-down world, a dead source, an expired bound — are
+//! reported as [`MpiError`].
 
 use std::fmt;
 
 use crate::Rank;
 
-/// Errors surfaced by fallible `try_*` communication calls.
+/// Errors surfaced by the receives ([`crate::Comm::recv`],
+/// [`crate::Comm::recv_timeout`], [`crate::Comm::try_recv`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum MpiError {
     /// The world was shut down while this rank was waiting for a message.
@@ -18,13 +19,6 @@ pub enum MpiError {
     WorldDown,
     /// A `try_recv` found no matching message.
     WouldBlock,
-    /// A receive buffer was too small for the matched message.
-    Truncated {
-        /// Bytes required by the incoming message.
-        needed: usize,
-        /// Bytes available in the caller's buffer.
-        available: usize,
-    },
     /// A receive can never complete because the (specific) source rank died
     /// with no matching message left in the queue. Fault injection only; see
     /// [`crate::fault`].
@@ -34,23 +28,13 @@ pub enum MpiError {
         /// Virtual time at which the rank died.
         at: f64,
     },
-    /// A bounded receive ([`crate::Mailbox::recv_timeout`],
-    /// [`crate::Comm::recv_timeout`], [`crate::Comm::recv_deadline`]) expired
-    /// with no matching message.
+    /// A bounded receive ([`crate::Comm::recv_timeout`]) expired with no
+    /// matching message.
     Timeout,
     /// A blocking receive was interrupted because some rank died while this
     /// rank was waiting (the death epoch changed). The caller should
     /// re-examine liveness and decide whether to keep waiting.
     Interrupted,
-    /// A strict collective (`try_bcast` / `try_reduce_f64`) was entered while
-    /// `rank` stood *suspected* by the failure detector — alive as far as the
-    /// fault board knows, but past its heartbeat deadline. The collective
-    /// still completed (suspicion is advisory); the error tells the caller
-    /// its result may be about to be invalidated by an eviction.
-    Suspected {
-        /// The suspected rank.
-        rank: Rank,
-    },
 }
 
 impl fmt::Display for MpiError {
@@ -58,19 +42,12 @@ impl fmt::Display for MpiError {
         match self {
             MpiError::WorldDown => write!(f, "world shut down during a blocking operation"),
             MpiError::WouldBlock => write!(f, "no matching message available"),
-            MpiError::Truncated { needed, available } => write!(
-                f,
-                "receive buffer too small: message needs {needed} bytes, buffer holds {available}"
-            ),
             MpiError::RankDead { rank, at } => {
                 write!(f, "rank {rank} died at virtual time {at}s; receive can never complete")
             }
             MpiError::Timeout => write!(f, "receive timed out with no matching message"),
             MpiError::Interrupted => {
                 write!(f, "receive interrupted by a rank death; re-check liveness")
-            }
-            MpiError::Suspected { rank } => {
-                write!(f, "rank {rank} is suspected (missed its heartbeat deadline)")
             }
         }
     }

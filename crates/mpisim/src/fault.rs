@@ -305,17 +305,6 @@ fn fate_hash(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     x
 }
 
-/// An epoch-tagged snapshot of world membership: which ranks were alive at
-/// the moment the view was taken, stamped with the board epoch so two views
-/// can be ordered and a stale one discarded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipView {
-    /// Board epoch at snapshot time (bumped on every death *and* revival).
-    pub epoch: u64,
-    /// Live ranks in rank order.
-    pub members: Vec<Rank>,
-}
-
 /// Shared liveness state: which ranks are alive, and a monotonically
 /// increasing epoch bumped on every death so blocked receivers can notice
 /// that the world changed underneath them.
@@ -330,9 +319,6 @@ pub struct FaultBoard {
     alive: Vec<AtomicBool>,
     epoch: AtomicU64,
     deaths: Mutex<Vec<(Rank, f64)>>,
-    /// Advisory straggler flags set by a failure detector (e.g. the FT
-    /// master): the rank missed its heartbeat deadline but is not known dead.
-    suspected: Vec<AtomicBool>,
     /// Coordinator-deposition marks, scoped to one scheduler *round* (a
     /// round is one scheduler invocation; drivers that map repeatedly run
     /// many rounds over one board). Stores `round + 1`, `0` = never deposed.
@@ -361,7 +347,6 @@ impl FaultBoard {
             alive: (0..size).map(|_| AtomicBool::new(true)).collect(),
             epoch: AtomicU64::new(0),
             deaths: Mutex::new(Vec::new()),
-            suspected: (0..size).map(|_| AtomicBool::new(false)).collect(),
             deposed: (0..size).map(|_| AtomicU64::new(0)).collect(),
             departed: (0..size).map(|_| AtomicU64::new(0)).collect(),
             manifests: Mutex::new(vec![(0, Vec::new()); size]),
@@ -411,33 +396,6 @@ impl FaultBoard {
         self.deaths.lock().iter().find(|&&(r, _)| r == rank).map(|&(_, t)| t)
     }
 
-    /// Flag `rank` as suspected by a failure detector. Advisory: suspicion
-    /// never blocks communication, it only surfaces through
-    /// [`FaultBoard::is_suspected`] and the strict `try_*` collectives.
-    pub fn mark_suspected(&self, rank: Rank) {
-        if let Some(s) = self.suspected.get(rank) {
-            s.store(true, Ordering::Release);
-        }
-    }
-
-    /// Clear `rank`'s suspicion (it spoke again).
-    pub fn clear_suspected(&self, rank: Rank) {
-        if let Some(s) = self.suspected.get(rank) {
-            s.store(false, Ordering::Release);
-        }
-    }
-
-    /// Is `rank` currently suspected? Out-of-range ranks report unsuspected.
-    #[inline]
-    pub fn is_suspected(&self, rank: Rank) -> bool {
-        self.suspected.get(rank).is_some_and(|s| s.load(Ordering::Acquire))
-    }
-
-    /// Currently suspected ranks in rank order.
-    pub fn suspected_ranks(&self) -> Vec<Rank> {
-        (0..self.suspected.len()).filter(|&r| self.is_suspected(r)).collect()
-    }
-
     /// Is any rank other than `me` still alive? When false, a wildcard
     /// receive with an empty queue can never be satisfied.
     pub fn any_other_alive(&self, me: Rank) -> bool {
@@ -448,11 +406,6 @@ impl FaultBoard {
     }
 
     // ------------------------------------------------- membership & failover
-
-    /// Epoch-stamped snapshot of current membership.
-    pub fn membership_view(&self) -> MembershipView {
-        MembershipView { epoch: self.epoch(), members: self.alive_ranks() }
-    }
 
     /// Has `rank` ever died (even if since revived)? Monotonic: a revived
     /// rank keeps its death on record, which is what makes coordinator
@@ -552,7 +505,7 @@ impl FaultBoard {
     }
 
     /// Revive a dead rank as a fresh incarnation: flips it alive, bumps its
-    /// generation and the board epoch, and clears suspicion. Refused (returns
+    /// generation and the board epoch. Refused (returns
     /// `false`) when the join gate is closed or the rank is already alive.
     pub fn try_revive(&self, rank: Rank) -> bool {
         let gate = self.gate.lock();
@@ -561,15 +514,14 @@ impl FaultBoard {
         }
         self.generation[rank].fetch_add(1, Ordering::AcqRel);
         self.alive[rank].store(true, Ordering::Release);
-        self.suspected[rank].store(false, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::AcqRel);
         true
     }
 }
 
-/// Panic payload carried by a dying rank; [`World::run_faulty`]
-/// (crate::World::run_faulty) downcasts it to distinguish an injected death
-/// from a genuine bug.
+/// Panic payload carried by a dying rank;
+/// [`World::run_faulty`](crate::World::run_faulty) downcasts it to
+/// distinguish an injected death from a genuine bug.
 #[derive(Debug, Clone, Copy)]
 pub struct RankDeath {
     /// The rank that died.
@@ -688,20 +640,6 @@ mod tests {
         assert_eq!(plan.slowed_ranks(), vec![1]);
         assert!(plan.is_poisoned(7) && plan.is_poisoned(3) && !plan.is_poisoned(1));
         assert_eq!(plan.poisoned_units(), vec![3, 7]);
-    }
-
-    #[test]
-    fn board_suspicion_is_advisory_and_clearable() {
-        let b = FaultBoard::new(3);
-        assert!(!b.is_suspected(1));
-        b.mark_suspected(1);
-        assert!(b.is_suspected(1));
-        assert!(b.is_alive(1), "suspicion does not kill");
-        assert_eq!(b.suspected_ranks(), vec![1]);
-        b.clear_suspected(1);
-        assert!(!b.is_suspected(1));
-        // Out-of-range ranks read as unsuspected.
-        assert!(!b.is_suspected(crate::comm::ANY_SOURCE));
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! * a fixed-size *world* of ranks, each executing the same program
 //!   ([`World::run`]),
 //! * blocking point-to-point [`Comm::send`] / [`Comm::recv`] with tag and
-//!   source matching (including `ANY_SOURCE` / `ANY_TAG` wildcards),
+//!   source matching (including `ANY_SOURCE` / `ANY_TAG` wildcards); the
+//!   receive, its wall-clock-bounded form [`Comm::recv_timeout`] and the poll
+//!   [`Comm::try_recv`] report a dead source, an expired bound or a torn-down
+//!   world as a typed [`MpiError`] instead of hanging,
 //! * the collectives the paper's applications call out explicitly:
 //!   [`Comm::barrier`], [`Comm::bcast`] (`MPI_Bcast` of the SOM codebook),
 //!   [`Comm::reduce_f64`] / [`Comm::allreduce_f64`] (`MPI_Reduce` of the
 //!   batch-SOM accumulators), [`Comm::gather`], [`Comm::alltoallv`] (the data
-//!   exchange behind MR-MPI's `aggregate()`),
+//!   exchange behind MR-MPI's `aggregate()`); a rank that died contributes
+//!   nothing, and [`Comm::allreduce_f64_present`] reports who did,
 //! * per-rank **virtual clocks** ([`clock`]) so that a program can be executed
 //!   with simulated communication and computation costs and report the wall
 //!   clock it *would* have had on a large cluster, while actually running on
@@ -59,9 +63,9 @@ pub mod world;
 
 pub use clock::{Clock, CostModel};
 pub use collective::ReduceOp;
-pub use comm::{Comm, RecvMsg, RecvRequest, SendRequest, Status, ANY_SOURCE, ANY_TAG};
+pub use comm::{Comm, RecvMsg, Status, ANY_SOURCE, ANY_TAG};
 pub use error::MpiError;
-pub use fault::{FaultBoard, FaultPlan, MembershipView, RankDeath};
+pub use fault::{FaultBoard, FaultPlan, RankDeath};
 pub use world::{RankOutcome, World};
 
 /// A rank index within a world. Mirrors MPI's `int` rank but kept as `usize`

@@ -74,74 +74,29 @@ impl Mailbox {
         (src == ANY_SOURCE || pkt.src == src) && (tag == ANY_TAG || pkt.tag == tag)
     }
 
-    /// Blocking receive of the earliest-queued packet matching `(src, tag)`.
+    /// Blocking receive of the earliest-queued packet matching `(src, tag)`
+    /// on behalf of rank `me`.
     ///
     /// "Earliest queued" preserves MPI's non-overtaking guarantee for any
     /// fixed (source, tag) pair, because packets from one sender are pushed
-    /// in its send order.
-    pub fn recv(&self, src: Rank, tag: Tag) -> Result<Packet, MpiError> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(pos) = g.queue.iter().position(|p| Self::matches(p, src, tag)) {
-                return Ok(g.queue.remove(pos).expect("position just found"));
-            }
-            if g.down {
-                return Err(MpiError::WorldDown);
-            }
-            self.cond.wait(&mut g);
-        }
-    }
-
-    /// Bounded blocking receive: like [`Mailbox::recv`] but gives up with
-    /// [`MpiError::Timeout`] after `timeout` of wall-clock waiting, so no
-    /// receive can hang forever on a peer that silently went away (the
-    /// classic worker-waits-on-a-dead-master hang). Fault-unaware — for
-    /// death-aware matching use [`Mailbox::recv_faulty`].
-    pub fn recv_timeout(
-        &self,
-        src: Rank,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Packet, MpiError> {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(pos) = g.queue.iter().position(|p| Self::matches(p, src, tag)) {
-                return Ok(g.queue.remove(pos).expect("position just found"));
-            }
-            if g.down {
-                return Err(MpiError::WorldDown);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(MpiError::Timeout);
-            }
-            let _ = self.cond.wait_for(&mut g, deadline - now);
-        }
-    }
-
-    /// Death-aware blocking receive used by the fault-injection layer.
-    ///
-    /// Differences from [`Mailbox::recv`]:
-    /// * a receive from a *specific* dead source with no matching queued
-    ///   packet fails with [`MpiError::RankDead`] instead of hanging;
-    /// * a wildcard receive fails the same way once no other rank is alive;
-    /// * with `timeout = Some(d)`, the call fails with [`MpiError::Timeout`]
-    ///   after `d` of wall-clock waiting, and with [`MpiError::Interrupted`]
-    ///   as soon as *any* rank dies while waiting (so a master can react to a
-    ///   worker death promptly rather than burning the full timeout).
-    ///
-    /// Queued packets always win: a message sent before the sender died is
-    /// still delivered.
-    pub fn recv_faulty(
+    /// in its send order. Queued packets always win: a message sent before
+    /// the sender died is still delivered. Otherwise the call fails instead
+    /// of hanging:
+    /// * [`MpiError::WorldDown`] once the world is torn down;
+    /// * [`MpiError::RankDead`] when a *specific* source is dead, or, for a
+    ///   wildcard, once no other rank is alive;
+    /// * with a `deadline`, [`MpiError::Timeout`] when the wall clock passes
+    ///   it, and [`MpiError::Interrupted`] as soon as *any* rank dies while
+    ///   waiting (so a master reacts to a worker death promptly rather than
+    ///   burning the full timeout). A deadline already in the past polls.
+    pub fn recv(
         &self,
         me: Rank,
         src: Rank,
         tag: Tag,
         board: &FaultBoard,
-        timeout: Option<Duration>,
+        deadline: Option<Instant>,
     ) -> Result<Packet, MpiError> {
-        let deadline = timeout.map(|d| Instant::now() + d);
         let entry_epoch = board.epoch();
         let mut g = self.inner.lock();
         loop {
@@ -230,14 +185,30 @@ mod tests {
         Packet { src, tag, data: vec![byte], arrival: 0.0 }
     }
 
+    /// Blocking receive on behalf of rank 0 of a four-rank world in which
+    /// everyone is alive.
+    fn recv(mb: &Mailbox, src: Rank, tag: Tag) -> Result<Packet, MpiError> {
+        mb.recv(0, src, tag, &FaultBoard::new(4), None)
+    }
+
+    /// Like `recv`, bounded by `timeout` of wall-clock waiting.
+    fn recv_timeout(
+        mb: &Mailbox,
+        src: Rank,
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<Packet, MpiError> {
+        mb.recv(0, src, tag, &FaultBoard::new(4), Some(Instant::now() + timeout))
+    }
+
     #[test]
     fn recv_matches_source_and_tag() {
         let mb = Mailbox::new();
         mb.push(pkt(1, 7, 0xa));
         mb.push(pkt(2, 7, 0xb));
-        let got = mb.recv(2, 7).unwrap();
+        let got = recv(&mb, 2, 7).unwrap();
         assert_eq!(got.data, vec![0xb]);
-        let got = mb.recv(ANY_SOURCE, ANY_TAG).unwrap();
+        let got = recv(&mb, ANY_SOURCE, ANY_TAG).unwrap();
         assert_eq!(got.src, 1);
     }
 
@@ -246,8 +217,8 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(pkt(3, 1, 1));
         mb.push(pkt(3, 1, 2));
-        assert_eq!(mb.recv(3, 1).unwrap().data, vec![1]);
-        assert_eq!(mb.recv(3, 1).unwrap().data, vec![2]);
+        assert_eq!(recv(&mb, 3, 1).unwrap().data, vec![1]);
+        assert_eq!(recv(&mb, 3, 1).unwrap().data, vec![2]);
     }
 
     #[test]
@@ -270,10 +241,10 @@ mod tests {
     fn recv_timeout_returns_queued_packet_or_typed_timeout() {
         let mb = Mailbox::new();
         mb.push(pkt(1, 7, 0xa));
-        let got = mb.recv_timeout(1, 7, Duration::from_millis(5)).unwrap();
+        let got = recv_timeout(&mb, 1, 7, Duration::from_millis(5)).unwrap();
         assert_eq!(got.data, vec![0xa]);
         let start = Instant::now();
-        let err = mb.recv_timeout(1, 7, Duration::from_millis(20));
+        let err = recv_timeout(&mb, 1, 7, Duration::from_millis(20));
         assert_eq!(err, Err(MpiError::Timeout));
         assert!(start.elapsed() >= Duration::from_millis(20), "must wait the full bound");
     }
@@ -282,7 +253,7 @@ mod tests {
     fn recv_timeout_wakes_on_late_push() {
         let mb = std::sync::Arc::new(Mailbox::new());
         let mb2 = mb.clone();
-        let h = std::thread::spawn(move || mb2.recv_timeout(3, 1, Duration::from_secs(5)));
+        let h = std::thread::spawn(move || recv_timeout(&mb2, 3, 1, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(15));
         mb.push(pkt(3, 1, 9));
         assert_eq!(h.join().unwrap().unwrap().data, vec![9]);
@@ -292,7 +263,7 @@ mod tests {
     fn shutdown_unblocks_with_world_down() {
         let mb = std::sync::Arc::new(Mailbox::new());
         let mb2 = mb.clone();
-        let h = std::thread::spawn(move || mb2.recv(ANY_SOURCE, ANY_TAG));
+        let h = std::thread::spawn(move || recv(&mb2, ANY_SOURCE, ANY_TAG));
         std::thread::sleep(std::time::Duration::from_millis(20));
         mb.shutdown();
         assert_eq!(h.join().unwrap(), Err(MpiError::WorldDown));

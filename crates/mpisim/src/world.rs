@@ -398,11 +398,11 @@ mod tests {
     }
 
     #[test]
-    fn recv_fallible_reports_dead_source() {
+    fn recv_reports_dead_source() {
         let plan = FaultPlan::new(3).kill(0, 0.0);
         let outcomes = World::new(2).with_faults(plan).run_faulty(|comm| {
             if comm.rank() == 1 {
-                match comm.recv_fallible(0, 7) {
+                match comm.recv(0, 7) {
                     Err(MpiError::RankDead { rank: 0, .. }) => true,
                     other => panic!("expected RankDead, got {other:?}"),
                 }
@@ -425,7 +425,7 @@ mod tests {
                 comm.charge(2.0); // dies here
                 0
             } else {
-                let msg = comm.recv_fallible(0, 4).expect("queued before death");
+                let msg = comm.recv(0, 4).expect("queued before death");
                 assert_eq!(msg.data, vec![0xEE]);
                 let saw_dead = loop {
                     // The death may race the first receive; poll until the
@@ -596,7 +596,7 @@ mod tests {
                 comm.send(1, 2, vec![1]);
                 comm.now()
             } else {
-                let _ = comm.recv(0, 2);
+                comm.recv(0, 2).unwrap();
                 comm.now()
             }
         });

@@ -237,14 +237,6 @@ impl KeyValue {
         }
     }
 
-    /// Borrow page `i` (closed pages first, then the open page last).
-    ///
-    /// # Panics
-    /// Panics if a spilled page cannot be read back.
-    pub fn page_at(&self, i: usize) -> Option<crate::spool::PageRef<'_>> {
-        self.try_page_at(i).unwrap_or_else(|e| panic!("KV page {i} unreadable: {e}"))
-    }
-
     /// Visit every page (closed pages first, then the open page), yielding
     /// raw encoded bytes. Used by operations that process page-at-a-time to
     /// bound memory.

@@ -18,7 +18,8 @@
 //!   an affinity slice makes it the locality-aware master. Its decisions
 //!   are one pure state machine, [`sched::core::Core`], which `perfmodel`'s
 //!   simulator drives too;
-//! * [`MapReduce::aggregate`] (hash-partitioned alltoallv key exchange),
+//! * [`MapReduce::aggregate`] (hash-partitioned alltoallv key exchange over
+//!   the live ranks, with a pair-conservation check),
 //!   [`MapReduce::convert`] (local KV → KMV grouping),
 //!   [`MapReduce::collate`] = aggregate + convert,
 //!   [`MapReduce::reduce`], [`MapReduce::compress`],
@@ -42,7 +43,7 @@
 //!         kv.emit(&[(task % 3) as u8], b"x");
 //!     })
 //!     .expect("fault-free map");
-//!     mr.collate();
+//!     mr.collate().expect("fault-free shuffle");
 //!     let mut out = Vec::new();
 //!     mr.reduce(&mut |key, values, _kv| {
 //!         out.push((key[0], values.count()));

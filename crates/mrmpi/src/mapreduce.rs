@@ -26,7 +26,7 @@ pub type KvMapFn<'a> = dyn FnMut(&[u8], &[u8], &mut KvEmitter<'_>) + 'a;
 /// Typed failure of a fault-tolerant MapReduce operation.
 ///
 /// The fault-tolerant entry points ([`MapReduce::map_tasks`] with
-/// [`MapStyle::MasterWorker`], [`MapReduce::try_aggregate`]) guarantee that
+/// [`MapStyle::MasterWorker`], [`MapReduce::aggregate`]) guarantee that
 /// every live rank returns the same success/failure verdict: error status is
 /// itself combined with an allreduce before any rank returns, so callers can
 /// bail out consistently without stranding a peer inside a collective.
@@ -531,86 +531,26 @@ impl<'c> MapReduce<'c> {
     // -------------------------------------------------------------- shuffle
 
     /// Collective. Re-distribute KV pairs so that every pair of a given key
-    /// lands on the rank `hash(key) % P`. Processes page-at-a-time with one
-    /// `alltoallv` per global page round, bounding memory to O(page size · P)
-    /// regardless of dataset size (the original exchanges page-wise for the
-    /// same reason).
+    /// lands on one rank: `live[hash(key) % L]` over the `L` ranks every
+    /// survivor agrees are alive, which is `hash(key) % P` while no rank has
+    /// died. Processes page-at-a-time with one `alltoallv` per global page
+    /// round, bounding memory to O(page size · P) regardless of dataset size
+    /// (the original exchanges page-wise for the same reason). Returns the
+    /// global pair count.
     ///
-    /// # Panics
-    /// Panics if no KV dataset exists.
-    pub fn aggregate(&mut self) -> u64 {
-        let (_span, spills0) = self.obs_phase("mr.aggregate");
-        let size = self.comm.size();
-        let kv = self.kv.take().expect("aggregate requires a KV dataset");
-        if size == 1 {
-            let n = kv.npairs();
-            self.kv = Some(kv);
-            self.obs_phase_end(spills0, 0);
-            return n;
-        }
-
-        // Agree on the number of exchange rounds: max local page count.
-        let local_pages = kv.num_pages() as f64;
-        let mut max_pages = [0.0f64];
-        self.comm.allreduce_f64(&[local_pages], &mut max_pages, mpisim::ReduceOp::Max);
-        let rounds = max_pages[0] as usize;
-
-        let mut incoming = KeyValue::new(&self.settings);
-
-        for round in 0..rounds {
-            let mut sends: Vec<Vec<u8>> = vec![Vec::new(); size];
-            let mut counts: Vec<u64> = vec![0; size];
-            if let Some(page) = kv.page_at(round) {
-                let mut pos = 0;
-                while pos < page.len() {
-                    let (k, v) = decode_entry(&page, &mut pos);
-                    let owner = key_owner(k, size);
-                    encode_entry(&mut sends[owner], k, v);
-                    counts[owner] += 1;
-                }
-            }
-            // Prefix each buffer with its pair count so the receiver can
-            // splice it in as a pre-encoded page.
-            let sends: Vec<Vec<u8>> = sends
-                .into_iter()
-                .zip(&counts)
-                .map(|(buf, &n)| {
-                    let mut msg = Vec::with_capacity(8 + buf.len());
-                    msg.extend_from_slice(&n.to_le_bytes());
-                    msg.extend_from_slice(&buf);
-                    msg
-                })
-                .collect();
-            let received = self.comm.alltoallv(sends);
-            for msg in received {
-                if msg.len() <= 8 {
-                    continue;
-                }
-                let n = u64::from_le_bytes(msg[..8].try_into().expect("count"));
-                incoming.add_encoded_page(msg[8..].to_vec(), n);
-            }
-        }
-
-        self.retire_kv(&kv);
-        let local = incoming.npairs();
-        self.kv = Some(incoming);
-        self.obs_phase_end(spills0, 0);
-        self.global_count(local)
-    }
-
-    /// Collective. [`MapReduce::aggregate`] with end-to-end accounting:
-    /// every page received from a peer is validated before it is spliced in
-    /// (truncation/corruption surfaces as [`MrError::Corrupt`], never a
-    /// panic), and the global pair count must be conserved across the
-    /// shuffle ([`MrError::DataLost`] otherwise — e.g. a rank died between
-    /// the map and the exchange, taking its pairs with it).
+    /// The exchange is checked end to end: every page received from a peer
+    /// is validated before it is spliced in (truncation/corruption surfaces
+    /// as [`MrError::Corrupt`], never a panic), and the global pair count
+    /// must be conserved across the shuffle ([`MrError::DataLost`] otherwise
+    /// — e.g. a rank died between the map and the exchange, taking its pairs
+    /// with it).
     ///
     /// Every live rank returns the same `Ok`/`Err` verdict. On `Err` the
     /// engine holds no KV dataset.
     ///
     /// # Panics
     /// Panics if no KV dataset exists.
-    pub fn try_aggregate(&mut self) -> Result<u64, MrError> {
+    pub fn aggregate(&mut self) -> Result<u64, MrError> {
         let (_span, spills0) = self.obs_phase("mr.aggregate");
         let size = self.comm.size();
         let kv = self.kv.take().expect("aggregate requires a KV dataset");
@@ -812,11 +752,12 @@ impl<'c> MapReduce<'c> {
 
     /// Collective. `aggregate()` followed by `convert()`: the canonical
     /// shuffle that groups every key's values on one rank. Returns the global
-    /// number of unique keys.
-    pub fn collate(&mut self) -> u64 {
+    /// number of unique keys, or the error [`MapReduce::aggregate`] agreed
+    /// on.
+    pub fn collate(&mut self) -> Result<u64, MrError> {
         let (_span, _) = self.obs_phase("mr.collate");
-        self.aggregate();
-        self.convert()
+        self.aggregate()?;
+        Ok(self.convert())
     }
 
     // --------------------------------------------------------------- reduce
@@ -1080,7 +1021,7 @@ mod tests {
                     }
                 })
                 .expect("fault-free map");
-                mr.collate();
+                mr.collate().expect("fault-free shuffle");
                 let mut counts: Vec<(String, usize)> = Vec::new();
                 mr.reduce(&mut |key, vals, _| {
                     counts.push((String::from_utf8(key.to_vec()).expect("utf8"), vals.count()));
@@ -1109,7 +1050,7 @@ mod tests {
                 kv.emit(&[(t % 10) as u8], &(t as u64).to_le_bytes());
             })
             .expect("fault-free map");
-            let groups = mr.collate();
+            let groups = mr.collate().expect("fault-free shuffle");
             assert_eq!(groups, 10);
             let mut local_keys = Vec::new();
             mr.reduce(&mut |key, vals, _| {
@@ -1203,7 +1144,7 @@ mod tests {
                     kv.emit(&[(t % 7) as u8], &(t as u64).to_le_bytes());
                 })
                 .expect("fault-free map");
-                mr.collate();
+                mr.collate().expect("fault-free shuffle");
                 let mut out: Vec<(u8, Vec<u64>)> = Vec::new();
                 mr.reduce(&mut |key, vals, _| {
                     let mut ts: Vec<u64> = vals
@@ -1245,7 +1186,7 @@ mod tests {
             })
             .expect("fault-free map");
             let s1 = mr.stats();
-            mr.collate();
+            mr.collate().expect("fault-free shuffle");
             let s2 = mr.stats();
             (s1.kv_pairs, s2.kmv_groups)
         });
@@ -1260,7 +1201,7 @@ mod tests {
         let results = World::new(2).run(|comm| {
             let mut mr = MapReduce::new(comm);
             mr.add(b"k", &[comm.rank() as u8]);
-            mr.collate();
+            mr.collate().expect("fault-free shuffle");
             let mut n = 0;
             mr.reduce(&mut |_, vals, _| n = vals.count());
             n
@@ -1300,7 +1241,7 @@ mod tests {
                 })?
                 .pairs;
             // The shuffle must also conserve all 24 pairs.
-            let after = mr.try_aggregate()?;
+            let after = mr.aggregate()?;
             Ok::<(u64, u64), MrError>((n, after))
         });
         assert!(outcomes[2].is_died());
@@ -1398,14 +1339,14 @@ mod tests {
     }
 
     #[test]
-    fn try_aggregate_matches_aggregate_when_healthy() {
+    fn aggregate_conserves_pairs_and_groups_keys_when_healthy() {
         let results = World::new(3).run(|comm| {
             let mut mr = MapReduce::new(comm);
             mr.map_tasks(12, MapStyle::RoundRobin, &mut |t, kv| {
                 kv.emit(&[(t % 5) as u8], &(t as u64).to_le_bytes());
             })
             .expect("fault-free map");
-            let n = mr.try_aggregate().expect("healthy world");
+            let n = mr.aggregate().expect("healthy world");
             // All pairs for one key live on one rank now.
             let mut local = std::collections::HashMap::<u8, usize>::new();
             mr.kv_for_each(|k, _| *local.entry(k[0]).or_default() += 1);
@@ -1419,5 +1360,45 @@ mod tests {
             }
         }
         assert_eq!(merged.values().sum::<usize>(), 12);
+    }
+
+    #[test]
+    fn collate_after_a_death_keeps_every_survivor_pair() {
+        // Every rank adds 50 pairs under keys of its own; rank 2 then
+        // charges past its kill time, so it is dead before the shuffle
+        // starts. The survivors' pairs must all survive the shuffle — none
+        // may be sent to the dead rank — and each key must land on exactly
+        // one survivor.
+        let plan = FaultPlan::new(13).kill(2, 1.0);
+        let outcomes = World::new(4).with_faults(plan).run_faulty(|comm| {
+            let mut mr = MapReduce::new(comm);
+            for i in 0..50u64 {
+                mr.add(format!("r{}k{i}", comm.rank()).as_bytes(), &i.to_le_bytes());
+            }
+            if comm.rank() == 2 {
+                comm.charge(2.0);
+            }
+            let groups = mr.collate()?;
+            let mut local_keys = Vec::new();
+            mr.reduce(&mut |key, vals, _| {
+                assert_eq!(vals.count(), 1, "one pair per key");
+                local_keys.push(key.to_vec());
+            });
+            Ok::<(u64, Vec<Vec<u8>>), MrError>((groups, local_keys))
+        });
+        assert!(outcomes[2].is_died(), "rank 2 dies before the shuffle");
+        let mut seen = std::collections::HashSet::new();
+        for rank in [0, 1, 3] {
+            match &outcomes[rank] {
+                RankOutcome::Done(Ok((groups, keys))) => {
+                    assert_eq!(*groups, 150, "rank {rank}: the survivors' 3 × 50 pairs");
+                    for k in keys {
+                        assert!(seen.insert(k.clone()), "key {k:?} on two ranks");
+                    }
+                }
+                other => panic!("rank {rank}: {other:?}"),
+            }
+        }
+        assert_eq!(seen.len(), 150, "every survivor key sits on one rank");
     }
 }

@@ -577,8 +577,7 @@ impl Master<'_> {
                         let _ = crate::durable::append_record(path, &bytes, self.cfg.log_faults.as_deref());
                     }
                 }
-                Out::Suspect(worker) => {
-                    self.comm.mark_suspected(worker);
+                Out::Suspect(_) => {
                     if let Some(o) = self.comm.obs() {
                         o.add("sched.suspect", 1);
                     }
@@ -663,14 +662,6 @@ impl Master<'_> {
         self.pump();
     }
 
-    /// Record a sign of life from `worker` and lift any suspicion.
-    fn note_heard(&mut self, worker: usize) {
-        self.core.heartbeat(worker, self.now());
-        if self.comm.is_suspected(worker) {
-            self.comm.clear_suspected(worker);
-        }
-    }
-
     fn handle_request(
         &mut self,
         worker: usize,
@@ -690,7 +681,7 @@ impl Master<'_> {
         if self.core.is_dead(worker) || !self.comm.is_alive(worker) {
             return;
         }
-        self.note_heard(worker);
+        self.core.heartbeat(worker, self.now());
         if let Some((last_seq, cached)) = self.last.get(&worker) {
             if *last_seq == seq {
                 // Duplicate of a request already seen: re-send the cached
@@ -817,7 +808,7 @@ fn ft_master_loop(
                         if let Some(o) = comm.obs() {
                             o.add("sched.heartbeats", 1);
                         }
-                        m.note_heard(msg.status.source);
+                        m.core.heartbeat(msg.status.source, m.now());
                     }
                     continue;
                 }

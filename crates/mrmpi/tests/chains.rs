@@ -27,7 +27,7 @@ fn compress_then_collate_wordcount() {
                 out.emit(key, &sum.to_le_bytes());
             });
             // Global shuffle + final sum.
-            mr.collate();
+            mr.collate().expect("fault-free shuffle");
             let mut totals = Vec::new();
             mr.reduce(&mut |key, vals, _| {
                 let sum: u64 = vals
@@ -58,12 +58,12 @@ fn two_mapreduce_cycles_chained() {
             kv.emit(&[(t % 7) as u8], b"");
         })
         .expect("fault-free map");
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         mr.reduce(&mut |key, vals, out| {
             out.emit(&[(vals.count() % 3) as u8], key); // re-key by count mod 3
         });
         // Cycle 2: group the re-keyed pairs.
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         let mut group_sizes = Vec::new();
         mr.reduce(&mut |_key, vals, _| group_sizes.push(vals.count()));
         group_sizes
@@ -111,7 +111,7 @@ fn paged_chain_equals_unpaged() {
             mr.compress(&mut |key, vals, out| {
                 out.emit(key, &(vals.count() as u64).to_le_bytes());
             });
-            mr.collate();
+            mr.collate().expect("fault-free shuffle");
             let mut out = Vec::new();
             mr.reduce(&mut |key, vals, _| {
                 let total: u64 = vals
@@ -149,7 +149,7 @@ fn affinity_map_chain() {
             &mut |t, kv| kv.emit(&[(t % 6) as u8], &(t as u64).to_le_bytes()),
         )
         .expect("fault-free map");
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         let mut counts = Vec::new();
         mr.reduce(&mut |key, vals, _| counts.push((key[0], vals.count())));
         counts
@@ -191,7 +191,7 @@ fn sort_multivalues_orders_within_groups() {
             kv.emit(&[(t % 2) as u8], &((t * 13 % 7) as u64).to_le_bytes());
         })
         .expect("fault-free map");
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         mr.sort_multivalues(|a, b| a.cmp(b));
         let mut ordered = true;
         let mut groups = 0;
@@ -241,7 +241,7 @@ fn empty_dataset_chain() {
             .expect("static map")
             .pairs;
         assert_eq!(n, 0);
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         let mut called = 0;
         mr.reduce(&mut |_, _, _| called += 1);
         mr.gather(1);
@@ -263,7 +263,7 @@ fn oversized_keys_and_values_through_collate() {
             kv.emit(&big_key, &big_val);
         })
         .expect("fault-free map");
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         let mut groups = Vec::new();
         mr.reduce(&mut |key, vals, _| {
             groups.push((key.len(), vals.map(|v| v.len()).collect::<Vec<_>>()));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 pre-merge gate: release build, the full default test suite, and the
-# two fastest fault-injection smoke tests run explicitly by name so a filter
-# or harness change can never silently drop them.
+# Tier-1 pre-merge gate: release build, clippy, the root package's test
+# suite, every workspace crate's tests, a warning-free rustdoc build, and
+# the fault-injection smoke and regression tests run explicitly by name so a
+# filter or harness change can never silently drop them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,12 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo test -q (root package: integration + property tests) =="
 cargo test -q
+
+echo "== cargo test -q --workspace (every crate's unit, integration and doc tests) =="
+cargo test -q --workspace --exclude mrmpi-bio
+
+echo "== rustdoc: no broken intra-doc links or other doc warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "== fault-mode smoke: 2 of 8 workers killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_workers_killed_mid_map
@@ -31,6 +38,12 @@ cargo test -q -p mrmpi --lib -- --exact sched::core::tests::successor_judges_the
 
 echo "== scheduler core property: every interleaving commits each unit exactly once or quarantines it =="
 cargo test -q -p mrmpi --lib -- --exact sched::core::tests::core_commits_every_unit_exactly_once_under_any_interleaving
+
+echo "== shuffle regression: collate after a death keeps every survivor pair, each key on one rank =="
+cargo test -q -p mrmpi --lib -- --exact mapreduce::tests::collate_after_a_death_keeps_every_survivor_pair
+
+echo "== SOM epoch guard: a death entering the epoch reduce is DataLost on every survivor =="
+cargo test -q -p mrbio --lib -- --exact mrsom::tests::mid_epoch_death_during_reduce_is_a_typed_error_not_a_hang
 
 echo "== crash-consistency smoke: BLAST kill-and-restart, bit-for-bit output =="
 cargo test -q --test crash_restart blast_crash_restart_bit_for_bit

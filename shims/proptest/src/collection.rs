@@ -5,7 +5,7 @@ use std::ops::{Range, RangeInclusive};
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// The accepted size specifications for [`vec`].
+/// The accepted size specifications for [`vec()`].
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     lo: usize,
@@ -37,7 +37,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     VecStrategy { element, size: size.into() }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -372,7 +372,7 @@ fn master_death_mid_collate_next_round_elects_and_stays_exact() {
                     // inside the collate.
                     comm.charge(2.0);
                 }
-                mr.try_aggregate()?;
+                mr.aggregate()?;
                 mr.convert();
                 mr.reduce(&mut |key, values, _out| {
                     collected.push((key.to_vec(), values.map(<[u8]>::to_vec).collect()));

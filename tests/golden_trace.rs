@@ -123,7 +123,7 @@ fn synthetic_trace() -> obs::Trace {
             kv.emit(&[(t % 3) as u8], &[t as u8]);
         })
         .expect("no faults");
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         mr.reduce(&mut |_key, values, _out| {
             let n = values.count();
             comm.charge(0.1 * n as f64);

@@ -19,7 +19,7 @@ fn many_ranks_all_to_all_pingpong() {
                 }
             }
             for _ in 0..comm.size() - 1 {
-                let msg = comm.recv(ANY_SOURCE, round as u32);
+                let msg = comm.recv(ANY_SOURCE, round as u32).unwrap();
                 assert_eq!(msg.data[1], round as u8);
                 assert_eq!(msg.data[0] as usize, msg.status.source);
                 received += 1;
@@ -46,7 +46,7 @@ fn tag_selective_receive_under_interleaving() {
         } else {
             let mut sum = 0usize;
             for tag in 0..10u32 {
-                let msg = comm.recv(0, tag);
+                let msg = comm.recv(0, tag).unwrap();
                 assert_eq!(msg.data[0] as u32, tag);
                 sum += msg.data[0] as usize;
             }
@@ -67,7 +67,7 @@ fn non_overtaking_order_preserved_per_pair_under_load() {
             0
         } else {
             for expect in 0..N {
-                let msg = comm.recv(0, 7);
+                let msg = comm.recv(0, 7).unwrap();
                 let got = u32::from_le_bytes(msg.data[..4].try_into().unwrap());
                 assert_eq!(got, expect, "messages reordered");
             }
@@ -112,7 +112,7 @@ fn mixed_p2p_and_collectives_do_not_interfere() {
         let prev = (comm.rank() + comm.size() - 1) % comm.size();
         comm.send(next, 42, vec![comm.rank() as u8]);
         comm.barrier();
-        let msg = comm.recv(prev, 42);
+        let msg = comm.recv(prev, 42).unwrap();
         msg.data[0] as usize
     });
     assert_eq!(results, vec![3, 0, 1, 2]);

@@ -17,7 +17,7 @@ fn obs_off_records_nothing_process_wide() {
             kv.emit(&[(t % 4) as u8], &[t as u8]);
         })
         .expect("no faults injected");
-        mr.collate();
+        mr.collate().expect("fault-free shuffle");
         mr.reduce(&mut |_key, values, _out| {
             let _ = values.count();
         });

@@ -198,7 +198,7 @@ proptest! {
                         kv.emit(&[(t % 3) as u8, i], &[t as u8; 16]);
                     }
                 })?;
-                mr.collate();
+                mr.collate()?;
                 let mut seen = 0u64;
                 mr.reduce(&mut |_key, values, _out| {
                     seen += values.count() as u64;
