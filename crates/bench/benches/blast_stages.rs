@@ -110,6 +110,27 @@ fn bench_work_unit(c: &mut Criterion) {
     c.bench_function("work_unit_protein_8q_x_2kaa_partition", |b| {
         b.iter(|| black_box(psearcher.search_partition(&pprepared, &ppart, 2_000, 4).len()))
     });
+
+    // A protein unit shaped like one blastp-blocks (query block ×
+    // partition) unit: enough subject residues that seeding and two-hit
+    // bookkeeping, not setup, dominate.
+    let bw = gen::protein_workload(7, &WorkloadConfig {
+        db_seqs: 50,
+        db_seq_len: 500,
+        queries: 10,
+        query_len: 150,
+        homolog_fraction: 0.5,
+        sub_rate: 0.3,
+        ..Default::default()
+    });
+    let bpart = partition_records(&bw.db, &FormatDbConfig::protein(usize::MAX))
+        .into_iter()
+        .next()
+        .expect("one partition");
+    let bprepared = psearcher.prepare_queries(&bw.queries);
+    c.bench_function("work_unit_protein_10q_x_25kaa_partition", |b| {
+        b.iter(|| black_box(psearcher.search_partition(&bprepared, &bpart, 25_000, 50).len()))
+    });
 }
 
 fn bench_masking(c: &mut Criterion) {

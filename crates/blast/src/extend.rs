@@ -7,9 +7,13 @@
 //! than X below the best. The two-hit heuristic (protein mode) only extends
 //! a seed if a second non-overlapping seed was seen on the same diagonal
 //! within a window of A residues.
+//!
+//! [`DiagTracker`] keeps both pieces of per-diagonal state — the pending
+//! two-hit anchor and how far extensions already cover the diagonal — in
+//! one record per `(context, diagonal)`, in a map on an unkeyed
+//! FxHash-style hasher, so a seed costs one probe.
 
-use std::collections::HashMap;
-
+use crate::fxhash::FxHashMap;
 use crate::matrix::Scoring;
 
 /// An ungapped high-scoring segment on one diagonal.
@@ -95,48 +99,45 @@ pub fn ungapped_extend(
     UngappedHsp { q_start, q_end, s_start, s_end, score: best }
 }
 
+/// Seeding state of one `(context, diagonal)`. The all-default record is
+/// what a diagonal that has seen nothing behaves like.
+#[derive(Default, Clone, Copy)]
+struct DiagState {
+    /// End (subject coordinate) of the pending two-hit anchor seed.
+    last_seed_end: Option<usize>,
+    /// Subject coordinate up to which extensions cover the diagonal.
+    covered_to: usize,
+}
+
 /// Per-(context, diagonal) seeding state for one subject sequence: implements
 /// both the one-hit mode (DNA) and the two-hit mode (protein), plus
 /// suppression of seeds falling inside an already-extended segment.
 pub struct DiagTracker {
     /// `two_hit_window == 0` selects one-hit seeding.
     two_hit_window: usize,
-    /// Last seed end (subject coordinate) per (ctx, diagonal).
-    last_seed: HashMap<(u32, i64), usize>,
-    /// Subject coordinate up to which the diagonal is already covered by an
-    /// extension.
-    extended_to: HashMap<(u32, i64), usize>,
+    diags: FxHashMap<(u32, i64), DiagState>,
 }
 
 impl DiagTracker {
     /// Fresh tracker for one subject sequence.
     pub fn new(two_hit_window: usize) -> Self {
-        DiagTracker {
-            two_hit_window,
-            last_seed: HashMap::new(),
-            extended_to: HashMap::new(),
-        }
+        DiagTracker { two_hit_window, diags: FxHashMap::default() }
     }
 
     /// Report a seed for `ctx` at `(qpos, spos)` with word length `word`.
     /// Returns `true` when the seed should be extended now.
     pub fn offer(&mut self, ctx: u32, qpos: usize, spos: usize, word: usize) -> bool {
-        let diag = spos as i64 - qpos as i64;
-        let key = (ctx, diag);
-        if let Some(&covered) = self.extended_to.get(&key) {
-            if spos < covered {
-                return false; // inside an already-extended segment
-            }
-        }
+        let key = (ctx, spos as i64 - qpos as i64);
         if self.two_hit_window == 0 {
-            return true;
+            // One-hit seeding keeps no anchors: only coverage suppresses.
+            return self.diags.get(&key).is_none_or(|d| spos >= d.covered_to);
+        }
+        let d = self.diags.entry(key).or_default();
+        if spos < d.covered_to {
+            return false; // inside an already-extended segment
         }
         let seed_end = spos + word;
-        match self.last_seed.get(&key).copied() {
-            None => {
-                self.last_seed.insert(key, seed_end);
-                false
-            }
+        match d.last_seed_end {
             Some(prev_end) if spos < prev_end => {
                 // Overlapping follow-up hit: keep the stored anchor (NCBI
                 // behaviour) so a later non-overlapping hit can still pair
@@ -146,13 +147,13 @@ impl DiagTracker {
             }
             Some(prev_end) if spos - prev_end <= self.two_hit_window => {
                 // Non-overlapping second hit within the window: trigger, and
-                // clear the anchor (the extension coverage map takes over).
-                self.last_seed.remove(&key);
+                // clear the anchor (the extension coverage takes over).
+                d.last_seed_end = None;
                 true
             }
-            Some(_) => {
-                // Too far: treat as a fresh first hit.
-                self.last_seed.insert(key, seed_end);
+            _ => {
+                // First hit, or too far from the anchor: a fresh anchor.
+                d.last_seed_end = Some(seed_end);
                 false
             }
         }
@@ -161,9 +162,8 @@ impl DiagTracker {
     /// Record that the diagonal of `ctx` is covered up to subject coordinate
     /// `s_end` by an extension.
     pub fn mark_extended(&mut self, ctx: u32, q_start: usize, s_start: usize, s_end: usize) {
-        let diag = s_start as i64 - q_start as i64;
-        let e = self.extended_to.entry((ctx, diag)).or_insert(0);
-        *e = (*e).max(s_end);
+        let d = self.diags.entry((ctx, s_start as i64 - q_start as i64)).or_default();
+        d.covered_to = d.covered_to.max(s_end);
     }
 }
 
@@ -293,5 +293,84 @@ mod tests {
         assert!(!t.offer(0, 0, 0, 3));
         assert!(!t.offer(1, 4, 4, 3), "other context starts fresh");
         assert!(t.offer(0, 8, 8, 3));
+    }
+
+    /// Reference tracker: the anchor and the coverage in two separate
+    /// SipHash maps, probed one after the other.
+    struct TwoMapTracker {
+        two_hit_window: usize,
+        last_seed: std::collections::HashMap<(u32, i64), usize>,
+        extended_to: std::collections::HashMap<(u32, i64), usize>,
+    }
+
+    impl TwoMapTracker {
+        fn offer(&mut self, ctx: u32, qpos: usize, spos: usize, word: usize) -> bool {
+            let key = (ctx, spos as i64 - qpos as i64);
+            if self.extended_to.get(&key).is_some_and(|&covered| spos < covered) {
+                return false;
+            }
+            if self.two_hit_window == 0 {
+                return true;
+            }
+            match self.last_seed.get(&key).copied() {
+                Some(prev_end) if spos < prev_end => false,
+                Some(prev_end) if spos - prev_end <= self.two_hit_window => {
+                    self.last_seed.remove(&key);
+                    true
+                }
+                _ => {
+                    self.last_seed.insert(key, spos + word);
+                    false
+                }
+            }
+        }
+
+        fn mark_extended(&mut self, ctx: u32, q_start: usize, s_start: usize, s_end: usize) {
+            let e = self.extended_to.entry((ctx, s_start as i64 - q_start as i64)).or_insert(0);
+            *e = (*e).max(s_end);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tracker_agrees_with_two_map_reference(
+            seed in proptest::prelude::any::<u64>(),
+            two_hit in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::Rng;
+            let mut r = bioseq::gen::rng(seed);
+            let window = if two_hit { r.random_range(1..40) } else { 0 };
+            let mut fast = DiagTracker::new(window);
+            let mut reference = TwoMapTracker {
+                two_hit_window: window,
+                last_seed: Default::default(),
+                extended_to: Default::default(),
+            };
+            // Subject positions mostly increase, as in a subject scan, with
+            // occasional jumps back; few contexts and diagonals so state is
+            // revisited often.
+            let mut spos = 0usize;
+            for step in 0..400 {
+                spos = if r.random::<f64>() < 0.05 {
+                    r.random_range(0..=spos)
+                } else {
+                    spos + r.random_range(0..4)
+                };
+                let ctx = r.random_range(0..3u32);
+                let qpos = r.random_range(0..=spos.min(12));
+                if r.random::<f64>() < 0.2 {
+                    let s_end = spos + r.random_range(0..30);
+                    fast.mark_extended(ctx, qpos, spos, s_end);
+                    reference.mark_extended(ctx, qpos, spos, s_end);
+                } else {
+                    let word = r.random_range(1..6);
+                    proptest::prop_assert_eq!(
+                        fast.offer(ctx, qpos, spos, word),
+                        reference.offer(ctx, qpos, spos, word),
+                        "step {} ctx {} qpos {} spos {} word {}", step, ctx, qpos, spos, word
+                    );
+                }
+            }
+        }
     }
 }

@@ -472,6 +472,33 @@ mod tests {
         assert_eq!(st.score, 0);
     }
 
+    proptest::proptest! {
+        #[test]
+        /// The DP never reads `b` past `a.len() + band`, so the search
+        /// driver may copy only that much reversed subject for a backward
+        /// extension: the extension of the prefix equals the full one, even
+        /// when the best path ends on the band's outer diagonal.
+        fn xdrop_reads_b_only_within_the_band(seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            let mut r = bioseq::gen::rng(seed);
+            let band = r.random_range(1..12);
+            let (a_len, insert) = (r.random_range(0..60), r.random_range(0..band + 3));
+            let a_seq = bioseq::gen::random_dna(&mut r, a_len, 0.5);
+            // `b` = an insertion of up to `band + 2` residues, then a noisy
+            // copy of `a`, then a random tail.
+            let mut b_seq = bioseq::gen::random_dna(&mut r, insert, 0.5);
+            b_seq.extend(bioseq::gen::mutate_dna(&mut r, &a_seq, 0.1, 0.05));
+            b_seq.extend(bioseq::gen::random_dna(&mut r, 2 * band, 0.5));
+            let (a, b) = (dna(&a_seq), dna(&b_seq));
+            let xdrop = r.random_range(10..1000);
+            let scoring = Scoring::blastn_default();
+            let full = xdrop_extend_banded(&a, &b, &scoring, xdrop, band);
+            let reach = b.len().min(a.len() + band);
+            let cut = xdrop_extend_banded(&a, &b[..reach], &scoring, xdrop, band);
+            proptest::prop_assert_eq!(cut, full, "band {} reach {} of {}", band, reach, b.len());
+        }
+    }
+
     #[test]
     fn banded_protein_alignment() {
         let a = Alphabet::Protein.encode_seq(b"MKVLAW");

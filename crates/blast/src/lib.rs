@@ -54,6 +54,7 @@
 pub mod dust;
 pub mod extend;
 pub mod format;
+mod fxhash;
 pub mod gapped;
 pub mod hsp;
 pub mod lookup;

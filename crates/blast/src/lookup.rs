@@ -13,24 +13,41 @@
 //!
 //! Masked query positions (see [`crate::dust`]) contribute no words: that is
 //! soft masking, seeding suppressed but extensions free to cross.
+//!
+//! Layout: the protein table is direct-indexed, compressed-sparse-row style —
+//! one `offsets` array over all `24^w` words and one `entries` array, so a
+//! subject word costs two array loads. `4^11` DNA words are too many to
+//! direct-index per query block, so the DNA table maps each word to its seeds
+//! through an unkeyed FxHash-style hasher. Either way a word's seeds
+//! come out in registration order: context, then query offset.
 
-use std::collections::HashMap;
-
+use crate::fxhash::FxHashMap;
 use crate::matrix::Scoring;
 
 /// Number of residue codes participating in protein neighborhood expansion
 /// (the 20 standard amino acids; B/Z/X/* never seed).
 const NEIGHBOR_RADIX: usize = 20;
 
+/// Longest protein word: `24^4` direct-indexed words take 1.3 MB of offsets.
+const MAX_PROTEIN_WORD: usize = 4;
+
 /// One query context registered in a lookup table: an index the application
 /// interprets (e.g. query × strand) plus the offset of a seed word.
 pub type SeedEntry = (u32, u32);
+
+/// Word → seeds storage.
+enum Table {
+    /// Seeds of word `w` are `entries[offsets[w]..offsets[w + 1]]`.
+    Direct { offsets: Vec<u32>, entries: Vec<SeedEntry> },
+    /// Seeds per registered word.
+    Hashed(FxHashMap<u64, Vec<SeedEntry>>),
+}
 
 /// A query-side word lookup table.
 pub struct Lookup {
     word_size: usize,
     radix: u64,
-    table: HashMap<u64, Vec<SeedEntry>>,
+    table: Table,
 }
 
 impl Lookup {
@@ -41,13 +58,24 @@ impl Lookup {
 
     /// Number of distinct words registered.
     pub fn num_words(&self) -> usize {
-        self.table.len()
+        match &self.table {
+            Table::Direct { offsets, .. } => offsets.windows(2).filter(|r| r[0] != r[1]).count(),
+            Table::Hashed(map) => map.len(),
+        }
     }
 
     /// Seed entries for a packed word (empty slice when absent).
     #[inline]
     pub fn seeds(&self, word: u64) -> &[SeedEntry] {
-        self.table.get(&word).map_or(&[], Vec::as_slice)
+        match &self.table {
+            Table::Direct { offsets, entries } => match usize::try_from(word) {
+                Ok(w) if w < offsets.len() - 1 => {
+                    &entries[offsets[w] as usize..offsets[w + 1] as usize]
+                }
+                _ => &[],
+            },
+            Table::Hashed(map) => map.get(&word).map_or(&[], Vec::as_slice),
+        }
     }
 
     /// Pack a window of residue codes into a word key.
@@ -64,7 +92,7 @@ impl Lookup {
     /// Panics if `word_size` is 0 or > 31.
     pub fn build_dna(contexts: &[(&[u8], &[u8])], word_size: usize) -> Lookup {
         assert!((1..=31).contains(&word_size), "DNA word size out of range");
-        let mut table: HashMap<u64, Vec<SeedEntry>> = HashMap::new();
+        let mut table: FxHashMap<u64, Vec<SeedEntry>> = FxHashMap::default();
         for (ctx, (codes, mask)) in contexts.iter().enumerate() {
             debug_assert_eq!(codes.len(), mask.len());
             if codes.len() < word_size {
@@ -80,7 +108,7 @@ impl Lookup {
                 table.entry(word).or_default().push((ctx as u32, pos as u32));
             }
         }
-        Lookup { word_size, radix: 4, table }
+        Lookup { word_size, radix: 4, table: Table::Hashed(table) }
     }
 
     /// Build a protein neighborhood lookup: every database word scoring ≥
@@ -89,7 +117,7 @@ impl Lookup {
     /// behaviour), even when its self-score is below *T*.
     ///
     /// # Panics
-    /// Panics if `word_size` is 0 or > 8, or `scoring` is not a protein
+    /// Panics if `word_size` is 0 or > 4, or `scoring` is not a protein
     /// system.
     pub fn build_protein(
         contexts: &[(&[u8], &[u8])],
@@ -97,34 +125,35 @@ impl Lookup {
         threshold: i32,
         scoring: &Scoring,
     ) -> Lookup {
-        assert!((1..=8).contains(&word_size), "protein word size out of range");
+        assert!((1..=MAX_PROTEIN_WORD).contains(&word_size), "protein word size out of range");
         assert!(
             matches!(scoring, Scoring::Blosum62 { .. }),
             "protein lookup needs a protein scoring system"
         );
-        let mut table: HashMap<u64, Vec<SeedEntry>> = HashMap::new();
         // Column maxima for branch-and-bound: best achievable score of any
         // neighbor residue against a given query residue.
         let col_max: Vec<i32> = (0..24u8)
             .map(|q| (0..NEIGHBOR_RADIX as u8).map(|s| scoring.score(q, s)).max().unwrap_or(0))
             .collect();
 
+        // Every (word, seed) pair in registration order; each position
+        // registers a word at most once, its exact word first.
+        let mut pairs: Vec<(u32, SeedEntry)> = Vec::new();
+        let mut suffix_max = vec![0i32; word_size + 1];
         for (ctx, (codes, mask)) in contexts.iter().enumerate() {
             debug_assert_eq!(codes.len(), mask.len());
             if codes.len() < word_size {
                 continue;
             }
-            let mut word_buf = vec![0u8; word_size];
             for pos in 0..=codes.len() - word_size {
                 if mask[pos..pos + word_size].iter().any(|&m| m != 0) {
                     continue;
                 }
                 let qword = &codes[pos..pos + word_size];
-                // Always register the exact word.
-                let exact = qword.iter().fold(0u64, |acc, &c| acc * 24 + u64::from(c));
-                push_unique(&mut table, exact, (ctx as u32, pos as u32));
+                let entry = (ctx as u32, pos as u32);
+                let exact = qword.iter().fold(0u32, |acc, &c| acc * 24 + u32::from(c));
+                pairs.push((exact, entry));
                 // Remaining-score bound for pruning.
-                let mut suffix_max = vec![0i32; word_size + 1];
                 for i in (0..word_size).rev() {
                     suffix_max[i] = suffix_max[i + 1] + col_max[qword[i] as usize];
                 }
@@ -133,26 +162,37 @@ impl Lookup {
                     qword,
                     threshold,
                     &suffix_max,
-                    &mut word_buf,
                     0,
                     0,
                     0,
                     &mut |packed| {
                         if packed != exact {
-                            push_unique(&mut table, packed, (ctx as u32, pos as u32));
+                            pairs.push((packed, entry));
                         }
                     },
                 );
             }
         }
-        Lookup { word_size, radix: 24, table }
-    }
-}
 
-fn push_unique(table: &mut HashMap<u64, Vec<SeedEntry>>, word: u64, entry: SeedEntry) {
-    let v = table.entry(word).or_default();
-    if v.last() != Some(&entry) {
-        v.push(entry);
+        // Stable counting sort by word: each word's seeds stay in
+        // registration order. Offsets are u32, so the entry count must fit.
+        assert!(u32::try_from(pairs.len()).is_ok(), "protein lookup exceeds u32 entries");
+        let num_slots = 24usize.pow(word_size as u32);
+        let mut offsets = vec![0u32; num_slots + 1];
+        for &(word, _) in &pairs {
+            offsets[word as usize + 1] += 1;
+        }
+        for w in 0..num_slots {
+            offsets[w + 1] += offsets[w];
+        }
+        let mut cursor = offsets[..num_slots].to_vec();
+        let mut entries = vec![(0, 0); pairs.len()];
+        for (word, entry) in pairs {
+            let at = &mut cursor[word as usize];
+            entries[*at as usize] = entry;
+            *at += 1;
+        }
+        Lookup { word_size, radix: 24, table: Table::Direct { offsets, entries } }
     }
 }
 
@@ -164,11 +204,10 @@ fn enumerate_neighbors(
     qword: &[u8],
     threshold: i32,
     suffix_max: &[i32],
-    word_buf: &mut [u8],
     depth: usize,
     score: i32,
-    packed: u64,
-    emit: &mut impl FnMut(u64),
+    packed: u32,
+    emit: &mut impl FnMut(u32),
 ) {
     if depth == qword.len() {
         if score >= threshold {
@@ -182,16 +221,14 @@ fn enumerate_neighbors(
         if s + suffix_max[depth + 1] < threshold {
             continue;
         }
-        word_buf[depth] = cand;
         enumerate_neighbors(
             scoring,
             qword,
             threshold,
             suffix_max,
-            word_buf,
             depth + 1,
             s,
-            packed * 24 + u64::from(cand),
+            packed * 24 + u32::from(cand),
             emit,
         );
     }
@@ -335,7 +372,110 @@ mod tests {
         }
         // The exact query word is always included.
         expect.insert(q.iter().fold(0u64, |acc, &c| acc * 24 + u64::from(c)));
-        let got: std::collections::HashSet<u64> = lk.table.keys().copied().collect();
+        let got: std::collections::HashSet<u64> =
+            (0..24u64.pow(3)).filter(|&w| !lk.seeds(w).is_empty()).collect();
         assert_eq!(got, expect);
+    }
+
+    /// Random contexts of residue codes below `radix` with random masks.
+    fn random_contexts(seed: u64, radix: u8) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        use rand::Rng;
+        let mut r = bioseq::gen::rng(seed);
+        let n = r.random_range(1..4);
+        let codes: Vec<Vec<u8>> = (0..n)
+            .map(|_| (0..r.random_range(0..24)).map(|_| r.random_range(0..radix)).collect())
+            .collect();
+        let masks = codes
+            .iter()
+            .map(|c| c.iter().map(|_| u8::from(r.random::<f64>() < 0.1)).collect())
+            .collect();
+        (codes, masks)
+    }
+
+    /// Definitional oracle: every unmasked `(ctx, pos)`, in `(ctx, pos)`
+    /// order, whose window is `word` or, for a neighborhood, a word of
+    /// standard residues scoring ≥ `threshold` against it.
+    fn oracle_seeds(
+        contexts: &[(&[u8], &[u8])],
+        word: &[u8],
+        neighborhood: Option<(&Scoring, i32)>,
+    ) -> Vec<SeedEntry> {
+        let w = word.len();
+        let mut out = Vec::new();
+        for (ctx, (codes, mask)) in contexts.iter().enumerate() {
+            for pos in 0..(codes.len() + 1).saturating_sub(w) {
+                if mask[pos..pos + w].iter().any(|&m| m != 0) {
+                    continue;
+                }
+                let window = &codes[pos..pos + w];
+                let near = neighborhood.is_some_and(|(scoring, t)| {
+                    word.iter().all(|&c| usize::from(c) < NEIGHBOR_RADIX)
+                        && window.iter().zip(word).map(|(&a, &b)| scoring.score(a, b)).sum::<i32>()
+                            >= t
+                });
+                if window == word || near {
+                    out.push((ctx as u32, pos as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every word of `len` codes below `radix`, with its packed key.
+    fn all_words(radix: u8, len: usize) -> impl Iterator<Item = (u64, Vec<u8>)> {
+        (0..u64::from(radix).pow(len as u32)).map(move |key| {
+            let mut word = vec![0u8; len];
+            let mut k = key;
+            for c in word.iter_mut().rev() {
+                *c = (k % u64::from(radix)) as u8;
+                k /= u64::from(radix);
+            }
+            (key, word)
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn dna_seeds_match_the_definition_for_every_word(
+            seed in proptest::prelude::any::<u64>(),
+            word_size in 1usize..6,
+        ) {
+            let (codes, masks) = random_contexts(seed, 4);
+            let refs: Vec<(&[u8], &[u8])> =
+                codes.iter().zip(&masks).map(|(c, m)| (c.as_slice(), m.as_slice())).collect();
+            let lk = Lookup::build_dna(&refs, word_size);
+            let mut registered = 0;
+            for (key, word) in all_words(4, word_size) {
+                proptest::prop_assert_eq!(lk.pack(&word), key);
+                let expect = oracle_seeds(&refs, &word, None);
+                registered += usize::from(!expect.is_empty());
+                proptest::prop_assert_eq!(lk.seeds(key), expect.as_slice(), "word {:?}", word);
+            }
+            proptest::prop_assert_eq!(lk.num_words(), registered);
+        }
+
+        #[test]
+        fn protein_seeds_match_the_definition_for_every_word(
+            seed in proptest::prelude::any::<u64>(),
+            word_size in 1usize..4,
+            threshold in 6i32..16,
+        ) {
+            let scoring = Scoring::blastp_default();
+            let (codes, masks) = random_contexts(seed, 24);
+            let refs: Vec<(&[u8], &[u8])> =
+                codes.iter().zip(&masks).map(|(c, m)| (c.as_slice(), m.as_slice())).collect();
+            let lk = Lookup::build_protein(&refs, word_size, threshold, &scoring);
+            let mut registered = 0;
+            for (key, word) in all_words(24, word_size) {
+                proptest::prop_assert_eq!(lk.pack(&word), key);
+                let expect = oracle_seeds(&refs, &word, Some((&scoring, threshold)));
+                registered += usize::from(!expect.is_empty());
+                proptest::prop_assert_eq!(lk.seeds(key), expect.as_slice(), "word {:?}", word);
+            }
+            proptest::prop_assert_eq!(lk.num_words(), registered);
+            // Words past the table are absent, not out of bounds.
+            proptest::prop_assert!(lk.seeds(24u64.pow(word_size as u32)).is_empty());
+            proptest::prop_assert!(lk.seeds(u64::MAX).is_empty());
+        }
     }
 }

@@ -5,6 +5,8 @@
 //! whose E-values are computed against the *whole database* (the DB-length
 //! override), so results are mergeable across partitions by a simple sort.
 
+use std::collections::BTreeMap;
+
 use bioseq::alphabet::Alphabet;
 use bioseq::db::{BlastDb, DbPartition};
 use bioseq::seq::SeqRecord;
@@ -233,7 +235,11 @@ impl BlastSearcher {
                         DEFAULT_BAND,
                     );
                     let q_rev: Vec<u8> = ctx.codes[..anchor_q].iter().rev().copied().collect();
-                    let s_rev: Vec<u8> = s_codes[..anchor_s].iter().rev().copied().collect();
+                    // The band keeps the DP within `q_rev.len() + DEFAULT_BAND`
+                    // subject residues, so copy no more of the prefix.
+                    let s_back = anchor_s.min(anchor_q + DEFAULT_BAND);
+                    let s_rev: Vec<u8> =
+                        s_codes[anchor_s - s_back..anchor_s].iter().rev().copied().collect();
                     let bwd = xdrop_extend_banded(
                         &q_rev,
                         &s_rev,
@@ -301,21 +307,9 @@ impl BlastSearcher {
 
         // Per-query top-K within this work unit (the paper's "we need to
         // pass K hits from each DB partition").
-        if self.params.max_hits_per_query > 0 {
-            let mut by_query: std::collections::HashMap<String, Vec<Hit>> =
-                std::collections::HashMap::new();
-            for h in hits {
-                by_query.entry(h.query_id.clone()).or_default().push(h);
-            }
-            let mut out = Vec::new();
-            let mut keys: Vec<String> = by_query.keys().cloned().collect();
-            keys.sort();
-            for k in keys {
-                let mut v = by_query.remove(&k).expect("key exists");
-                sort_and_truncate(&mut v, self.params.max_hits_per_query);
-                out.extend(v);
-            }
-            out
+        let max = self.params.max_hits_per_query;
+        if max > 0 {
+            merge_hits(hits, max)
         } else {
             hits
         }
@@ -364,16 +358,12 @@ impl BlastSearcher {
 /// the global top-K — exactly what the paper's reduce() does after
 /// collate().
 pub fn merge_hits(hits: Vec<Hit>, max_per_query: usize) -> Vec<Hit> {
-    let mut by_query: std::collections::HashMap<String, Vec<Hit>> =
-        std::collections::HashMap::new();
+    let mut by_query: BTreeMap<String, Vec<Hit>> = BTreeMap::new();
     for h in hits {
         by_query.entry(h.query_id.clone()).or_default().push(h);
     }
-    let mut keys: Vec<String> = by_query.keys().cloned().collect();
-    keys.sort();
     let mut out = Vec::new();
-    for k in keys {
-        let mut v = by_query.remove(&k).expect("key exists");
+    for mut v in by_query.into_values() {
         sort_and_truncate(&mut v, max_per_query);
         out.extend(v);
     }

@@ -21,6 +21,9 @@ cargo test -q --workspace --exclude mrmpi-bio
 echo "== rustdoc: no broken intra-doc links or other doc warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
+echo "== engine pin: serial blastn/blastp/blastx hit counts and tabular digests, exact =="
+cargo test -q --test blast_output_pin
+
 echo "== fault-mode smoke: 2 of 8 workers killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_workers_killed_mid_map
 

@@ -1,0 +1,152 @@
+//! Pins what the serial BLAST engine returns on three seeded workloads.
+//!
+//! The equivalence tests compare parallel output with serial output from the
+//! same build, so an engine change that moves every hit the same way passes
+//! them. These tests hold `BlastSearcher::search_db_serial` itself to fixed
+//! numbers: the hit count and the FNV-1a digest of the newline-joined
+//! tabular lines. A change to seeding, extension or statistics that alters a
+//! single hit, or the order of hits, changes the digest.
+
+use bioseq::db::{format_db, FormatDbConfig};
+use bioseq::gen::{self, WorkloadConfig};
+use bioseq::seq::SeqRecord;
+use blast::format::tabular_line;
+use blast::search::BlastSearcher;
+use blast::SearchParams;
+use mrmpi::hashfn::fnv1a;
+
+/// Format `db` into a partitioned database, search it serially, and return
+/// the hit count and the digest of the tabular output.
+fn serial_digest(
+    tag: &str,
+    db: &[SeqRecord],
+    cfg: &FormatDbConfig,
+    queries: &[SeqRecord],
+    params: SearchParams,
+) -> (usize, u64) {
+    let dir = std::env::temp_dir().join(format!("pin-{tag}-{}", std::process::id()));
+    let blastdb = format_db(db, cfg, &dir, tag).expect("format db");
+    assert!(blastdb.num_partitions() > 1, "{tag}: want several partitions");
+    let hits = BlastSearcher::new(params).search_db_serial(queries, &blastdb).expect("search");
+    std::fs::remove_dir_all(&dir).ok();
+    let text = hits.iter().map(tabular_line).collect::<Vec<_>>().join("\n");
+    (hits.len(), fnv1a(text.as_bytes()))
+}
+
+#[test]
+fn blastn_both_strands_output_is_pinned() {
+    let w = gen::dna_workload(
+        4101,
+        &WorkloadConfig {
+            db_seqs: 8,
+            db_seq_len: 3000,
+            queries: 24,
+            query_len: 400,
+            homolog_fraction: 0.75,
+            sub_rate: 0.08,
+            indel_rate: 0.01,
+            ..Default::default()
+        },
+    );
+    // Half the queries are searched as their reverse complement so both
+    // strands report hits.
+    let queries: Vec<SeqRecord> = w
+        .queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            if i % 2 == 1 {
+                SeqRecord::new(q.id.clone(), q.reverse_complement().seq)
+            } else {
+                q.clone()
+            }
+        })
+        .collect();
+    let params = SearchParams::blastn();
+    assert!(params.both_strands);
+    let got = serial_digest("blastn", &w.db, &FormatDbConfig::dna(2000), &queries, params);
+    assert_eq!(got, (BLASTN_HITS, BLASTN_DIGEST), "blastn output moved");
+}
+
+#[test]
+fn blastp_t11_output_is_pinned() {
+    let w = gen::protein_workload(
+        4102,
+        &WorkloadConfig {
+            db_seqs: 24,
+            db_seq_len: 500,
+            queries: 16,
+            query_len: 150,
+            homolog_fraction: 0.5,
+            sub_rate: 0.3,
+            ..Default::default()
+        },
+    );
+    let params = SearchParams::blastp();
+    assert_eq!(params.threshold, 11);
+    let got = serial_digest("blastp", &w.db, &FormatDbConfig::protein(4000), &w.queries, params);
+    assert_eq!(got, (BLASTP_HITS, BLASTP_DIGEST), "blastp output moved");
+}
+
+#[test]
+fn blastx_output_is_pinned() {
+    let w = gen::protein_workload(
+        4103,
+        &WorkloadConfig {
+            db_seqs: 12,
+            db_seq_len: 300,
+            queries: 12,
+            query_len: 80,
+            homolog_fraction: 0.6,
+            sub_rate: 0.15,
+            ..Default::default()
+        },
+    );
+    // DNA reads carrying the protein queries through a fixed codon table,
+    // between random flanks; every third read is on the minus strand.
+    let codon = |aa: u8| -> &'static [u8] {
+        match aa {
+            b'A' => b"GCT", b'R' => b"CGT", b'N' => b"AAT", b'D' => b"GAT",
+            b'C' => b"TGT", b'Q' => b"CAA", b'E' => b"GAA", b'G' => b"GGT",
+            b'H' => b"CAT", b'I' => b"ATT", b'L' => b"CTT", b'K' => b"AAA",
+            b'M' => b"ATG", b'F' => b"TTT", b'P' => b"CCT", b'S' => b"TCT",
+            b'T' => b"ACT", b'W' => b"TGG", b'Y' => b"TAT", b'V' => b"GTT",
+            _ => b"GCT",
+        }
+    };
+    let mut r = gen::rng(4104);
+    let reads: Vec<SeqRecord> = w
+        .queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let mut dna = gen::random_dna(&mut r, 20 + i, 0.5);
+            dna.extend(q.seq.iter().flat_map(|&aa| codon(aa).iter().copied()));
+            dna.extend(gen::random_dna(&mut r, 30, 0.5));
+            let read = SeqRecord::new(format!("x{}", q.id), dna);
+            if i % 3 == 2 {
+                SeqRecord::new(read.id.clone(), read.reverse_complement().seq)
+            } else {
+                read
+            }
+        })
+        .collect();
+    let got = serial_digest(
+        "blastx",
+        &w.db,
+        &FormatDbConfig::protein(1200),
+        &reads,
+        SearchParams::blastx(),
+    );
+    assert_eq!(got, (BLASTX_HITS, BLASTX_DIGEST), "blastx output moved");
+}
+
+// Computed with the seeding tables in SipHash maps, before they became flat
+// tables; a change that means to alter engine output updates these and says
+// why.
+const BLASTN_HITS: usize = 43;
+const BLASTN_DIGEST: u64 = 8670331011140050236;
+const BLASTP_HITS: usize = 16;
+const BLASTP_DIGEST: u64 = 673214162490211429;
+const BLASTX_HITS: usize = 9;
+const BLASTX_DIGEST: u64 = 15997305237392368470;
