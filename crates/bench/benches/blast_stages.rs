@@ -21,6 +21,7 @@ use bioseq::alphabet::Alphabet;
 use bioseq::db::{partition_records, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::seq::SeqRecord;
+use bioseq::shred::{shred_records, ShredConfig};
 use blast::extend::ungapped_extend;
 use blast::gapped::{banded_global_stats, xdrop_extend};
 use blast::lookup::Lookup;
@@ -91,6 +92,25 @@ fn bench_work_unit(c: &mut Criterion) {
     let prepared = searcher.prepare_queries(&w.queries);
     c.bench_function("work_unit_20q_x_12kbp_partition", |b| {
         b.iter(|| black_box(searcher.search_partition(&prepared, &part, 12_000, 6).len()))
+    });
+
+    // A unit shaped like one hit-rich blastn-shred unit: a block of 20
+    // 400 bp fragments of a genome against a partition of two strains of
+    // its family (the genome and a copy with 4% substitutions and 0.2%
+    // indels), so gapped extension and traceback dominate.
+    let mut rng = gen::rng(8);
+    let genome = gen::random_dna(&mut rng, 12_000, 0.5);
+    let strain = gen::mutate_dna(&mut rng, &genome, 0.04, 0.002);
+    let strains = [SeqRecord::new("g0s0", genome), SeqRecord::new("g0s1", strain)];
+    let fragments: Vec<SeqRecord> =
+        shred_records(&strains[..1], &ShredConfig::default()).into_iter().take(20).collect();
+    let spart = partition_records(&strains, &FormatDbConfig::dna(usize::MAX))
+        .into_iter()
+        .next()
+        .expect("one partition");
+    let sprepared = searcher.prepare_queries(&fragments);
+    c.bench_function("work_unit_blastn_shred_20frag_x_2strains", |b| {
+        b.iter(|| black_box(searcher.search_partition(&sprepared, &spart, 24_000, 2).len()))
     });
 
     // Protein work unit.

@@ -17,9 +17,10 @@
 //! Layout: the protein table is direct-indexed, compressed-sparse-row style —
 //! one `offsets` array over all `24^w` words and one `entries` array, so a
 //! subject word costs two array loads. `4^11` DNA words are too many to
-//! direct-index per query block, so the DNA table maps each word to its seeds
-//! through an unkeyed FxHash-style hasher. Either way a word's seeds
-//! come out in registration order: context, then query offset.
+//! direct-index per query block, so the DNA table keeps one `entries` array
+//! too and finds a word's run of it through a map, on an unkeyed
+//! FxHash-style hasher, from the word to `(start, length)`. Either way a
+//! word's seeds come out in registration order: context, then query offset.
 
 use crate::fxhash::FxHashMap;
 use crate::matrix::Scoring;
@@ -35,12 +36,14 @@ const MAX_PROTEIN_WORD: usize = 4;
 /// interprets (e.g. query × strand) plus the offset of a seed word.
 pub type SeedEntry = (u32, u32);
 
-/// Word → seeds storage.
+/// Word → seeds storage: one `entries` array holding every word's seeds
+/// contiguously.
 enum Table {
     /// Seeds of word `w` are `entries[offsets[w]..offsets[w + 1]]`.
     Direct { offsets: Vec<u32>, entries: Vec<SeedEntry> },
-    /// Seeds per registered word.
-    Hashed(FxHashMap<u64, Vec<SeedEntry>>),
+    /// Seeds of word `w` are the `len` entries from `start`, where
+    /// `index[w] = (start, len)`.
+    Hashed { index: FxHashMap<u64, (u32, u32)>, entries: Vec<SeedEntry> },
 }
 
 /// A query-side word lookup table.
@@ -60,7 +63,7 @@ impl Lookup {
     pub fn num_words(&self) -> usize {
         match &self.table {
             Table::Direct { offsets, .. } => offsets.windows(2).filter(|r| r[0] != r[1]).count(),
-            Table::Hashed(map) => map.len(),
+            Table::Hashed { index, .. } => index.len(),
         }
     }
 
@@ -74,7 +77,10 @@ impl Lookup {
                 }
                 _ => &[],
             },
-            Table::Hashed(map) => map.get(&word).map_or(&[], Vec::as_slice),
+            Table::Hashed { index, entries } => match index.get(&word) {
+                Some(&(start, len)) => &entries[start as usize..(start + len) as usize],
+                None => &[],
+            },
         }
     }
 
@@ -92,23 +98,27 @@ impl Lookup {
     /// Panics if `word_size` is 0 or > 31.
     pub fn build_dna(contexts: &[(&[u8], &[u8])], word_size: usize) -> Lookup {
         assert!((1..=31).contains(&word_size), "DNA word size out of range");
-        let mut table: FxHashMap<u64, Vec<SeedEntry>> = FxHashMap::default();
-        for (ctx, (codes, mask)) in contexts.iter().enumerate() {
-            debug_assert_eq!(codes.len(), mask.len());
-            if codes.len() < word_size {
-                continue;
-            }
-            for pos in 0..=codes.len() - word_size {
-                if mask[pos..pos + word_size].iter().any(|&m| m != 0) {
-                    continue;
-                }
-                let word = codes[pos..pos + word_size]
-                    .iter()
-                    .fold(0u64, |acc, &c| acc * 4 + u64::from(c));
-                table.entry(word).or_default().push((ctx as u32, pos as u32));
-            }
+        // Two passes over the words: count each word's seeds, then place
+        // them. Every window is a potential distinct word, so presizing
+        // the index for all of them means it never rehashes.
+        let windows: usize =
+            contexts.iter().map(|(codes, _)| (codes.len() + 1).saturating_sub(word_size)).sum();
+        let mut index: FxHashMap<u64, (u32, u32)> =
+            FxHashMap::with_capacity_and_hasher(windows, Default::default());
+        for_each_dna_word(contexts, word_size, |word, _| index.entry(word).or_default().1 += 1);
+        let mut total = 0usize;
+        for (start, len) in index.values_mut() {
+            *start = total as u32;
+            total += std::mem::take(len) as usize;
         }
-        Lookup { word_size, radix: 4, table: Table::Hashed(table) }
+        assert!(u32::try_from(total).is_ok(), "DNA lookup exceeds u32 entries");
+        let mut entries = vec![(0, 0); total];
+        for_each_dna_word(contexts, word_size, |word, entry| {
+            let (start, len) = index.get_mut(&word).expect("counted in the first pass");
+            entries[(*start + *len) as usize] = entry;
+            *len += 1;
+        });
+        Lookup { word_size, radix: 4, table: Table::Hashed { index, entries } }
     }
 
     /// Build a protein neighborhood lookup: every database word scoring ≥
@@ -193,6 +203,33 @@ impl Lookup {
             *at += 1;
         }
         Lookup { word_size, radix: 24, table: Table::Direct { offsets, entries } }
+    }
+}
+
+/// Call `f(word, (ctx, pos))` for every window of `word_size` unmasked
+/// 2-bit codes, in registration order: context, then query offset. The word
+/// rolls two bits per residue; a masked or out-of-alphabet residue restarts
+/// it.
+fn for_each_dna_word(
+    contexts: &[(&[u8], &[u8])],
+    word_size: usize,
+    mut f: impl FnMut(u64, SeedEntry),
+) {
+    let bits = (1u64 << (2 * word_size)) - 1;
+    for (ctx, (codes, mask)) in contexts.iter().enumerate() {
+        debug_assert_eq!(codes.len(), mask.len());
+        let (mut word, mut run) = (0u64, 0usize);
+        for (pos, (&c, &m)) in codes.iter().zip(mask.iter()).enumerate() {
+            if m != 0 || c > 3 {
+                run = 0;
+                continue;
+            }
+            word = ((word << 2) | u64::from(c)) & bits;
+            run += 1;
+            if run >= word_size {
+                f(word, (ctx as u32, (pos + 1 - word_size) as u32));
+            }
+        }
     }
 }
 
@@ -290,6 +327,14 @@ mod tests {
         let lk = Lookup::build_dna(&[(&q, &mask)], 4);
         let word = lk.pack(&Alphabet::Dna.encode_seq(b"ACGT"));
         assert_eq!(lk.seeds(word), &[(0, 4)]);
+    }
+
+    #[test]
+    fn out_of_alphabet_codes_break_words() {
+        let q = [0, 1, 2, 3, 4, 0, 1, 2, 3];
+        let lk = Lookup::build_dna(&[(&q, &no_mask(q.len()))], 4);
+        assert_eq!(lk.seeds(lk.pack(&[0, 1, 2, 3])), &[(0, 0), (0, 5)]);
+        assert_eq!(lk.num_words(), 1, "only ACGT: no window covers the code 4");
     }
 
     #[test]

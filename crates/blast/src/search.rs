@@ -14,7 +14,7 @@ use bioseq::translate::{six_frame, Frame};
 
 use crate::dust::{default_dust, default_seg};
 use crate::extend::{ungapped_extend, DiagTracker};
-use crate::gapped::{banded_global_stats, xdrop_extend_banded, DEFAULT_BAND};
+use crate::gapped::{banded_global_stats, XdropRows, DEFAULT_BAND};
 use crate::hsp::{sort_and_truncate, Hit, Strand};
 use crate::lookup::{scan_words, Lookup};
 use crate::params::SearchParams;
@@ -196,6 +196,7 @@ impl BlastSearcher {
         let xdrop_ungapped = self.ungapped_xdrop_raw();
         let xdrop_gapped = self.gapped_xdrop_raw();
         let gap_trigger_raw = self.ungapped.raw_for_bits(self.params.gap_trigger_bits);
+        let mut rows = XdropRows::default();
 
         for subject in &partition.sequences {
             let s_codes = subject.data.to_codes();
@@ -227,22 +228,16 @@ impl BlastSearcher {
                     // Gapped extension from the midpoint anchor.
                     let anchor_q = (hsp.q_start + hsp.q_end) / 2;
                     let anchor_s = hsp.s_start + (anchor_q - hsp.q_start);
-                    let fwd = xdrop_extend_banded(
+                    let fwd = rows.extend(
                         &ctx.codes[anchor_q..],
                         &s_codes[anchor_s..],
                         &self.params.scoring,
                         xdrop_gapped,
                         DEFAULT_BAND,
                     );
-                    let q_rev: Vec<u8> = ctx.codes[..anchor_q].iter().rev().copied().collect();
-                    // The band keeps the DP within `q_rev.len() + DEFAULT_BAND`
-                    // subject residues, so copy no more of the prefix.
-                    let s_back = anchor_s.min(anchor_q + DEFAULT_BAND);
-                    let s_rev: Vec<u8> =
-                        s_codes[anchor_s - s_back..anchor_s].iter().rev().copied().collect();
-                    let bwd = xdrop_extend_banded(
-                        &q_rev,
-                        &s_rev,
+                    let bwd = rows.extend_back(
+                        &ctx.codes[..anchor_q],
+                        &s_codes[..anchor_s],
                         &self.params.scoring,
                         xdrop_gapped,
                         DEFAULT_BAND,

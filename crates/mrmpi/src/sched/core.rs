@@ -984,10 +984,10 @@ mod tests {
         for unit in held.chain([&world.master]).flatten() {
             count[*unit as usize] += 1;
         }
-        for u in 0..ntasks {
+        for (u, (&held, &poison)) in count.iter().zip(&world.poison).enumerate() {
             let q = quarantined.contains(&(u as u64));
-            prop_assert_eq!(count[u] + q as usize, 1, "unit {} (quarantined {})", u, q);
-            prop_assert!(!q || world.poison[u], "unit {} quarantined but not poison", u);
+            prop_assert_eq!(held + q as usize, 1, "unit {} (quarantined {})", u, q);
+            prop_assert!(!q || poison, "unit {} quarantined but not poison", u);
         }
         Ok(())
     }

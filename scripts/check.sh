@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 pre-merge gate: release build, clippy, the root package's test
-# suite, every workspace crate's tests, a warning-free rustdoc build, and
-# the fault-injection smoke and regression tests run explicitly by name so a
-# filter or harness change can never silently drop them.
+# Tier-1 pre-merge gate: release build, clippy over every workspace crate,
+# the root package's test suite, every workspace crate's tests, a
+# warning-free rustdoc build, and the fault-injection smoke and regression
+# tests run explicitly by name so a filter or harness change can never
+# silently drop them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test -q (root package: integration + property tests) =="
 cargo test -q

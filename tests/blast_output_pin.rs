@@ -10,6 +10,7 @@
 use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::seq::SeqRecord;
+use bioseq::shred::{shred_records, ShredConfig};
 use blast::format::tabular_line;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
@@ -66,6 +67,37 @@ fn blastn_both_strands_output_is_pinned() {
     assert!(params.both_strands);
     let got = serial_digest("blastn", &w.db, &FormatDbConfig::dna(2000), &queries, params);
     assert_eq!(got, (BLASTN_HITS, BLASTN_DIGEST), "blastn output moved");
+}
+
+#[test]
+fn blastn_strain_shred_output_is_pinned() {
+    // The paper's blastn use: 400 bp / 200 bp-overlap fragments of a genome
+    // against the genome itself and three strains mutated with 4%
+    // substitutions and 0.2% indels. Self-hits stay in, every other fragment
+    // is reverse-complemented, and each strain gets its own partition, so
+    // long gapped alignments through indels dominate the output.
+    let mut r = gen::rng(4105);
+    let genome = gen::random_dna(&mut r, 6000, 0.45);
+    let mut db = vec![SeqRecord::new("strain0", genome.clone())];
+    for s in 1..4 {
+        let strain = gen::mutate_dna(&mut r, &genome, 0.04, 0.002);
+        db.push(SeqRecord::new(format!("strain{s}"), strain));
+    }
+    let queries: Vec<SeqRecord> = shred_records(&db[..1], &ShredConfig::default())
+        .into_iter()
+        .enumerate()
+        .map(|(i, f)| {
+            if i % 2 == 1 {
+                SeqRecord::new(f.id.clone(), f.reverse_complement().seq)
+            } else {
+                f
+            }
+        })
+        .collect();
+    let params = SearchParams::blastn();
+    assert!(params.both_strands);
+    let got = serial_digest("shred", &db, &FormatDbConfig::dna(1600), &queries, params);
+    assert_eq!(got, (SHRED_HITS, SHRED_DIGEST), "blastn strain-shred output moved");
 }
 
 #[test]
@@ -146,6 +178,10 @@ fn blastx_output_is_pinned() {
 // why.
 const BLASTN_HITS: usize = 43;
 const BLASTN_DIGEST: u64 = 8670331011140050236;
+// Computed with the full-band X-drop extension and the full-row traceback,
+// before either visited only its live cells or band.
+const SHRED_HITS: usize = 177;
+const SHRED_DIGEST: u64 = 15112330339845115255;
 const BLASTP_HITS: usize = 16;
 const BLASTP_DIGEST: u64 = 673214162490211429;
 const BLASTX_HITS: usize = 9;
