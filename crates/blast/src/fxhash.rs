@@ -1,10 +1,9 @@
 //! A small unkeyed hasher for the engine's integer-keyed maps.
 //!
-//! The word lookup and the per-diagonal seeding state hash packed words and
-//! `(context, diagonal)` pairs millions of times per work unit. Std's
-//! default SipHash is keyed to resist inputs crafted to collide; these keys
-//! are integers the engine derives itself, never caller-chosen strings, so
-//! that protection buys nothing here. This is the FxHash rotate-xor-multiply
+//! The DNA word lookup hashes packed words millions of times per work
+//! unit. Std's default SipHash is keyed to resist inputs crafted to
+//! collide; these keys are integers the engine derives itself, never
+//! caller-chosen strings, so that protection buys nothing here. This is the FxHash rotate-xor-multiply
 //! step: one rotate, xor and multiply per machine word, plus one final
 //! rotate (as in rustc-hash 2) so the well-mixed middle bits of the product
 //! land in the low bits `HashMap` picks its bucket with; a bare multiply

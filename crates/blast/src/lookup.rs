@@ -9,7 +9,9 @@
 //! * **DNA**: exact `word_size`-mers (default 11), 2 bits per residue;
 //! * **protein**: all 3-mers whose BLOSUM score against some query 3-mer
 //!   reaches the neighborhood threshold *T* — enumerated with
-//!   branch-and-bound over the residue columns.
+//!   branch-and-bound over the residue columns. Each column walks its 20
+//!   candidates in descending score, from a ranked table built once per
+//!   lookup, and stops at the first one whose best completion misses *T*.
 //!
 //! Masked query positions (see [`crate::dust`]) contribute no words: that is
 //! soft masking, seeding suppressed but extensions free to cross.
@@ -140,11 +142,7 @@ impl Lookup {
             matches!(scoring, Scoring::Blosum62 { .. }),
             "protein lookup needs a protein scoring system"
         );
-        // Column maxima for branch-and-bound: best achievable score of any
-        // neighbor residue against a given query residue.
-        let col_max: Vec<i32> = (0..24u8)
-            .map(|q| (0..NEIGHBOR_RADIX as u8).map(|s| scoring.score(q, s)).max().unwrap_or(0))
-            .collect();
+        let ranked = ranked_candidates(scoring);
 
         // Every (word, seed) pair in registration order; each position
         // registers a word at most once, its exact word first.
@@ -163,12 +161,13 @@ impl Lookup {
                 let entry = (ctx as u32, pos as u32);
                 let exact = qword.iter().fold(0u32, |acc, &c| acc * 24 + u32::from(c));
                 pairs.push((exact, entry));
-                // Remaining-score bound for pruning.
+                // Remaining-score bound for pruning: each column's best
+                // candidate is ranked first.
                 for i in (0..word_size).rev() {
-                    suffix_max[i] = suffix_max[i + 1] + col_max[qword[i] as usize];
+                    suffix_max[i] = suffix_max[i + 1] + ranked[qword[i] as usize][0].1;
                 }
                 enumerate_neighbors(
-                    scoring,
+                    &ranked,
                     qword,
                     threshold,
                     &suffix_max,
@@ -233,11 +232,30 @@ fn for_each_dna_word(
     }
 }
 
+/// The 20 neighbour candidates of each residue code, paired with their
+/// score against it, in descending score (ties by code).
+type Ranked = [[(u8, i32); NEIGHBOR_RADIX]; 24];
+
+fn ranked_candidates(scoring: &Scoring) -> Ranked {
+    let mut ranked = [[(0u8, 0i32); NEIGHBOR_RADIX]; 24];
+    for (q, row) in ranked.iter_mut().enumerate() {
+        for (cand, slot) in row.iter_mut().enumerate() {
+            *slot = (cand as u8, scoring.score(q as u8, cand as u8));
+        }
+        row.sort_by_key(|&(cand, score)| (std::cmp::Reverse(score), cand));
+    }
+    ranked
+}
+
 /// Depth-first enumeration of all words scoring ≥ threshold against
-/// `qword`, with branch-and-bound pruning on the achievable suffix score.
+/// `qword`, with branch-and-bound on the achievable suffix score. Each
+/// column walks its candidates best first, so the first candidate that
+/// misses the bound ends the column: every later one scores no higher.
+/// The set of words emitted is the exhaustive one; only their order is
+/// not lexicographic, which the caller's stable sort by word absorbs.
 #[allow(clippy::too_many_arguments)]
 fn enumerate_neighbors(
-    scoring: &Scoring,
+    ranked: &Ranked,
     qword: &[u8],
     threshold: i32,
     suffix_max: &[i32],
@@ -246,28 +264,19 @@ fn enumerate_neighbors(
     packed: u32,
     emit: &mut impl FnMut(u32),
 ) {
-    if depth == qword.len() {
-        if score >= threshold {
-            emit(packed);
-        }
-        return;
-    }
-    for cand in 0..NEIGHBOR_RADIX as u8 {
-        let s = score + scoring.score(qword[depth], cand);
-        // Prune: even perfect suffix can't reach the threshold.
+    let last = depth + 1 == qword.len();
+    for &(cand, cand_score) in &ranked[qword[depth] as usize] {
+        let s = score + cand_score;
         if s + suffix_max[depth + 1] < threshold {
-            continue;
+            break;
         }
-        enumerate_neighbors(
-            scoring,
-            qword,
-            threshold,
-            suffix_max,
-            depth + 1,
-            s,
-            packed * 24 + u32::from(cand),
-            emit,
-        );
+        let packed = packed * 24 + u32::from(cand);
+        if last {
+            // No suffix is left to bound: s ≥ threshold.
+            emit(packed);
+        } else {
+            enumerate_neighbors(ranked, qword, threshold, suffix_max, depth + 1, s, packed, emit);
+        }
     }
 }
 

@@ -197,13 +197,17 @@ impl BlastSearcher {
         let xdrop_gapped = self.gapped_xdrop_raw();
         let gap_trigger_raw = self.ungapped.raw_for_bits(self.params.gap_trigger_bits);
         let mut rows = XdropRows::default();
+        let mut tracker = DiagTracker::new(
+            self.params.two_hit_window,
+            prepared.contexts.iter().map(|ctx| ctx.codes.len()),
+        );
 
         for subject in &partition.sequences {
             let s_codes = subject.data.to_codes();
             if s_codes.len() < self.params.word_size {
                 continue;
             }
-            let mut tracker = DiagTracker::new(self.params.two_hit_window);
+            tracker.start_subject();
             let mut subject_hits: Vec<(u32, Hit)> = Vec::new();
 
             scan_words(&s_codes, self.params.word_size, self.word_radix(prepared), |spos, word| {
@@ -225,7 +229,9 @@ impl BlastSearcher {
                     if hsp.score < gap_trigger_raw {
                         continue;
                     }
-                    // Gapped extension from the midpoint anchor.
+                    // Gapped extension from the midpoint anchor. Its band
+                    // bounds how far the mark below strays from the seed
+                    // diagonal, which the tracker's rings are sized for.
                     let anchor_q = (hsp.q_start + hsp.q_end) / 2;
                     let anchor_s = hsp.s_start + (anchor_q - hsp.q_start);
                     let fwd = rows.extend(

@@ -52,9 +52,7 @@
 //!
 //! [`htc`] implements the matrix-split HTC workflow (the paper's JCVI/VICS
 //! comparison): statically partitioned serial jobs plus a merge step, on the
-//! same engine, for makespan comparison. [`htcflow`] generalizes it into a
-//! small DAG workflow engine (dependencies, worker-pool list scheduling,
-//! critical paths) standing in for the paper's unpublished VICS system.
+//! same engine, for makespan comparison.
 
 //! ```
 //! use bioseq::db::{format_db, FormatDbConfig};
@@ -79,7 +77,6 @@ pub mod ckpt;
 pub mod cliargs;
 pub mod fault;
 pub mod htc;
-pub mod htcflow;
 pub mod matrixio;
 pub mod mrblast;
 pub mod mrsom;

@@ -25,6 +25,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "== engine pin: serial blastn/blastp/blastx hit counts and tabular digests, exact =="
 cargo test -q --test blast_output_pin
 
+echo "== diagonal ring: the ring tracker agrees with the map tracker over subject scans, ring and generation wraps included =="
+cargo test -q -p blast --lib -- --exact extend::tests::ring_tracker_agrees_with_map_tracker_on_subject_scans
+
 echo "== fault-mode smoke: 2 of 8 workers killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_workers_killed_mid_map
 
