@@ -22,7 +22,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions};
 use std::sync::Arc;
 
@@ -98,7 +98,7 @@ fn main() {
                 stop_after_iterations: stop,
                 ..MrBlastConfig::blastn()
             };
-            run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+            run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
         });
         t0.elapsed().as_secs_f64()
     };

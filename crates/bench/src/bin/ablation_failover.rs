@@ -25,7 +25,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use mrmpi::FtConfig;
 use perfmodel::{
     simulate_master_worker, simulate_master_worker_abort_restart, BlastScenario, ClusterModel,
@@ -86,13 +86,7 @@ fn main() {
             let t0 = std::time::Instant::now();
             let outcomes = world.run_faulty(move |comm| {
                 let ft = FtConfig { mirror, ..FtConfig::default() };
-                run_mrblast(
-                    comm,
-                    &db,
-                    &blocks,
-                    &MrBlastConfig::blastn(),
-                    &FaultConfig { ft },
-                )
+                run_mrblast(comm, &db, &blocks, &MrBlastConfig { ft, ..MrBlastConfig::blastn() })
             });
             let wall = t0.elapsed().as_secs_f64();
             let mut lines: Vec<String> = Vec::new();

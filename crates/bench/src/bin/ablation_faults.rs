@@ -17,7 +17,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions, Failure};
 use std::sync::Arc;
 
@@ -92,13 +92,7 @@ fn main() {
     let db2 = db.clone();
     let blocks2 = blocks.clone();
     let healthy = World::new(4).run(move |comm| {
-        run_mrblast(
-            comm,
-            &db2,
-            &blocks2,
-            &MrBlastConfig::blastn(),
-            &FaultConfig::default(),
-        )
+        run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn())
         .expect("fault-free run")
     });
     let mut healthy_hits: Vec<String> = healthy
@@ -117,7 +111,7 @@ fn main() {
             plan = plan.kill(d + 1, 0.0);
         }
         let outcomes = World::new(4).with_faults(plan).run_faulty(move |comm| {
-            run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+            run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
         });
         let mut hits: Vec<String> = Vec::new();
         for out in &outcomes {

@@ -16,7 +16,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions};
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ fn main() {
         let blocks = blocks.clone();
         let reports = World::new(4).run(move |comm| {
             let cfg = MrBlastConfig { locality_aware: locality, ..MrBlastConfig::blastn() };
-            run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+            run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
         });
         row(&[
             if locality { "locality-aware".into() } else { "plain master".to_string() },

@@ -10,7 +10,7 @@
 
 use bench::{header, row};
 use mpisim::{Comm, World};
-use mrbio::{run_mrsom, FaultConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrsom, MrSomConfig, VectorMatrix};
 use mrmpi::{MapReduce, MapStyle};
 use som::batch::{init_codebook, BatchAccumulator};
 use som::codebook::Codebook;
@@ -115,12 +115,7 @@ fn main() {
     let t0 = Instant::now();
     let direct = World::new(3).run(move |comm| {
         let matrix = VectorMatrix::open(&p1).expect("open");
-        run_mrsom(
-            comm,
-            &matrix,
-            &MrSomConfig { block_size: 40, ..MrSomConfig::new(som) },
-            &FaultConfig::default(),
-        )
+        run_mrsom(comm, &matrix, &MrSomConfig { block_size: 40, ..MrSomConfig::new(som) })
         .expect("fault-free run")
     });
     let t_direct = t0.elapsed().as_secs_f64();
@@ -185,7 +180,7 @@ mod tests {
         let (p, c) = (path.clone(), cfg.clone());
         let direct = World::new(2).run(move |comm| {
             let matrix = VectorMatrix::open(&p).unwrap();
-            run_mrsom(comm, &matrix, &c, &FaultConfig::default()).expect("fault-free run").0
+            run_mrsom(comm, &matrix, &c).expect("fault-free run").0
         });
         let p = path.clone();
         let collate = World::new(2).run(move |comm| {

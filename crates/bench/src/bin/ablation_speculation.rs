@@ -22,7 +22,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use mrmpi::FtConfig;
 use perfmodel::{simulate_master_worker, BlastScenario, ClusterModel, Conditions, Stall};
 use std::io::Write;
@@ -111,7 +111,10 @@ fn main() {
     let run = |speculate: bool, plan: Option<FaultPlan>| {
         let db = db.clone();
         let blocks = blocks.clone();
-        let ft = FtConfig { speculate, ..ft.clone() };
+        let cfg = MrBlastConfig {
+            ft: FtConfig { speculate, ..ft.clone() },
+            ..MrBlastConfig::blastn()
+        };
         let collector = obs::Collector::new();
         let world = match plan {
             Some(p) => World::new(9).with_faults(p),
@@ -119,15 +122,7 @@ fn main() {
         }
         .with_obs(collector.clone());
         let t0 = std::time::Instant::now();
-        let outcomes = world.run_faulty(move |comm| {
-            run_mrblast(
-                comm,
-                &db,
-                &blocks,
-                &MrBlastConfig::blastn(),
-                &FaultConfig { ft: ft.clone() },
-            )
-        });
+        let outcomes = world.run_faulty(move |comm| run_mrblast(comm, &db, &blocks, &cfg));
         let wall = t0.elapsed().as_secs_f64();
         // A surviving rank's typed error is reported, not dropped with its
         // hits: the run failed, it did not merely differ.

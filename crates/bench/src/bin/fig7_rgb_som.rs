@@ -9,7 +9,7 @@
 
 use bench::{artifact_dir, header, row};
 use mpisim::World;
-use mrbio::{run_mrsom, FaultConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrsom, MrSomConfig, VectorMatrix};
 use som::neighborhood::SomConfig;
 use som::ppm::{write_codebook_rgb, write_umatrix_pgm};
 use som::quality::{quantization_error, topographic_error};
@@ -26,7 +26,7 @@ fn main() {
     let results = World::new(4).run(move |comm| {
         let matrix = VectorMatrix::open(&mp).expect("open matrix");
         let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-        run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrsom(comm, &matrix, &cfg).expect("fault-free run")
     });
     let (cb, _) = &results[0];
 

@@ -9,7 +9,7 @@
 
 use bench::{artifact_dir, header, row};
 use mpisim::World;
-use mrbio::{run_mrsom, FaultConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrsom, MrSomConfig, VectorMatrix};
 use som::neighborhood::SomConfig;
 use som::ppm::write_umatrix_pgm;
 use som::quality::quantization_error;
@@ -30,7 +30,7 @@ fn main() {
     let results = World::new(2).run(move |comm| {
         let matrix = VectorMatrix::open(&mp).expect("open matrix");
         let cfg = MrSomConfig { block_size: 50, ..MrSomConfig::new(som) };
-        run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrsom(comm, &matrix, &cfg).expect("fault-free run")
     });
     let (cb, _) = &results[0];
 

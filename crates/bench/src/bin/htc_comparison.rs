@@ -19,7 +19,7 @@ use bioseq::shred::query_blocks;
 use blast::SearchParams;
 use mpisim::World;
 use mrbio::htc::{run_htc, HtcAssignment};
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use perfmodel::des::{simulate_master_worker, simulate_static, Conditions, Schedule};
 use perfmodel::{BlastScenario, ClusterModel};
 use std::sync::Arc;
@@ -70,13 +70,7 @@ fn main() {
     let db = Arc::new(db);
     let blocks2 = Arc::new(blocks);
     let reports = World::new(4).run(move |comm| {
-        run_mrblast(
-            comm,
-            &db,
-            &blocks2,
-            &MrBlastConfig::blastn(),
-            &FaultConfig::default(),
-        )
+        run_mrblast(comm, &db, &blocks2, &MrBlastConfig::blastn())
         .expect("fault-free run")
     });
     let mr_makespan = reports.iter().map(|r| r.finish_time).fold(0.0, f64::max);

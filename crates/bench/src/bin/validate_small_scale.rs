@@ -17,7 +17,7 @@ use bioseq::shred::query_blocks;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::World;
-use mrbio::{run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
 use std::sync::Arc;
@@ -47,13 +47,7 @@ fn main() {
         let blocks = blocks.clone();
         let reports =
             World::new(ranks).run(move |comm| {
-                run_mrblast(
-                    comm,
-                    &db,
-                    &blocks,
-                    &MrBlastConfig::blastn(),
-                    &FaultConfig::default(),
-                )
+                run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
                 .expect("fault-free run")
             });
         let mut parallel: Vec<_> = reports
@@ -87,12 +81,7 @@ fn main() {
         let mpath = mpath.clone();
         let results = World::new(ranks).run(move |comm| {
             let matrix = VectorMatrix::open(&mpath).expect("open");
-            run_mrsom(
-                comm,
-                &matrix,
-                &MrSomConfig { block_size: 25, ..MrSomConfig::new(som) },
-                &FaultConfig::default(),
-            )
+            run_mrsom(comm, &matrix, &MrSomConfig { block_size: 25, ..MrSomConfig::new(som) })
             .expect("fault-free run")
         });
         let cb = &results[0].0;

@@ -32,7 +32,6 @@ use blast::search::BlastSearcher;
 use mpisim::Comm;
 use mrmpi::MrError;
 
-use crate::fault::FaultConfig;
 use crate::mrblast::{run_mrblast, MrBlastConfig, MrBlastRankReport};
 
 /// Tuning of the adaptive driver.
@@ -75,8 +74,8 @@ pub struct AdaptiveReport {
 /// Run MR-MPI BLAST straight from an indexed FASTA query file with
 /// dynamically chosen, guided query blocks. Collective.
 ///
-/// Once the blocks are chosen, the run is [`run_mrblast`] with `cfg` and
-/// `fault` unchanged, so locality, self-exclusion, per-rank output files,
+/// Once the blocks are chosen, the run is [`run_mrblast`] with `cfg`
+/// unchanged, so locality, self-exclusion, per-rank output files,
 /// checkpoints and fault tolerance behave exactly as they do there.
 pub fn run_mrblast_adaptive(
     comm: &Comm,
@@ -84,7 +83,6 @@ pub fn run_mrblast_adaptive(
     query_fasta: &Path,
     cfg: &MrBlastConfig,
     acfg: &AdaptiveConfig,
-    fault: &FaultConfig,
 ) -> Result<AdaptiveReport, MrError> {
     let searcher = BlastSearcher::new(cfg.params);
     let index = FastaIndex::build(query_fasta).expect("index query FASTA");
@@ -125,7 +123,7 @@ pub fn run_mrblast_adaptive(
         .map(|&(start, end)| index.read_range(start, end).expect("read query range"))
         .collect();
 
-    let base = run_mrblast(comm, db, &blocks, cfg, fault)?;
+    let base = run_mrblast(comm, db, &blocks, cfg)?;
     Ok(AdaptiveReport { base, chosen_block, block_ranges })
 }
 
@@ -183,7 +181,6 @@ mod tests {
                     &fasta,
                     &MrBlastConfig::blastn(),
                     &AdaptiveConfig::default(),
-                    &FaultConfig::default(),
                 )
                 .expect("no faults injected")
             });
@@ -203,7 +200,6 @@ mod tests {
                 &fasta,
                 &MrBlastConfig::blastn(),
                 &AdaptiveConfig { target_unit_seconds: 0.02, ..Default::default() },
-                &FaultConfig::default(),
             )
             .expect("no faults injected")
         });
@@ -229,14 +225,7 @@ mod tests {
         let (db, fasta, serial, dir) = fixture("loc");
         let reports = World::new(4).run(move |comm| {
             let cfg = MrBlastConfig { locality_aware: true, ..MrBlastConfig::blastn() };
-            run_mrblast_adaptive(
-                comm,
-                &db,
-                &fasta,
-                &cfg,
-                &AdaptiveConfig::default(),
-                &FaultConfig::default(),
-            )
+            run_mrblast_adaptive(comm, &db, &fasta, &cfg, &AdaptiveConfig::default())
             .expect("no faults injected")
         });
         let got = keys(reports.into_iter().flat_map(|r| r.base.hits));
@@ -258,7 +247,6 @@ mod tests {
                     min_block: 2,
                     ..Default::default()
                 },
-                &FaultConfig::default(),
             )
             .expect("no faults injected")
         });

@@ -18,7 +18,7 @@ use bioseq::shred::query_blocks;
 use blast::SearchParams;
 use mpisim::World;
 use mrbio::cliargs::Args;
-use mrbio::{run_mrblast, run_mrblast_adaptive, AdaptiveConfig, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, run_mrblast_adaptive, AdaptiveConfig, MrBlastConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -54,12 +54,12 @@ fn run() -> Result<(), String> {
     let db_dir = args.require("db")?.to_string();
     let name = args.require("name")?.to_string();
     let queries_path = args.require("queries")?.to_string();
-    let ranks = args.get_usize("ranks", 4)?;
+    let ranks = args.get_count("ranks", 4)?;
     let protein = args.has("protein");
     let translated = args.has("translated");
     let evalue = args.get_f64("evalue", 10.0)?;
     let max_hits = args.get_usize("max-hits", 500)?;
-    let block_size = args.get_usize("block-size", 100)?;
+    let block_size = args.get_count("block-size", 100)?;
     let out = args.get("out").map(PathBuf::from);
     let exclude_self = args.has("exclude-self");
     let locality = args.has("locality");
@@ -109,14 +109,13 @@ fn run() -> Result<(), String> {
     );
 
     let t0 = std::time::Instant::now();
-    let fault = FaultConfig::default();
     let (reports, queries_n) = if adaptive {
         let qp = PathBuf::from(&queries_path);
         let db2 = db.clone();
         let cfg2 = cfg.clone();
         let reports = make_world(ranks)
             .run(move |comm| {
-                run_mrblast_adaptive(comm, &db2, &qp, &cfg2, &AdaptiveConfig::default(), &fault)
+                run_mrblast_adaptive(comm, &db2, &qp, &cfg2, &AdaptiveConfig::default())
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
@@ -136,7 +135,7 @@ fn run() -> Result<(), String> {
         let db2 = db.clone();
         let cfg2 = cfg.clone();
         let reports = make_world(ranks)
-            .run(move |comm| run_mrblast(comm, &db2, &blocks, &cfg2, &fault))
+            .run(move |comm| run_mrblast(comm, &db2, &blocks, &cfg2))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| e.to_string())?;

@@ -18,7 +18,7 @@ use bioseq::fasta::read_fasta_file;
 use bioseq::kmer::tetra_frequencies;
 use mpisim::{ReduceOp, World};
 use mrbio::cliargs::Args;
-use mrbio::{run_mrsom, FaultConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrsom, MrSomConfig, VectorMatrix};
 use som::neighborhood::{InitMethod, Kernel, SomConfig};
 use som::ppm::{write_codebook_rgb, write_umatrix_pgm};
 use som::quality::quantization_error;
@@ -54,11 +54,11 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
     let args = Args::parse(&raw, &["tetra", "pca", "torus"])?;
-    let rows = args.get_usize("rows", 20)?;
-    let cols = args.get_usize("cols", 20)?;
+    let rows = args.get_count("rows", 20)?;
+    let cols = args.get_count("cols", 20)?;
     let epochs = args.get_usize("epochs", 10)?;
-    let ranks = args.get_usize("ranks", 4)?;
-    let block_size = args.get_usize("block-size", 40)?;
+    let ranks = args.get_count("ranks", 4)?;
+    let block_size = args.get_count("block-size", 40)?;
     let seed = args.get_usize("seed", 42)? as u64;
     let kernel = match args.get("kernel").unwrap_or("gaussian") {
         "gaussian" => Kernel::Gaussian,
@@ -113,7 +113,7 @@ fn run() -> Result<(), String> {
         .run(move |comm| {
             let matrix = VectorMatrix::open(&mp).expect("open matrix");
             let cfg = MrSomConfig { block_size, ..MrSomConfig::new(som) };
-            let (cb, _) = run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+            let (cb, _) = run_mrsom(comm, &matrix, &cfg)
                 .map_err(|e| e.to_string())?;
             // The printed QE, scored in parallel: each rank takes its slice
             // of the first `sample_end` rows, one allreduce sums the slices.

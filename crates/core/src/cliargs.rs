@@ -71,6 +71,19 @@ impl Args {
         }
     }
 
+    /// Parsed count with default, for flags that must be at least 1 (rank
+    /// counts, block sizes, map dimensions): `0` is an error here rather
+    /// than a panic deep inside the run.
+    ///
+    /// # Errors
+    /// Message on unparsable input or zero.
+    pub fn get_count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get_usize(name, default)? {
+            0 => Err(format!("--{name} must be at least 1, got 0")),
+            n => Ok(n),
+        }
+    }
+
     /// Parsed float value with default.
     ///
     /// # Errors
@@ -143,6 +156,15 @@ mod tests {
     fn rejects_bad_numbers() {
         let a = Args::parse(&raw(&["--ranks", "four"]), &[]).unwrap();
         assert!(a.get_usize("ranks", 1).is_err());
+    }
+
+    #[test]
+    fn counts_reject_zero() {
+        let a = Args::parse(&raw(&["--ranks", "0", "--rows", "3"]), &[]).unwrap();
+        let err = a.get_count("ranks", 4).unwrap_err();
+        assert!(err.contains("--ranks"), "{err}");
+        assert_eq!(a.get_count("rows", 20).unwrap(), 3);
+        assert_eq!(a.get_count("cols", 20).unwrap(), 20);
     }
 
     #[test]

@@ -59,7 +59,7 @@
 //! use bioseq::gen::{dna_workload, WorkloadConfig};
 //! use bioseq::shred::query_blocks;
 //! use mpisim::World;
-//! use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+//! use mrbio::{run_mrblast, MrBlastConfig};
 //! use std::sync::Arc;
 //!
 //! let w = dna_workload(3, &WorkloadConfig { db_seqs: 6, queries: 10, ..Default::default() });
@@ -67,7 +67,7 @@
 //! let db = Arc::new(format_db(&w.db, &FormatDbConfig::dna(4096), &dir, "d").unwrap());
 //! let blocks = Arc::new(query_blocks(w.queries, 5));
 //! let reports = World::new(3).run(move |comm| {
-//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
 //! });
 //! assert!(reports.iter().all(Result::is_ok));
 //! ```
@@ -84,7 +84,6 @@ pub mod util;
 
 pub use adaptive::{run_mrblast_adaptive, AdaptiveConfig, AdaptiveReport};
 pub use ckpt::{BlastCheckpoint, RestartPoint, RunFingerprint};
-pub use fault::{disk_faults, FaultConfig};
 pub use matrixio::VectorMatrix;
 pub use mrblast::{run_mrblast, MrBlastConfig, MrBlastRankReport};
 pub use mrsom::{

@@ -33,10 +33,9 @@ use blast::hsp::{sort_and_truncate, Hit};
 use blast::search::{BlastSearcher, PreparedQueries};
 use blast::SearchParams;
 use mpisim::Comm;
-use mrmpi::{MapPlan, MapReduce, MrError, Settings};
+use mrmpi::{FtConfig, MapPlan, MapReduce, MrError, Settings};
 
 use crate::ckpt::{self, RestartPoint, RunFingerprint};
-use crate::fault::FaultConfig;
 use crate::util::BusyTracker;
 
 /// Configuration of one MR-MPI BLAST run.
@@ -60,8 +59,14 @@ pub struct MrBlastConfig {
     /// themselves"). A fragment id `src/123-523` is considered self against
     /// subject id `src`.
     pub exclude_self: bool,
-    /// MapReduce engine settings (page size, memory budget, spill dir).
+    /// MapReduce engine settings (page size, memory budget, spill dir,
+    /// disk-fault plan, poison log).
     pub mr_settings: Settings,
+    /// Fault-tolerant scheduler settings: timeouts, retry and poison
+    /// budgets, speculative re-execution, the durable scheduler log (see
+    /// [`FtConfig`]). The default tolerates any number of worker deaths
+    /// while bounding every blocking wait, so a run always terminates.
+    pub ft: FtConfig,
     /// Directory for the durable restart checkpoint (`None` = no
     /// checkpointing). After every completed iteration, rank 0 atomically
     /// records the finished query blocks and each rank's output-file offset;
@@ -85,6 +90,7 @@ impl MrBlastConfig {
             output_dir: None,
             exclude_self: false,
             mr_settings: Settings::default(),
+            ft: FtConfig::default(),
             checkpoint_dir: None,
             stop_after_iterations: None,
         }
@@ -172,7 +178,6 @@ pub fn run_mrblast(
     db: &BlastDb,
     query_blocks: &[Vec<SeqRecord>],
     cfg: &MrBlastConfig,
-    fault: &FaultConfig,
 ) -> Result<MrBlastRankReport, MrError> {
     let searcher = BlastSearcher::new(cfg.params);
     let nparts = db.num_partitions();
@@ -284,7 +289,7 @@ pub fn run_mrblast(
                 kv.emit(hit.query_id.as_bytes(), &hit.encode());
             }
         };
-        let plan = MapPlan { affinity: affinity.as_deref(), ..(&fault.ft).into() };
+        let plan = MapPlan { affinity: affinity.as_deref(), ..(&cfg.ft).into() };
         let ft_report = mr.map_tasks(ntasks, plan, &mut map_body)?;
         // Re-encode this iteration's quarantined scheduler units (partition-
         // major within the iteration) as stable global `(block, partition)`
@@ -395,7 +400,7 @@ mod tests {
     fn run_on(ranks: usize, fx: &Arc<Fixture>, cfg: MrBlastConfig) -> Vec<MrBlastRankReport> {
         let fx = fx.clone();
         World::new(ranks).run(move |comm| {
-            run_mrblast(comm, &fx.db, &fx.blocks, &cfg, &FaultConfig::default())
+            run_mrblast(comm, &fx.db, &fx.blocks, &cfg)
                 .expect("no faults injected")
         })
     }
@@ -532,13 +537,7 @@ mod tests {
         let fx2 = fx.clone();
         let plan = FaultPlan::new(7).kill(2, 0.0);
         let outcomes = World::new(4).with_faults(plan).run_faulty(move |comm| {
-            run_mrblast(
-                comm,
-                &fx2.db,
-                &fx2.blocks,
-                &MrBlastConfig::blastn(),
-                &FaultConfig::default(),
-            )
+            run_mrblast(comm, &fx2.db, &fx2.blocks, &MrBlastConfig::blastn())
         });
         assert!(outcomes[2].is_died(), "rank 2 was scheduled to die");
         let mut hits = Vec::new();

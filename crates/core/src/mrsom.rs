@@ -32,12 +32,11 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 use mpisim::{Comm, ReduceOp};
-use mrmpi::{MapPlan, MapReduce, MrError, Settings};
+use mrmpi::{FtConfig, MapPlan, MapReduce, MrError, Settings};
 use som::batch::{init_codebook, BatchAccumulator, BmuSums};
 use som::codebook::Codebook;
 use som::neighborhood::{sigma_schedule, SomConfig};
 
-use crate::fault::FaultConfig;
 use crate::matrixio::VectorMatrix;
 use crate::util::BusyTracker;
 
@@ -51,8 +50,11 @@ pub struct MrSomConfig {
     /// master-worker execution mode, although in the case of SOM this is
     /// not as critical").
     pub block_size: usize,
-    /// MapReduce engine settings.
+    /// MapReduce engine settings (page size, memory budget, spill dir,
+    /// disk-fault plan, poison log).
     pub mr_settings: Settings,
+    /// Fault-tolerant scheduler settings (see [`FtConfig`]).
+    pub ft: FtConfig,
     /// Checkpoint the codebook to this directory every
     /// `checkpoint_every` epochs, and resume from the newest checkpoint on
     /// startup. The paper notes that "the price for this extra flexibility
@@ -78,6 +80,7 @@ impl MrSomConfig {
             som,
             block_size: 40,
             mr_settings: Settings::default(),
+            ft: FtConfig::default(),
             checkpoint_dir: None,
             checkpoint_every: 0,
             stop_after_epochs: None,
@@ -128,7 +131,6 @@ pub fn run_mrsom(
     comm: &Comm,
     matrix: &VectorMatrix,
     cfg: &MrSomConfig,
-    fault: &FaultConfig,
 ) -> Result<(Codebook, MrSomRankReport), MrError> {
     let som = &cfg.som;
     assert_eq!(matrix.dims, som.dims, "matrix dims must match SOM config");
@@ -186,7 +188,7 @@ pub fn run_mrsom(
             sums.borrow_mut().add_block(&bmus, &inputs);
             *epoch_blocks.borrow_mut() += 1;
         };
-        let plan = MapPlan { verdict: Some(&mut fold), ..(&fault.ft).into() };
+        let plan = MapPlan { verdict: Some(&mut fold), ..(&cfg.ft).into() };
         let ft_report = mr.map_tasks(
             blocks.len(),
             plan,
@@ -389,7 +391,7 @@ mod tests {
             let reports = World::new(ranks).run(move |comm| {
                 let matrix = VectorMatrix::open(&path).unwrap();
                 let cfg = MrSomConfig { block_size: 16, ..MrSomConfig::new(som2) };
-                run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+                run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
             });
             for (cb, _) in &reports {
                 assert_close(
@@ -410,7 +412,7 @@ mod tests {
         let reports = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+            run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
         });
         let first = &reports[0].0.weights;
         for (cb, _) in &reports[1..] {
@@ -429,7 +431,7 @@ mod tests {
             let reports = World::new(2).run(move |comm| {
                 let matrix = VectorMatrix::open(&path).unwrap();
                 let cfg = MrSomConfig { block_size, ..MrSomConfig::new(som) };
-                run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+                run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
             });
             reports.into_iter().next().unwrap().0
         };
@@ -446,7 +448,7 @@ mod tests {
         let reports = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+            run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
         });
         let total: u64 = reports.iter().map(|(_, r)| r.blocks_processed).sum();
         assert_eq!(total, 10 * som.epochs as u64, "10 blocks × epochs");
@@ -479,7 +481,7 @@ mod tests {
         let reports = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 20, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+            run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
         });
         for (cb, _) in &reports {
             assert!(cb.torus);
@@ -498,12 +500,7 @@ mod tests {
         let p1 = path.clone();
         let full = World::new(2).run(move |comm| {
             let matrix = VectorMatrix::open(&p1).unwrap();
-            run_mrsom(
-                comm,
-                &matrix,
-                &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) },
-                &FaultConfig::default(),
-            )
+            run_mrsom(comm, &matrix, &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) })
             .expect("no faults injected")
         });
 
@@ -521,7 +518,7 @@ mod tests {
                 stop_after_epochs: Some(4),
                 ..MrSomConfig::new(som)
             };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+            run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
         });
         assert!(
             ckdir.join("som-epoch-0004.cbk").exists(),
@@ -538,7 +535,7 @@ mod tests {
                 checkpoint_every: 2,
                 ..MrSomConfig::new(som)
             };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+            run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
         });
         // Resumed run processed only the remaining epochs' blocks.
         let resumed_blocks: u64 = resumed.iter().map(|(_, r)| r.blocks_processed).sum();
@@ -564,7 +561,7 @@ mod tests {
             World::new(4).with_faults(FaultPlan::new(9).kill(3, 0.0)).run_faulty(move |comm| {
                 let matrix = VectorMatrix::open(&p).unwrap();
                 let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-                run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+                run_mrsom(comm, &matrix, &cfg)
             });
         assert!(outcomes[3].is_died(), "rank 3 was scheduled to die");
         for (rank, out) in outcomes.into_iter().enumerate() {
@@ -640,7 +637,7 @@ mod tests {
         let outcomes = World::new(3).with_faults(plan).run_faulty(move |comm| {
             let matrix = VectorMatrix::open(&p).unwrap();
             let cfg = MrSomConfig { block_size: 10, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+            run_mrsom(comm, &matrix, &cfg)
         });
         let mut weights: Option<Vec<f64>> = None;
         for (rank, out) in outcomes.into_iter().enumerate() {
@@ -665,7 +662,7 @@ mod tests {
         let reports = World::new(4).run(move |comm| {
             let matrix = VectorMatrix::open(&path).unwrap();
             let cfg = MrSomConfig { block_size: 15, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("no faults injected")
+            run_mrsom(comm, &matrix, &cfg).expect("no faults injected")
         });
         let cb = &reports[0].0;
         let qe = som::quality::quantization_error(cb, &vectors);

@@ -264,6 +264,54 @@ fn cli_rejects_unknown_flags() {
 }
 
 #[test]
+fn cli_rejects_zero_counts_with_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("cli-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (refs, reads) = write_fixture(&dir);
+    let dbdir = dir.join("db");
+    run_ok(Command::new(env!("CARGO_BIN_EXE_mb-formatdb")).args([
+        "--in",
+        refs.to_str().unwrap(),
+        "--out",
+        dbdir.to_str().unwrap(),
+        "--name",
+        "refdb",
+    ]));
+    let blast = [
+        "--db",
+        dbdir.to_str().unwrap(),
+        "--name",
+        "refdb",
+        "--queries",
+        reads.to_str().unwrap(),
+    ];
+    let som = ["--fasta", refs.to_str().unwrap(), "--tetra", "--epochs", "1"];
+    let cases: [(&str, &[&str], &str); 6] = [
+        (env!("CARGO_BIN_EXE_mb-blast"), &blast, "ranks"),
+        (env!("CARGO_BIN_EXE_mb-blast"), &blast, "block-size"),
+        (env!("CARGO_BIN_EXE_mb-som"), &som, "ranks"),
+        (env!("CARGO_BIN_EXE_mb-som"), &som, "block-size"),
+        (env!("CARGO_BIN_EXE_mb-som"), &som, "rows"),
+        (env!("CARGO_BIN_EXE_mb-som"), &som, "cols"),
+    ];
+    for (bin, base, flag) in cases {
+        let out = Command::new(bin)
+            .args(base)
+            .args([format!("--{flag}").as_str(), "0"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} --{flag} 0: stderr: {err}");
+        assert!(
+            err.lines().any(|l| l.contains(&format!("--{flag}"))),
+            "{bin} --{flag} 0 must name the flag: {err}"
+        );
+        assert!(!err.contains("panicked"), "{bin} --{flag} 0 panicked: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_help_exits_zero() {
     for bin in [
         env!("CARGO_BIN_EXE_mb-formatdb"),

@@ -1,11 +1,10 @@
 //! External merge sort of key-value pairs under a memory budget.
 //!
-//! The original library's `sort_keys()`/`sort_values()` work out-of-core so
-//! that datasets larger than the page budget can still be ordered. This
-//! module implements the classic two-phase algorithm: spill sorted runs
-//! bounded by the memory budget, then k-way merge them with a heap. Used by
-//! [`crate::MapReduce::sort_keys`] and [`crate::MapReduce::sort_values`]
-//! whenever the dataset exceeds the budget.
+//! The original library's `sort_keys()` works out-of-core so that datasets
+//! larger than the page budget can still be ordered. This module implements
+//! the classic two-phase algorithm: spill key-sorted runs bounded by the
+//! memory budget, then k-way merge them. Used by
+//! [`crate::MapReduce::sort_keys`] whenever the dataset exceeds the budget.
 
 use std::cmp::Ordering;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -14,25 +13,9 @@ use std::path::PathBuf;
 use crate::kv::KeyValue;
 use crate::settings::Settings;
 
-/// Which component of the pair the comparator applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortBy {
-    /// Order by key bytes.
-    Key,
-    /// Order by value bytes.
-    Value,
-}
-
 type Pair = (Vec<u8>, Vec<u8>);
 
-fn pair_field(pair: &Pair, by: SortBy) -> &[u8] {
-    match by {
-        SortBy::Key => &pair.0,
-        SortBy::Value => &pair.1,
-    }
-}
-
-/// Sort the pairs of `kv` by `by` under `cmp`, spilling sorted runs to
+/// Sort the pairs of `kv` by key under `cmp`, spilling sorted runs to
 /// `settings.tmpdir` whenever the in-memory run exceeds the budget, and
 /// k-way merging the runs into a fresh [`KeyValue`]. Stable within runs and
 /// across the merge (ties resolve to the earlier run), so the overall sort
@@ -43,7 +26,6 @@ fn pair_field(pair: &Pair, by: SortBy) -> &[u8] {
 pub fn external_sort(
     kv: KeyValue,
     settings: &Settings,
-    by: SortBy,
     cmp: &dyn Fn(&[u8], &[u8]) -> Ordering,
 ) -> KeyValue {
     let budget = settings.mem_budget.max(1);
@@ -56,10 +38,9 @@ pub fn external_sort(
         run: &mut Vec<Pair>,
         runs: &mut Vec<PathBuf>,
         settings: &Settings,
-        by: SortBy,
         cmp: &dyn Fn(&[u8], &[u8]) -> Ordering,
     ) {
-        run.sort_by(|a, b| cmp(pair_field(a, by), pair_field(b, by)));
+        run.sort_by(|a, b| cmp(&a.0, &b.0));
         let seq = RUN_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // The per-run spill dir is created lazily (see `Settings::tmpdir`).
         let _ = std::fs::create_dir_all(&settings.tmpdir);
@@ -82,7 +63,7 @@ pub fn external_sort(
         run_bytes += k.len() + v.len() + 8;
         run.push((k.to_vec(), v.to_vec()));
         if run_bytes > budget {
-            spill(&mut run, &mut runs, settings, by, cmp);
+            spill(&mut run, &mut runs, settings, cmp);
             run_bytes = 0;
         }
     });
@@ -90,14 +71,14 @@ pub fn external_sort(
     let mut out = KeyValue::new(settings);
     if runs.is_empty() {
         // Everything fit: plain in-memory sort.
-        run.sort_by(|a, b| cmp(pair_field(a, by), pair_field(b, by)));
+        run.sort_by(|a, b| cmp(&a.0, &b.0));
         for (k, v) in &run {
             out.add(k, v);
         }
         return out;
     }
     if !run.is_empty() {
-        spill(&mut run, &mut runs, settings, by, cmp);
+        spill(&mut run, &mut runs, settings, cmp);
     }
 
     // K-way merge. Readers stream entries; a simple linear minimum scan is
@@ -149,7 +130,7 @@ pub fn external_sort(
                 None => Some(i),
                 Some(b) => {
                     let bh = readers[b].head.as_ref().expect("best has head");
-                    if cmp(pair_field(head, by), pair_field(bh, by)) == Ordering::Less {
+                    if cmp(&head.0, &bh.0) == Ordering::Less {
                         Some(i)
                     } else {
                         Some(b)
@@ -205,7 +186,7 @@ mod tests {
     fn in_memory_path_sorts() {
         let s = settings(usize::MAX);
         let kv = build_kv(&[(5, 0), (1, 1), (3, 2)], &s);
-        let out = decode(external_sort(kv, &s, SortBy::Key, &numeric_cmp));
+        let out = decode(external_sort(kv, &s, &numeric_cmp));
         assert_eq!(out, vec![(1, 1), (3, 2), (5, 0)]);
     }
 
@@ -215,7 +196,7 @@ mod tests {
         let s = settings(512);
         let pairs: Vec<(u64, u64)> = (0..500).map(|i| ((i * 7919) % 1000, i)).collect();
         let kv = build_kv(&pairs, &s);
-        let out = decode(external_sort(kv, &s, SortBy::Key, &numeric_cmp));
+        let out = decode(external_sort(kv, &s, &numeric_cmp));
         assert_eq!(out.len(), 500);
         for w in out.windows(2) {
             assert!(w[0].0 <= w[1].0, "not sorted: {:?} then {:?}", w[0], w[1]);
@@ -228,24 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_value_works_out_of_core() {
-        let s = settings(256);
-        let pairs: Vec<(u64, u64)> = (0..200).map(|i| (i, (i * 31) % 97)).collect();
-        let kv = build_kv(&pairs, &s);
-        let out = decode(external_sort(kv, &s, SortBy::Value, &numeric_cmp));
-        for w in out.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(out.len(), 200);
-    }
-
-    #[test]
     fn stability_preserves_input_order_of_ties() {
         let s = settings(128); // forces several runs
         // All keys equal: output must preserve insertion order of values.
         let pairs: Vec<(u64, u64)> = (0..50).map(|i| (42, i)).collect();
         let kv = build_kv(&pairs, &s);
-        let out = decode(external_sort(kv, &s, SortBy::Key, &numeric_cmp));
+        let out = decode(external_sort(kv, &s, &numeric_cmp));
         assert_eq!(out, pairs, "external sort must be stable");
     }
 
@@ -253,7 +222,7 @@ mod tests {
     fn empty_kv_sorts_to_empty() {
         let s = settings(64);
         let kv = KeyValue::new(&s);
-        let out = external_sort(kv, &s, SortBy::Key, &numeric_cmp);
+        let out = external_sort(kv, &s, &numeric_cmp);
         assert_eq!(out.npairs(), 0);
     }
 }

@@ -237,27 +237,6 @@ impl KeyValue {
         }
     }
 
-    /// Visit every page (closed pages first, then the open page), yielding
-    /// raw encoded bytes. Used by operations that process page-at-a-time to
-    /// bound memory.
-    pub fn try_for_each_page(&self, mut f: impl FnMut(&[u8])) -> Result<(), KvError> {
-        for i in 0..self.spool.num_pages() {
-            f(&self.spool.page(i)?);
-        }
-        if !self.open.is_empty() {
-            f(&self.open);
-        }
-        Ok(())
-    }
-
-    /// Infallible version of [`KeyValue::try_for_each_page`].
-    ///
-    /// # Panics
-    /// Panics if a spilled page cannot be read back.
-    pub fn for_each_page(&self, f: impl FnMut(&[u8])) {
-        self.try_for_each_page(f).unwrap_or_else(|e| panic!("KV page scan failed: {e}"));
-    }
-
     /// Consume the store, returning all pairs as owned vectors, or a typed
     /// error if a spilled page was lost or damaged.
     pub fn try_into_pairs(mut self) -> Result<OwnedPairs, KvError> {
@@ -336,13 +315,15 @@ mod tests {
             kv.add(b"0123456789", b"0123456789012345678901234567890123456789");
         }
         // Every page must decode cleanly on its own.
-        kv.for_each_page(|page| {
+        let mut i = 0;
+        while let Some(page) = kv.try_page_at(i).expect("in-memory pages") {
             let mut pos = 0;
             while pos < page.len() {
-                let _ = decode_entry(page, &mut pos);
+                let _ = decode_entry(&page, &mut pos);
             }
             assert_eq!(pos, page.len());
-        });
+            i += 1;
+        }
     }
 
     #[test]

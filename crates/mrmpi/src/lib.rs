@@ -22,8 +22,9 @@
 //!   the live ranks, with a pair-conservation check),
 //!   [`MapReduce::convert`] (local KV → KMV grouping),
 //!   [`MapReduce::collate`] = aggregate + convert,
-//!   [`MapReduce::reduce`], [`MapReduce::compress`],
-//!   [`MapReduce::sort_keys`], [`MapReduce::gather`];
+//!   [`MapReduce::reduce`], [`MapReduce::sort_keys`] and
+//!   [`MapReduce::gather`] — the operations the paper's BLAST and SOM
+//!   drivers use, and nothing more;
 //! * **out-of-core paging**: KV/KMV data lives in fixed-size pages; when the
 //!   per-rank memory budget is exceeded, closed pages spill to files in a
 //!   temporary directory and are read back on iteration, exactly as the

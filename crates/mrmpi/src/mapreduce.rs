@@ -2,9 +2,12 @@
 //!
 //! Mirrors the original C++ class: an object bound to a communicator that
 //! owns at most one distributed KeyValue *or* KeyMultiValue dataset, plus the
-//! collective operations that transform one into the other. All collective
-//! methods must be called by every rank of the communicator (standard MR-MPI
-//! contract).
+//! collective operations that transform one into the other. Only the
+//! operations the paper's two applications use are ported: `map_tasks`
+//! (the one map, every mapstyle), `aggregate`/`convert`/`collate`,
+//! `reduce`, `sort_keys` and `gather`, plus `add` and the dataset
+//! accessors. All collective methods must be called by every rank of the
+//! communicator (standard MR-MPI contract).
 
 use std::collections::HashMap;
 
@@ -19,9 +22,6 @@ use crate::settings::Settings;
 
 /// Alias for the value cursor handed to reduce callbacks.
 pub type MultiValues<'a> = ValueCursor<'a>;
-
-/// Pair-wise transform callback handed to [`MapReduce::map_kv`].
-pub type KvMapFn<'a> = dyn FnMut(&[u8], &[u8], &mut KvEmitter<'_>) + 'a;
 
 /// Typed failure of a fault-tolerant MapReduce operation.
 ///
@@ -499,25 +499,6 @@ impl<'c> MapReduce<'c> {
         Ok(FtMapReport { pairs: sums[0] as u64, quarantined })
     }
 
-    /// Collective. Transform the existing KV pair-by-pair into a new KV.
-    /// Purely local (no communication). Returns the global pair count of the
-    /// new dataset.
-    ///
-    /// # Panics
-    /// Panics if no KV dataset exists.
-    pub fn map_kv(&mut self, f: &mut KvMapFn<'_>) -> u64 {
-        let old = self.kv.take().expect("map_kv requires a KV dataset");
-        let mut new_kv = KeyValue::new(&self.settings);
-        old.for_each(|k, v| {
-            let mut em = KvEmitter::new(&mut new_kv);
-            f(k, v, &mut em);
-        });
-        self.retire_kv(&old);
-        let local = new_kv.npairs();
-        self.kv = Some(new_kv);
-        self.global_count(local)
-    }
-
     /// Local. Add a pair directly to the KV dataset (creating it if absent).
     /// The original library's `kv->add()` used inside user callbacks between
     /// operations.
@@ -783,29 +764,6 @@ impl<'c> MapReduce<'c> {
         self.global_count(local)
     }
 
-    /// Local convert + reduce without any communication: combines duplicate
-    /// keys *within* each rank (the original's `compress()`), typically used
-    /// to shrink data before an expensive `collate()`.
-    pub fn compress(
-        &mut self,
-        f: &mut dyn FnMut(&[u8], MultiValues<'_>, &mut KvEmitter<'_>),
-    ) -> u64 {
-        let (_span, spills0) = self.obs_phase("mr.compress");
-        let kv = self.kv.take().expect("compress requires a KV dataset");
-        let mut kmv = KeyMultiValue::new(&self.settings);
-        Self::convert_in_memory(&kv, &mut kmv);
-        self.retire_kv(&kv);
-        let mut out = KeyValue::new(&self.settings);
-        kmv.for_each_group(|key, vals| {
-            let mut em = KvEmitter::new(&mut out);
-            f(key, vals, &mut em);
-        });
-        let local = out.npairs();
-        self.kv = Some(out);
-        self.obs_phase_end(spills0, local);
-        self.global_count(local)
-    }
-
     // ----------------------------------------------------------------- misc
 
     /// Local. Sort the KV pairs by key with `cmp`. Datasets within the
@@ -818,95 +776,7 @@ impl<'c> MapReduce<'c> {
     pub fn sort_keys(&mut self, cmp: impl Fn(&[u8], &[u8]) -> std::cmp::Ordering) {
         let kv = self.kv.take().expect("sort_keys requires a KV dataset");
         self.retire_kv(&kv);
-        self.kv = Some(crate::extsort::external_sort(
-            kv,
-            &self.settings,
-            crate::extsort::SortBy::Key,
-            &cmp,
-        ));
-    }
-
-    /// Local. Sort the KV pairs by value with `cmp` (the original library's
-    /// `sort_values()`), out-of-core past the memory budget like
-    /// [`MapReduce::sort_keys`].
-    ///
-    /// # Panics
-    /// Panics if no KV dataset exists.
-    pub fn sort_values(&mut self, cmp: impl Fn(&[u8], &[u8]) -> std::cmp::Ordering) {
-        let kv = self.kv.take().expect("sort_values requires a KV dataset");
-        self.retire_kv(&kv);
-        self.kv = Some(crate::extsort::external_sort(
-            kv,
-            &self.settings,
-            crate::extsort::SortBy::Value,
-            &cmp,
-        ));
-    }
-
-    /// Local. Sort the values *within* each KMV group with `cmp` (the
-    /// original library's `sort_multivalues()`) — e.g. hits by E-value
-    /// before a reduce that writes them out in order.
-    ///
-    /// # Panics
-    /// Panics if no KMV dataset exists.
-    pub fn sort_multivalues(&mut self, cmp: impl Fn(&[u8], &[u8]) -> std::cmp::Ordering) {
-        let kmv = self.kmv.take().expect("sort_multivalues requires a KMV dataset");
-        self.retire_kmv(&kmv);
-        let mut out = KeyMultiValue::new(&self.settings);
-        kmv.for_each_group(|key, vals| {
-            let mut values = vals.collect_owned();
-            values.sort_by(|a, b| cmp(a, b));
-            out.add_group(key, values.iter().map(Vec::as_slice));
-        });
-        self.kmv = Some(out);
-    }
-
-    /// Collective. Replace every rank's KV dataset with a copy of `root`'s
-    /// (the original library's `broadcast()`).
-    ///
-    /// # Panics
-    /// Panics if the root has no KV dataset.
-    pub fn broadcast(&mut self, root: usize) -> u64 {
-        let is_root = self.comm.rank() == root;
-        let mut payload = Vec::new();
-        if is_root {
-            let kv = self.kv.as_ref().expect("broadcast requires a KV dataset on root");
-            payload.extend_from_slice(&kv.npairs().to_le_bytes());
-            kv.for_each_page(|page| {
-                payload.extend_from_slice(&(page.len() as u64).to_le_bytes());
-                payload.extend_from_slice(page);
-            });
-        }
-        self.comm.bcast(root, &mut payload);
-        if !is_root {
-            if let Some(old) = self.kv.take() {
-                self.retire_kv(&old);
-            }
-            let npairs = u64::from_le_bytes(payload[..8].try_into().expect("count"));
-            let mut kv = KeyValue::new(&self.settings);
-            let mut pos = 8usize;
-            let mut remaining_pairs = npairs;
-            while pos < payload.len() {
-                let len =
-                    u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("len")) as usize;
-                pos += 8;
-                let page = payload[pos..pos + len].to_vec();
-                pos += len;
-                // Pair counts per page are recovered by decoding; the final
-                // page gets the remainder.
-                let mut count = 0u64;
-                let mut p = 0usize;
-                while p < page.len() {
-                    let _ = decode_entry(&page, &mut p);
-                    count += 1;
-                }
-                remaining_pairs = remaining_pairs.saturating_sub(count);
-                kv.add_encoded_page(page, count);
-            }
-            debug_assert_eq!(remaining_pairs, 0, "broadcast page counts disagree");
-            self.kv = Some(kv);
-        }
-        self.global_count(self.kv_local_count()) / self.comm.size() as u64
+        self.kv = Some(crate::extsort::external_sort(kv, &self.settings, &cmp));
     }
 
     /// Collective. Move every KV pair to the first `nranks` ranks (pair
@@ -993,11 +863,6 @@ impl<'c> MapReduce<'c> {
         }
     }
 
-    /// Take the KV dataset out of the engine (e.g. to hand to application
-    /// code).
-    pub fn take_kv(&mut self) -> Option<KeyValue> {
-        self.kv.take()
-    }
 }
 
 #[cfg(test)]
@@ -1062,42 +927,6 @@ mod tests {
         let mut all: Vec<u8> = results.concat();
         all.sort_unstable();
         assert_eq!(all, (0..10).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn map_kv_transforms_pairs_locally() {
-        let results = World::new(2).run(|comm| {
-            let mut mr = MapReduce::new(comm);
-            mr.map_tasks(6, MapStyle::Chunk, &mut |t, kv| {
-                kv.emit(&[t as u8], &[t as u8]);
-            })
-            .expect("fault-free map");
-            mr.map_kv(&mut |k, v, out| {
-                // Duplicate each pair with doubled value.
-                out.emit(k, v);
-                out.emit(k, &[v[0] * 2]);
-            })
-        });
-        assert_eq!(results, vec![12, 12]);
-    }
-
-    #[test]
-    fn compress_combines_local_duplicates_only() {
-        let results = World::new(2).run(|comm| {
-            let mut mr = MapReduce::new(comm);
-            // Both ranks emit the same key; compress is local so both keep it.
-            mr.map_tasks(2, MapStyle::RoundRobin, &mut |_, kv| {
-                kv.emit(b"k", b"1");
-                kv.emit(b"k", b"1");
-            })
-            .expect("fault-free map");
-            mr.compress(&mut |key, vals, out| {
-                let n = vals.count() as u64;
-                out.emit(key, &n.to_le_bytes());
-            })
-        });
-        // 2 ranks × 1 compressed pair each.
-        assert_eq!(results, vec![2, 2]);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! state machine, [`core::Core`]; this module is the IO shell that drives
 //! it from mpisim messages and the fault board, and `perfmodel`'s
 //! discrete-event simulator drives the same core from its event queue.
+//! Every setting of the scheduler — timeouts, retry and poison budgets,
+//! speculation, the durable log — is one [`FtConfig`]; the `mrbio` drivers
+//! carry it as the `ft` field of their run config.
 //!
 //! In a world of one rank every style runs all tasks locally.
 

@@ -1,54 +1,14 @@
 //! Multi-operation MapReduce chains: sequences of map/collate/reduce/
-//! compress/gather/sort that mirror how real applications (and the
-//! original library's examples) string operations together.
+//! gather/sort that mirror how real applications (and the original
+//! library's examples) string operations together.
 
 use mpisim::World;
 use mrmpi::{FtConfig, MapPlan, MapReduce, MapStyle, Settings};
 
-/// Compress locally, then collate globally, then reduce — the canonical
-/// combiner pattern (pre-aggregation before the expensive shuffle).
-#[test]
-fn compress_then_collate_wordcount() {
-    for ranks in [1, 3] {
-        let results = World::new(ranks).run(|comm| {
-            let mut mr = MapReduce::new(comm);
-            // 60 tasks × 50 emissions over 10 distinct keys.
-            mr.map_tasks(60, MapStyle::RoundRobin, &mut |t, kv| {
-                for i in 0..50u64 {
-                    kv.emit(&((t as u64 + i) % 10).to_le_bytes(), &1u64.to_le_bytes());
-                }
-            })
-            .expect("fault-free map");
-            // Local combiner: sum duplicate keys within the rank.
-            mr.compress(&mut |key, vals, out| {
-                let sum: u64 = vals
-                    .map(|v| u64::from_le_bytes(v.try_into().unwrap()))
-                    .sum();
-                out.emit(key, &sum.to_le_bytes());
-            });
-            // Global shuffle + final sum.
-            mr.collate().expect("fault-free shuffle");
-            let mut totals = Vec::new();
-            mr.reduce(&mut |key, vals, _| {
-                let sum: u64 = vals
-                    .map(|v| u64::from_le_bytes(v.try_into().unwrap()))
-                    .sum();
-                totals.push((u64::from_le_bytes(key.try_into().unwrap()), sum));
-            });
-            totals
-        });
-        let mut all: Vec<(u64, u64)> = results.concat();
-        all.sort();
-        assert_eq!(all.len(), 10, "ranks={ranks}");
-        // 60 tasks × 50 emissions / 10 keys = 300 per key.
-        assert!(all.iter().all(|&(_, c)| c == 300), "ranks={ranks}: {all:?}");
-    }
-}
-
-/// map → collate → reduce → map_kv → collate → reduce: two full cycles with
-/// a transformation between them (the paper's "multiple iterations of
-/// MapReduce can be executed with the same or different mappers and
-/// reducers").
+/// map → collate → reduce → collate → reduce: two full cycles, the first
+/// reduce re-keying the data for the second (the paper's "multiple
+/// iterations of MapReduce can be executed with the same or different
+/// mappers and reducers").
 #[test]
 fn two_mapreduce_cycles_chained() {
     let results = World::new(4).run(|comm| {
@@ -108,16 +68,10 @@ fn paged_chain_equals_unpaged() {
                 }
             })
             .expect("fault-free map");
-            mr.compress(&mut |key, vals, out| {
-                out.emit(key, &(vals.count() as u64).to_le_bytes());
-            });
             mr.collate().expect("fault-free shuffle");
             let mut out = Vec::new();
             mr.reduce(&mut |key, vals, _| {
-                let total: u64 = vals
-                    .map(|v| u64::from_le_bytes(v.try_into().unwrap()))
-                    .sum();
-                out.push((u64::from_le_bytes(key.try_into().unwrap()), total));
+                out.push((u64::from_le_bytes(key.try_into().unwrap()), vals.count() as u64));
             });
             out
         })
@@ -157,76 +111,6 @@ fn affinity_map_chain() {
     let mut all: Vec<(u8, usize)> = results.concat();
     all.sort();
     assert_eq!(all, (0..6).map(|k| (k, 4)).collect::<Vec<_>>());
-}
-
-/// sort_values orders the local KV by value bytes.
-#[test]
-fn sort_values_orders_pairs() {
-    let results = World::new(1).run(|comm| {
-        let mut mr = MapReduce::new(comm);
-        mr.map_tasks(1, MapStyle::Chunk, &mut |_, kv| {
-            kv.emit(b"k", &9u64.to_le_bytes());
-            kv.emit(b"k", &3u64.to_le_bytes());
-            kv.emit(b"k", &7u64.to_le_bytes());
-        })
-        .expect("fault-free map");
-        mr.sort_values(|a, b| {
-            u64::from_le_bytes(a.try_into().unwrap())
-                .cmp(&u64::from_le_bytes(b.try_into().unwrap()))
-        });
-        let mut vals = Vec::new();
-        mr.kv_for_each(|_, v| vals.push(u64::from_le_bytes(v.try_into().unwrap())));
-        vals
-    });
-    assert_eq!(results[0], vec![3, 7, 9]);
-}
-
-/// sort_multivalues orders values inside each KMV group — the shape of the
-/// paper's reduce-side per-query E-value sort, expressed as a library op.
-#[test]
-fn sort_multivalues_orders_within_groups() {
-    let results = World::new(2).run(|comm| {
-        let mut mr = MapReduce::new(comm);
-        mr.map_tasks(8, MapStyle::RoundRobin, &mut |t, kv| {
-            kv.emit(&[(t % 2) as u8], &((t * 13 % 7) as u64).to_le_bytes());
-        })
-        .expect("fault-free map");
-        mr.collate().expect("fault-free shuffle");
-        mr.sort_multivalues(|a, b| a.cmp(b));
-        let mut ordered = true;
-        let mut groups = 0;
-        mr.reduce(&mut |_, vals, _| {
-            let vs: Vec<Vec<u8>> = vals.map(|v| v.to_vec()).collect();
-            ordered &= vs.windows(2).all(|w| w[0] <= w[1]);
-            groups += 1;
-        });
-        (ordered, groups)
-    });
-    let total_groups: usize = results.iter().map(|&(_, g)| g).sum();
-    assert_eq!(total_groups, 2);
-    assert!(results.iter().all(|&(o, _)| o), "multivalues must be sorted");
-}
-
-/// broadcast replicates the root's dataset to every rank.
-#[test]
-fn broadcast_replicates_root_kv() {
-    let results = World::new(3).run(|comm| {
-        let mut mr = MapReduce::new(comm);
-        // Different data everywhere; only rank 1's should survive.
-        mr.add(b"mine", &[comm.rank() as u8]);
-        if comm.rank() == 1 {
-            mr.add(b"extra", b"payload");
-        }
-        mr.broadcast(1);
-        let mut pairs = Vec::new();
-        mr.kv_for_each(|k, v| pairs.push((k.to_vec(), v.to_vec())));
-        pairs
-    });
-    for (r, pairs) in results.iter().enumerate() {
-        assert_eq!(pairs.len(), 2, "rank {r} pairs: {pairs:?}");
-        assert_eq!(pairs[0], (b"mine".to_vec(), vec![1u8]));
-        assert_eq!(pairs[1], (b"extra".to_vec(), b"payload".to_vec()));
-    }
 }
 
 /// Empty datasets flow through every operation without panicking.

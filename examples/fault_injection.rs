@@ -14,7 +14,7 @@ use bioseq::shred::query_blocks;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
     let plan = FaultPlan::new(42).kill(3, 1e-4).kill(6, 2e-4);
     let (db2, blocks2) = (db.clone(), blocks.clone());
     let outcomes = World::new(8).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn(), &FaultConfig::default())
+        run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn())
     });
 
     let mut hits = Vec::new();
@@ -70,7 +70,7 @@ fn main() {
     }
     let (db3, blocks3) = (db.clone(), blocks.clone());
     let outcomes = World::new(8).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast(comm, &db3, &blocks3, &MrBlastConfig::blastn(), &FaultConfig::default())
+        run_mrblast(comm, &db3, &blocks3, &MrBlastConfig::blastn())
     });
     match &outcomes[0] {
         RankOutcome::Done(Err(e)) => println!("all workers dead -> master reports: {e}"),

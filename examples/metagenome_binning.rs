@@ -18,7 +18,7 @@ use bioseq::kmer::tetra_frequencies;
 use bioseq::seq::SeqRecord;
 use bioseq::shred::{shred_record, ShredConfig};
 use mpisim::World;
-use mrbio::{run_mrsom, FaultConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrsom, MrSomConfig, VectorMatrix};
 use som::neighborhood::SomConfig;
 use som::ppm::write_umatrix_pgm;
 use som::umatrix::umatrix;
@@ -66,12 +66,7 @@ fn main() {
     let mp = matrix_path.clone();
     let results = World::new(4).run(move |comm| {
         let matrix = VectorMatrix::open(&mp).expect("open matrix");
-        run_mrsom(
-            comm,
-            &matrix,
-            &MrSomConfig { block_size: 10, ..MrSomConfig::new(som) },
-            &FaultConfig::default(),
-        )
+        run_mrsom(comm, &matrix, &MrSomConfig { block_size: 10, ..MrSomConfig::new(som) })
         .expect("fault-free run")
     });
     let cb = &results[0].0;

@@ -15,7 +15,7 @@ use bioseq::db::{format_db, FormatDbConfig};
 use bioseq::seq::SeqRecord;
 use bioseq::shred::{query_blocks, shred_records, ShredConfig};
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ fn main() {
             output_dir: Some(od.clone()),
             ..MrBlastConfig::blastn()
         };
-        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
     });
 
     // Classify each read by its best hit (hits arrive E-value-sorted per

@@ -15,7 +15,7 @@ use bioseq::gen::{protein_workload, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use blast::SearchParams;
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -55,7 +55,7 @@ fn main() {
             params: SearchParams::blastp().with_evalue(1e-4),
             ..MrBlastConfig::blastp()
         };
-        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
     });
 
     let mut found = 0usize;

@@ -14,7 +14,7 @@ use bioseq::shred::query_blocks;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::World;
-use mrbio::{run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
 use std::sync::Arc;
@@ -43,13 +43,7 @@ fn main() {
     let blocks2 = blocks.clone();
     let reports = World::new(ranks)
         .run(move |comm| {
-            run_mrblast(
-                comm,
-                &db2,
-                &blocks2,
-                &MrBlastConfig::blastn(),
-                &FaultConfig::default(),
-            )
+            run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn())
             .expect("fault-free run")
         });
 
@@ -78,12 +72,7 @@ fn main() {
     VectorMatrix::create(&matrix_path, &vectors).expect("write matrix");
     let results = World::new(ranks).run(move |comm| {
         let matrix = VectorMatrix::open(&matrix_path).expect("open matrix");
-        run_mrsom(
-            comm,
-            &matrix,
-            &MrSomConfig { block_size: 30, ..MrSomConfig::new(som) },
-            &FaultConfig::default(),
-        )
+        run_mrsom(comm, &matrix, &MrSomConfig { block_size: 30, ..MrSomConfig::new(som) })
         .expect("fault-free run")
     });
     let max_dev = results[0]

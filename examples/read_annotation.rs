@@ -18,7 +18,7 @@ use blast::format::pairwise_alignment_text;
 use blast::search::{BlastSearcher, SearchMode};
 use blast::{Scoring, SearchParams};
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use rand::Rng;
 use std::io::Write;
 use std::sync::Arc;
@@ -104,7 +104,7 @@ fn main() {
             params: SearchParams::blastx().with_evalue(1e-8),
             ..MrBlastConfig::blastp()
         };
-        run_mrblast(comm, &db2, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrblast(comm, &db2, &blocks, &cfg).expect("fault-free run")
     });
 
     let mut annotated = 0usize;

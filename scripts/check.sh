@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 pre-merge gate: release build, clippy over every workspace crate,
 # the root package's test suite, every workspace crate's tests, a
-# warning-free rustdoc build, and the fault-injection smoke and regression
-# tests run explicitly by name so a filter or harness change can never
-# silently drop them.
+# warning-free rustdoc build, the benchmark's build (so deleting an API it
+# uses fails here, not when the benchmark runs), and the fault-injection
+# smoke and regression tests run explicitly by name so a filter or harness
+# change can never silently drop them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,6 +22,9 @@ cargo test -q --workspace --exclude mrmpi-bio
 
 echo "== rustdoc: no broken intra-doc links or other doc warnings =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
+echo "== benchmark builds: perfbench compiles against this tree (warnings allowed) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "== engine pin: serial blastn/blastp/blastx hit counts and tabular digests, exact =="
 cargo test -q --test blast_output_pin

@@ -33,7 +33,7 @@
 //! use bioseq::gen::{dna_workload, WorkloadConfig};
 //! use bioseq::shred::query_blocks;
 //! use mpisim::World;
-//! use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+//! use mrbio::{run_mrblast, MrBlastConfig};
 //! use std::sync::Arc;
 //!
 //! // A small synthetic workload with planted homologies.
@@ -45,7 +45,7 @@
 //! // Run the parallel search on 4 simulated MPI ranks; the master-worker
 //! // scheduler is fault-tolerant, so a failed run is a typed error.
 //! let reports = World::new(4).run(move |comm| {
-//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+//!     run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
 //!         .expect("no faults injected")
 //! });
 //! let hits: usize = reports.iter().map(|r| r.hits.len()).sum();

@@ -18,9 +18,7 @@ use blast::hsp::Hit;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{
-    run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix,
-};
+use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
 use mrmpi::{read_poison_log, DiskFaultPlan, FtConfig, MapReduce, Settings};
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
@@ -82,12 +80,11 @@ fn run_blast_chaos(
     ranks: usize,
     plan: FaultPlan,
     cfg: MrBlastConfig,
-    fault: FaultConfig,
 ) -> (Vec<Hit>, Vec<u64>, usize) {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
     let outcomes = World::new(ranks).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast(comm, &db, &blocks, &cfg, &fault)
+        run_mrblast(comm, &db, &blocks, &cfg)
     });
     let mut hits = Vec::new();
     let mut quarantined = None;
@@ -158,7 +155,6 @@ fn failover_smoke_master_kill_mid_map_bit_for_bit() {
         5,
         FaultPlan::new(41).kill(0, 1e-4),
         MrBlastConfig::blastn(),
-        FaultConfig::default(),
     );
     assert_eq!(died, 1, "the master death must fire");
     assert!(quarantined.is_empty());
@@ -202,12 +198,11 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
             disk_faults: Some(disk),
             ..Settings::default()
         },
+        ft: FtConfig { log_path: Some(fx.dir.join("sched.log")), ..FtConfig::default() },
         ..MrBlastConfig::blastn()
     };
-    let fault =
-        FaultConfig::default().with_scheduler_log(fx.dir.join("sched.log"));
 
-    let (hits, quarantined, died) = run_blast_chaos(&fx, 6, plan, cfg, fault);
+    let (hits, quarantined, died) = run_blast_chaos(&fx, 6, plan, cfg);
 
     // Exact accounting: both planned deaths fired and nothing else died;
     // the reconciled quarantine names exactly the poisoned unit (the
@@ -261,7 +256,6 @@ fn chaos_soak_seeded_campaigns_stay_bit_for_bit() {
             7,
             plan,
             MrBlastConfig::blastn(),
-            FaultConfig::default(),
         );
         assert_eq!(died, 2, "seed {seed}: both planned deaths must fire");
         assert_eq!(
@@ -307,7 +301,7 @@ fn som_master_kill_mid_training_matches_serial() {
         move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
             let cfg = MrSomConfig { block_size: 16, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+            run_mrsom(comm, &matrix, &cfg)
         },
     );
     let mut died = 0;

@@ -16,9 +16,7 @@ use bioseq::seq::SeqRecord;
 use bioseq::shred::query_blocks;
 use mpisim::World;
 use mrbio::ckpt::BlastCheckpoint;
-use mrbio::{
-    checkpoint_path, disk_faults, run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig,
-};
+use mrbio::{checkpoint_path, run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig};
 use mrmpi::DiskFaultPlan;
 use som::neighborhood::SomConfig;
 
@@ -71,9 +69,9 @@ fn blast_run(
             ..MrBlastConfig::blastn()
         };
         if let Some(plan) = &faults {
-            cfg.mr_settings = disk_faults(cfg.mr_settings.clone(), plan.clone_plan());
+            cfg.mr_settings = cfg.mr_settings.clone().with_disk_faults(plan.clone_plan().shared());
         }
-        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
     });
 }
 
@@ -208,12 +206,7 @@ fn som_resume_with_corrupt_newest_checkpoint_falls_back() {
     let p = mpath.clone();
     let full = World::new(2).run(move |comm| {
         let matrix = mrbio::VectorMatrix::open(&p).unwrap();
-        run_mrsom(
-            comm,
-            &matrix,
-            &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) },
-            &FaultConfig::default(),
-        )
+        run_mrsom(comm, &matrix, &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) })
         .expect("fault-free run")
     });
 
@@ -230,7 +223,7 @@ fn som_resume_with_corrupt_newest_checkpoint_falls_back() {
             stop_after_epochs: Some(4),
             ..MrSomConfig::new(som)
         };
-        run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrsom(comm, &matrix, &cfg).expect("fault-free run")
     });
 
     // The crash also corrupted the newest checkpoint (epoch 4): flip a bit
@@ -253,7 +246,7 @@ fn som_resume_with_corrupt_newest_checkpoint_falls_back() {
             checkpoint_every: 2,
             ..MrSomConfig::new(som)
         };
-        run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrsom(comm, &matrix, &cfg).expect("fault-free run")
     });
     // 6 blocks per epoch; fallback to epoch 2 leaves 6 epochs to retrain.
     let blocks: u64 = resumed.iter().map(|(_, r)| r.blocks_processed).sum();

@@ -18,7 +18,7 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::seq::SeqRecord;
 use bioseq::shred::query_blocks;
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use mrmpi::{FtConfig, MapReduce, Settings};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -60,7 +60,7 @@ fn traced_blast_run(fx: &Fixture, ranks: usize) -> (obs::Trace, usize) {
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
     let reports = World::new(ranks).with_obs(collector.clone()).run(move |comm| {
-        run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+        run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
             .expect("fault-free run must succeed")
     });
     let hits = reports.iter().map(|r| r.hits.len()).sum();

@@ -16,10 +16,7 @@ use blast::hsp::Hit;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{
-    run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig,
-    VectorMatrix,
-};
+use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
 use mrmpi::Settings;
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
@@ -77,7 +74,7 @@ fn run_parallel(fx: &BlastFixture, ranks: usize, cfg: MrBlastConfig) -> Vec<Hit>
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
     let reports = World::new(ranks).run(move |comm| {
-        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
     });
     reports.into_iter().flat_map(|r| r.hits).collect()
 }
@@ -222,7 +219,7 @@ fn blastx_parallel_equals_serial() {
         let blocks = blocks.clone();
         let reports = World::new(ranks).run(move |comm| {
             let cfg = MrBlastConfig { params, ..MrBlastConfig::blastp() };
-            run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+            run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
         });
         let got = sorted_keys(reports.into_iter().flat_map(|r| r.hits).collect::<Vec<_>>());
         assert_eq!(got, sorted_keys(serial.clone()), "blastx ranks={ranks}");
@@ -242,7 +239,7 @@ fn run_parallel_ft(fx: &BlastFixture, ranks: usize, plan: FaultPlan) -> (Vec<Hit
     let db = fx.db.clone();
     let blocks = fx.blocks.clone();
     let outcomes = World::new(ranks).with_faults(plan).run_faulty(move |comm| {
-        run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn(), &FaultConfig::default())
+        run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
     });
     let mut hits = Vec::new();
     let mut died = 0;
@@ -313,7 +310,7 @@ fn som_equivalence_with_injected_worker_deaths() {
         let outcomes = World::new(5).with_faults(plan).run_faulty(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
             let cfg = MrSomConfig { block_size: 16, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default())
+            run_mrsom(comm, &matrix, &cfg)
         });
         let mut died = 0;
         for (rank, out) in outcomes.iter().enumerate() {
@@ -359,12 +356,7 @@ fn som_parallel_equals_serial_batch() {
         let p = path.clone();
         let results = World::new(ranks).run(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
-            run_mrsom(
-                comm,
-                &matrix,
-                &MrSomConfig { block_size: 20, ..MrSomConfig::new(som) },
-                &FaultConfig::default(),
-            )
+            run_mrsom(comm, &matrix, &MrSomConfig { block_size: 20, ..MrSomConfig::new(som) })
             .expect("fault-free run")
         });
         for (cb, _) in &results {
@@ -401,7 +393,7 @@ fn som_block_sizes_agree() {
         let results = World::new(3).run(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open");
             let cfg = MrSomConfig { block_size: block, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
+            run_mrsom(comm, &matrix, &cfg).expect("fault-free run")
         });
         let weights = results[0].0.weights.clone();
         match &reference {

@@ -7,7 +7,7 @@ use bioseq::db::FormatDbConfig;
 use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use perfmodel::des::{
     simulate_master_worker, simulate_master_worker_abort_restart, Conditions, Failure, MasterDeath,
     Stall, Task,
@@ -48,13 +48,7 @@ fn des_makespan_matches_real_master_worker_run() {
     let blocks2 = blocks.clone();
     let reports = World::new(ranks)
         .run(move |comm| {
-            run_mrblast(
-                comm,
-                &db2,
-                &blocks2,
-                &MrBlastConfig::blastn(),
-                &FaultConfig::default(),
-            )
+            run_mrblast(comm, &db2, &blocks2, &MrBlastConfig::blastn())
             .expect("fault-free run")
         });
     let real_makespan = reports.iter().map(|r| r.finish_time).fold(0.0, f64::max);
@@ -143,7 +137,7 @@ fn som_bsp_model_matches_real_parallel_runtime_shape() {
         let results = World::new(ranks).run(move |comm| {
             let matrix = VectorMatrix::open(&p).unwrap();
             let cfg = MrSomConfig { block_size: 20, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig::default()).expect("fault-free run")
+            run_mrsom(comm, &matrix, &cfg).expect("fault-free run")
         });
         finish.push(results.iter().map(|(_, r)| r.finish_time).fold(0.0, f64::max));
         max_blocks.push(results.iter().map(|(_, r)| r.blocks_processed).max().unwrap());

@@ -8,7 +8,7 @@ use bioseq::gen::{self, rng};
 use bioseq::seq::SeqRecord;
 use bioseq::shred::{query_blocks, shred_records, ShredConfig};
 use mpisim::World;
-use mrbio::{run_mrblast, FaultConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use std::sync::Arc;
 
 #[test]
@@ -47,7 +47,7 @@ fn fasta_to_classified_reads() {
     let od = outdir.clone();
     let reports = World::new(4).run(move |comm| {
         let cfg = MrBlastConfig { output_dir: Some(od.clone()), ..MrBlastConfig::blastn() };
-        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrblast(comm, &db, &blocks, &cfg).expect("fault-free run")
     });
 
     // 5. Every read must hit its source genome as the top hit.
@@ -113,7 +113,7 @@ fn self_exclusion_filters_but_keeps_cross_hits() {
     let blocks2 = blocks.clone();
     let reports = World::new(2).run(move |comm| {
         let cfg = MrBlastConfig { exclude_self: true, ..MrBlastConfig::blastn() };
-        run_mrblast(comm, &db2, &blocks2, &cfg, &FaultConfig::default()).expect("fault-free run")
+        run_mrblast(comm, &db2, &blocks2, &cfg).expect("fault-free run")
     });
     let hits: Vec<_> = reports.iter().flat_map(|r| r.hits.iter()).collect();
     assert!(!hits.is_empty(), "cross-genome hits must survive");

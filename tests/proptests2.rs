@@ -9,7 +9,7 @@ use bioseq::translate::{translate_frame, Frame};
 use blast::gapped::banded_global_alignment;
 use blast::oracle::needleman_wunsch;
 use blast::Scoring;
-use mrmpi::extsort::{external_sort, SortBy};
+use mrmpi::extsort::external_sort;
 use mrmpi::{KeyValue, Settings};
 
 fn dna_vec(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -72,7 +72,7 @@ proptest! {
         for &(k, v) in &pairs {
             kv.add(&k.to_le_bytes(), &v.to_le_bytes());
         }
-        let sorted = external_sort(kv, &settings, SortBy::Key, &|a, b| a.cmp(b));
+        let sorted = external_sort(kv, &settings, &|a, b| a.cmp(b));
         let got: Vec<(Vec<u8>, Vec<u8>)> = sorted.into_pairs();
         // Expected: stable sort by the little-endian byte encoding.
         let mut expect: Vec<(Vec<u8>, Vec<u8>)> = pairs

@@ -24,7 +24,7 @@ use blast::hsp::Hit;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast, run_mrsom, FaultConfig, MrBlastConfig, MrSomConfig, VectorMatrix};
+use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
 use mrmpi::{read_poison_log, FtConfig, Settings};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -109,9 +109,8 @@ fn run_ft(
         None => World::new(ranks),
     };
     let t0 = std::time::Instant::now();
-    let outcomes = world.run_faulty(move |comm| {
-        run_mrblast(comm, &db, &blocks, &cfg, &FaultConfig { ft: ft.clone() })
-    });
+    let cfg = MrBlastConfig { ft, ..cfg };
+    let outcomes = world.run_faulty(move |comm| run_mrblast(comm, &db, &blocks, &cfg));
     let wall = t0.elapsed().as_secs_f64();
     let mut hits = Vec::new();
     let mut quarantined = None;
@@ -313,8 +312,8 @@ fn som_straggler_that_recovers_wins_and_the_backup_is_discarded() {
         .with_obs(collector.clone())
         .run_faulty(move |comm| {
             let matrix = VectorMatrix::open(&p).expect("open matrix");
-            let cfg = MrSomConfig { block_size: n, ..MrSomConfig::new(som) };
-            run_mrsom(comm, &matrix, &cfg, &FaultConfig { ft: ft.clone() })
+            let cfg = MrSomConfig { block_size: n, ft: ft.clone(), ..MrSomConfig::new(som) };
+            run_mrsom(comm, &matrix, &cfg)
         });
     std::fs::remove_file(&path).ok();
 
