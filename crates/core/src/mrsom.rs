@@ -308,9 +308,11 @@ pub fn write_checkpoint(cfg: &MrSomConfig, completed_epochs: usize, cb: &Codeboo
 
 /// Find the newest *valid* checkpoint in `cfg.checkpoint_dir`. Candidates
 /// are scanned newest-first; a checkpoint that fails CRC verification,
-/// is truncated, or does not decode as a codebook is skipped in favour of
-/// the next-older one — corruption of the newest checkpoint costs some
-/// recomputed epochs, never a panic and never a garbage codebook.
+/// is truncated, does not decode as a codebook, or holds a codebook whose
+/// shape (rows, cols, dims, torus) differs from `cfg.som` is skipped in
+/// favour of the next-older one — corruption of the newest checkpoint
+/// costs some recomputed epochs, never a panic and never a garbage
+/// codebook.
 pub fn load_latest_checkpoint(cfg: &MrSomConfig) -> Option<(usize, Codebook)> {
     let dir = cfg.checkpoint_dir.as_ref()?;
     let mut found: Vec<(usize, std::path::PathBuf)> = Vec::new();
@@ -327,7 +329,9 @@ pub fn load_latest_checkpoint(cfg: &MrSomConfig) -> Option<(usize, Codebook)> {
     for (epoch, path) in found {
         let Ok(payloads) = mrmpi::durable::read_record_file(&path) else { continue };
         let [payload] = payloads.as_slice() else { continue };
-        if let Some(cb) = Codebook::from_bytes(payload) {
+        let Some(cb) = Codebook::from_bytes(payload) else { continue };
+        let som = &cfg.som;
+        if (cb.rows, cb.cols, cb.dims, cb.torus) == (som.rows, som.cols, som.dims, som.torus) {
             return Some((epoch, cb));
         }
     }

@@ -4,7 +4,7 @@
 //! a byte contribution, the last arriver publishes the full set, and every
 //! rank leaves with a shared (`Arc`) view of all contributions plus a clock
 //! synchronized to the latest participant. Barrier, broadcast, reduce,
-//! gather, allgather and alltoallv are thin wrappers in [`crate::comm`].
+//! gather and alltoallv are thin wrappers in [`crate::comm`].
 //!
 //! Ranks must call collectives in the same order — the standard MPI contract.
 //! The rendezvous is generation-based so it can be reused for an unbounded

@@ -57,9 +57,6 @@ pub struct Comm {
     size: usize,
     clock: RefCell<Clock>,
     faults: Option<RankFaults>,
-    /// Which incarnation of this rank owns the communicator: 0 for the
-    /// original process, bumped each time a restarted rank rejoins.
-    incarnation: u64,
     /// Scheduler-round counter (see [`Comm::next_round`]).
     rounds: std::cell::Cell<u64>,
     /// This rank's tracing/metrics ring, when a collector is attached to
@@ -76,7 +73,6 @@ impl Comm {
             size,
             clock: RefCell::new(Clock::new()),
             faults: None,
-            incarnation: 0,
             rounds: std::cell::Cell::new(0),
             obs: None,
         }
@@ -88,37 +84,10 @@ impl Comm {
         size: usize,
         plan: Arc<FaultPlan>,
     ) -> Self {
-        Self::with_faults_incarnation(shared, rank, size, plan, 0, 0.0)
+        Comm { faults: Some(RankFaults::new(plan, rank, size)), ..Self::new(shared, rank, size) }
     }
 
-    /// Communicator for incarnation `incarnation` of `rank`, with the
-    /// virtual clock resumed from `clock_from` (a rejoiner continues from
-    /// its predecessor's death time so virtual time never rewinds).
-    pub(crate) fn with_faults_incarnation(
-        shared: Arc<Shared>,
-        rank: Rank,
-        size: usize,
-        plan: Arc<FaultPlan>,
-        incarnation: u64,
-        clock_from: f64,
-    ) -> Self {
-        let faults = Some(RankFaults::for_incarnation(plan, rank, size, incarnation));
-        let mut clock = Clock::new();
-        clock.sync_to(clock_from);
-        Comm {
-            shared,
-            rank,
-            size,
-            clock: RefCell::new(clock),
-            faults,
-            incarnation,
-            rounds: std::cell::Cell::new(0),
-            obs: None,
-        }
-    }
-
-    /// Attach this rank's tracing ring (done by the world at spawn; the
-    /// same ring is re-attached to restarted incarnations).
+    /// Attach this rank's tracing ring (done by the world at spawn).
     pub(crate) fn set_obs(&mut self, obs: obs::RankObs) {
         obs.set_now(self.clock.borrow().now());
         self.obs = Some(obs);
@@ -150,25 +119,18 @@ impl Comm {
     /// Hand out the next scheduler-round number (0, 1, 2, …). Every rank
     /// runs the same program, so the `n`-th scheduler invocation draws the
     /// same round number on every rank — the round scopes the fault board's
-    /// deposition/departure state to one invocation. A rejoiner's counter
-    /// restarts at 0 with its fresh communicator, which is why restarted
-    /// ranks are only supported in single-map-phase programs.
+    /// deposition/departure state to one invocation. Membership is
+    /// monotone, as in MPI: a dead rank never rejoins, so every live rank
+    /// has drawn the same rounds.
     pub fn next_round(&self) -> u64 {
         let r = self.rounds.get();
         self.rounds.set(r + 1);
         r
     }
 
-    /// Incarnation number of this communicator's rank: 0 for the original
-    /// process, `n` for the `n`-th rejoin after a [`FaultPlan::restart`].
-    #[inline]
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
-
-    /// The shared fault board (membership, generations, coordinator
-    /// eligibility). Available in faulty *and* fault-free worlds — the board
-    /// simply reports everyone alive in the latter.
+    /// The shared fault board (membership, coordinator eligibility).
+    /// Available in faulty *and* fault-free worlds — the board simply
+    /// reports everyone alive in the latter.
     #[inline]
     pub fn board(&self) -> &FaultBoard {
         &self.shared.board
@@ -242,7 +204,7 @@ impl Comm {
     /// [`RankOutcome::Died`](crate::RankOutcome::Died).
     fn die(&self, at: f64) -> ! {
         if let Some(o) = &self.obs {
-            o.instant(at, "fault.death", format!("incarnation {}", self.incarnation));
+            o.instant(at, "fault.death", format!("rank {} died", self.rank));
         }
         self.shared.board.mark_dead(self.rank, at);
         self.shared.mailboxes[self.rank].purge();
@@ -296,11 +258,6 @@ impl Comm {
     /// Live ranks in rank order.
     pub fn alive_ranks(&self) -> Vec<Rank> {
         self.shared.board.alive_ranks()
-    }
-
-    /// `(rank, virtual_death_time)` pairs in death order.
-    pub fn failed_ranks(&self) -> Vec<(Rank, f64)> {
-        self.shared.board.failed_ranks()
     }
 
     /// This rank's index in `0..size`.
@@ -601,14 +558,6 @@ impl Comm {
         } else {
             None
         }
-    }
-
-    /// Gather every rank's payload at every rank (rank indexed).
-    pub fn allgather(&self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        let bytes = data.len();
-        let (all, t) = self.exchange(data);
-        self.finish_collective(t, bytes);
-        all.iter().cloned().collect()
     }
 
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; the result's

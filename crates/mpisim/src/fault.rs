@@ -27,13 +27,11 @@
 //! status in the simulator itself; it is only a *convention* that schedulers
 //! start with rank 0 as the coordinator. Killing it exercises exactly the
 //! coordinator-failover paths: survivors observe the death like any other,
-//! and role-based schedulers (see `mrmpi::sched`) elect a replacement. A rank
-//! given a [`FaultPlan::restart`] rule additionally *rejoins* the world a
-//! fixed wall-clock delay after its death: the runtime re-runs the rank
-//! closure as a fresh **incarnation** (generation bumped on the
-//! [`FaultBoard`], injected death/stall rules consumed by the first
-//! incarnation do not re-fire), modelling a node that reboots and re-enters
-//! the job in a later membership epoch.
+//! and role-based schedulers (see `mrmpi::sched`) elect a replacement.
+//!
+//! Membership is monotone, as in MPI: a rank only ever goes from alive to
+//! dead, and a dead rank never rejoins the world. Survivors carry on with
+//! the shrinking set of live ranks.
 //!
 //! ```
 //! use mpisim::{FaultPlan, RankOutcome, World};
@@ -96,7 +94,6 @@ pub struct FaultPlan {
     stalls: Vec<StallRule>,
     slows: Vec<(Rank, f64)>,
     poisons: Vec<u64>,
-    restarts: Vec<(Rank, f64)>,
 }
 
 impl FaultPlan {
@@ -110,7 +107,6 @@ impl FaultPlan {
             stalls: Vec::new(),
             slows: Vec::new(),
             poisons: Vec::new(),
-            restarts: Vec::new(),
         }
     }
 
@@ -129,38 +125,6 @@ impl FaultPlan {
         assert!(at_s >= 0.0, "death time must be non-negative");
         self.deaths.push((rank, at_s));
         self
-    }
-
-    /// Schedule `rank` to **rejoin** the world `delay_s` seconds of
-    /// wall-clock time after its (injected) death: the runtime revives the
-    /// rank on the [`FaultBoard`] — bumping its generation — and re-runs the
-    /// rank closure as a fresh incarnation. Death and stall rules apply only
-    /// to the first incarnation; [`FaultPlan::slow`] persists (it models the
-    /// host, not the process). The revival is refused (the rank stays dead)
-    /// if the scheduler has already closed its join gate, so a rejoin can
-    /// never strand itself in a world whose run is over.
-    pub fn restart(mut self, rank: Rank, delay_s: f64) -> Self {
-        assert!(delay_s >= 0.0, "restart delay must be non-negative");
-        self.restarts.push((rank, delay_s));
-        self
-    }
-
-    /// Wall-clock restart delay scheduled for `rank`, if any (earliest wins
-    /// when a rank has several restart rules).
-    pub fn restart_delay(&self, rank: Rank) -> Option<f64> {
-        self.restarts
-            .iter()
-            .filter(|(r, _)| *r == rank)
-            .map(|&(_, d)| d)
-            .fold(None, |acc, d| Some(acc.map_or(d, |a: f64| a.min(d))))
-    }
-
-    /// Ranks with a restart rule, deduplicated.
-    pub fn restarted_ranks(&self) -> Vec<Rank> {
-        let mut v: Vec<Rank> = self.restarts.iter().map(|&(r, _)| r).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// Drop each message from `src` to `dst` independently with probability
@@ -310,11 +274,10 @@ fn fate_hash(seed: u64, a: u64, b: u64, c: u64) -> u64 {
 /// that the world changed underneath them.
 ///
 /// Beyond plain liveness the board carries the *membership* state a
-/// role-based coordinator needs: per-rank incarnation generations (bumped on
-/// revival), deposition flags (a coordinator declared dead-or-useless by its
-/// peers steps down), departure records (a rank that finished cleanly,
-/// together with the work units it committed), and a join gate that decides
-/// whether a restarted rank may still rejoin the run.
+/// role-based coordinator needs: deposition flags (a coordinator declared
+/// dead-or-useless by its peers steps down) and departure records (a rank
+/// that finished cleanly, together with the work units it committed).
+/// Membership is monotone: a rank marked dead stays dead.
 pub struct FaultBoard {
     alive: Vec<AtomicBool>,
     epoch: AtomicU64,
@@ -332,12 +295,6 @@ pub struct FaultBoard {
     /// manifest a successor coordinator consults instead of syncing with
     /// the departed rank.
     manifests: Mutex<Vec<(u64, Vec<u64>)>>,
-    /// Per-rank incarnation number, bumped on every revival.
-    generation: Vec<AtomicU64>,
-    /// Join gate: `true` while a scheduler run is accepting (re)joining
-    /// ranks. [`FaultBoard::try_revive`] holds this lock, so closing the
-    /// gate and reviving a rank are mutually exclusive critical sections.
-    gate: Mutex<bool>,
 }
 
 impl FaultBoard {
@@ -350,8 +307,6 @@ impl FaultBoard {
             deposed: (0..size).map(|_| AtomicU64::new(0)).collect(),
             departed: (0..size).map(|_| AtomicU64::new(0)).collect(),
             manifests: Mutex::new(vec![(0, Vec::new()); size]),
-            generation: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            gate: Mutex::new(true),
         }
     }
 
@@ -407,13 +362,6 @@ impl FaultBoard {
 
     // ------------------------------------------------- membership & failover
 
-    /// Has `rank` ever died (even if since revived)? Monotonic: a revived
-    /// rank keeps its death on record, which is what makes coordinator
-    /// eligibility shrink-only and hence elections deterministic.
-    pub fn ever_died(&self, rank: Rank) -> bool {
-        self.deaths.lock().iter().any(|&(r, _)| r == rank)
-    }
-
     /// Depose `rank` as coordinator for scheduler round `round`: peers that
     /// exhausted their retry budget against a live-but-useless coordinator
     /// strike it from this round's eligibility without killing it. Monotonic
@@ -457,22 +405,13 @@ impl FaultBoard {
         }
     }
 
-    /// Current incarnation generation of `rank` (0 until its first revival).
-    #[inline]
-    pub fn generation(&self, rank: Rank) -> u64 {
-        self.generation.get(rank).map_or(0, |g| g.load(Ordering::Acquire))
-    }
-
     /// Is `rank` eligible to act as coordinator in round `round`?
-    /// Eligibility requires being alive and never having died (ever), nor
-    /// departed or been deposed this round — all monotonic-within-the-round
-    /// conditions, so the eligible set only shrinks and every rank computes
+    /// Eligibility requires being alive, not departed and not deposed this
+    /// round — all monotonic-within-the-round conditions (a dead rank never
+    /// comes back), so the eligible set only shrinks and every rank computes
     /// the same shrinking sequence from local board reads.
     pub fn is_eligible_coordinator(&self, rank: Rank, round: u64) -> bool {
-        self.is_alive(rank)
-            && !self.ever_died(rank)
-            && !self.is_departed(rank, round)
-            && !self.is_deposed(rank, round)
+        self.is_alive(rank) && !self.is_departed(rank, round) && !self.is_deposed(rank, round)
     }
 
     /// Deterministic election: the lowest eligible rank for round `round`,
@@ -481,41 +420,6 @@ impl FaultBoard {
     /// the winner's rank doubles as the membership/fencing epoch.
     pub fn elect_coordinator(&self, round: u64) -> Option<Rank> {
         (0..self.alive.len()).find(|&r| self.is_eligible_coordinator(r, round))
-    }
-
-    /// Open the join gate: restarted ranks may revive. Called by a
-    /// coordinator at scheduler-run entry.
-    pub fn open_gate(&self) {
-        *self.gate.lock() = true;
-    }
-
-    /// Atomically close the join gate *iff* `still_done()` holds with the
-    /// gate lock held. A coordinator passes its exit condition: if a rank
-    /// revived between the last check and this lock, `still_done` sees the
-    /// revival and refuses, keeping "run over" and "rank rejoined" mutually
-    /// exclusive. Returns whether the gate was closed.
-    pub fn close_gate_if(&self, still_done: impl FnOnce() -> bool) -> bool {
-        let mut gate = self.gate.lock();
-        if still_done() {
-            *gate = false;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Revive a dead rank as a fresh incarnation: flips it alive, bumps its
-    /// generation and the board epoch. Refused (returns
-    /// `false`) when the join gate is closed or the rank is already alive.
-    pub fn try_revive(&self, rank: Rank) -> bool {
-        let gate = self.gate.lock();
-        if !*gate || self.is_alive(rank) {
-            return false;
-        }
-        self.generation[rank].fetch_add(1, Ordering::AcqRel);
-        self.alive[rank].store(true, Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        true
     }
 }
 
@@ -544,29 +448,15 @@ pub(crate) struct RankFaults {
 }
 
 impl RankFaults {
-    /// Fault state for incarnation `incarnation` of `rank`. Death and stall
-    /// rules target the process, so only the first incarnation inherits
-    /// them; the compute slowdown models the host and persists.
-    pub(crate) fn for_incarnation(
-        plan: std::sync::Arc<FaultPlan>,
-        rank: Rank,
-        size: usize,
-        incarnation: u64,
-    ) -> Self {
-        let first = incarnation == 0;
-        let death_at = if first { plan.death_time(rank) } else { None };
-        let stalls = if first {
-            plan.stalls_for(rank).into_iter().map(|(at, dur)| (at, dur, false)).collect()
-        } else {
-            Vec::new()
-        };
-        let slow_factor = plan.slow_factor(rank);
+    /// Fault state of `rank` in a world of `size` ranks under `plan`.
+    pub(crate) fn new(plan: std::sync::Arc<FaultPlan>, rank: Rank, size: usize) -> Self {
+        let stalls = plan.stalls_for(rank).into_iter().map(|(at, dur)| (at, dur, false)).collect();
         RankFaults {
-            plan,
-            death_at,
+            death_at: plan.death_time(rank),
             seq: RefCell::new(vec![0; size]),
             stalls: RefCell::new(stalls),
-            slow_factor,
+            slow_factor: plan.slow_factor(rank),
+            plan,
         }
     }
 
@@ -643,26 +533,11 @@ mod tests {
     }
 
     #[test]
-    fn restart_rules_are_queryable_and_earliest_wins() {
-        let plan = FaultPlan::new(3).kill(2, 1.0).restart(2, 0.5).restart(2, 0.2).restart(4, 1.0);
-        assert_eq!(plan.restart_delay(2), Some(0.2));
-        assert_eq!(plan.restart_delay(0), None);
-        assert_eq!(plan.restarted_ranks(), vec![2, 4]);
-    }
-
-    #[test]
     fn board_eligibility_shrinks_and_elections_are_deterministic() {
         let b = FaultBoard::new(4);
         assert_eq!(b.elect_coordinator(0), Some(0));
         b.mark_dead(0, 1.0);
-        assert_eq!(b.elect_coordinator(0), Some(1), "lowest live never-died rank wins");
-        // A revived rank is alive again but never regains eligibility.
-        assert!(b.try_revive(0));
-        assert!(b.is_alive(0));
-        assert_eq!(b.generation(0), 1);
-        assert!(b.ever_died(0));
-        assert!(!b.is_eligible_coordinator(0, 0));
-        assert_eq!(b.elect_coordinator(0), Some(1));
+        assert_eq!(b.elect_coordinator(0), Some(1), "lowest live rank wins");
         // Deposition strikes a live rank from this round's eligibility.
         b.depose(1, 0);
         assert!(b.is_alive(1) && b.is_deposed(1, 0));
@@ -677,23 +552,6 @@ mod tests {
         assert!(!b.is_deposed(1, 1) && !b.is_departed(2, 1));
         assert!(b.departure_manifest(2, 1).is_empty());
         assert_eq!(b.elect_coordinator(1), Some(1));
-    }
-
-    #[test]
-    fn revive_respects_the_join_gate() {
-        let b = FaultBoard::new(3);
-        assert!(!b.try_revive(1), "reviving a live rank is refused");
-        b.mark_dead(1, 0.5);
-        let epoch_before = b.epoch();
-        assert!(b.close_gate_if(|| true));
-        assert!(!b.try_revive(1), "gate closed: revival refused");
-        assert!(!b.is_alive(1));
-        b.open_gate();
-        assert!(b.try_revive(1));
-        assert!(b.is_alive(1));
-        assert!(b.epoch() > epoch_before, "revival bumps the epoch");
-        // close_gate_if refuses when the exit condition no longer holds.
-        assert!(!b.close_gate_if(|| false));
     }
 
     #[test]

@@ -72,8 +72,7 @@ impl World {
     }
 
     /// Attach a tracing/metrics collector: every rank's communicator gets a
-    /// per-rank [`obs::RankObs`] ring (restarted incarnations keep their
-    /// predecessor's ring, so a rank's trace spans its whole lifetime).
+    /// per-rank [`obs::RankObs`] ring.
     /// Snapshot the collector with [`obs::Collector::trace`] after the run.
     pub fn with_obs(mut self, collector: obs::Collector) -> Self {
         self.obs = Some(collector);
@@ -111,13 +110,6 @@ impl World {
             assert!(
                 rank < self.size,
                 "fault plan slows rank {rank} outside world of {}",
-                self.size
-            );
-        }
-        for rank in plan.restarted_ranks() {
-            assert!(
-                rank < self.size,
-                "fault plan restarts rank {rank} outside world of {}",
                 self.size
             );
         }
@@ -191,91 +183,32 @@ impl World {
                     .name(format!("rank-{rank}"))
                     .stack_size(RANK_STACK_BYTES)
                     .spawn(move || {
-                        let mut incarnation: u64 = 0;
-                        loop {
-                            let mut comm = match &plan {
-                                Some(plan) if incarnation > 0 => {
-                                    let from = shared
-                                        .board
-                                        .death_time_of(rank)
-                                        .unwrap_or(0.0);
-                                    Comm::with_faults_incarnation(
-                                        shared.clone(),
-                                        rank,
-                                        size,
-                                        plan.clone(),
-                                        incarnation,
-                                        from,
-                                    )
-                                }
-                                Some(plan) => {
-                                    Comm::with_faults(shared.clone(), rank, size, plan.clone())
-                                }
-                                None => Comm::new(shared.clone(), rank, size),
-                            };
-                            if let Some(o) = &robs {
-                                comm.set_obs(o.clone());
-                            }
-                            let comm = comm;
-                            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || f(&comm),
-                            ));
-                            match out {
-                                Ok(v) => return Ok(RankOutcome::Done(v)),
-                                Err(payload) => {
-                                    if let Some(death) = payload.downcast_ref::<RankDeath>() {
-                                        // An injected death: the dying rank
-                                        // already advertised it (board,
-                                        // mailbox purge, rendezvous);
-                                        // survivors continue. With a restart
-                                        // rule the rank rejoins after a
-                                        // wall-clock delay as a fresh
-                                        // incarnation — unless the join gate
-                                        // has closed (the run is over).
-                                        let at = death.at;
-                                        let restart = if incarnation == 0 {
-                                            plan.as_ref().and_then(|p| p.restart_delay(rank))
-                                        } else {
-                                            None
-                                        };
-                                        if let Some(delay_s) = restart {
-                                            std::thread::sleep(
-                                                std::time::Duration::from_secs_f64(delay_s),
-                                            );
-                                            if shared.board.try_revive(rank) {
-                                                if let Some(o) = &robs {
-                                                    o.instant(
-                                                        o.now(),
-                                                        "fault.restart",
-                                                        format!(
-                                                            "incarnation {}",
-                                                            incarnation + 1
-                                                        ),
-                                                    );
-                                                }
-                                                // Wake peers (notably a
-                                                // polling master) so the
-                                                // revival is noticed promptly.
-                                                for mb in &shared.mailboxes {
-                                                    mb.nudge();
-                                                }
-                                                incarnation += 1;
-                                                continue;
-                                            }
-                                        }
-                                        return Ok(RankOutcome::Died { at });
-                                    }
-                                    // A real bug. Wake everyone so they don't
-                                    // deadlock waiting on a rank that will
-                                    // never send or join a collective.
-                                    for mb in &shared.mailboxes {
-                                        mb.shutdown();
-                                    }
-                                    shared.rendezvous.shutdown();
-                                    return Err(payload);
-                                }
-                            }
+                        let mut comm = match plan {
+                            Some(plan) => Comm::with_faults(shared.clone(), rank, size, plan),
+                            None => Comm::new(shared.clone(), rank, size),
+                        };
+                        if let Some(o) = robs {
+                            comm.set_obs(o);
                         }
+                        let out = std::panic::AssertUnwindSafe(|| f(&comm));
+                        let payload = match std::panic::catch_unwind(out) {
+                            Ok(v) => return Ok(RankOutcome::Done(v)),
+                            Err(payload) => payload,
+                        };
+                        if let Some(death) = payload.downcast_ref::<RankDeath>() {
+                            // An injected death: the dying rank already
+                            // advertised it (board, mailbox purge,
+                            // rendezvous); survivors continue without it.
+                            return Ok(RankOutcome::Died { at: death.at });
+                        }
+                        // A real bug. Wake everyone so they don't deadlock
+                        // waiting on a rank that will never send or join a
+                        // collective.
+                        for mb in &shared.mailboxes {
+                            mb.shutdown();
+                        }
+                        shared.rendezvous.shutdown();
+                        Err(payload)
                     })
                     .expect("spawn rank thread")
             })

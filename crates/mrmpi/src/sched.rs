@@ -72,8 +72,8 @@ const MAX_PIGGYBACK: usize = 32;
 /// `[seq_echo, code, verdict, epoch, nrec]`.
 const REPLY_HEAD: usize = 5;
 /// Words of a request frame before the claim list:
-/// `[seq, completed, flag, epoch, generation, nclaims]`.
-const REQ_HEAD: usize = 6;
+/// `[seq, completed, flag, epoch, nclaims]`.
+const REQ_HEAD: usize = 5;
 
 thread_local! {
     /// The rank this rank currently believes holds the master *role* (one
@@ -221,12 +221,11 @@ pub struct FtRun {
 /// this module carries them over an at-least-once RPC with master-side
 /// dedup, so dropped or delayed messages are harmless:
 ///
-/// * a worker's request is `[seq, completed, flag, epoch, generation,
-///   nclaims, claims…]`: `flag` says whether `completed` ran clean or
-///   panicked; `epoch` is the rank the worker believes holds the master
-///   role; `generation` is the sender's incarnation (a restarted rank's
-///   stale traffic is fenced by it); the claims — the units this worker
-///   has committed — ride only on the first request to each new master.
+/// * a worker's request is `[seq, completed, flag, epoch, nclaims,
+///   claims…]`: `flag` says whether `completed` ran clean or panicked;
+///   `epoch` is the rank the worker believes holds the master role; the
+///   claims — the units this worker has committed — ride only on the first
+///   request to each new master.
 ///   The worker re-sends a request on timeout and the master answers a
 ///   duplicate `seq` from its reply cache;
 /// * the master's reply is `[seq_echo, code, verdict, epoch, nrec,
@@ -238,14 +237,14 @@ pub struct FtRun {
 ///
 /// The master is a *role*, not a rank: when the acting master dies — or
 /// stalls past a worker's whole retry budget and is *deposed* on the fault
-/// board — the survivors elect the lowest eligible rank (alive, never
-/// died, not departed or deposed this round). Eligibility only shrinks, so
-/// elected ranks strictly increase within a round and every rank converges
-/// on the same master; its rank is the fencing epoch. The successor
-/// replays the scheduler log (the durable file or its standby mirror),
-/// credits departed ranks' manifests and gathers every survivor's claims
-/// before it dispatches again, so output stays bit-for-bit that of a
-/// fault-free run. A restarted rank rejoins as a fresh incarnation.
+/// board — the survivors elect the lowest eligible rank (alive, not
+/// departed or deposed this round). Membership is monotone, as in MPI: a
+/// dead rank never rejoins. So eligibility only shrinks, elected ranks
+/// strictly increase within a round and every rank converges on the same
+/// master; its rank is the fencing epoch. The successor replays the
+/// scheduler log (the durable file or its standby mirror), credits
+/// departed ranks' manifests and gathers every survivor's claims before it
+/// dispatches again, so output stays bit-for-bit that of a fault-free run.
 ///
 /// `affinity[t]`, when given, names the resource (e.g. a DB partition) unit
 /// `t` needs: a worker then gets a pending unit of the resource it last
@@ -302,9 +301,7 @@ fn ft_run(
     let (mut completed, mut flag) = (NO_UNIT, FLAG_NONE);
 
     let Some(mut master) = board.elect_coordinator(round) else {
-        // Nobody can lead: a rejoiner bails out empty, an original rank errs.
-        let rejoiner = comm.incarnation() > 0;
-        return if rejoiner { Ok(FtRun::default()) } else { Err(SchedError::MasterUnreachable) };
+        return Err(SchedError::MasterUnreachable);
     };
     CURRENT_MASTER.with(|m| m.set(master));
     // `via_failover` distinguishes a takeover (commits may exist — replay
@@ -331,7 +328,6 @@ fn ft_run(
                 Some(outcome) => {
                     if matches!(outcome, Outcome::Finished(_)) {
                         board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
-                        board.close_gate_if(|| true);
                     }
                     return ended(outcome, mine);
                 }
@@ -363,13 +359,11 @@ fn ft_run(
         via_failover = true;
         let lost = master;
         let Some(next) = board.elect_coordinator(round) else {
-            return if comm.incarnation() > 0 {
-                Ok(FtRun { units: mine, quarantined: Vec::new() })
-            } else if last_died {
-                Err(SchedError::MasterDied)
+            return Err(if last_died {
+                SchedError::MasterDied
             } else {
-                Err(SchedError::MasterUnreachable)
-            };
+                SchedError::MasterUnreachable
+            });
         };
         master = next;
         // Only failover elects here, so a fault-free trace has no
@@ -394,7 +388,7 @@ pub fn ft_beacon(comm: &Comm) {
     }
     let master = CURRENT_MASTER.with(|m| m.get());
     if comm.rank() != master {
-        comm.send_u64s(master, TAG_REQ, &[BEACON, 0, 0, master as u64, comm.incarnation(), 0]);
+        comm.send_u64s(master, TAG_REQ, &[BEACON, 0, 0, master as u64, 0]);
     }
 }
 
@@ -521,7 +515,7 @@ enum WorkerExit {
 }
 
 /// The IO shell around [`Core`] for one tenure of the master role: wire
-/// framing, request dedup, epoch and generation fencing, mirror
+/// framing, request dedup, epoch fencing, mirror
 /// piggybacks, durable log appends, fault-board reads and the `sched.*`
 /// metrics. Every scheduling decision is the core's.
 struct Master<'c> {
@@ -536,9 +530,6 @@ struct Master<'c> {
     clock: Instant,
     /// How many of the core's log records each worker has been sent.
     mirrored_upto: HashMap<usize, usize>,
-    /// Last incarnation generation observed per worker; a bump means the
-    /// rank died and rejoined, even if the death fell between reap ticks.
-    gen_seen: HashMap<usize, u64>,
     /// Highest request sequence number seen per worker, with the cached
     /// reply for duplicate-request retransmission (`None` while parked).
     last: HashMap<usize, (u64, Option<Vec<u64>>)>,
@@ -628,30 +619,12 @@ impl Master<'_> {
         self.comm.send_u64s(worker, TAG_TASK, &payload);
     }
 
-    /// A bumped incarnation generation means `worker` died and rejoined —
-    /// possibly entirely between two reap ticks. The fresh incarnation
-    /// restarts its sequence numbers and owes a fresh first contact.
-    fn note_generation(&mut self, worker: usize) {
-        let g = self.comm.board().generation(worker);
-        if g <= self.gen_seen.get(&worker).copied().unwrap_or(0) {
-            return;
-        }
-        self.gen_seen.insert(worker, g);
-        self.last.remove(&worker);
-        self.retired.remove(&worker);
-        let now = self.now();
-        self.core.rejoin(worker, now);
-    }
-
-    /// Feed the core the fault board's news — deaths, restarts, departed
-    /// gather members — and its periodic tick.
+    /// Feed the core the fault board's news — deaths, departed gather
+    /// members — and its periodic tick.
     fn reap(&mut self) {
         let (board, me, now) = (self.comm.board(), self.comm.rank(), self.now());
-        for worker in (0..self.comm.size()).filter(|&w| w != me) {
-            self.note_generation(worker);
-            if !self.comm.is_alive(worker) {
-                self.core.death(worker, now, now);
-            }
+        for worker in (0..self.comm.size()).filter(|&w| w != me && !self.comm.is_alive(w)) {
+            self.core.death(worker, now, now);
         }
         let departed: Vec<usize> = self
             .core
@@ -671,16 +644,10 @@ impl Master<'_> {
         seq: u64,
         completed: u64,
         flag: u64,
-        gen: u64,
         claims: &[u64],
     ) {
-        // Drop stale traffic from a dead incarnation of a restarted rank
-        // (fenced by generation) and requests queued before a death or a
-        // fence: their sender will never apply a verdict.
-        if gen != self.comm.board().generation(worker) {
-            return;
-        }
-        self.note_generation(worker);
+        // Drop requests queued before a death or a fence: their sender will
+        // never apply a verdict.
         if self.core.is_dead(worker) || !self.comm.is_alive(worker) {
             return;
         }
@@ -740,9 +707,6 @@ fn ft_master_loop(
 ) -> Option<Outcome> {
     let board = comm.board();
     let me = comm.rank();
-    // Late restarts may rejoin while a run is in progress; the gate closes
-    // again when this (or a successor) master finishes the round.
-    board.open_gate();
     let takeover = takeover.map(|(mirror, mine)| {
         // Both copies are prefixes (maybe with append gaps) of one log.
         let mut from_file = Vec::new();
@@ -776,12 +740,6 @@ fn ft_master_loop(
         epoch: me as u64,
         clock: Instant::now(),
         mirrored_upto: HashMap::new(),
-        // Baseline at the board's current generations so only *future*
-        // restarts read as incarnation bumps.
-        gen_seen: (0..comm.size())
-            .filter(|&r| r != me)
-            .map(|r| (r, board.generation(r)))
-            .collect(),
         last: HashMap::new(),
         retired: HashSet::new(),
     };
@@ -807,27 +765,19 @@ fn ft_master_loop(
                 quiet = 0;
                 let req = mpisim::wire::bytes_to_u64s(&msg.data);
                 if req[0] == BEACON {
-                    if req.len() < REQ_HEAD || req[4] == board.generation(msg.status.source) {
-                        if let Some(o) = comm.obs() {
-                            o.add("sched.heartbeats", 1);
-                        }
-                        m.core.heartbeat(msg.status.source, m.now());
+                    if let Some(o) = comm.obs() {
+                        o.add("sched.heartbeats", 1);
                     }
+                    m.core.heartbeat(msg.status.source, m.now());
                     continue;
                 }
                 if req.len() < REQ_HEAD || req[3] != me as u64 {
                     // Malformed, or addressed to a different master epoch.
                     continue;
                 }
-                let nclaims = (req[5] as usize).min(req.len() - REQ_HEAD);
-                m.handle_request(
-                    msg.status.source,
-                    req[0],
-                    req[1],
-                    req[2],
-                    req[4],
-                    &req[REQ_HEAD..REQ_HEAD + nclaims],
-                );
+                let nclaims = (req[4] as usize).min(req.len() - REQ_HEAD);
+                let claims = &req[REQ_HEAD..REQ_HEAD + nclaims];
+                m.handle_request(msg.status.source, req[0], req[1], req[2], claims);
             }
             Err(MpiError::Timeout) => quiet += 1,
             // A death interrupted the wait or every worker is gone: loop
@@ -855,7 +805,7 @@ fn ft_request(
     claims: &[u64],
     mirror: &mut Vec<Record>,
 ) -> Result<(u64, u64), bool> {
-    let mut frame = vec![seq, completed, flag, master as u64, comm.incarnation(), claims.len() as u64];
+    let mut frame = vec![seq, completed, flag, master as u64, claims.len() as u64];
     frame.extend_from_slice(claims);
     let mut resends = 0usize;
     let mut need_send = true;
@@ -1310,7 +1260,7 @@ mod tests {
         }
     }
 
-    // ---- master failover, elections, rejoin ----
+    // ---- master failover and elections ----
 
     #[test]
     fn ft_master_death_fails_over_and_completes_exactly() {
@@ -1384,7 +1334,7 @@ mod tests {
         // The master stalls for 1 s of wall clock — longer than a worker's
         // whole RPC retry budget — without dying. The workers depose it,
         // elect rank 1, and finish; the ex-master wakes as a zombie, sees
-        // the deposition on the board, and rejoins as a worker (its stale
+        // the deposition on the board, and serves as a worker (its stale
         // epoch-0 replies are fenced). Every rank ends Ok.
         let plan = FaultPlan::new(23).stall(0, 0.005, 1.0);
         let cfg = FtConfig {
@@ -1400,54 +1350,6 @@ mod tests {
             assert!(matches!(o, RankOutcome::Done(Ok(_))), "outcome: {o:?}");
         }
         assert_exact_partition(&outcomes, 8);
-    }
-
-    #[test]
-    fn ft_restarted_worker_rejoins_and_gets_fresh_units() {
-        // Rank 1 dies mid-run and restarts 50 ms later while the run is
-        // still going (units burn real wall clock): the fresh incarnation
-        // re-enters through the join gate, is recognized by its bumped
-        // generation, and finishes Ok alongside the others.
-        let plan = FaultPlan::new(19).kill(1, 1.5).restart(1, 0.05);
-        let world = World::new(3).with_faults(plan);
-        let outcomes = world.run_faulty(move |comm| {
-            mw_units(comm, 8, &FtConfig::default(), |_| {
-                std::thread::sleep(Duration::from_millis(50));
-                comm.charge(1.0);
-            })
-            .map(|units| (comm.incarnation(), units))
-        });
-        match &outcomes[1] {
-            RankOutcome::Done(Ok((incarnation, _))) => {
-                assert_eq!(*incarnation, 1, "rank 1 must finish as its second incarnation");
-            }
-            other => panic!("restarted rank should rejoin and finish Ok, got {other:?}"),
-        }
-        let mut all: Vec<usize> = Vec::new();
-        for o in &outcomes {
-            if let RankOutcome::Done(Ok((_, units))) = o {
-                all.extend(units);
-            }
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<_>>(), "units must partition exactly");
-    }
-
-    #[test]
-    fn ft_late_restart_after_run_end_is_refused_by_the_join_gate() {
-        // Rank 1 dies instantly; the (fast) run finishes long before its
-        // 500 ms restart fires. The join gate has closed, so the revival is
-        // refused and the rank stays dead instead of stranding itself in a
-        // finished world.
-        let plan = FaultPlan::new(43).kill(1, 0.0).restart(1, 0.5);
-        let world = World::new(3).with_faults(plan);
-        let outcomes = world.run_faulty(move |comm| {
-            mw_units(comm, 6, &FtConfig::default(), |_| {})
-        });
-        assert!(outcomes[1].is_died(), "late rejoiner must stay dead: {:?}", outcomes[1]);
-        assert!(matches!(&outcomes[0], RankOutcome::Done(Ok(_))));
-        assert!(matches!(&outcomes[2], RankOutcome::Done(Ok(_))));
-        assert_exact_partition(&outcomes, 6);
     }
 
     #[test]

@@ -328,16 +328,6 @@ impl<'a> Core<'a> {
         self.wake(now);
     }
 
-    /// `worker` died and came back as a fresh incarnation: reclaim what the
-    /// old one owned; the new one owes a fresh first contact.
-    pub fn rejoin(&mut self, worker: usize, now: f64) {
-        self.dead.remove(&worker);
-        self.greeted.remove(&worker);
-        self.heartbeat(worker, now);
-        self.reclaim(worker, now);
-        self.wake(now);
-    }
-
     /// `worker`, awaited by the gather barrier, departed cleanly and left
     /// the manifest of its committed units instead of a claim contact.
     pub fn depart(&mut self, worker: usize, manifest: &[u64], now: f64) {
@@ -420,7 +410,7 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Has `worker` been reported dead (or fenced) and not rejoined?
+    /// Has `worker` been reported dead (or fenced)? A dead worker stays dead.
     pub fn is_dead(&self, worker: usize) -> bool {
         self.dead.contains(&worker)
     }
@@ -771,8 +761,6 @@ mod tests {
         first: bool,
         /// It received `Done`/`Abort`.
         finished: bool,
-        /// It was promoted to master and left the worker pool for good.
-        promoted: bool,
     }
 
     /// A world of workers driving one `Core` per master tenure.
@@ -842,10 +830,8 @@ mod tests {
                 .filter(|&w| self.workers[w].alive && !self.workers[w].finished)
                 .collect();
             let [p, _, ..] = live[..] else { return };
-            let promoted = std::mem::replace(
-                &mut self.workers[p],
-                Worker { promoted: true, ..Worker::default() },
-            );
+            // The promoted worker leaves the worker pool for good.
+            let promoted = std::mem::take(&mut self.workers[p]);
             self.master = promoted.mine.clone();
             let mut claims = vec![(p, promoted.mine)];
             let mut expected = BTreeSet::new();
@@ -883,7 +869,6 @@ mod tests {
                     self.core.heartbeat(w, self.now);
                 }
                 10 if w_ok && self.workers.iter().filter(|x| x.alive).count() > 1 => self.kill(w),
-                11 if !self.workers[w].alive && !self.workers[w].promoted => self.restart(w),
                 12 | 13 => {
                     self.now += 0.7;
                     self.core.tick(self.now);
@@ -894,16 +879,9 @@ mod tests {
             }
         }
 
-        /// A fresh incarnation of `worker`, with nothing committed.
-        fn restart(&mut self, worker: usize) {
-            self.workers[worker] = Worker { alive: true, ..Worker::default() };
-            self.core.rejoin(worker, self.now);
-            self.pump();
-            self.request(worker);
-        }
-
-        /// Run every live worker to completion, restarting a dead one when
-        /// units remain and nobody is left to run them.
+        /// Run every live worker to completion. Fence kills bypass the
+        /// "keep one alive" guard of `step`, so units may remain with no
+        /// live worker left to run them.
         fn settle(&mut self) {
             for _ in 0..100_000 {
                 let busy = (0..self.workers.len()).find(|&w| {
@@ -917,14 +895,7 @@ mod tests {
                 match (busy, idle) {
                     (Some(w), _) => self.complete(w),
                     (None, Some(w)) => self.request(w),
-                    (None, None) => {
-                        let dead = (0..self.workers.len())
-                            .find(|&w| !self.workers[w].alive && !self.workers[w].promoted);
-                        match dead {
-                            Some(w) if !self.core.drained() => self.restart(w),
-                            _ => return,
-                        }
-                    }
+                    (None, None) => return,
                 }
             }
             panic!("the run did not settle");
@@ -976,14 +947,24 @@ mod tests {
             prop_assert_eq!(attempts[unit as usize], policy.max_attempts);
             return Ok(());
         }
-        let Outcome::Finished(quarantined) = outcome else {
-            return Err(TestCaseError::fail(format!("run did not settle: {outcome:?}")));
-        };
         let mut count = vec![0usize; ntasks];
         let held = world.workers.iter().filter(|w| w.alive).map(|w| &w.mine);
         for unit in held.chain([&world.master]).flatten() {
             count[*unit as usize] += 1;
         }
+        let Outcome::Finished(quarantined) = outcome else {
+            // Units remain and nobody is left to run them: a dead worker
+            // never comes back, so this is the run's real end — but only
+            // once no live worker is still unfinished.
+            let stranded = world.workers.iter().any(|w| w.alive && !w.finished);
+            prop_assert!(!stranded, "run did not settle: {:?}", outcome);
+            for (u, (&held, &poison)) in count.iter().zip(&world.poison).enumerate() {
+                let q = world.core.quarantined.contains(&(u as u64));
+                prop_assert!(held <= 1, "unit {} held {} times", u, held);
+                prop_assert!(!q || poison, "unit {} quarantined but not poison", u);
+            }
+            return Ok(());
+        };
         for (u, (&held, &poison)) in count.iter().zip(&world.poison).enumerate() {
             let q = quarantined.contains(&(u as u64));
             prop_assert_eq!(held + q as usize, 1, "unit {} (quarantined {})", u, q);
@@ -995,12 +976,13 @@ mod tests {
     proptest! {
         #[test]
         /// Random interleavings of requests, clean and panicking
-        /// completions, heartbeats, ticks, worker deaths and restarts, and
-        /// master deaths followed by a takeover that replays the log and
-        /// gathers the survivors' claims — 32 per case. Every unit ends
-        /// committed exactly once on a live worker or quarantined, none is
-        /// lost, no unit is dispatched more than `max_attempts` times
-        /// without an abort, and the run settles.
+        /// completions, heartbeats, ticks, worker deaths, and master deaths
+        /// followed by a takeover that replays the log and gathers the
+        /// survivors' claims — 32 per case. Every unit ends committed
+        /// exactly once on a live worker or quarantined, none is lost, no
+        /// unit is dispatched more than `max_attempts` times without an
+        /// abort, and the run settles — or, when every worker died with
+        /// units left, no unit is held twice and only poison is quarantined.
         fn core_commits_every_unit_exactly_once_under_any_interleaving(
             ntasks in 0usize..20,
             nworkers in 1usize..7,

@@ -113,8 +113,7 @@ struct RankInner {
 }
 
 /// The per-rank recording handle. Cheap to clone (an `Arc`); a rank thread
-/// holds one and writes spans, instants, and counters to it. Survives rank
-/// restarts: the same ring keeps accumulating across incarnations.
+/// holds one and writes spans, instants, and counters to it.
 #[derive(Debug, Clone)]
 pub struct RankObs {
     inner: Arc<RankInner>,
@@ -243,7 +242,7 @@ pub fn maybe_span(obs: Option<&RankObs>, name: &'static str) -> Option<SpanGuard
 
 /// Aggregates the per-rank rings of one run. Attach to a world before
 /// running; snapshot into a [`Trace`] afterwards. Handing the same rank out
-/// twice returns the same ring, so restarted incarnations keep appending.
+/// twice returns the same ring.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     ranks: Arc<Mutex<Vec<Option<RankObs>>>>,
@@ -687,10 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn collector_reuses_rings_across_incarnations() {
+    fn collector_hands_out_one_ring_per_rank() {
         let c = Collector::new();
         c.rank(1).add("x", 1);
-        c.rank(1).add("x", 1); // "restarted" rank gets the same ring
+        c.rank(1).add("x", 1); // a second request gets the same ring
         assert_eq!(c.trace().counter_total("x"), 2);
     }
 

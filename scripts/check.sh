@@ -44,6 +44,12 @@ cargo test -q --test perfmodel_validation des_pins_paper_scale_results_for_every
 echo "== straggler regression: a fenced straggler's committed unit is reclaimed and re-run =="
 cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_straggler_fenced_after_committing_has_its_units_rerun
 
+echo "== failover regression: two master deaths, elected ranks strictly increase across epochs =="
+cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_two_master_deaths_across_epochs
+
+echo "== deposition regression: a stalled master is deposed, steps down and serves the successor =="
+cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_stalled_master_is_deposed_and_steps_down
+
 echo "== exactly-once regression: a successor judges the last survivor's carried unit before requeueing it =="
 cargo test -q -p mrmpi --lib -- --exact sched::core::tests::successor_judges_the_last_survivors_carried_unit_before_requeueing_it
 

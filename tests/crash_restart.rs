@@ -4,8 +4,9 @@
 //! The BLAST side exercises the durable restart checkpoint of
 //! [`mrbio::ckpt`] (iteration skipping + output-truncation invariant); the
 //! SOM side exercises checkpoint fallback past a deliberately corrupted
-//! newest checkpoint. Disk faults — torn checkpoint writes, transient EIO —
-//! are injected with [`mrmpi::DiskFaultPlan`] on top of the crash.
+//! newest checkpoint and past checkpoints of another codebook shape. Disk
+//! faults — torn checkpoint writes, transient EIO — are injected with
+//! [`mrmpi::DiskFaultPlan`] on top of the crash.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -254,6 +255,75 @@ fn som_resume_with_corrupt_newest_checkpoint_falls_back() {
     assert_eq!(
         resumed[0].0.weights, full[0].0.weights,
         "fallback-resumed codebook must equal the uninterrupted run"
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn som_resume_skips_checkpoints_of_another_shape() {
+    let dims = 5;
+    let vectors = bioseq::gen::random_vectors(73, 90, dims);
+    let base = std::env::temp_dir().join(format!("crash-restart-som-shape-{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::create_dir_all(&base).unwrap();
+    let mpath = base.join("inputs.bin");
+    mrbio::VectorMatrix::create(&mpath, &vectors).unwrap();
+    let som = SomConfig {
+        rows: 5,
+        cols: 5,
+        dims,
+        epochs: 8,
+        sigma0: None,
+        sigma_end: 1.0,
+        seed: 17,
+        ..SomConfig::default()
+    };
+    let ckdir = base.join("ck");
+    let cfg = MrSomConfig {
+        block_size: 15,
+        checkpoint_dir: Some(ckdir.clone()),
+        checkpoint_every: 2,
+        ..MrSomConfig::new(som)
+    };
+
+    // Reference: uninterrupted training.
+    let p = mpath.clone();
+    let full = World::new(2).run(move |comm| {
+        let matrix = mrbio::VectorMatrix::open(&p).unwrap();
+        run_mrsom(comm, &matrix, &MrSomConfig { block_size: 15, ..MrSomConfig::new(som) })
+            .expect("fault-free run")
+    });
+
+    // Interrupted after epoch 4, with checkpoints at epochs 2 and 4.
+    let p = mpath.clone();
+    let c = cfg.clone();
+    World::new(2).run(move |comm| {
+        let matrix = mrbio::VectorMatrix::open(&p).unwrap();
+        run_mrsom(comm, &matrix, &MrSomConfig { stop_after_epochs: Some(4), ..c.clone() })
+            .expect("fault-free run")
+    });
+
+    // Newer checkpoints of another run's shape share the directory: a
+    // toroidal 5x5 grid (the same weight count) at epoch 6 and a 6x5 grid
+    // (a different weight count, so the startup broadcast would see buffers
+    // of different lengths) at epoch 8. Both decode cleanly, but neither
+    // fits this run: resume must skip them and continue from epoch 4.
+    mrbio::write_checkpoint(&cfg, 6, &som::Codebook::zeros(5, 5, dims).with_torus(true));
+    mrbio::write_checkpoint(&cfg, 8, &som::Codebook::zeros(6, 5, dims));
+    assert!(checkpoint_path(&ckdir, 6).exists() && checkpoint_path(&ckdir, 8).exists());
+
+    let p = mpath.clone();
+    let c = cfg.clone();
+    let resumed = World::new(2).run(move |comm| {
+        let matrix = mrbio::VectorMatrix::open(&p).unwrap();
+        run_mrsom(comm, &matrix, &c).expect("fault-free run")
+    });
+    // 6 blocks per epoch; resuming from epoch 4 leaves 4 epochs to retrain.
+    let blocks: u64 = resumed.iter().map(|(_, r)| r.blocks_processed).sum();
+    assert_eq!(blocks, 6 * 4, "resume must skip the mis-shaped checkpoints");
+    assert_eq!(
+        resumed[0].0.weights, full[0].0.weights,
+        "resumed codebook must equal the uninterrupted run"
     );
     std::fs::remove_dir_all(&base).ok();
 }

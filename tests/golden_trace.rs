@@ -98,10 +98,10 @@ fn same_seed_blast_runs_share_digest_and_accounting_and_fault_free_is_quiet() {
     );
 
     // A fault-free trace is quiet: no speculation, elections, quarantine,
-    // deaths, restarts, or fences — as events *or* counters.
+    // deaths, or fences — as events *or* counters.
     for t in [&t1, &t2] {
         for name in
-            ["sched.speculate", "sched.elect", "sched.quarantine", "fault.death", "fault.restart", "fault.fence"]
+            ["sched.speculate", "sched.elect", "sched.quarantine", "fault.death", "fault.fence"]
         {
             assert_eq!(t.event_count(name), 0, "fault-free trace must carry no {name} events");
         }
