@@ -7,10 +7,9 @@
 //! master-is-a-role layer of `mrmpi::sched`:
 //!
 //! * real BLAST runs at 9 and 17 ranks: fault-free versus rank 0 killed
-//!   mid-map, with the standby log mirror on versus off, verifying every
-//!   recovered run is bit-for-bit the fault-free output and reporting the
-//!   failover latency (extra wall clock paid for detection + election +
-//!   replay);
+//!   mid-map, verifying every recovered run is bit-for-bit the fault-free
+//!   output and reporting the failover latency (extra wall clock paid for
+//!   detection + election + claim gather);
 //! * a model comparison at the paper's 80K-query nucleotide workload on
 //!   1024 cores: master death mid-run handled by in-place failover versus
 //!   the legacy abort-and-restart, at several death times.
@@ -26,7 +25,6 @@ use bioseq::gen::{self, WorkloadConfig};
 use bioseq::shred::query_blocks;
 use mpisim::{FaultPlan, RankOutcome, World};
 use mrbio::{run_mrblast, MrBlastConfig};
-use mrmpi::FtConfig;
 use perfmodel::{
     simulate_master_worker, simulate_master_worker_abort_restart, BlastScenario, ClusterModel,
     Conditions, MasterDeath,
@@ -73,7 +71,7 @@ fn main() {
     );
     let mut real_json = Vec::new();
     for &ranks in &[9usize, 17] {
-        let run = |mirror: bool, kill_master: bool| {
+        let run = |kill_master: bool| {
             let db = db.clone();
             let blocks = blocks.clone();
             let collector = obs::Collector::new();
@@ -85,8 +83,7 @@ fn main() {
             .with_obs(collector.clone());
             let t0 = std::time::Instant::now();
             let outcomes = world.run_faulty(move |comm| {
-                let ft = FtConfig { mirror, ..FtConfig::default() };
-                run_mrblast(comm, &db, &blocks, &MrBlastConfig { ft, ..MrBlastConfig::blastn() })
+                run_mrblast(comm, &db, &blocks, &MrBlastConfig::blastn())
             });
             let wall = t0.elapsed().as_secs_f64();
             let mut lines: Vec<String> = Vec::new();
@@ -105,10 +102,8 @@ fn main() {
             (wall, lines, trace)
         };
 
-        let (t_clean, hits_clean, trace_clean) = run(true, false);
-        let (t_clean_nomirror, _, _) = run(false, false);
-        let (t_kill_mirror, hits_mirror, trace_kill) = run(true, true);
-        let (t_kill_nomirror, hits_nomirror, _) = run(false, true);
+        let (t_clean, hits_clean, trace_clean) = run(false);
+        let (t_kill, hits_kill, trace_kill) = run(true);
         assert!(
             trace_kill.counter_total("sched.elections") >= 1,
             "seed {seed}: a master kill must be followed by at least one election"
@@ -118,51 +113,29 @@ fn main() {
             0,
             "seed {seed}: a fault-free run must not elect"
         );
-        let exact_mirror = hits_mirror == hits_clean;
-        let exact_nomirror = hits_nomirror == hits_clean;
+        let exact = hits_kill == hits_clean;
 
-        row(&[format!("{ranks}"), "fault-free, mirror on".into(), format!("{t_clean:.3}"), "-".into(), "-".into()]);
+        row(&[format!("{ranks}"), "fault-free".into(), format!("{t_clean:.3}"), "-".into(), "-".into()]);
         row(&[
             format!("{ranks}"),
-            "fault-free, mirror off".into(),
-            format!("{t_clean_nomirror:.3}"),
-            "-".into(),
-            "-".into(),
+            "master killed".into(),
+            format!("{t_kill:.3}"),
+            format!("{:.3}", t_kill - t_clean),
+            if exact { "yes" } else { "NO" }.into(),
         ]);
-        row(&[
-            format!("{ranks}"),
-            "master killed, mirror on".into(),
-            format!("{t_kill_mirror:.3}"),
-            format!("{:.3}", t_kill_mirror - t_clean),
-            if exact_mirror { "yes" } else { "NO" }.into(),
-        ]);
-        row(&[
-            format!("{ranks}"),
-            "master killed, mirror off".into(),
-            format!("{t_kill_nomirror:.3}"),
-            format!("{:.3}", t_kill_nomirror - t_clean),
-            if exact_nomirror { "yes" } else { "NO" }.into(),
-        ]);
-        assert!(exact_mirror && exact_nomirror, "seed {seed}: failover must stay bit-for-bit");
+        assert!(exact, "seed {seed}: failover must stay bit-for-bit");
         real_json.push(format!(
-            "    {{\"ranks\": {ranks}, \"clean_mirror_on_s\": {t_clean:.3}, \
-             \"clean_mirror_off_s\": {t_clean_nomirror:.3}, \
-             \"kill_mirror_on_s\": {t_kill_mirror:.3}, \
-             \"kill_mirror_off_s\": {t_kill_nomirror:.3}, \
-             \"failover_latency_mirror_on_s\": {:.3}, \
-             \"failover_latency_mirror_off_s\": {:.3}, \
-             \"bit_for_bit\": {}, \"stages_clean\": {}, \"stages_kill\": {}}}",
-            t_kill_mirror - t_clean,
-            t_kill_nomirror - t_clean,
-            exact_mirror && exact_nomirror,
+            "    {{\"ranks\": {ranks}, \"clean_s\": {t_clean:.3}, \"kill_s\": {t_kill:.3}, \
+             \"failover_latency_s\": {:.3}, \"bit_for_bit\": {exact}, \
+             \"stages_clean\": {}, \"stages_kill\": {}}}",
+            t_kill - t_clean,
             stage_json(&trace_clean),
             stage_json(&trace_kill),
         ));
     }
     println!(
-        "\nThe promoted successor replays the mirrored scheduler log (or, with \
-         the mirror off, rebuilds accounting from the survivors' commit \
-         claims), so either way the run resumes exactly-once and the output \
+        "\nThe promoted successor rebuilds its accounting from the survivors' \
+         commit claims alone, so the run resumes exactly-once and the output \
          stays bit-for-bit.\n"
     );
 

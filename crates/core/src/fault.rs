@@ -23,9 +23,9 @@
 //! * the master is a **role, not a rank**: rank 0 coordinates initially,
 //!   but when the acting master dies (or stalls past the workers' whole RPC
 //!   retry budget) the survivors elect the lowest eligible rank as its
-//!   successor, which replays the replicated scheduler log and gathers the
-//!   workers' committed-unit claims before dispatching anything — so the
-//!   run continues with exactly-once accounting and bit-for-bit output.
+//!   successor, which gathers the workers' committed-unit claims before
+//!   dispatching anything — so the run continues with exactly-once
+//!   accounting and bit-for-bit output.
 //!   The drivers' own collectives (SOM epoch reductions, BLAST checkpoint
 //!   gathers) are root-agnostic to match: they either reduce symmetrically
 //!   on every rank or coordinate through the lowest *live* rank

@@ -63,9 +63,9 @@ pub struct MrBlastConfig {
     /// disk-fault plan, poison log).
     pub mr_settings: Settings,
     /// Fault-tolerant scheduler settings: timeouts, retry and poison
-    /// budgets, speculative re-execution, the durable scheduler log (see
-    /// [`FtConfig`]). The default tolerates any number of worker deaths
-    /// while bounding every blocking wait, so a run always terminates.
+    /// budgets, speculative re-execution (see [`FtConfig`]). The default
+    /// tolerates any number of worker deaths while bounding every blocking
+    /// wait, so a run always terminates.
     pub ft: FtConfig,
     /// Directory for the durable restart checkpoint (`None` = no
     /// checkpointing). After every completed iteration, rank 0 atomically
@@ -167,8 +167,8 @@ pub struct MrBlastRankReport {
 ///
 /// With `cfg.locality_aware` the master prefers to hand a worker units of
 /// the DB partition it already holds. The master is a *role*, not a rank — if the
-/// acting master dies mid-iteration the scheduler elects a successor,
-/// replays the replicated dispatch log, and the iteration completes (see
+/// acting master dies mid-iteration the scheduler elects a successor, which
+/// gathers the survivors' commit claims, and the iteration completes (see
 /// [`mrmpi::sched`]); the per-iteration restart checkpoint is written by
 /// the lowest live rank ([`crate::ckpt::record_iteration`]), so
 /// checkpointing also survives rank 0. Only startup (checkpoint load before

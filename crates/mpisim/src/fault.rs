@@ -341,11 +341,6 @@ impl FaultBoard {
         (0..self.alive.len()).filter(|&r| self.is_alive(r)).collect()
     }
 
-    /// `(rank, virtual_death_time)` pairs in death order.
-    pub fn failed_ranks(&self) -> Vec<(Rank, f64)> {
-        self.deaths.lock().clone()
-    }
-
     /// Virtual death time of `rank`, if it died.
     pub fn death_time_of(&self, rank: Rank) -> Option<f64> {
         self.deaths.lock().iter().find(|&&(r, _)| r == rank).map(|&(_, t)| t)
@@ -410,7 +405,7 @@ impl FaultBoard {
     /// round — all monotonic-within-the-round conditions (a dead rank never
     /// comes back), so the eligible set only shrinks and every rank computes
     /// the same shrinking sequence from local board reads.
-    pub fn is_eligible_coordinator(&self, rank: Rank, round: u64) -> bool {
+    fn is_eligible_coordinator(&self, rank: Rank, round: u64) -> bool {
         self.is_alive(rank) && !self.is_departed(rank, round) && !self.is_deposed(rank, round)
     }
 
@@ -565,7 +560,6 @@ mod tests {
         assert_eq!(b.epoch(), 1);
         assert_eq!(b.alive_count(), 3);
         assert_eq!(b.alive_ranks(), vec![0, 1, 3]);
-        assert_eq!(b.failed_ranks(), vec![(2, 1.5)]);
         // Wildcard/out-of-range ranks read as alive.
         assert!(b.is_alive(crate::comm::ANY_SOURCE));
     }

@@ -524,86 +524,6 @@ pub fn write_framed(
     write_retrying(path, &image, false, faults).map(|_| ())
 }
 
-/// Append one framed record to the log at `path`, creating the file if it
-/// does not exist. Unlike [`atomic_write`] this is an **append-only log**
-/// primitive: the existing contents are never rewritten, so a crash (or an
-/// injected torn write / bit flip) can damage at most the tail. Pair with
-/// [`read_record_stream`], which recovers the valid record prefix and stops
-/// at the first damaged frame. Transient errors are retried with bounded
-/// backoff like every other write in this module.
-pub fn append_record(
-    path: &Path,
-    payload: &[u8],
-    faults: Option<&DiskFaultPlan>,
-) -> Result<(), DurableError> {
-    let mut image = Vec::with_capacity(framed_len(payload.len()));
-    encode_record(&mut image, payload);
-    let mut attempt = 0;
-    loop {
-        let fate = faults.map_or(WriteFate::Ok, |p| p.next_fate());
-        let result: io::Result<()> = (|| {
-            if fate == WriteFate::TransientErr {
-                return Err(injected_eio(path));
-            }
-            let mut f = fs::OpenOptions::new().create(true).append(true).open(path)?;
-            match fate {
-                WriteFate::Torn { keep } => {
-                    // Crash mid-append: only a prefix of the frame lands.
-                    f.write_all(&image[..keep.min(image.len())])?;
-                }
-                WriteFate::BitFlip { byte, bit } => {
-                    let mut bad = image.clone();
-                    let at = byte % bad.len();
-                    bad[at] ^= 1 << bit;
-                    f.write_all(&bad)?;
-                }
-                _ => f.write_all(&image)?,
-            }
-            f.flush()?;
-            f.sync_all()?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => return Ok(()),
-            Err(e) => {
-                let transient = matches!(
-                    e.kind(),
-                    io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                );
-                attempt += 1;
-                if !transient || attempt >= MAX_WRITE_ATTEMPTS {
-                    return Err(DurableError::io("append", path, &e));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(
-                    RETRY_BACKOFF_MS << (attempt - 1),
-                ));
-            }
-        }
-    }
-}
-
-/// Read the valid record prefix of an append-only log written by
-/// [`append_record`]. A torn or corrupt tail — the expected aftermath of a
-/// crash mid-append — is *not* an error: decoding stops at the first damaged
-/// frame and the records before it are returned. A missing file reads as an
-/// empty log. Only a hard I/O error reading an existing file is reported.
-pub fn read_record_stream(path: &Path) -> Result<Vec<Vec<u8>>, DurableError> {
-    let buf = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(DurableError::io("read", path, &e)),
-    };
-    let mut pos = 0;
-    let mut records = Vec::new();
-    while pos < buf.len() {
-        match decode_record(&buf, &mut pos) {
-            Ok(payload) => records.push(payload.to_vec()),
-            Err(_) => break, // damaged tail: keep the valid prefix
-        }
-    }
-    Ok(records)
-}
-
 /// Read back and verify a single-record file written by [`write_framed`].
 pub fn read_framed(path: &Path) -> Result<Vec<u8>, DurableError> {
     let buf = fs::read(path).map_err(|e| DurableError::io("read", path, &e))?;
@@ -715,37 +635,6 @@ mod tests {
             matches!(err, DurableError::CorruptRecord { .. } | DurableError::Truncated { .. }),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn append_log_round_trips_and_tolerates_torn_tail() {
-        let dir = tmpdir("append");
-        let path = dir.join("journal.log");
-        assert!(read_record_stream(&path).unwrap().is_empty(), "missing log reads empty");
-        append_record(&path, b"rec one", None).unwrap();
-        append_record(&path, b"rec two", None).unwrap();
-        assert_eq!(
-            read_record_stream(&path).unwrap(),
-            vec![b"rec one".to_vec(), b"rec two".to_vec()]
-        );
-        // Torn append: the valid prefix survives, the tail is dropped.
-        let plan = DiskFaultPlan::new(11).torn_at(0, 5);
-        append_record(&path, b"rec three (torn)", Some(&plan)).unwrap();
-        assert_eq!(
-            read_record_stream(&path).unwrap(),
-            vec![b"rec one".to_vec(), b"rec two".to_vec()]
-        );
-        // A bit-flipped append likewise only costs the damaged tail.
-        let path2 = dir.join("journal2.log");
-        append_record(&path2, b"good", None).unwrap();
-        let plan = DiskFaultPlan::new(12).flip_at(0, 3, 2);
-        append_record(&path2, b"rotten", Some(&plan)).unwrap();
-        assert_eq!(read_record_stream(&path2).unwrap(), vec![b"good".to_vec()]);
-        // Transient EIO on append is retried behind the scenes.
-        let path3 = dir.join("journal3.log");
-        let plan = DiskFaultPlan::new(13).eio_at(0);
-        append_record(&path3, b"after retry", Some(&plan)).unwrap();
-        assert_eq!(read_record_stream(&path3).unwrap(), vec![b"after retry".to_vec()]);
     }
 
     #[test]

@@ -361,12 +361,7 @@ impl<'c> MapReduce<'c> {
         let kv = std::cell::RefCell::new(KeyValue::new(&self.settings));
         let staging: std::cell::RefCell<Option<KeyValue>> = std::cell::RefCell::new(None);
         let settings = self.settings.clone();
-        // The scheduler log shares the engine's disk fault plan unless the
-        // caller installed its own.
-        let mut cfg = ft.cloned().unwrap_or_default();
-        if cfg.log_faults.is_none() {
-            cfg.log_faults = self.settings.disk_faults.clone();
-        }
+        let cfg = ft.cloned().unwrap_or_default();
         let sched = assign_and_run(
             self.comm,
             ntasks,

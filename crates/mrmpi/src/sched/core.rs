@@ -5,8 +5,8 @@
 //! first-result-wins commit or discard, poison quarantine, reclaiming a
 //! dead worker's units, parking, settling, heartbeat suspicion with
 //! speculative backups, fencing a silent straggler that lost its race, and
-//! a successor's takeover (log replay, claims, departed ranks' manifests
-//! and the gather barrier). It does no IO and reads no clock: callers pass
+//! a successor's takeover (claims, departed ranks' manifests and the
+//! gather barrier). It does no IO and reads no clock: callers pass
 //! time in as `now` seconds, feed it inputs and drain its decisions with
 //! [`Core::poll`]. The master loop in [`crate::sched`] drives it from
 //! mpisim messages on wall-clock seconds, and `perfmodel`'s discrete-event
@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
-/// Scheduler-log record kind: a unit was handed to a worker.
+/// Journal record kind: a unit was handed to a worker.
 pub const LOG_DISPATCH: u64 = 1;
 /// A completion won its unit; the worker's staged output was published.
 pub const LOG_COMMIT: u64 = 2;
@@ -26,12 +26,11 @@ pub const LOG_QUARANTINE: u64 = 4;
 /// A silent straggler was fenced off the run after losing to a backup.
 pub const LOG_FENCE: u64 = 5;
 
-/// One journaled master state transition: log sequence number (strictly
-/// increasing within a run), `LOG_*` kind, and the unit and worker it
-/// concerns. An elected successor replays the log it inherits.
+/// One journaled master state transition: its `LOG_*` kind, and the unit
+/// and worker it concerns. The journal feeds the `sched.*` metrics and the
+/// fence; it is not kept, so a successor never sees its predecessor's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
-    pub lsn: u64,
     pub kind: u64,
     pub unit: u64,
     pub worker: usize,
@@ -40,9 +39,11 @@ pub struct Record {
 /// The scheduling policy, in plain seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Policy {
-    /// Dispatches of one unit (first included) before the run aborts.
+    /// Dispatches of one unit (first included) in one tenure before the run
+    /// aborts.
     pub max_attempts: usize,
-    /// Panics of one unit before it is quarantined (at least 1).
+    /// Panics of one unit in one tenure before it is quarantined (at
+    /// least 1).
     pub poison_retries: usize,
     /// Launch speculative backups of units stuck on silent workers.
     pub speculate: bool,
@@ -78,8 +79,7 @@ pub enum Out {
     /// parked) with what it runs next and the verdict on the completion the
     /// request reported.
     Reply { worker: usize, code: Code, verdict: Verdict },
-    /// A new scheduler-log record; a [`LOG_FENCE`] one says to fence its
-    /// worker.
+    /// A new journal record; a [`LOG_FENCE`] one says to fence its worker.
     Journal(Record),
     /// `worker` missed its heartbeat deadline with a unit in flight.
     Suspect(usize),
@@ -97,13 +97,12 @@ pub enum Outcome {
     AllWorkersDead,
 }
 
-/// What an elected successor inherits.
+/// What an elected successor inherits: claims alone. Attempts and
+/// quarantines are not carried over, so a successor re-runs a unit its
+/// predecessor quarantined at most `poison_retries` times and quarantines
+/// it again.
 #[derive(Debug, Clone, Default)]
 pub struct Takeover {
-    /// The replicated scheduler log. Only attempts and quarantines are
-    /// trusted from it: a journaled commit's output may have died with its
-    /// rank, so commits come from claims alone.
-    pub log: Vec<Record>,
     /// Committed units per worker known up front (the successor's own,
     /// departed ranks' manifests).
     pub claims: Vec<(usize, Vec<u64>)>,
@@ -205,7 +204,6 @@ pub struct Core<'a> {
     gathering: Option<BTreeSet<usize>>,
     /// First-contact completions, judged once the gather closes.
     deferred: Vec<(usize, u64)>,
-    log: Vec<Record>,
     abort: Option<u64>,
     out: VecDeque<Out>,
 }
@@ -213,9 +211,8 @@ pub struct Core<'a> {
 impl<'a> Core<'a> {
     /// A tenure of the master role over units `0..ntasks` starting at `now`:
     /// the round's first master (every unit queued) when `takeover` is
-    /// `None`, else an elected successor that replays the log, credits the
-    /// claims and holds dispatch until every expected worker has made
-    /// first contact.
+    /// `None`, else an elected successor that credits the claims and holds
+    /// dispatch until every expected worker has made first contact.
     pub fn new(
         ntasks: usize,
         policy: Policy,
@@ -239,20 +236,6 @@ impl<'a> Core<'a> {
             }
             return core;
         };
-        for rec in &t.log {
-            let unit = rec.unit as usize;
-            if unit < ntasks {
-                match rec.kind {
-                    LOG_DISPATCH => core.attempts[unit] += 1,
-                    LOG_QUARANTINE if !core.poisoned(rec.unit) => {
-                        core.fails[unit] = core.policy.poison_retries;
-                        core.quarantined.push(rec.unit);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        core.log = t.log;
         for (worker, units) in &t.claims {
             core.claim(*worker, units);
         }
@@ -425,11 +408,6 @@ impl<'a> Core<'a> {
         self.owned.get(&worker).map_or(&[], Vec::as_slice)
     }
 
-    /// The scheduler log: the replayed prefix plus this tenure's records.
-    pub fn log(&self) -> &[Record] {
-        &self.log
-    }
-
     /// Queue `unit`, available from `at`. While a successor gathers,
     /// dispatch stays closed: the gather's close queues every unit that no
     /// claim accounts for.
@@ -442,10 +420,7 @@ impl<'a> Core<'a> {
     }
 
     fn journal(&mut self, kind: u64, unit: u64, worker: usize) {
-        let lsn = self.log.last().map_or(0, |r| r.lsn + 1);
-        let rec = Record { lsn, kind, unit, worker };
-        self.log.push(rec);
-        self.out.push_back(Out::Journal(rec));
+        self.out.push_back(Out::Journal(Record { kind, unit, worker }));
     }
 
     fn reply(&mut self, worker: usize, code: Code, verdict: Verdict) {
@@ -677,7 +652,6 @@ mod tests {
     #[test]
     fn successor_judges_the_last_survivors_carried_unit_before_requeueing_it() {
         let takeover = Takeover {
-            log: Vec::new(),
             claims: vec![(1, vec![1, 4])],
             expected: [2, 3, 4].into(),
         };
@@ -772,6 +746,10 @@ mod tests {
         poison: Vec<bool>,
         /// Committed units held by the acting master, if it was promoted.
         master: Vec<u64>,
+        /// Dispatches per unit journaled by the current tenure, and by all.
+        attempts: Vec<usize>,
+        total: Vec<usize>,
+        tenures: usize,
         now: f64,
     }
 
@@ -794,6 +772,14 @@ mod tests {
                         }
                     }
                     Out::Journal(rec) if rec.kind == LOG_FENCE => self.kill(rec.worker),
+                    Out::Journal(rec) if rec.kind == LOG_DISPATCH => {
+                        let u = rec.unit as usize;
+                        self.attempts[u] += 1;
+                        self.total[u] += 1;
+                        // The dispatch that would exceed the tenure's budget
+                        // aborts the run instead of being journaled.
+                        assert!(self.attempts[u] <= self.policy.max_attempts, "unit {u}");
+                    }
                     _ => {}
                 }
             }
@@ -843,9 +829,11 @@ mod tests {
                     w.first = true;
                 }
             }
-            let log = self.core.log().to_vec();
-            let takeover = Takeover { log, claims, expected };
+            let takeover = Takeover { claims, expected };
             self.core = Core::new(self.ntasks, self.policy, None, Some(takeover), self.now);
+            // Budgets count per tenure: the successor starts its own.
+            self.attempts = vec![0; self.ntasks];
+            self.tenures += 1;
             for r in 0..self.workers.len() {
                 // An unanswered request is re-sent to the new master.
                 if self.workers[r].waiting {
@@ -925,6 +913,9 @@ mod tests {
             workers,
             poison,
             master: Vec::new(),
+            attempts: vec![0; ntasks],
+            total: vec![0; ntasks],
+            tenures: 1,
             now: 0.0,
         };
         for w in 1..=nworkers {
@@ -935,13 +926,15 @@ mod tests {
         }
         world.settle();
 
-        let mut attempts = vec![0usize; ntasks];
-        for rec in world.core.log().iter().filter(|r| r.kind == LOG_DISPATCH) {
-            attempts[rec.unit as usize] += 1;
-        }
-        // No unit is ever dispatched past its budget; the attempt that
-        // would exceed it aborts the run instead.
+        // No tenure ever dispatches a unit past its budget (the attempt that
+        // would exceed it aborts the run instead; `pump` checks every
+        // tenure), so across tenures a unit is dispatched at most
+        // `max_attempts` × tenures times.
+        let attempts = &world.attempts;
         prop_assert!(attempts.iter().all(|&a| a <= policy.max_attempts), "{attempts:?}");
+        let (total, tenures) = (&world.total, world.tenures);
+        let cap = policy.max_attempts * tenures;
+        prop_assert!(total.iter().all(|&a| a <= cap), "{total:?} over {tenures} tenures");
         let outcome = world.core.outcome();
         if let Outcome::Aborted(unit) = outcome {
             prop_assert_eq!(attempts[unit as usize], policy.max_attempts);
@@ -977,12 +970,13 @@ mod tests {
         #[test]
         /// Random interleavings of requests, clean and panicking
         /// completions, heartbeats, ticks, worker deaths, and master deaths
-        /// followed by a takeover that replays the log and gathers the
-        /// survivors' claims — 32 per case. Every unit ends committed
-        /// exactly once on a live worker or quarantined, none is lost, no
-        /// unit is dispatched more than `max_attempts` times without an
-        /// abort, and the run settles — or, when every worker died with
-        /// units left, no unit is held twice and only poison is quarantined.
+        /// followed by a takeover from the survivors' claims alone — 32 per
+        /// case. Every unit ends committed exactly once on a live worker or
+        /// quarantined, none is lost, no tenure dispatches a unit more than
+        /// `max_attempts` times without an abort (so no unit is dispatched
+        /// more than `max_attempts` × tenures times), and the run settles —
+        /// or, when every worker died with units left, no unit is held twice
+        /// and only poison is quarantined.
         fn core_commits_every_unit_exactly_once_under_any_interleaving(
             ntasks in 0usize..20,
             nworkers in 1usize..7,

@@ -228,7 +228,7 @@ pub struct Stall {
 pub struct MasterDeath {
     /// Virtual time at which the master dies, in seconds.
     pub at_s: f64,
-    /// Election + log replay, paid after `detect_s`; the claim gather then
+    /// Election and takeover, paid after `detect_s`; the claim gather then
     /// lasts until every survivor's in-flight unit is done.
     pub failover_s: f64,
 }
@@ -431,7 +431,7 @@ pub fn simulate_master_worker(
                         expected.insert(r);
                     }
                 }
-                let takeover = Takeover { log: dead.log().to_vec(), claims, expected };
+                let takeover = Takeover { claims, expected };
                 let c = core.insert(Core::new(tasks.len(), policy, affinity, Some(takeover), now));
                 for r in (0..workers).filter(|&r| r != p && sim.alive[r]) {
                     match sim.slot[r] {

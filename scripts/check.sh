@@ -50,6 +50,9 @@ cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_two_master_deaths_acros
 echo "== deposition regression: a stalled master is deposed, steps down and serves the successor =="
 cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_stalled_master_is_deposed_and_steps_down
 
+echo "== failover regression: a successor re-quarantines its predecessor's poison unit from claims alone =="
+cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_failover_requarantines_poison_from_claims_alone
+
 echo "== exactly-once regression: a successor judges the last survivor's carried unit before requeueing it =="
 cargo test -q -p mrmpi --lib -- --exact sched::core::tests::successor_judges_the_last_survivors_carried_unit_before_requeueing_it
 

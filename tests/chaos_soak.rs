@@ -1,6 +1,6 @@
 //! Chaos-soak harness: seeded campaigns composing every injection the
-//! simulator knows — master kill, worker kill, stall, slow, poison, torn
-//! scheduler-log writes and bit flips — over BLAST, SOM, and raw engine
+//! simulator knows — master kill, worker kill, stall, slow, poison,
+//! transient disk errors — over BLAST, SOM, and raw engine
 //! runs, asserting output equivalence and exact commit/quarantine
 //! accounting after every campaign.
 //!
@@ -148,8 +148,8 @@ fn failover_smoke_master_kill_mid_map_bit_for_bit() {
     // Rank 0 — the acting master — dies once its virtual clock crosses
     // 0.1 ms: the BLAST map charges real engine time, so the strike fires
     // mid-map with units dispatched, committed, and in flight. Survivors
-    // elect rank 1, which replays the mirrored scheduler log and finishes
-    // the run.
+    // elect rank 1, which gathers the survivors' claims and finishes the
+    // run.
     let (hits, quarantined, died) = run_blast_chaos(
         &fx,
         5,
@@ -174,14 +174,14 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
     let poisoned = [5u64];
 
     // One run, every injection the harness knows:
-    //  * rank 0 (the master) killed mid-map        -> election + log replay
+    //  * rank 0 (the master) killed mid-map        -> election + claim gather
     //  * worker 4 killed a little later            -> its units re-dispatched
     //  * worker 2 stalled half a second            -> ridden out, not fenced
     //  * worker 3 slowed 3x                        -> just late, never wrong
     //  * scheduler unit 5 poisoned                 -> quarantined everywhere
-    //  * the replicated scheduler log's first two appends bit-flipped and
-    //    torn on disk                              -> replay falls back to
-    //                                                 the standby mirror
+    //  * the poison log's first two write attempts
+    //    fail with a transient EIO                 -> the atomic write
+    //                                                 retries and lands
     let mut plan = FaultPlan::new(42)
         .kill(0, 1e-4)
         .kill(4, 3e-4)
@@ -190,7 +190,7 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
     for &u in &poisoned {
         plan = plan.poison(u);
     }
-    let disk = DiskFaultPlan::new(43).flip_at(0, 9, 3).torn_at(1, 6).shared();
+    let disk = DiskFaultPlan::new(43).eio_at(0).eio_at(1).shared();
     let poison_log = fx.dir.join("poison.log");
     let cfg = MrBlastConfig {
         mr_settings: Settings {
@@ -198,7 +198,6 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
             disk_faults: Some(disk),
             ..Settings::default()
         },
-        ft: FtConfig { log_path: Some(fx.dir.join("sched.log")), ..FtConfig::default() },
         ..MrBlastConfig::blastn()
     };
 

@@ -239,7 +239,6 @@ proptest! {
             suspect_after: Duration::from_millis(30),
             spec_backoff: Duration::from_millis(10),
             poison_retries: 2,
-            ..FtConfig::default()
         };
         let outcomes = World::new(size).with_faults(plan).run_faulty(move |comm| {
             // Each unit charges 1s of virtual time so strike times fire
