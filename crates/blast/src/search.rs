@@ -192,7 +192,21 @@ impl BlastSearcher {
         db_len: u64,
         db_seqs: u64,
     ) -> Vec<Hit> {
+        self.search_partition_counted(prepared, partition, db_len, db_seqs, true).0
+    }
+
+    /// [`Self::search_partition`], with the contained-HSP skip switchable,
+    /// also returning how many gapped extensions the skip saved.
+    fn search_partition_counted(
+        &self,
+        prepared: &PreparedQueries,
+        partition: &DbPartition,
+        db_len: u64,
+        db_seqs: u64,
+        skip_contained: bool,
+    ) -> (Vec<Hit>, usize) {
         let mut hits: Vec<Hit> = Vec::new();
+        let mut skipped = 0;
         let xdrop_ungapped = self.ungapped_xdrop_raw();
         let xdrop_gapped = self.gapped_xdrop_raw();
         let gap_trigger_raw = self.ungapped.raw_for_bits(self.params.gap_trigger_bits);
@@ -201,6 +215,7 @@ impl BlastSearcher {
             self.params.two_hit_window,
             prepared.contexts.iter().map(|ctx| ctx.codes.len()),
         );
+        let mut cover = GappedCover::new(prepared.contexts.len());
 
         for subject in &partition.sequences {
             let s_codes = subject.data.to_codes();
@@ -208,6 +223,7 @@ impl BlastSearcher {
                 continue;
             }
             tracker.start_subject();
+            cover.start_subject();
             let mut subject_hits: Vec<(u32, Hit)> = Vec::new();
 
             scan_words(&s_codes, self.params.word_size, self.word_radix(prepared), |spos, word| {
@@ -227,6 +243,16 @@ impl BlastSearcher {
                     );
                     tracker.mark_extended(ctx_id, hsp.q_start, hsp.s_start, hsp.s_end);
                     if hsp.score < gap_trigger_raw {
+                        continue;
+                    }
+                    let ungapped = Span {
+                        q_beg: hsp.q_start,
+                        q_end: hsp.q_end,
+                        s_beg: hsp.s_start,
+                        s_end: hsp.s_end,
+                    };
+                    if skip_contained && cover.contains(ctx_id, &ungapped) {
+                        skipped += 1;
                         continue;
                     }
                     // Gapped extension from the midpoint anchor. Its band
@@ -256,6 +282,7 @@ impl BlastSearcher {
                         continue;
                     }
                     tracker.mark_extended(ctx_id, q_beg, s_beg, s_end);
+                    cover.insert(ctx_id, Span { q_beg, q_end, s_beg, s_end });
 
                     // Identity/gap statistics over the final range.
                     let stats = banded_global_stats(
@@ -309,11 +336,8 @@ impl BlastSearcher {
         // Per-query top-K within this work unit (the paper's "we need to
         // pass K hits from each DB partition").
         let max = self.params.max_hits_per_query;
-        if max > 0 {
-            merge_hits(hits, max)
-        } else {
-            hits
-        }
+        let hits = if max > 0 { merge_hits(hits, max) } else { hits };
+        (hits, skipped)
     }
 
     /// Serial whole-database search: loads every partition in turn and
@@ -369,6 +393,60 @@ pub fn merge_hits(hits: Vec<Hit>, max_per_query: usize) -> Vec<Hit> {
         out.extend(v);
     }
     out
+}
+
+/// A half-open query × subject rectangle in context coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    q_beg: usize,
+    q_end: usize,
+    s_beg: usize,
+    s_end: usize,
+}
+
+impl Span {
+    /// Does `self` contain `inner` on both axes (shared edges count)?
+    fn contains(&self, inner: &Span) -> bool {
+        self.q_beg <= inner.q_beg
+            && inner.q_end <= self.q_end
+            && self.s_beg <= inner.s_beg
+            && inner.s_end <= self.s_end
+    }
+}
+
+/// The gapped alignments computed so far on the current subject, per
+/// context. As in NCBI BLAST, an ungapped HSP that one of them already
+/// contains is not extended again: its gapped extension would only find
+/// that alignment a second time. Every non-empty gapped range counts,
+/// including those the E-value cutoff drops.
+struct GappedCover {
+    by_ctx: Vec<Vec<Span>>,
+    /// Contexts with a non-empty list, so a new subject clears only those.
+    touched: Vec<u32>,
+}
+
+impl GappedCover {
+    fn new(contexts: usize) -> Self {
+        GappedCover { by_ctx: vec![Vec::new(); contexts], touched: Vec::new() }
+    }
+
+    fn start_subject(&mut self) {
+        for ctx in self.touched.drain(..) {
+            self.by_ctx[ctx as usize].clear();
+        }
+    }
+
+    fn contains(&self, ctx: u32, ungapped: &Span) -> bool {
+        self.by_ctx[ctx as usize].iter().any(|g| g.contains(ungapped))
+    }
+
+    fn insert(&mut self, ctx: u32, gapped: Span) {
+        let list = &mut self.by_ctx[ctx as usize];
+        if list.is_empty() {
+            self.touched.push(ctx);
+        }
+        list.push(gapped);
+    }
 }
 
 /// Drop HSPs whose query interval overlaps a better same-(context, subject)
@@ -488,6 +566,73 @@ mod tests {
         assert_eq!(local.len(), global.len());
         assert!(global[0].evalue > local[0].evalue, "bigger space, bigger E");
         assert_eq!(local[0].raw_score, global[0].raw_score);
+    }
+
+    fn span(q_beg: usize, q_end: usize, s_beg: usize, s_end: usize) -> Span {
+        Span { q_beg, q_end, s_beg, s_end }
+    }
+
+    #[test]
+    fn containment_counts_shared_edges() {
+        let g = span(10, 50, 100, 140);
+        assert!(g.contains(&g), "equal edges are contained");
+        assert!(g.contains(&span(10, 20, 130, 140)));
+        assert!(g.contains(&span(20, 30, 110, 120)));
+    }
+
+    #[test]
+    fn containment_rejects_one_residue_outside_on_any_edge() {
+        let g = span(10, 50, 100, 140);
+        assert!(!g.contains(&span(9, 50, 100, 140)));
+        assert!(!g.contains(&span(10, 51, 100, 140)));
+        assert!(!g.contains(&span(10, 50, 99, 140)));
+        assert!(!g.contains(&span(10, 50, 100, 141)));
+    }
+
+    #[test]
+    fn cover_is_per_context_and_cleared_at_the_next_subject() {
+        let mut cover = GappedCover::new(3);
+        cover.start_subject();
+        let g = span(10, 50, 100, 140);
+        let inner = span(20, 30, 110, 120);
+        cover.insert(1, g);
+        assert!(cover.contains(1, &inner));
+        assert!(!cover.contains(0, &inner), "another context does not suppress");
+        assert!(!cover.contains(2, &inner), "another context does not suppress");
+        cover.start_subject();
+        assert!(!cover.contains(1, &inner), "a new subject starts with an empty cover");
+        cover.insert(1, g);
+        assert!(cover.contains(1, &inner), "a cleared context takes ranges again");
+    }
+
+    #[test]
+    fn contained_seed_of_an_indel_alignment_is_skipped_with_unchanged_hits() {
+        // The query is subject[500..900] with 3 bases deleted at 700, so
+        // its alignment runs on two diagonals. A seed on the first gets
+        // the gapped extension across the deletion; the ungapped HSP of a
+        // later seed on the second diagonal also passes the gap trigger
+        // but lies inside that alignment, and is not extended again.
+        let mut r = gen::rng(109);
+        let genome = gen::random_dna(&mut r, 2000, 0.5);
+        let db = vec![SeqRecord::new("subject", genome.clone())];
+        let mut frag = genome[500..700].to_vec();
+        frag.extend_from_slice(&genome[703..900]);
+        let query = vec![SeqRecord::new("indel", frag)];
+        let searcher = BlastSearcher::with_mode(SearchMode::Blastn);
+        let prepared = searcher.prepare_queries(&query);
+        let part = partition_of(&db, Alphabet::Dna);
+        let (skipping, skipped) =
+            searcher.search_partition_counted(&prepared, &part, 2000, 1, true);
+        let (extending, none) =
+            searcher.search_partition_counted(&prepared, &part, 2000, 1, false);
+        assert!(skipped >= 1, "the second diagonal's HSP is contained");
+        assert_eq!(none, 0);
+        assert_eq!(skipping, extending, "the skip must not change the hits");
+        assert_eq!(skipping.len(), 1, "one alignment: {skipping:?}");
+        let hit = &skipping[0];
+        assert_eq!((hit.q_start, hit.q_end), (0, 397));
+        assert_eq!((hit.s_start, hit.s_end), (500, 900));
+        assert_eq!(hit.gaps, 3);
     }
 
     #[test]

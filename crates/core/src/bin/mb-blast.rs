@@ -151,7 +151,7 @@ fn run() -> Result<(), String> {
     let busy: f64 = reports.iter().map(|r| r.busy.busy_total()).sum();
 
     println!(
-        "{total_hits} hits for {queries_n} queries in {:.2}s wall ({} partition loads, {:.2}s engine time)",
+        "{total_hits} hits for {queries_n} queries in {:.2}s wall ({} partition loads, {:.2}s work-unit time)",
         t0.elapsed().as_secs_f64(),
         loads,
         busy

@@ -141,7 +141,9 @@ pub struct MrBlastRankReport {
     /// Number of DB partition (re)loads this rank performed — the cache-miss
     /// counter behind the paper's superlinear-speedup discussion.
     pub db_loads: u64,
-    /// Busy intervals spent inside the search engine (rank-local clock).
+    /// One busy interval per work unit on the rank-local clock, from the
+    /// unit's start to the end of its search: partition load, query
+    /// prepare and search, everything the unit charges.
     pub busy: BusyTracker,
     /// Rank-local virtual time at completion.
     pub finish_time: f64,
@@ -244,6 +246,7 @@ pub fn run_mrblast(
             let block_idx = task % nblocks_iter;
 
             counters.borrow_mut().0 += 1;
+            let clock_start = comm.now();
 
             let mut db_slot = db_cache.borrow_mut();
             let reload = !matches!(&*db_slot, Some((idx, _)) if *idx == part_idx);
@@ -274,13 +277,11 @@ pub fn run_mrblast(
             }
             let (_, prepared) = q_slot.as_ref().expect("cache just filled");
 
-            let clock_start = comm.now();
             let t0 = Instant::now();
             let hits =
                 searcher.search_partition(prepared, part, db.total_residues, db.total_sequences);
-            let elapsed = t0.elapsed().as_secs_f64();
-            comm.charge(elapsed);
-            busy.borrow_mut().record(clock_start, clock_start + elapsed);
+            comm.charge(t0.elapsed().as_secs_f64());
+            busy.borrow_mut().record(clock_start, comm.now());
 
             for hit in hits {
                 if cfg.exclude_self && is_self_hit(&hit) {

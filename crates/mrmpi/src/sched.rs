@@ -305,6 +305,14 @@ fn ft_run(
                 completed = NO_UNIT;
                 flag = FLAG_NONE;
             }
+            // Every survivor runs the same election, and a late starter
+            // may learn of it only from the round's first one: the rank
+            // taking over counts it, once.
+            if via_failover {
+                if let Some(o) = comm.obs() {
+                    o.add("sched.elections", 1);
+                }
+            }
             let claims = via_failover.then(|| mine.clone());
             match ft_master_loop(comm, ntasks, cfg, affinity, round, claims) {
                 Some(outcome) => {
@@ -350,7 +358,6 @@ fn ft_run(
         // Only failover elects here, so a fault-free trace has no
         // `sched.elect` events.
         if let Some(o) = comm.obs() {
-            o.add("sched.elections", 1);
             let why = if last_died { "predecessor died" } else { "predecessor unreachable" };
             o.instant(o.now(), "sched.elect", format!("master role moved {lost} -> {master} ({why})"));
         }
@@ -1189,6 +1196,21 @@ mod tests {
             assert!(matches!(o, RankOutcome::Done(Ok(_))), "outcome: {o:?}");
         }
         assert_exact_partition(&outcomes, 12);
+    }
+
+    #[test]
+    fn one_master_death_counts_one_election_however_many_survive() {
+        // Up to eight survivors run the election that follows rank 0's
+        // death; the trace counts it once, on the rank elected.
+        let collector = obs::Collector::new();
+        let plan = FaultPlan::new(11).kill(0, 2.5);
+        let world = World::new(9).with_faults(plan).with_obs(collector.clone());
+        let outcomes = world.run_faulty(move |comm| {
+            mw_units(comm, 48, &FtConfig::default(), |_| comm.charge(1.0))
+        });
+        assert!(outcomes[0].is_died());
+        assert_exact_partition(&outcomes, 48);
+        assert_eq!(collector.trace().counter_total("sched.elections"), 1);
     }
 
     #[test]

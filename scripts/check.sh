@@ -32,17 +32,32 @@ cargo test -q --test blast_output_pin
 echo "== diagonal ring: the ring tracker agrees with the map tracker over subject scans, ring and generation wraps included =="
 cargo test -q -p blast --lib -- --exact extend::tests::ring_tracker_agrees_with_map_tracker_on_subject_scans
 
+echo "== contained-HSP skip: the containment rule, its per-context cover, and unchanged hits on an indel homolog =="
+cargo test -q -p blast --lib -- --exact search::tests::containment_counts_shared_edges
+cargo test -q -p blast --lib -- --exact search::tests::containment_rejects_one_residue_outside_on_any_edge
+cargo test -q -p blast --lib -- --exact search::tests::cover_is_per_context_and_cleared_at_the_next_subject
+cargo test -q -p blast --lib -- --exact search::tests::contained_seed_of_an_indel_alignment_is_skipped_with_unchanged_hits
+
+echo "== engine heuristics guard: hit scores never exceed the Smith-Waterman optimum and stay near it =="
+cargo test -q --test blast_oracle_diff
+
 echo "== fault-mode smoke: 2 of 8 workers killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_workers_killed_mid_map
 
 echo "== fault-mode smoke: DES dead-worker closed form =="
 cargo test -q --test perfmodel_validation faulty_des_matches_reduced_worker_closed_form
 
+echo "== DES replay: real per-unit busy intervals replayed through the DES land within one task of the real makespan =="
+cargo test -q --test perfmodel_validation -- --exact des_makespan_matches_real_master_worker_run
+
 echo "== DES pin: paper-scale results of every simulated condition, exact =="
 cargo test -q --test perfmodel_validation des_pins_paper_scale_results_for_every_condition
 
 echo "== straggler regression: a fenced straggler's committed unit is reclaimed and re-run =="
 cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_straggler_fenced_after_committing_has_its_units_rerun
+
+echo "== failover counter: one master death at 9 ranks counts one election =="
+cargo test -q -p mrmpi --lib -- --exact sched::tests::one_master_death_counts_one_election_however_many_survive
 
 echo "== failover regression: two master deaths, elected ranks strictly increase across epochs =="
 cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_two_master_deaths_across_epochs

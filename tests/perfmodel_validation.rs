@@ -53,7 +53,8 @@ fn des_makespan_matches_real_master_worker_run() {
         });
     let real_makespan = reports.iter().map(|r| r.finish_time).fold(0.0, f64::max);
 
-    // Collect the real per-unit search costs (order irrelevant for the
+    // Collect the real per-unit costs: partition load, query prepare and
+    // search, all charged to the virtual clock (order irrelevant for the
     // comparison: both schedulers dispatch dynamically).
     let tasks: Vec<Task> = reports
         .iter()
