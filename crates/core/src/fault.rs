@@ -6,9 +6,8 @@
 //! The drivers ([`crate::mrblast::run_mrblast`], [`crate::mrsom::run_mrsom`])
 //! always run on the fault-tolerant scheduler in [`mrmpi::sched`], and every
 //! fault setting of a run lives in the driver's own config: the scheduler's
-//! timeouts, budgets, speculation and durable log in its `ft`
-//! ([`mrmpi::FtConfig`]), the disk-fault plan and the poison log in its
-//! `mr_settings` ([`mrmpi::Settings`]). The defaults tolerate any number of
+//! timeouts, budgets and speculation in its `ft` ([`mrmpi::FtConfig`]), the
+//! disk-fault plan in its `mr_settings` ([`mrmpi::Settings`]). The defaults tolerate any number of
 //! worker deaths while bounding every blocking wait, so a run always
 //! terminates.
 //!

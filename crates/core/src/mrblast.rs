@@ -60,7 +60,7 @@ pub struct MrBlastConfig {
     /// subject id `src`.
     pub exclude_self: bool,
     /// MapReduce engine settings (page size, memory budget, spill dir,
-    /// disk-fault plan, poison log).
+    /// disk-fault plan).
     pub mr_settings: Settings,
     /// Fault-tolerant scheduler settings: timeouts, retry and poison
     /// budgets, speculative re-execution (see [`FtConfig`]). The default

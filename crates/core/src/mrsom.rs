@@ -51,7 +51,7 @@ pub struct MrSomConfig {
     /// not as critical").
     pub block_size: usize,
     /// MapReduce engine settings (page size, memory budget, spill dir,
-    /// disk-fault plan, poison log).
+    /// disk-fault plan).
     pub mr_settings: Settings,
     /// Fault-tolerant scheduler settings (see [`FtConfig`]).
     pub ft: FtConfig,

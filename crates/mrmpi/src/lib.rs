@@ -69,6 +69,6 @@ pub mod spool;
 pub use durable::{DiskFaultPlan, DurableError};
 pub use kmv::KeyMultiValue;
 pub use kv::{KeyValue, KvEmitter, KvError};
-pub use mapreduce::{read_poison_log, FtMapReport, MapPlan, MapReduce, MrError, MultiValues};
+pub use mapreduce::{FtMapReport, MapPlan, MapReduce, MrError, MultiValues};
 pub use sched::{FtConfig, FtRun, MapStyle, SchedError};
 pub use settings::Settings;

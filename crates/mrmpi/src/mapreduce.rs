@@ -13,7 +13,6 @@ use std::collections::HashMap;
 
 use mpisim::Comm;
 
-use crate::durable::{self, DurableError};
 use crate::hashfn::{fnv1a, key_owner};
 use crate::kmv::{KeyMultiValue, ValueCursor};
 use crate::kv::{decode_entry, encode_entry, validate_page, KeyValue, KvEmitter, KvError};
@@ -25,25 +24,22 @@ pub type MultiValues<'a> = ValueCursor<'a>;
 
 /// Typed failure of a fault-tolerant MapReduce operation.
 ///
-/// The fault-tolerant entry points ([`MapReduce::map_tasks`] with
-/// [`MapStyle::MasterWorker`], [`MapReduce::aggregate`]) guarantee that
-/// every live rank returns the same success/failure verdict: error status is
-/// itself combined with an allreduce before any rank returns, so callers can
-/// bail out consistently without stranding a peer inside a collective.
+/// The fault-tolerant entry points ([`MapReduce::map_tasks`] in every
+/// mapstyle, [`MapReduce::aggregate`]) guarantee that every live rank
+/// returns the same success/failure verdict: error status is itself combined
+/// with an allreduce before any rank returns, so callers can bail out
+/// consistently without stranding a peer inside a collective.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MrError {
-    /// The fault-tolerant scheduler failed (worker/master deaths beyond
-    /// recovery, or a unit exhausted its attempt budget).
+    /// The scheduler failed (worker/master deaths beyond recovery, or a
+    /// unit exhausted its attempt budget).
     Sched(SchedError),
     /// A KV page received from another rank failed validation, or a local
     /// spill page failed its durable read-back.
     Corrupt(KvError),
-    /// Durable storage failed: a checkpoint could not be written or read
-    /// (I/O error after bounded retries, torn or corrupt record).
-    Disk(DurableError),
     /// A cross-rank accounting check failed: data silently went missing
-    /// (e.g. a rank died after the master loop but before reconciliation,
-    /// taking completed output with it).
+    /// (e.g. a rank died during or after a map, taking its committed output
+    /// with it).
     DataLost {
         /// Which invariant was violated.
         what: &'static str,
@@ -59,7 +55,6 @@ impl std::fmt::Display for MrError {
         match self {
             MrError::Sched(e) => write!(f, "scheduling failed: {e}"),
             MrError::Corrupt(e) => write!(f, "corrupt KV page: {e}"),
-            MrError::Disk(e) => write!(f, "durable storage failed: {e}"),
             MrError::DataLost { what, expected, got } => {
                 write!(f, "data lost ({what}): expected {expected}, got {got}")
             }
@@ -72,7 +67,6 @@ impl std::error::Error for MrError {
         match self {
             MrError::Sched(e) => Some(e),
             MrError::Corrupt(e) => Some(e),
-            MrError::Disk(e) => Some(e),
             MrError::DataLost { .. } => None,
         }
     }
@@ -81,12 +75,6 @@ impl std::error::Error for MrError {
 impl From<SchedError> for MrError {
     fn from(e: SchedError) -> Self {
         MrError::Sched(e)
-    }
-}
-
-impl From<DurableError> for MrError {
-    fn from(e: DurableError) -> Self {
-        MrError::Disk(e)
     }
 }
 
@@ -147,7 +135,7 @@ pub struct FtMapReport {
 pub struct MapPlan<'a> {
     /// Task-to-rank assignment.
     pub style: MapStyle,
-    /// Master-worker scheduler settings; `None` means the defaults.
+    /// Scheduler settings; `None` means the defaults.
     pub ft: Option<&'a FtConfig>,
     /// `affinity[t]` names the resource (e.g. a DB partition) task `t`
     /// needs; a master-worker run then preferentially hands workers tasks
@@ -170,45 +158,6 @@ impl<'a> From<&'a FtConfig> for MapPlan<'a> {
     fn from(ft: &'a FtConfig) -> Self {
         MapPlan { ft: Some(ft), ..MapStyle::MasterWorker.into() }
     }
-}
-
-/// Append `units` to the durable poison log at `path` (one 8-byte
-/// little-endian unit index per CRC-framed record), merging with any units
-/// already recorded by earlier map calls. Atomic: a crash mid-write leaves
-/// the previous log intact.
-fn append_poison_log(
-    path: &std::path::Path,
-    units: &[u64],
-    faults: Option<&crate::durable::DiskFaultPlan>,
-) -> Result<(), DurableError> {
-    let mut all: Vec<u64> = match durable::read_record_file(path) {
-        Ok(records) => records
-            .iter()
-            .filter(|r| r.len() == 8)
-            .map(|r| u64::from_le_bytes(r[..8].try_into().expect("8 bytes")))
-            .collect(),
-        Err(DurableError::Io { kind: std::io::ErrorKind::NotFound, .. }) => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    all.extend_from_slice(units);
-    all.sort_unstable();
-    all.dedup();
-    let encoded: Vec<[u8; 8]> = all.iter().map(|u| u.to_le_bytes()).collect();
-    let payloads: Vec<&[u8]> = encoded.iter().map(|b| b.as_slice()).collect();
-    durable::write_record_file(path, &payloads, faults)
-}
-
-/// Decode a poison log written via [`Settings::poison_log`] back into the
-/// sorted list of quarantined unit indices.
-pub fn read_poison_log(path: &std::path::Path) -> Result<Vec<u64>, DurableError> {
-    let records = durable::read_record_file(path)?;
-    let mut units: Vec<u64> = records
-        .iter()
-        .filter(|r| r.len() == 8)
-        .map(|r| u64::from_le_bytes(r[..8].try_into().expect("8 bytes")))
-        .collect();
-    units.sort_unstable();
-    Ok(units)
 }
 
 /// A MapReduce engine bound to one communicator.
@@ -298,34 +247,34 @@ impl<'c> MapReduce<'c> {
     /// the global task index and an emitter. A bare [`MapStyle`] is a plan
     /// with the default [`FtConfig`], no affinity and no verdict hook.
     ///
-    /// `Chunk` and `RoundRobin` emit straight into the KV. `MasterWorker`
-    /// runs the fault-tolerant scheduler ([`crate::sched::assign_and_run`]):
-    /// worker deaths are detected, their units (in flight *and* already
-    /// completed — the emitted pairs died with the rank) are re-dispatched
-    /// to survivors, and the run ends with a cross-rank reconciliation
-    /// proving every unit contributed to the surviving output exactly once.
-    /// Every live rank returns the same `Ok`/`Err` verdict; on `Err` the
-    /// engine holds no KV dataset.
+    /// Every style runs through the one scheduler
+    /// ([`crate::sched::assign_and_run`]) under one contract. A style only
+    /// picks which units a rank runs; `MasterWorker` at two or more ranks
+    /// also detects worker deaths and re-dispatches their units (in flight
+    /// *and* already completed — the emitted pairs died with the rank) to
+    /// survivors. Every map ends with a cross-rank reconciliation proving
+    /// every unit contributed to the surviving output exactly once, so a
+    /// rank death during a static map, whose units nobody re-runs, is
+    /// [`MrError::DataLost`]. Every live rank returns the same `Ok`/`Err`
+    /// verdict; on `Err` the engine holds no KV dataset.
     ///
-    /// A master-worker unit that keeps panicking is *quarantined* (after
+    /// A unit that keeps panicking is *quarantined* (after
     /// [`FtConfig::poison_retries`] attempts) instead of failing the run,
     /// and the returned report names every quarantined unit on every rank;
     /// a caller that cannot accept a partial result checks
-    /// [`FtMapReport::quarantined`] itself. When [`Settings::poison_log`] is
-    /// set, the final acting master also appends the quarantined units to
-    /// that durable CRC-framed log.
+    /// [`FtMapReport::quarantined`] itself.
     ///
-    /// Master-worker emissions are **staged** per unit and only published
-    /// when the master's first-result-wins verdict commits them, so with
-    /// speculative re-execution ([`FtConfig::speculate`]) the surviving
-    /// output is bit-for-bit what a fault-free run produces.
-    /// [`MapPlan::verdict`] exposes that arbitration: it fires exactly once
-    /// per completed execution of `f`, right as its staged KV is published
-    /// (`true`) or dropped (`false` — a speculative backup won, or the unit
-    /// was carried unarbitrated across a master failover and discarded).
-    /// Map callbacks whose result lives *outside* the KV (e.g. a local
-    /// numeric accumulator) must buffer per execution and fold on
-    /// `commit == true` only.
+    /// Every style **stages** emissions per unit and only publishes them
+    /// when the scheduler's verdict commits them: a panicked execution's
+    /// partial output is dropped, and with speculative re-execution
+    /// ([`FtConfig::speculate`]) the surviving output is bit-for-bit what a
+    /// fault-free run produces. [`MapPlan::verdict`] exposes that
+    /// arbitration: it fires exactly once per completed execution of `f`,
+    /// right as its staged KV is published (`true`) or dropped (`false` — a
+    /// speculative backup won, or the unit was carried unarbitrated across
+    /// a master failover and discarded). Map callbacks whose result lives
+    /// *outside* the KV (e.g. a local numeric accumulator) must buffer per
+    /// execution and fold on `commit == true` only.
     ///
     /// Returns the global number of emitted (committed) pairs.
     pub fn map_tasks<'p>(
@@ -335,11 +284,6 @@ impl<'c> MapReduce<'c> {
         f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
     ) -> Result<FtMapReport, MrError> {
         let MapPlan { style, ft, affinity, mut verdict } = plan.into();
-        let mut on_verdict = |unit: usize, commit: bool| {
-            if let Some(v) = verdict.as_deref_mut() {
-                v(unit, commit);
-            }
-        };
         if let Some(old) = self.kmv.take() {
             self.retire_kmv(&old);
         }
@@ -347,17 +291,6 @@ impl<'c> MapReduce<'c> {
             self.retire_kv(&old);
         }
         let (_span, spills0) = self.obs_phase("mr.map");
-        if style != MapStyle::MasterWorker {
-            let mut kv = KeyValue::new(&self.settings);
-            let run = &mut |task| f(task, &mut KvEmitter::new(&mut kv));
-            let cfg = FtConfig::default();
-            assign_and_run(self.comm, ntasks, style, &cfg, affinity, run, &mut on_verdict)
-                .expect("static mapstyles cannot fail");
-            let local = kv.npairs();
-            self.kv = Some(kv);
-            self.obs_phase_end(spills0, local);
-            return Ok(FtMapReport { pairs: self.global_count(local), quarantined: Vec::new() });
-        }
         let kv = std::cell::RefCell::new(KeyValue::new(&self.settings));
         let staging: std::cell::RefCell<Option<KeyValue>> = std::cell::RefCell::new(None);
         let settings = self.settings.clone();
@@ -384,60 +317,25 @@ impl<'c> MapReduce<'c> {
                         staged.for_each(|k, v| kv.add(k, v));
                     }
                 }
-                on_verdict(unit, commit);
+                if let Some(v) = verdict.as_deref_mut() {
+                    v(unit, commit);
+                }
             },
         );
         let kv = kv.into_inner();
-        if self.comm.size() == 1 {
-            let run = sched?;
-            if let Some(path) = &self.settings.poison_log {
-                if !run.quarantined.is_empty() {
-                    append_poison_log(path, &run.quarantined, self.settings.disk_faults.as_deref())?;
-                }
-            }
-            let n = kv.npairs();
-            self.kv = Some(kv);
-            self.obs_phase_end(spills0, n);
-            return Ok(FtMapReport { pairs: n, quarantined: run.quarantined });
-        }
-        // The final acting master — the only rank whose scheduler run
-        // reports a non-empty quarantine, and after a failover not
-        // necessarily rank 0 — persists the quarantine *before* the
-        // reconciliation so a write failure can be folded into the
-        // cross-rank verdict below: every live rank must agree on success
-        // or failure.
-        let mut disk_err = None;
-        let local_quar = match &sched {
-            Ok(run) if !run.quarantined.is_empty() => {
-                if let Some(path) = &self.settings.poison_log {
-                    if let Err(e) =
-                        append_poison_log(path, &run.quarantined, self.settings.disk_faults.as_deref())
-                    {
-                        disk_err = Some(e);
-                    }
-                }
-                run.quarantined.clone()
-            }
-            _ => Vec::new(),
-        };
         // Reconciliation: every rank participates in the same two
         // allreduces regardless of its local verdict, so survivors cannot
         // deadlock waiting for a rank that bailed out early. Dead ranks are
         // skipped by the collective layer — which is exactly the check:
-        // units committed by a rank that died after the master loop vanish
-        // from the sum and surface as `DataLost`.
-        let (local_units, local_err) = match &sched {
-            Ok(run) => (run.units.len() as f64, 0.0),
-            Err(e) => (0.0, sched_err_code(e)),
+        // units committed by a rank that died during or after the map
+        // vanish from the sum and surface as `DataLost`.
+        let (local_units, local_quar, local_err) = match &sched {
+            Ok(run) => (run.units.len(), run.quarantined.as_slice(), 0.0),
+            Err(e) => (0, &[][..], sched_err_code(e)),
         };
-        let mut sums = [0.0f64; 4];
+        let mut sums = [0.0f64; 3];
         self.comm.allreduce_f64(
-            &[
-                kv.npairs() as f64,
-                local_units,
-                local_quar.len() as f64,
-                disk_err.is_some() as u64 as f64,
-            ],
+            &[kv.npairs() as f64, local_units as f64, local_quar.len() as f64],
             &mut sums,
             mpisim::ReduceOp::Sum,
         );
@@ -449,12 +347,6 @@ impl<'c> MapReduce<'c> {
                 Ok(_) => sched_err_decode(err[0] as u32),
             }));
         }
-        if sums[3] != 0.0 {
-            return Err(MrError::Disk(disk_err.unwrap_or_else(|| DurableError::Io {
-                kind: std::io::ErrorKind::Other,
-                what: "poison log write failed on the reporting rank".into(),
-            })));
-        }
         let global_units = sums[1].round() as u64;
         let global_quar = sums[2].round() as u64;
         if global_units + global_quar != ntasks as u64 {
@@ -464,9 +356,10 @@ impl<'c> MapReduce<'c> {
                 got: global_units + global_quar,
             });
         }
-        // Every rank reports the same quarantine list. Only the final
-        // acting master knows it first-hand — and after a failover that
-        // need not be rank 0 — so the list is unioned through a per-unit
+        // Every rank reports the same quarantine list. Only the rank that
+        // quarantined a unit knows it first-hand — the final acting master
+        // (after a failover not necessarily rank 0), or each static rank
+        // for its own units — so the list is unioned through a per-unit
         // bitmap max-reduction instead of broadcast from a fixed root.
         // (All live ranks agree on `global_quar`, so they take the same
         // branch and the collective cannot deadlock.)
@@ -474,7 +367,7 @@ impl<'c> MapReduce<'c> {
             Vec::new()
         } else {
             let mut bitmap = vec![0.0f64; ntasks];
-            for &u in &local_quar {
+            for &u in local_quar {
                 if (u as usize) < ntasks {
                     bitmap[u as usize] = 1.0;
                 }
@@ -1096,22 +989,14 @@ mod tests {
     }
 
     #[test]
-    fn master_worker_map_quarantines_poison_and_logs_durably() {
-        let dir = std::env::temp_dir().join(format!("mrmpi-poison-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let log = dir.join("poison.log");
-        let _ = std::fs::remove_file(&log);
+    fn master_worker_map_quarantines_poison() {
         let plan = FaultPlan::new(7).poison(3).poison(9);
-        let outcomes = World::new(4).with_faults(plan).run_faulty({
-            let log = log.clone();
-            move |comm| {
-            let settings = Settings { poison_log: Some(log.clone()), ..Settings::default() };
-            let mut mr = MapReduce::with_settings(comm, settings);
-            let report = mr.map_tasks(16, &FtConfig::default(), &mut |t, kv| {
+        let outcomes = World::new(4).with_faults(plan).run_faulty(|comm| {
+            let mut mr = MapReduce::new(comm);
+            mr.map_tasks(16, &FtConfig::default(), &mut |t, kv| {
                 kv.emit(&(t as u64).to_le_bytes(), b"x");
-            })?;
-            Ok::<FtMapReport, MrError>(report)
-        }});
+            })
+        });
         for (rank, o) in outcomes.iter().enumerate() {
             match o {
                 RankOutcome::Done(Ok(report)) => {
@@ -1123,8 +1008,6 @@ mod tests {
                 other => panic!("rank {rank}: {other:?}"),
             }
         }
-        // The quarantine survives the run in the durable CRC-framed log.
-        assert_eq!(read_poison_log(&log).unwrap(), vec![3, 9]);
         // A single-rank world quarantines through the same core and reports
         // the partial result the same way.
         let plan = FaultPlan::new(7).poison(5);
@@ -1136,30 +1019,75 @@ mod tests {
             RankOutcome::Done(Ok(FtMapReport { pairs: 7, quarantined })) if quarantined == &[5] => {}
             other => panic!("single-rank quarantine: {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn poison_log_appends_and_dedups_across_map_calls() {
-        let dir = std::env::temp_dir().join(format!("mrmpi-poison-append-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let log = dir.join("poison.log");
-        let _ = std::fs::remove_file(&log);
-        for seed in [(11u64, 4u64), (13, 2)] {
-            let plan = FaultPlan::new(seed.0).poison(seed.1).poison(4);
-            World::new(2).with_faults(plan).run_faulty({
-                let log = log.clone();
-                move |comm| {
-                let settings = Settings { poison_log: Some(log.clone()), ..Settings::default() };
-                let mut mr = MapReduce::with_settings(comm, settings);
-                mr.map_tasks(6, &FtConfig::default(), &mut |t, kv| {
+    fn static_styles_isolate_and_quarantine_like_master_worker() {
+        let styles = [(MapStyle::Chunk, 3), (MapStyle::RoundRobin, 3), (MapStyle::MasterWorker, 1)];
+        for (style, ranks) in styles {
+            // An injected poison unit is quarantined and reported on every
+            // rank, not run.
+            let outcomes = World::new(ranks).with_faults(FaultPlan::new(5).poison(2)).run_faulty(
+                move |comm| MapReduce::new(comm).map_tasks(9, style, &mut |t, kv| kv.emit(&[t as u8], b"v")),
+            );
+            for (rank, o) in outcomes.iter().enumerate() {
+                match o {
+                    RankOutcome::Done(Ok(FtMapReport { pairs: 8, quarantined })) if quarantined == &[2] => {}
+                    other => panic!("{style:?} rank {rank}, injected poison: {other:?}"),
+                }
+            }
+            // A unit that emits a pair and then panics on every attempt is
+            // isolated and quarantined, and staging drops its partial pair.
+            let outcomes = World::new(ranks).run_faulty(move |comm| {
+                let mut mr = MapReduce::new(comm);
+                let report = mr.map_tasks(9, style, &mut |t, kv| {
                     kv.emit(&[t as u8], b"v");
-                })
-            }});
+                    if t == 4 {
+                        panic!("unit 4 fails after emitting");
+                    }
+                })?;
+                let mut keys = Vec::new();
+                mr.kv_for_each(|k, _| keys.push(k[0]));
+                Ok::<(FtMapReport, Vec<u8>), MrError>((report, keys))
+            });
+            let mut keys = Vec::new();
+            for (rank, o) in outcomes.iter().enumerate() {
+                match o {
+                    RankOutcome::Done(Ok((FtMapReport { pairs: 8, quarantined }, local)))
+                        if quarantined == &[4] =>
+                    {
+                        keys.extend_from_slice(local)
+                    }
+                    other => panic!("{style:?} rank {rank}, panicking unit: {other:?}"),
+                }
+            }
+            keys.sort_unstable();
+            assert_eq!(keys, [0, 1, 2, 3, 5, 6, 7, 8], "{style:?}: unit 4's pair must be dropped");
         }
-        // Unit 4 was quarantined by both calls but is logged once.
-        assert_eq!(read_poison_log(&log).unwrap(), vec![2, 4]);
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn death_during_a_static_map_is_data_lost_on_every_survivor() {
+        // Every unit costs 1 s. Rank 2 runs units 2, 5 and 8 and dies inside
+        // unit 5, taking unit 2's committed pair with it.
+        let plan = FaultPlan::new(3).kill(2, 1.5);
+        let outcomes = World::new(3).with_faults(plan).run_faulty(|comm| {
+            MapReduce::new(comm).map_tasks(9, MapStyle::RoundRobin, &mut |t, kv| {
+                comm.charge(1.0);
+                kv.emit(&[t as u8], b"v");
+            })
+        });
+        assert!(outcomes[2].is_died(), "rank 2 dies mid-map");
+        for (rank, o) in outcomes.iter().enumerate().take(2) {
+            match o {
+                RankOutcome::Done(Err(MrError::DataLost {
+                    what: "map units after fault recovery",
+                    expected: 9,
+                    got: 6,
+                })) => {}
+                other => panic!("rank {rank}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //! speculation — is one [`FtConfig`]; the `mrbio` drivers carry it as the
 //! `ft` field of their run config.
 //!
-//! In a world of one rank every style runs all tasks locally.
+//! Every style has the same contract: each unit's execution is
+//! panic-isolated, retried and quarantined as poison under the same budgets,
+//! and its output is published or dropped on a verdict. A style only picks
+//! which units a rank runs. Chunk and round-robin — and master-worker in a
+//! world of one rank — run their units through one message-free local loop
+//! over the same [`core::Core`].
 
 pub mod core;
 
@@ -89,7 +94,9 @@ pub enum MapStyle {
     MasterWorker,
 }
 
-/// Tuning knobs of the fault-tolerant master-worker scheduler.
+/// Tuning knobs of the fault-tolerant scheduler. The attempt and poison
+/// budgets govern every mapstyle; the timeouts and speculation only the
+/// master-worker style at two or more ranks.
 #[derive(Debug, Clone)]
 pub struct FtConfig {
     /// Wall-clock timeout of one wait for a reply (or, on the master, for a
@@ -146,7 +153,7 @@ impl FtConfig {
     }
 }
 
-/// Typed failure of a master-worker scheduled run.
+/// Typed failure of a scheduled run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
     /// The master exhausted [`FtConfig::max_attempts`] dispatches of `unit`
@@ -187,8 +194,9 @@ pub struct FtRun {
     /// serving.
     pub units: Vec<usize>,
     /// Units quarantined as poison (each panicked
-    /// [`FtConfig::poison_retries`] times), sorted. Populated on the *final
-    /// acting master* only — workers learn about quarantine indirectly,
+    /// [`FtConfig::poison_retries`] times), sorted. Populated on the rank
+    /// that quarantined them only — the final acting master, or the rank
+    /// that ran a static unit — and the others learn about quarantine
     /// through the higher layer's reconciliation exchange.
     pub quarantined: Vec<u64>,
 }
@@ -197,12 +205,15 @@ pub struct FtRun {
 /// `style`, calling `verdict(unit, commit)` exactly once per completed
 /// execution to publish (`true`) or drop (`false`) what it staged.
 ///
-/// `Chunk` and `RoundRobin` assign units statically; every execution
-/// commits. `MasterWorker` is dynamic master-worker scheduling that
-/// survives worker deaths, master deaths, stragglers and poison units;
-/// every decision is [`core::Core`]'s (see its docs for the rules), and
-/// this module carries them over an at-least-once RPC with master-side
-/// dedup, so dropped or delayed messages are harmless:
+/// `Chunk` and `RoundRobin` assign units statically, and `MasterWorker` in
+/// a world of one rank gives the rank every unit: the rank runs its list
+/// through one local [`core::Core`] with no messages, so a panicking unit
+/// is retried and quarantined as on the distributed path. `MasterWorker`
+/// at two or more ranks is dynamic master-worker scheduling that survives
+/// worker deaths, master deaths, stragglers and poison units; every
+/// decision is [`core::Core`]'s (see its docs for the rules), and this
+/// module carries them over an at-least-once RPC with master-side dedup, so
+/// dropped or delayed messages are harmless:
 ///
 /// * a worker's request is `[seq, completed, flag, epoch, nclaims,
 ///   claims…]`: `flag` says whether `completed` ran clean or panicked;
@@ -252,17 +263,12 @@ pub fn assign_and_run(
     }
     let (size, rank) = (comm.size(), comm.rank());
     let units: Vec<usize> = match style {
-        MapStyle::MasterWorker if size == 1 => return ft_run_local(comm, ntasks, cfg, run, verdict),
-        MapStyle::MasterWorker => return ft_run(comm, ntasks, cfg, affinity, run, verdict),
-        _ if size == 1 => (0..ntasks).collect(),
+        MapStyle::MasterWorker if size > 1 => return ft_run(comm, ntasks, cfg, affinity, run, verdict),
+        MapStyle::MasterWorker => (0..ntasks).collect(),
         MapStyle::Chunk => (rank * ntasks / size..(rank + 1) * ntasks / size).collect(),
         MapStyle::RoundRobin => (rank..ntasks).step_by(size).collect(),
     };
-    for &t in &units {
-        run(t);
-        verdict(t, true);
-    }
-    Ok(FtRun { units, quarantined: Vec::new() })
+    run_local(comm, &units, cfg, run, verdict)
 }
 
 /// The master role's state machine across failovers, for a world of at
@@ -319,7 +325,7 @@ fn ft_run(
                     if matches!(outcome, Outcome::Finished(_)) {
                         board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
                     }
-                    return ended(outcome, mine);
+                    return ended(outcome, mine, |u| u);
                 }
                 // Peers lost patience during a stall and elected around us:
                 // step down and serve the successor as a worker.
@@ -380,31 +386,32 @@ pub fn ft_beacon(comm: &Comm) {
     }
 }
 
-/// Single-rank degenerate case: the rank is master and only worker at once,
-/// so it drives [`Core`] directly, with no messages — the same
-/// retry-then-quarantine policy as the distributed path. Units run in index
-/// order (there is no partition to stay on), and time stands still at
-/// zero, so a panicked unit is retried before the next one starts.
-fn ft_run_local(
+/// Run this rank's own `units` (ascending) with no messages: the rank is
+/// master and only worker at once, so it drives a [`Core`] over
+/// `0..units.len()` directly, with the same isolate-retry-quarantine policy
+/// as the distributed path, and maps each core index `i` back to the global
+/// unit `units[i]`. Units run in list order and time stands still at zero,
+/// so a panicked unit is retried before the next one starts.
+fn run_local(
     comm: &Comm,
-    ntasks: usize,
+    units: &[usize],
     cfg: &FtConfig,
     run: &mut dyn FnMut(usize),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> Result<FtRun, SchedError> {
-    let me = comm.rank();
-    let mut core = Core::new(ntasks, cfg.policy(), None, None, 0.0);
-    let mut units = Vec::new();
+    let global = |i: u64| units[i as usize] as u64;
+    let mut core = Core::new(units.len(), cfg.policy(), None, None, 0.0);
+    let mut mine = Vec::new();
     let mut report = None;
     loop {
-        core.request(me, report, &[], 0.0);
+        core.request(comm.rank(), report, &[], 0.0);
         let mut next = None;
         while let Some(out) = core.poll() {
             match out {
-                Out::Journal(rec) => journal_obs(comm, &rec),
+                Out::Journal(rec) => journal_obs(comm, &Record { unit: global(rec.unit), ..rec }),
                 Out::Reply { code, verdict: v, .. } => {
-                    if let Some((unit, true)) = report {
-                        settle(comm, unit, v == Verdict::Commit, verdict, &mut units);
+                    if let Some((i, true)) = report {
+                        settle(comm, global(i), v == Verdict::Commit, verdict, &mut mine);
                     }
                     next = Some(code);
                 }
@@ -412,17 +419,18 @@ fn ft_run_local(
             }
         }
         report = match next.expect("a lone worker is never parked") {
-            Code::Unit(unit) => Some((unit, execute(comm, unit, run, verdict))),
-            Code::Done | Code::Abort => return ended(core.outcome(), units),
+            Code::Unit(i) => Some((i, execute(comm, global(i), run, verdict))),
+            Code::Done | Code::Abort => return ended(core.outcome(), mine, global),
         };
     }
 }
 
-/// The run's result on the rank whose master tenure ended with `outcome`.
-fn ended(outcome: Outcome, units: Vec<usize>) -> Result<FtRun, SchedError> {
+/// The run's result on the rank whose master tenure ended with `outcome`,
+/// with the core's unit indices mapped to global ones by `global`.
+fn ended(outcome: Outcome, units: Vec<usize>, global: impl Fn(u64) -> u64) -> Result<FtRun, SchedError> {
     match outcome {
-        Outcome::Finished(quarantined) => Ok(FtRun { units, quarantined }),
-        Outcome::Aborted(unit) => Err(SchedError::Aborted { unit }),
+        Outcome::Finished(q) => Ok(FtRun { units, quarantined: q.into_iter().map(global).collect() }),
+        Outcome::Aborted(unit) => Err(SchedError::Aborted { unit: global(unit) }),
         Outcome::AllWorkersDead => Err(SchedError::AllWorkersDead),
     }
 }

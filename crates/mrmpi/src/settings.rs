@@ -31,13 +31,6 @@ pub struct Settings {
     /// default) means a healthy disk. Clones share the plan's attempt
     /// counter, so one plan deterministically covers a whole run.
     pub disk_faults: Option<Arc<DiskFaultPlan>>,
-    /// Durable quarantine log: when set, the final acting master (rank 0
-    /// unless a failover promoted a successor) appends every work unit
-    /// quarantined by the fault-tolerant map (see
-    /// [`crate::sched::FtConfig::poison_retries`]) to this CRC-framed record
-    /// file, so poison units survive the process for post-mortem triage.
-    /// `None` (the default) keeps quarantine in-memory only.
-    pub poison_log: Option<PathBuf>,
     /// Tracing/metrics ring for the rank running this engine. `None` (the
     /// default) turns every obs hook into a branch on a `None` — zero
     /// counters are touched. [`crate::MapReduce::with_settings`] fills this
@@ -54,7 +47,6 @@ impl Default for Settings {
             mem_budget: usize::MAX,
             tmpdir: Settings::unique_spill_dir(),
             disk_faults: None,
-            poison_log: None,
             obs: None,
         }
     }
@@ -69,7 +61,6 @@ impl Settings {
             mem_budget: 512,
             tmpdir: tmpdir.into(),
             disk_faults: None,
-            poison_log: None,
             obs: None,
         }
     }

@@ -77,6 +77,12 @@ cargo test -q -p mrmpi --lib -- --exact sched::core::tests::core_commits_every_u
 echo "== shuffle regression: collate after a death keeps every survivor pair, each key on one rank =="
 cargo test -q -p mrmpi --lib -- --exact mapreduce::tests::collate_after_a_death_keeps_every_survivor_pair
 
+echo "== one map contract: chunk, round-robin and 1-rank master-worker isolate and quarantine poison units, staging drops partial output =="
+cargo test -q -p mrmpi --lib -- --exact mapreduce::tests::static_styles_isolate_and_quarantine_like_master_worker
+
+echo "== one map contract: a rank death during a static map is DataLost on every survivor =="
+cargo test -q -p mrmpi --lib -- --exact mapreduce::tests::death_during_a_static_map_is_data_lost_on_every_survivor
+
 echo "== SOM epoch guard: a death entering the epoch reduce is DataLost on every survivor =="
 cargo test -q -p mrbio --lib -- --exact mrsom::tests::mid_epoch_death_during_reduce_is_a_typed_error_not_a_hang
 
@@ -95,7 +101,7 @@ cargo test -q --test stragglers som_straggler_that_recovers_wins_and_the_backup_
 echo "== failover smoke: rank 0 (master) killed mid-map, bit-for-bit BLAST =="
 cargo test -q --test chaos_soak failover_smoke_master_kill_mid_map_bit_for_bit
 
-echo "== chaos-soak smoke: master kill + worker kill + stall + poison + disk faults in one run =="
+echo "== chaos-soak smoke: master kill + worker kill + stall + poison + checkpoint disk faults in one run =="
 cargo test -q --test chaos_soak chaos_campaign_composes_every_injection_in_one_run
 
 echo "== golden-trace: same-seed runs share digest, fault-free trace is quiet (serial) =="

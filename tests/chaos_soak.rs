@@ -18,8 +18,8 @@ use blast::hsp::Hit;
 use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::{FaultPlan, RankOutcome, World};
-use mrbio::{run_mrblast, run_mrsom, MrBlastConfig, MrSomConfig, VectorMatrix};
-use mrmpi::{read_poison_log, DiskFaultPlan, FtConfig, MapReduce, Settings};
+use mrbio::{run_mrblast, run_mrsom, BlastCheckpoint, MrBlastConfig, MrSomConfig, VectorMatrix};
+use mrmpi::{DiskFaultPlan, FtConfig, MapReduce, Settings};
 use som::batch::batch_train;
 use som::neighborhood::SomConfig;
 use std::path::PathBuf;
@@ -179,7 +179,7 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
     //  * worker 2 stalled half a second            -> ridden out, not fenced
     //  * worker 3 slowed 3x                        -> just late, never wrong
     //  * scheduler unit 5 poisoned                 -> quarantined everywhere
-    //  * the poison log's first two write attempts
+    //  * the checkpoint's first two write attempts
     //    fail with a transient EIO                 -> the atomic write
     //                                                 retries and lands
     let mut plan = FaultPlan::new(42)
@@ -191,13 +191,10 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
         plan = plan.poison(u);
     }
     let disk = DiskFaultPlan::new(43).eio_at(0).eio_at(1).shared();
-    let poison_log = fx.dir.join("poison.log");
+    let ckpt_dir = fx.dir.join("ckpt");
     let cfg = MrBlastConfig {
-        mr_settings: Settings {
-            poison_log: Some(poison_log.clone()),
-            disk_faults: Some(disk),
-            ..Settings::default()
-        },
+        mr_settings: Settings { disk_faults: Some(disk.clone()), ..Settings::default() },
+        checkpoint_dir: Some(ckpt_dir.clone()),
         ..MrBlastConfig::blastn()
     };
 
@@ -208,11 +205,11 @@ fn chaos_campaign_composes_every_injection_in_one_run() {
     // divergence check across survivors ran inside run_blast_chaos).
     assert_eq!(died, 2, "exactly the master and worker 4 die");
     assert_eq!(quarantined, global_quarantine_ids(&fx, &poisoned));
-    assert_eq!(
-        read_poison_log(&poison_log).expect("read poison.log"),
-        poisoned.to_vec(),
-        "the durable quarantine log survives the master failover"
-    );
+    // The checkpoint, written by the lowest live rank after the master
+    // failover, lands on the third attempt past the two injected EIOs.
+    assert_eq!(disk.writes_attempted(), 3, "two EIOs, then the atomic write lands");
+    let ck = BlastCheckpoint::load(&ckpt_dir).expect("checkpoint survives the campaign");
+    assert_eq!((ck.completed_blocks, ck.fingerprint.nblocks), (4, 4), "every block completed");
 
     // Output equivalence: exactly the non-poisoned units' hits, bit for
     // bit, despite six concurrent fault modes.
