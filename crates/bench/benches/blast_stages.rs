@@ -24,7 +24,7 @@ use bioseq::seq::SeqRecord;
 use bioseq::shred::{shred_records, ShredConfig};
 use blast::extend::ungapped_extend;
 use blast::gapped::{banded_global_stats, xdrop_extend};
-use blast::lookup::Lookup;
+use blast::lookup::{Lookup, Neighbourhoods};
 use blast::search::{BlastSearcher, SearchMode};
 use blast::Scoring;
 
@@ -45,14 +45,21 @@ fn bench_lookup_build(c: &mut Criterion) {
     let prots: Vec<Vec<u8>> =
         (0..10).map(|_| Alphabet::Protein.encode_seq(&gen::random_protein(&mut rng, 150))).collect();
     let pmasks: Vec<Vec<u8>> = prots.iter().map(|q| vec![0u8; q.len()]).collect();
+    let refs: Vec<(&[u8], &[u8])> =
+        prots.iter().zip(&pmasks).map(|(q, m)| (q.as_slice(), m.as_slice())).collect();
+    // Cold: a fresh neighbourhood table, so every query word is enumerated.
     c.bench_function("lookup_build_protein_10x150aa_T11", |b| {
         b.iter(|| {
-            let refs: Vec<(&[u8], &[u8])> =
-                prots.iter().zip(&pmasks).map(|(q, m)| (q.as_slice(), m.as_slice())).collect();
-            black_box(
-                Lookup::build_protein(&refs, 3, 11, &Scoring::blastp_default()).num_words(),
-            )
+            let mut table = Neighbourhoods::new(3, 11, &Scoring::blastp_default());
+            black_box(Lookup::build_protein(&refs, &mut table).num_words())
         })
+    });
+    // Warm: the table already holds the block's words, as for every block
+    // after the first that a searcher prepares.
+    let mut table = Neighbourhoods::new(3, 11, &Scoring::blastp_default());
+    Lookup::build_protein(&refs, &mut table);
+    c.bench_function("lookup_build_protein_10x150aa_T11_warm_table", |b| {
+        b.iter(|| black_box(Lookup::build_protein(&refs, &mut table).num_words()))
     });
 }
 

@@ -10,8 +10,10 @@
 //! * **protein**: all 3-mers whose BLOSUM score against some query 3-mer
 //!   reaches the neighborhood threshold *T* — enumerated with
 //!   branch-and-bound over the residue columns. Each column walks its 20
-//!   candidates in descending score, from a ranked table built once per
-//!   lookup, and stops at the first one whose best completion misses *T*.
+//!   candidates in descending score and stops at the first one whose best
+//!   completion misses *T*. A query word's neighbours depend only on the
+//!   word, so [`Neighbourhoods`] enumerates each distinct word once and
+//!   every later lookup reads its list.
 //!
 //! Masked query positions (see [`crate::dust`]) contribute no words: that is
 //! soft masking, seeding suppressed but extensions free to cross.
@@ -66,6 +68,22 @@ impl Lookup {
         match &self.table {
             Table::Direct { offsets, .. } => offsets.windows(2).filter(|r| r[0] != r[1]).count(),
             Table::Hashed { index, .. } => index.len(),
+        }
+    }
+
+    /// Heap bytes held by the table, from its allocations' capacities (a
+    /// hash map's buckets estimated at its 7/8 load factor, one control
+    /// byte each).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match &self.table {
+            Table::Direct { offsets, entries } => {
+                offsets.capacity() * size_of::<u32>() + entries.capacity() * size_of::<SeedEntry>()
+            }
+            Table::Hashed { index, entries } => {
+                let bucket = size_of::<(u64, (u32, u32))>() + 1;
+                index.capacity() * 8 / 7 * bucket + entries.capacity() * size_of::<SeedEntry>()
+            }
         }
     }
 
@@ -124,84 +142,183 @@ impl Lookup {
     }
 
     /// Build a protein neighborhood lookup: every database word scoring ≥
-    /// `threshold` against a query word is registered for that query
-    /// position. The exact query word is always registered as well (NCBI
-    /// behaviour), even when its self-score is below *T*.
+    /// the table's threshold *T* against a query word is registered for
+    /// that query position. The exact query word is always registered as
+    /// well (NCBI behaviour), even when its self-score is below *T*.
+    ///
+    /// Two passes over the unmasked query positions: the first counts each
+    /// word's seeds, the second places them, both reading the position's
+    /// word list from `neighbourhoods` (which fills a query word's list the
+    /// first time it is seen). Positions are visited in `(ctx, pos)` order,
+    /// so each word's seeds come out in that order.
+    pub fn build_protein(contexts: &[(&[u8], &[u8])], neighbourhoods: &mut Neighbourhoods) -> Lookup {
+        let word_size = neighbourhoods.word_size;
+        let num_slots = 24usize.pow(word_size as u32);
+        // Counts go to `offsets[w + 2]`; after the prefix sum `offsets[w + 1]`
+        // is word `w`'s first slot, the placing pass's cursor. Each cursor
+        // ends at the next word's first slot, so `offsets[w]` is `w`'s start.
+        let mut offsets = vec![0u32; num_slots + 2];
+        let mut total = 0u64;
+        for_each_protein_word(contexts, word_size, |qword, _| {
+            let row = neighbourhoods.words(qword);
+            total += row.len() as u64;
+            row.for_each(|word| offsets[word + 2] += 1);
+        });
+        assert!(u32::try_from(total).is_ok(), "protein lookup exceeds u32 entries");
+        for w in 1..offsets.len() {
+            offsets[w] += offsets[w - 1];
+        }
+        let mut entries = vec![(0, 0); total as usize];
+        for_each_protein_word(contexts, word_size, |qword, entry| {
+            neighbourhoods.words(qword).for_each(|word| {
+                let at = &mut offsets[word + 1];
+                entries[*at as usize] = entry;
+                *at += 1;
+            });
+        });
+        offsets.truncate(num_slots + 1);
+        Lookup { word_size, radix: 24, table: Table::Direct { offsets, entries } }
+    }
+}
+
+/// Each protein query word's seeding words — the word itself, then every
+/// other word of standard residues scoring ≥ *T* against it — filled the
+/// first time the word is seen and kept for later lookups with the same
+/// word size, threshold and scoring. Filling lazily means a low *T* or a
+/// word size of 4 never enumerates all `24^w` rows.
+pub struct Neighbourhoods {
+    word_size: usize,
+    threshold: i32,
+    ranked: Ranked,
+    /// `rows[exact]` is where the word's list starts in `words` (`UNFILLED`
+    /// until then): its length, then its packed words.
+    rows: Vec<u32>,
+    words: Words,
+}
+
+const UNFILLED: u32 = u32::MAX;
+
+/// The lists of a [`Neighbourhoods`] table, in `u16` while every packed word
+/// of the size fits one (`24^3` < 2^16), else in `u32`.
+enum Words {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+/// One query word's list of packed words.
+enum Row<'a> {
+    Narrow(&'a [u16]),
+    Wide(&'a [u32]),
+}
+
+impl Words {
+    /// Append `list` (as its length, then its words); where it starts.
+    fn append(&mut self, list: &[u32]) -> u32 {
+        let start = match self {
+            Words::Narrow(words) => {
+                let start = words.len();
+                words.push(list.len() as u16);
+                words.extend(list.iter().map(|&w| w as u16));
+                start
+            }
+            Words::Wide(words) => {
+                let start = words.len();
+                words.push(list.len() as u32);
+                words.extend_from_slice(list);
+                start
+            }
+        };
+        u32::try_from(start).ok().filter(|&s| s != UNFILLED).expect("neighbourhood table exceeds u32")
+    }
+
+    fn row(&self, start: u32) -> Row<'_> {
+        let start = start as usize;
+        match self {
+            Words::Narrow(w) => Row::Narrow(&w[start + 1..start + 1 + usize::from(w[start])]),
+            Words::Wide(w) => Row::Wide(&w[start + 1..start + 1 + w[start] as usize]),
+        }
+    }
+}
+
+impl Row<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Row::Narrow(words) => words.len(),
+            Row::Wide(words) => words.len(),
+        }
+    }
+
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        match self {
+            Row::Narrow(words) => words.iter().for_each(|&w| f(usize::from(w))),
+            Row::Wide(words) => words.iter().for_each(|&w| f(w as usize)),
+        }
+    }
+}
+
+impl Neighbourhoods {
+    /// An empty table for words of `word_size` residues at threshold
+    /// `threshold` under `scoring`.
     ///
     /// # Panics
     /// Panics if `word_size` is 0 or > 4, or `scoring` is not a protein
     /// system.
-    pub fn build_protein(
-        contexts: &[(&[u8], &[u8])],
-        word_size: usize,
-        threshold: i32,
-        scoring: &Scoring,
-    ) -> Lookup {
+    pub fn new(word_size: usize, threshold: i32, scoring: &Scoring) -> Self {
         assert!((1..=MAX_PROTEIN_WORD).contains(&word_size), "protein word size out of range");
         assert!(
             matches!(scoring, Scoring::Blosum62 { .. }),
             "protein lookup needs a protein scoring system"
         );
-        let ranked = ranked_candidates(scoring);
+        let slots = 24usize.pow(word_size as u32);
+        // The narrow lists are reserved once, about a full w = 3, T = 11
+        // table: grown by reallocation between each grant's large lookup
+        // allocations, they fragmented the heap (+1 MB peak RSS of `mb-blast`
+        // on one blastp input). Untouched capacity holds no memory.
+        let words = if slots <= 1 << 16 {
+            Words::Narrow(Vec::with_capacity(1 << 18))
+        } else {
+            Words::Wide(Vec::new())
+        };
+        Neighbourhoods { word_size, threshold, ranked: ranked_candidates(scoring), rows: vec![UNFILLED; slots], words }
+    }
 
-        // Every (word, seed) pair in registration order; each position
-        // registers a word at most once, its exact word first.
-        let mut pairs: Vec<(u32, SeedEntry)> = Vec::new();
-        let mut suffix_max = vec![0i32; word_size + 1];
-        for (ctx, (codes, mask)) in contexts.iter().enumerate() {
-            debug_assert_eq!(codes.len(), mask.len());
-            if codes.len() < word_size {
-                continue;
+    /// The packed words `qword` seeds: itself first, then its neighbours.
+    fn words(&mut self, qword: &[u8]) -> Row<'_> {
+        let exact = qword.iter().fold(0u32, |acc, &c| acc * 24 + u32::from(c));
+        if self.rows[exact as usize] == UNFILLED {
+            // Remaining-score bound for pruning: each column's best
+            // candidate is ranked first.
+            let mut suffix_max = vec![0i32; qword.len() + 1];
+            for i in (0..qword.len()).rev() {
+                suffix_max[i] = suffix_max[i + 1] + self.ranked[qword[i] as usize][0].1;
             }
-            for pos in 0..=codes.len() - word_size {
-                if mask[pos..pos + word_size].iter().any(|&m| m != 0) {
-                    continue;
+            let mut list = vec![exact];
+            enumerate_neighbors(&self.ranked, qword, self.threshold, &suffix_max, 0, 0, 0, &mut |w| {
+                if w != exact {
+                    list.push(w);
                 }
-                let qword = &codes[pos..pos + word_size];
-                let entry = (ctx as u32, pos as u32);
-                let exact = qword.iter().fold(0u32, |acc, &c| acc * 24 + u32::from(c));
-                pairs.push((exact, entry));
-                // Remaining-score bound for pruning: each column's best
-                // candidate is ranked first.
-                for i in (0..word_size).rev() {
-                    suffix_max[i] = suffix_max[i + 1] + ranked[qword[i] as usize][0].1;
-                }
-                enumerate_neighbors(
-                    &ranked,
-                    qword,
-                    threshold,
-                    &suffix_max,
-                    0,
-                    0,
-                    0,
-                    &mut |packed| {
-                        if packed != exact {
-                            pairs.push((packed, entry));
-                        }
-                    },
-                );
-            }
+            });
+            // Set last: a fill cut short by a panic leaves the row unfilled.
+            self.rows[exact as usize] = self.words.append(&list);
         }
+        self.words.row(self.rows[exact as usize])
+    }
+}
 
-        // Stable counting sort by word: each word's seeds stay in
-        // registration order. Offsets are u32, so the entry count must fit.
-        assert!(u32::try_from(pairs.len()).is_ok(), "protein lookup exceeds u32 entries");
-        let num_slots = 24usize.pow(word_size as u32);
-        let mut offsets = vec![0u32; num_slots + 1];
-        for &(word, _) in &pairs {
-            offsets[word as usize + 1] += 1;
+/// Call `f(word, (ctx, pos))` with every unmasked window of `word_size`
+/// residue codes, in registration order: context, then query offset.
+fn for_each_protein_word(
+    contexts: &[(&[u8], &[u8])],
+    word_size: usize,
+    mut f: impl FnMut(&[u8], SeedEntry),
+) {
+    for (ctx, (codes, mask)) in contexts.iter().enumerate() {
+        debug_assert_eq!(codes.len(), mask.len());
+        for pos in 0..(codes.len() + 1).saturating_sub(word_size) {
+            if mask[pos..pos + word_size].iter().all(|&m| m == 0) {
+                f(&codes[pos..pos + word_size], (ctx as u32, pos as u32));
+            }
         }
-        for w in 0..num_slots {
-            offsets[w + 1] += offsets[w];
-        }
-        let mut cursor = offsets[..num_slots].to_vec();
-        let mut entries = vec![(0, 0); pairs.len()];
-        for (word, entry) in pairs {
-            let at = &mut cursor[word as usize];
-            entries[*at as usize] = entry;
-            *at += 1;
-        }
-        Lookup { word_size, radix: 24, table: Table::Direct { offsets, entries } }
     }
 }
 
@@ -252,7 +369,7 @@ fn ranked_candidates(scoring: &Scoring) -> Ranked {
 /// column walks its candidates best first, so the first candidate that
 /// misses the bound ends the column: every later one scores no higher.
 /// The set of words emitted is the exhaustive one; only their order is
-/// not lexicographic, which the caller's stable sort by word absorbs.
+/// not lexicographic, which the lookup's per-word placement absorbs.
 #[allow(clippy::too_many_arguments)]
 fn enumerate_neighbors(
     ranked: &Ranked,
@@ -381,7 +498,7 @@ mod tests {
         let scoring = Scoring::blastp_default();
         let q = Alphabet::Protein.encode_seq(b"WWW");
         let mask = no_mask(3);
-        let lk = Lookup::build_protein(&[(&q, &mask)], 3, 11, &scoring);
+        let lk = Lookup::build_protein(&[(&q, &mask)], &mut Neighbourhoods::new(3, 11, &scoring));
         // WWW self-scores 33 ≥ 11 → present.
         let www = lk.pack(&Alphabet::Protein.encode_seq(b"WWW"));
         assert_eq!(lk.seeds(www), &[(0, 0)]);
@@ -399,7 +516,7 @@ mod tests {
         // AAA self-score is 12; use a high threshold to exclude neighbors.
         let q = Alphabet::Protein.encode_seq(b"AAA");
         let mask = no_mask(3);
-        let lk = Lookup::build_protein(&[(&q, &mask)], 3, 100, &scoring);
+        let lk = Lookup::build_protein(&[(&q, &mask)], &mut Neighbourhoods::new(3, 100, &scoring));
         let aaa = lk.pack(&Alphabet::Protein.encode_seq(b"AAA"));
         assert_eq!(lk.seeds(aaa), &[(0, 0)]);
         assert_eq!(lk.num_words(), 1, "only the exact word survives T=100");
@@ -411,7 +528,7 @@ mod tests {
         let q = Alphabet::Protein.encode_seq(b"MKV");
         let mask = no_mask(3);
         let t = 13;
-        let lk = Lookup::build_protein(&[(&q, &mask)], 3, t, &scoring);
+        let lk = Lookup::build_protein(&[(&q, &mask)], &mut Neighbourhoods::new(3, t, &scoring));
         // Brute force over all 20^3 words.
         let mut expect = std::collections::HashSet::new();
         for a in 0..20u8 {
@@ -429,6 +546,55 @@ mod tests {
         let got: std::collections::HashSet<u64> =
             (0..24u64.pow(3)).filter(|&w| !lk.seeds(w).is_empty()).collect();
         assert_eq!(got, expect);
+    }
+
+    /// The lookup as built before the neighbourhood table: every position
+    /// enumerates its neighbours, every `(word, seed)` pair is staged in
+    /// registration order, and a stable counting sort by word places them.
+    fn build_protein_enumerated(
+        contexts: &[(&[u8], &[u8])],
+        word_size: usize,
+        threshold: i32,
+        scoring: &Scoring,
+    ) -> Lookup {
+        let ranked = ranked_candidates(scoring);
+        let mut pairs: Vec<(u32, SeedEntry)> = Vec::new();
+        let mut suffix_max = vec![0i32; word_size + 1];
+        for_each_protein_word(contexts, word_size, |qword, entry| {
+            let exact = qword.iter().fold(0u32, |acc, &c| acc * 24 + u32::from(c));
+            pairs.push((exact, entry));
+            for i in (0..word_size).rev() {
+                suffix_max[i] = suffix_max[i + 1] + ranked[qword[i] as usize][0].1;
+            }
+            enumerate_neighbors(&ranked, qword, threshold, &suffix_max, 0, 0, 0, &mut |packed| {
+                if packed != exact {
+                    pairs.push((packed, entry));
+                }
+            });
+        });
+        let num_slots = 24usize.pow(word_size as u32);
+        let mut offsets = vec![0u32; num_slots + 1];
+        for &(word, _) in &pairs {
+            offsets[word as usize + 1] += 1;
+        }
+        for w in 0..num_slots {
+            offsets[w + 1] += offsets[w];
+        }
+        let mut cursor = offsets[..num_slots].to_vec();
+        let mut entries = vec![(0, 0); pairs.len()];
+        for (word, entry) in pairs {
+            let at = &mut cursor[word as usize];
+            entries[*at as usize] = entry;
+            *at += 1;
+        }
+        Lookup { word_size, radix: 24, table: Table::Direct { offsets, entries } }
+    }
+
+    fn direct(lk: &Lookup) -> (&[u32], &[SeedEntry]) {
+        match &lk.table {
+            Table::Direct { offsets, entries } => (offsets, entries),
+            Table::Hashed { .. } => panic!("protein lookups are direct-indexed"),
+        }
     }
 
     /// Random contexts of residue codes below `radix` with random masks.
@@ -518,7 +684,7 @@ mod tests {
             let (codes, masks) = random_contexts(seed, 24);
             let refs: Vec<(&[u8], &[u8])> =
                 codes.iter().zip(&masks).map(|(c, m)| (c.as_slice(), m.as_slice())).collect();
-            let lk = Lookup::build_protein(&refs, word_size, threshold, &scoring);
+            let lk = Lookup::build_protein(&refs, &mut Neighbourhoods::new(word_size, threshold, &scoring));
             let mut registered = 0;
             for (key, word) in all_words(24, word_size) {
                 proptest::prop_assert_eq!(lk.pack(&word), key);
@@ -530,6 +696,26 @@ mod tests {
             // Words past the table are absent, not out of bounds.
             proptest::prop_assert!(lk.seeds(24u64.pow(word_size as u32)).is_empty());
             proptest::prop_assert!(lk.seeds(u64::MAX).is_empty());
+        }
+
+        #[test]
+        fn table_built_protein_lookup_equals_the_enumerated_one(
+            seed in proptest::prelude::any::<u64>(),
+            word_size in 2usize..5,
+            threshold in proptest::sample::select(vec![9, 11, 13]),
+        ) {
+            let scoring = Scoring::blastp_default();
+            let mut table = Neighbourhoods::new(word_size, threshold, &scoring);
+            // Two draws share one table, so the second build reads rows the
+            // first one filled.
+            for draw in 0..2 {
+                let (codes, masks) = random_contexts(seed.wrapping_add(draw), 24);
+                let refs: Vec<(&[u8], &[u8])> =
+                    codes.iter().zip(&masks).map(|(c, m)| (c.as_slice(), m.as_slice())).collect();
+                let got = Lookup::build_protein(&refs, &mut table);
+                let want = build_protein_enumerated(&refs, word_size, threshold, &scoring);
+                proptest::prop_assert!(direct(&got) == direct(&want), "draw {}", draw);
+            }
         }
     }
 }

@@ -6,6 +6,7 @@
 //! override), so results are mergeable across partitions by a simple sort.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 use bioseq::alphabet::Alphabet;
 use bioseq::db::{BlastDb, DbPartition};
@@ -16,7 +17,7 @@ use crate::dust::{default_dust, default_seg};
 use crate::extend::{ungapped_extend, DiagTracker};
 use crate::gapped::{banded_global_stats, XdropRows, DEFAULT_BAND};
 use crate::hsp::{sort_and_truncate, Hit, Strand};
-use crate::lookup::{scan_words, Lookup};
+use crate::lookup::{scan_words, Lookup, Neighbourhoods};
 use crate::params::SearchParams;
 use crate::stats::KarlinParams;
 
@@ -65,12 +66,32 @@ pub struct PreparedQueries {
     word_radix: u64,
 }
 
-/// The search engine: parameters plus derived statistics.
+impl PreparedQueries {
+    /// Heap bytes held by the prepared block: encoded contexts, ids and the
+    /// lookup table.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let contexts: usize = self.contexts.iter().map(|c| c.codes.capacity()).sum();
+        let ids: usize = self.ids.iter().map(String::capacity).sum();
+        contexts
+            + self.contexts.capacity() * size_of::<QueryCtx>()
+            + ids
+            + self.ids.capacity() * size_of::<String>()
+            + self.lookup.heap_bytes()
+    }
+}
+
+/// The search engine: parameters plus derived statistics, and the protein
+/// neighbourhood table its lookups share.
 pub struct BlastSearcher {
     /// Search parameters in effect.
     pub params: SearchParams,
     gapped: KarlinParams,
     ungapped: KarlinParams,
+    /// Each protein query word's neighbour words, filled by the first
+    /// [`Self::prepare_queries`] that meets the word and read by every later
+    /// one (`None` until a protein lookup is first built).
+    neighbourhoods: Mutex<Option<Neighbourhoods>>,
 }
 
 impl BlastSearcher {
@@ -80,6 +101,7 @@ impl BlastSearcher {
             params,
             gapped: KarlinParams::gapped(&params.scoring),
             ungapped: KarlinParams::ungapped(&params.scoring),
+            neighbourhoods: Mutex::new(None),
         }
     }
 
@@ -168,15 +190,16 @@ impl BlastSearcher {
             .collect();
         let (lookup, word_radix) = match alphabet {
             Alphabet::Dna => (Lookup::build_dna(&refs, self.params.word_size), 4u64),
-            Alphabet::Protein => (
-                Lookup::build_protein(
-                    &refs,
-                    self.params.word_size,
-                    self.params.threshold,
-                    &self.params.scoring,
-                ),
-                24u64,
-            ),
+            Alphabet::Protein => {
+                // A panic mid-fill leaves the table consistent: a row is
+                // published only once complete.
+                let mut table =
+                    self.neighbourhoods.lock().unwrap_or_else(PoisonError::into_inner);
+                let p = &self.params;
+                let table = table
+                    .get_or_insert_with(|| Neighbourhoods::new(p.word_size, p.threshold, &p.scoring));
+                (Lookup::build_protein(&refs, table), 24u64)
+            }
         };
         PreparedQueries { contexts, ids, lookup, word_radix }
     }

@@ -9,8 +9,13 @@
 //!    as long as there are remaining work units" — through the
 //!    fault-tolerant scheduler of [`mrmpi::sched`], so worker and master
 //!    deaths, stragglers and poison units are survived;
-//! 3. each `map()` call runs the serial engine with the DB length overridden
-//!    to the whole database and emits `(query id → encoded HSP)` pairs;
+//! 3. each `map()` execution takes a *grant* of one or more work items of
+//!    one DB partition (several while many are pending, one in the tail —
+//!    the paper's "progressively smaller query chunks toward the end"),
+//!    builds one lookup over the union of their query blocks, scans the
+//!    partition once with the serial engine, DB length overridden to the
+//!    whole database, and emits each `(query id → encoded HSP)` pair under
+//!    the work item of its query's block;
 //! 4. `collate()` groups hits per query across partitions (with end-to-end
 //!    accounting, and keys sorted so each rank's output does not depend on
 //!    which worker ran which unit);
@@ -21,7 +26,9 @@
 //! 6. an outer loop over subsets of the query blocks bounds the KV working
 //!    set held in memory between `map()` and `reduce()`.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -30,10 +37,10 @@ use bioseq::db::{BlastDb, DbPartition};
 use bioseq::seq::SeqRecord;
 use blast::format::tabular_line;
 use blast::hsp::{sort_and_truncate, Hit};
-use blast::search::{BlastSearcher, PreparedQueries};
+use blast::search::BlastSearcher;
 use blast::SearchParams;
 use mpisim::Comm;
-use mrmpi::{FtConfig, MapPlan, MapReduce, MrError, Settings};
+use mrmpi::{FtConfig, Grants, MapPlan, MapReduce, MrError, Settings};
 
 use crate::ckpt::{self, RestartPoint, RunFingerprint};
 use crate::util::BusyTracker;
@@ -136,14 +143,21 @@ pub struct MrBlastRankReport {
     pub hits: Vec<Hit>,
     /// Path of the per-rank output file, when file output was requested.
     pub output_file: Option<PathBuf>,
-    /// Number of map() work items executed on this rank.
+    /// Number of map() work items — `(query block, DB partition)` units —
+    /// executed on this rank.
     pub map_calls: u64,
+    /// Number of map() executions on this rank: grants of one or more work
+    /// items of one partition, each one partition scan.
+    pub grants: u64,
+    /// Number of query preparations (lookup builds) on this rank: one per
+    /// grant, or one per work item of a grant whose blocks share a query id.
+    pub prepares: u64,
     /// Number of DB partition (re)loads this rank performed — the cache-miss
     /// counter behind the paper's superlinear-speedup discussion.
     pub db_loads: u64,
-    /// One busy interval per work unit on the rank-local clock, from the
-    /// unit's start to the end of its search: partition load, query
-    /// prepare and search, everything the unit charges.
+    /// One busy interval per execution (grant) on the rank-local clock,
+    /// from its start to the end of its search: partition load, query
+    /// prepare and search, everything the grant charges.
     pub busy: BusyTracker,
     /// Rank-local virtual time at completion.
     pub finish_time: f64,
@@ -167,8 +181,10 @@ pub struct MrBlastRankReport {
 /// the shuffle each rank sorts its keys, so its output file is byte-identical
 /// whichever worker ran which unit.
 ///
-/// With `cfg.locality_aware` the master prefers to hand a worker units of
-/// the DB partition it already holds. The master is a *role*, not a rank — if the
+/// A grant joins pending work units of one DB partition while the per-worker
+/// budget for their prepared queries allows ([`grant_limit`]). With
+/// `cfg.locality_aware` the master prefers to hand a worker units of the DB
+/// partition it already holds. The master is a *role*, not a rank — if the
 /// acting master dies mid-iteration the scheduler elects a successor, which
 /// gathers the survivors' commit claims, and the iteration completes (see
 /// [`mrmpi::sched`]); the per-iteration restart checkpoint is written by
@@ -195,6 +211,8 @@ pub fn run_mrblast(
         hits: Vec::new(),
         output_file: None,
         map_calls: 0,
+        grants: 0,
+        prepares: 0,
         db_loads: 0,
         busy: BusyTracker::new(),
         finish_time: 0.0,
@@ -223,9 +241,9 @@ pub fn run_mrblast(
     let mut out_offset: u64 = restart.my_offset;
 
     let db_cache: RefCell<Option<(usize, DbPartition)>> = RefCell::new(None);
-    let q_cache: RefCell<Option<(usize, PreparedQueries)>> = RefCell::new(None);
-    let counters: RefCell<(u64, u64)> = RefCell::new((0, 0)); // (map_calls, db_loads)
+    let counts: RefCell<Counts> = RefCell::default();
     let busy: RefCell<BusyTracker> = RefCell::new(BusyTracker::new());
+    let limit = grant_limit(&searcher, query_blocks);
 
     let mut iters_this_run = 0usize;
     let mut iter_start = restart.start_block;
@@ -239,13 +257,19 @@ pub fn run_mrblast(
         let nblocks_iter = iter_blocks.len();
         // Partition-major order: consecutive tasks share a partition, so
         // sequential assignment reuses the cached DB object.
-        let affinity: Option<Vec<usize>> =
-            cfg.locality_aware.then(|| (0..ntasks).map(|t| t / nblocks_iter).collect());
-        let mut map_body = |task: usize, kv: &mut mrmpi::KvEmitter<'_>| {
-            let part_idx = task / nblocks_iter;
-            let block_idx = task % nblocks_iter;
-
-            counters.borrow_mut().0 += 1;
+        let parts: Vec<usize> = (0..ntasks).map(|t| t / nblocks_iter).collect();
+        let affinity = cfg.locality_aware.then_some(parts.as_slice());
+        let mut map_body = |units: &[usize], ems: &mut [mrmpi::KvEmitter<'_>]| {
+            // Every unit of a grant needs the same partition: the grant key.
+            let part_idx = parts[units[0]];
+            {
+                let mut c = counts.borrow_mut();
+                c.units += units.len() as u64;
+                c.grants += 1;
+            }
+            if let Some(o) = comm.obs() {
+                o.add("blast.grants", 1);
+            }
             let clock_start = comm.now();
 
             let mut db_slot = db_cache.borrow_mut();
@@ -254,7 +278,7 @@ pub fn run_mrblast(
                 let t0 = Instant::now();
                 let part = db.load_partition(part_idx).expect("load DB partition");
                 comm.charge(t0.elapsed().as_secs_f64());
-                counters.borrow_mut().1 += 1;
+                counts.borrow_mut().db_loads += 1;
                 if let Some(o) = comm.obs() {
                     o.add("blast.db_loads", 1);
                 }
@@ -266,32 +290,49 @@ pub fn run_mrblast(
             }
             let (_, part) = db_slot.as_ref().expect("cache just filled");
 
-            let global_block = iter_start + block_idx;
-            let mut q_slot = q_cache.borrow_mut();
-            let rebuild = !matches!(&*q_slot, Some((idx, _)) if *idx == global_block);
-            if rebuild {
+            // Hits are split back per unit by query id, so the blocks are
+            // searched together only when no id repeats across them.
+            let blocks: Vec<&[SeqRecord]> =
+                units.iter().map(|u| iter_blocks[u % nblocks_iter].as_slice()).collect();
+            let mut owner: HashMap<&str, usize> = HashMap::new();
+            let distinct = blocks.iter().enumerate().all(|(slot, block)| {
+                block.iter().all(|q| *owner.entry(q.id.as_str()).or_insert(slot) == slot)
+            });
+            let batches: Vec<Vec<usize>> = if distinct {
+                vec![(0..units.len()).collect()]
+            } else {
+                (0..units.len()).map(|slot| vec![slot]).collect()
+            };
+            for batch in batches {
+                let queries: Cow<[SeqRecord]> = match batch[..] {
+                    [slot] => Cow::Borrowed(blocks[slot]),
+                    _ => batch.iter().flat_map(|&slot| blocks[slot].iter().cloned()).collect(),
+                };
                 let t0 = Instant::now();
-                let prepared = searcher.prepare_queries(&iter_blocks[block_idx]);
+                let prepared = searcher.prepare_queries(&queries);
                 comm.charge(t0.elapsed().as_secs_f64());
-                *q_slot = Some((global_block, prepared));
-            }
-            let (_, prepared) = q_slot.as_ref().expect("cache just filled");
-
-            let t0 = Instant::now();
-            let hits =
-                searcher.search_partition(prepared, part, db.total_residues, db.total_sequences);
-            comm.charge(t0.elapsed().as_secs_f64());
-            busy.borrow_mut().record(clock_start, comm.now());
-
-            for hit in hits {
-                if cfg.exclude_self && is_self_hit(&hit) {
-                    continue;
+                counts.borrow_mut().prepares += 1;
+                if let Some(o) = comm.obs() {
+                    o.add("blast.prepares", 1);
                 }
-                kv.emit(hit.query_id.as_bytes(), &hit.encode());
+
+                let t0 = Instant::now();
+                let hits =
+                    searcher.search_partition(&prepared, part, db.total_residues, db.total_sequences);
+                comm.charge(t0.elapsed().as_secs_f64());
+                for hit in hits {
+                    if cfg.exclude_self && is_self_hit(&hit) {
+                        continue;
+                    }
+                    let slot = if distinct { owner[hit.query_id.as_str()] } else { batch[0] };
+                    ems[slot].emit(hit.query_id.as_bytes(), &hit.encode());
+                }
             }
+            busy.borrow_mut().record(clock_start, comm.now());
         };
-        let plan = MapPlan { affinity: affinity.as_deref(), ..(&cfg.ft).into() };
-        let ft_report = mr.map_tasks(ntasks, plan, &mut map_body)?;
+        let grants = Grants { limit, key: Some(&parts) };
+        let plan = MapPlan { affinity, grants, ..(&cfg.ft).into() };
+        let ft_report = mr.map_grants(ntasks, plan, &mut map_body)?;
         // Re-encode this iteration's quarantined scheduler units (partition-
         // major within the iteration) as stable global `(block, partition)`
         // ids so the final report is meaningful across iterations.
@@ -346,13 +387,38 @@ pub fn run_mrblast(
     }
     comm.barrier();
 
-    let (map_calls, db_loads) = *counters.borrow();
-    report.map_calls = map_calls;
-    report.db_loads = db_loads;
+    let counts = counts.into_inner();
+    report.map_calls = counts.units;
+    report.grants = counts.grants;
+    report.prepares = counts.prepares;
+    report.db_loads = counts.db_loads;
     report.busy = busy.into_inner();
     report.finish_time = comm.now();
     report.quarantined.sort_unstable();
     Ok(report)
+}
+
+/// Per-rank work counters of a run.
+#[derive(Default)]
+struct Counts {
+    units: u64,
+    grants: u64,
+    prepares: u64,
+    db_loads: u64,
+}
+
+/// Heap budget per worker for the prepared queries of one grant.
+const GRANT_BUDGET_BYTES: usize = 1 << 20;
+
+/// Most work units one grant may join: a 1 MiB budget over the heap
+/// bytes of the largest query block (by residues) once prepared, at least
+/// one. Every rank prepares the same block once, so every rank derives the
+/// same limit.
+pub fn grant_limit(searcher: &BlastSearcher, query_blocks: &[Vec<SeqRecord>]) -> usize {
+    let residues = |block: &&Vec<SeqRecord>| block.iter().map(|q| q.seq.len()).sum::<usize>();
+    let Some(largest) = query_blocks.iter().max_by_key(residues) else { return 1 };
+    let bytes = searcher.prepare_queries(largest).heap_bytes();
+    (GRANT_BUDGET_BYTES / bytes.max(1)).max(1)
 }
 
 /// A shredded fragment `src/123-523` hitting subject `src` is a self-hit.
@@ -557,6 +623,37 @@ mod tests {
             sorted(fx.serial.clone()),
             "output after a worker death must equal serial bit-for-bit"
         );
+    }
+
+    /// A protein run at 3 ranks: small blocks share grants, so each grant
+    /// prepares once over several blocks, every unit still counts as one
+    /// map call, and the output is the serial one.
+    #[test]
+    fn protein_grants_prepare_once_per_grant_for_several_units() {
+        let cfg = WorkloadConfig {
+            db_seqs: 12,
+            db_seq_len: 300,
+            queries: 40,
+            query_len: 150,
+            homolog_fraction: 0.5,
+            sub_rate: 0.2,
+            ..Default::default()
+        };
+        let w = gen::protein_workload(29, &cfg);
+        let dir = std::env::temp_dir().join(format!("mrblast-grants-{}", std::process::id()));
+        let db = format_db(&w.db, &FormatDbConfig::protein(900), &dir, "db").unwrap();
+        let serial = BlastSearcher::new(SearchParams::blastp()).search_db_serial(&w.queries, &db).unwrap();
+        let fx = Arc::new(Fixture { db, blocks: query_blocks(w.queries, 5), serial, dir });
+        let units = (fx.blocks.len() * fx.db.num_partitions()) as u64;
+        assert!(fx.db.num_partitions() >= 3, "need several partitions");
+        let reports = run_on(3, &fx, MrBlastConfig::blastp());
+        let sum = |f: fn(&MrBlastRankReport) -> u64| reports.iter().map(f).sum::<u64>();
+        let (map_calls, grants, prepares) = (sum(|r| r.map_calls), sum(|r| r.grants), sum(|r| r.prepares));
+        assert_eq!(map_calls, units, "every unit is one map call");
+        assert_eq!(prepares, grants, "one prepare per grant");
+        assert!(grants < units, "grants join several units: {grants} of {units}");
+        assert_eq!(all_hits(reports), sorted(fx.serial.clone()));
+        std::fs::remove_dir_all(&fx.dir).ok();
     }
 
     #[test]

@@ -70,5 +70,5 @@ pub use durable::{DiskFaultPlan, DurableError};
 pub use kmv::KeyMultiValue;
 pub use kv::{KeyValue, KvEmitter, KvError};
 pub use mapreduce::{FtMapReport, MapPlan, MapReduce, MrError, MultiValues};
-pub use sched::{FtConfig, FtRun, MapStyle, SchedError};
+pub use sched::{FtConfig, FtRun, Grants, MapStyle, SchedError};
 pub use settings::Settings;

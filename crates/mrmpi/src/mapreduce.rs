@@ -3,8 +3,9 @@
 //! Mirrors the original C++ class: an object bound to a communicator that
 //! owns at most one distributed KeyValue *or* KeyMultiValue dataset, plus the
 //! collective operations that transform one into the other. Only the
-//! operations the paper's two applications use are ported: `map_tasks`
-//! (the one map, every mapstyle), `aggregate`/`convert`/`collate`,
+//! operations the paper's two applications use are ported: `map_grants`
+//! (the one map, every mapstyle) with its one-unit case `map_tasks`,
+//! `aggregate`/`convert`/`collate`,
 //! `reduce`, `sort_keys` and `gather`, plus `add` and the dataset
 //! accessors. All collective methods must be called by every rank of the
 //! communicator (standard MR-MPI contract).
@@ -16,7 +17,7 @@ use mpisim::Comm;
 use crate::hashfn::{fnv1a, key_owner};
 use crate::kmv::{KeyMultiValue, ValueCursor};
 use crate::kv::{decode_entry, encode_entry, validate_page, KeyValue, KvEmitter, KvError};
-use crate::sched::{assign_and_run, FtConfig, MapStyle, SchedError};
+use crate::sched::{assign_grants, FtConfig, Grants, MapStyle, SchedError};
 use crate::settings::Settings;
 
 /// Alias for the value cursor handed to reduce callbacks.
@@ -127,11 +128,12 @@ pub struct FtMapReport {
     pub quarantined: Vec<u64>,
 }
 
-/// How one [`MapReduce::map_tasks`] call schedules its tasks. A bare
-/// [`MapStyle`] converts into a plan with the default [`FtConfig`], no
-/// affinity and no verdict hook, and a `&FtConfig` into a master-worker
-/// plan with that configuration; set the other fields with struct-update
-/// syntax, e.g. `MapPlan { affinity: Some(&parts), ..(&cfg).into() }`.
+/// How one [`MapReduce::map_grants`] (or [`MapReduce::map_tasks`]) call
+/// schedules its tasks. A bare [`MapStyle`] converts into a plan with the
+/// default [`FtConfig`], no affinity, one unit per grant and no verdict
+/// hook, and a `&FtConfig` into a master-worker plan with that
+/// configuration; set the other fields with struct-update syntax, e.g.
+/// `MapPlan { affinity: Some(&parts), ..(&cfg).into() }`.
 pub struct MapPlan<'a> {
     /// Task-to-rank assignment.
     pub style: MapStyle,
@@ -142,14 +144,18 @@ pub struct MapPlan<'a> {
     /// of the resource they already hold — the paper's proposed
     /// locality-aware scheduler (see [`crate::sched::assign_and_run`]).
     pub affinity: Option<&'a [usize]>,
-    /// Called as `verdict(task, commit)` once per completed execution, as
-    /// its staged output is published (`true`) or dropped (`false`).
+    /// How many pending tasks of one key a rank may take and run as one
+    /// execution (see [`Grants`]); the default takes one.
+    pub grants: Grants<'a>,
+    /// Called as `verdict(task, commit)` once per task of each completed
+    /// execution, as its staged output is published (`true`) or dropped
+    /// (`false`).
     pub verdict: Option<&'a mut dyn FnMut(usize, bool)>,
 }
 
 impl From<MapStyle> for MapPlan<'_> {
     fn from(style: MapStyle) -> Self {
-        MapPlan { style, ft: None, affinity: None, verdict: None }
+        MapPlan { style, ft: None, affinity: None, grants: Grants::default(), verdict: None }
     }
 }
 
@@ -242,13 +248,32 @@ impl<'c> MapReduce<'c> {
 
     // ------------------------------------------------------------------ map
 
+    /// Collective. [`MapReduce::map_grants`] with a callback that maps one
+    /// task: each task of a grant runs `f(task, emitter)` in turn. With the
+    /// default [`MapPlan::grants`] every execution is one task.
+    pub fn map_tasks<'p>(
+        &mut self,
+        ntasks: usize,
+        plan: impl Into<MapPlan<'p>>,
+        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
+    ) -> Result<FtMapReport, MrError> {
+        self.map_grants(ntasks, plan, &mut |tasks, emitters| {
+            for (&task, em) in tasks.iter().zip(emitters.iter_mut()) {
+                f(task, em);
+            }
+        })
+    }
+
     /// Collective. Run `ntasks` map tasks scheduled per `plan`, replacing
-    /// any existing dataset with the emitted KV. The map callback receives
-    /// the global task index and an emitter. A bare [`MapStyle`] is a plan
-    /// with the default [`FtConfig`], no affinity and no verdict hook.
+    /// any existing dataset with the emitted KV. Each execution receives a
+    /// *grant* — one or more global task indices that
+    /// [`MapPlan::grants`] let one request take — and one emitter per task,
+    /// so `f(tasks, emitters)` emits task `tasks[i]`'s pairs through
+    /// `emitters[i]`. A bare [`MapStyle`] is a plan with the default
+    /// [`FtConfig`], no affinity, one task per grant and no verdict hook.
     ///
     /// Every style runs through the one scheduler
-    /// ([`crate::sched::assign_and_run`]) under one contract. A style only
+    /// ([`crate::sched::assign_grants`]) under one contract. A style only
     /// picks which units a rank runs; `MasterWorker` at two or more ranks
     /// also detects worker deaths and re-dispatches their units (in flight
     /// *and* already completed — the emitted pairs died with the rank) to
@@ -262,28 +287,31 @@ impl<'c> MapReduce<'c> {
     /// [`FtConfig::poison_retries`] attempts) instead of failing the run,
     /// and the returned report names every quarantined unit on every rank;
     /// a caller that cannot accept a partial result checks
-    /// [`FtMapReport::quarantined`] itself.
+    /// [`FtMapReport::quarantined`] itself. A panicking grant of several
+    /// units costs them no attempt toward quarantine: each is retried alone.
     ///
     /// Every style **stages** emissions per unit and only publishes them
-    /// when the scheduler's verdict commits them: a panicked execution's
-    /// partial output is dropped, and with speculative re-execution
-    /// ([`FtConfig::speculate`]) the surviving output is bit-for-bit what a
-    /// fault-free run produces. [`MapPlan::verdict`] exposes that
-    /// arbitration: it fires exactly once per completed execution of `f`,
-    /// right as its staged KV is published (`true`) or dropped (`false` — a
-    /// speculative backup won, or the unit was carried unarbitrated across
-    /// a master failover and discarded). Map callbacks whose result lives
-    /// *outside* the KV (e.g. a local numeric accumulator) must buffer per
-    /// execution and fold on `commit == true` only.
+    /// when the scheduler's verdict on that unit commits them: a panicked
+    /// execution's partial output is dropped, and with speculative
+    /// re-execution ([`FtConfig::speculate`]) the surviving output is
+    /// bit-for-bit what a fault-free run produces. Staging pages that spill
+    /// count toward [`MrStats::local_spills`] and `mr.spool_spills`.
+    /// [`MapPlan::verdict`] exposes that arbitration: it fires exactly once
+    /// per unit of each completed execution of `f`, right as the unit's
+    /// staged KV is published (`true`) or dropped (`false` — a speculative
+    /// backup won, or the unit was carried unarbitrated across a master
+    /// failover and discarded). Map callbacks whose result lives *outside*
+    /// the KV (e.g. a local numeric accumulator) must buffer per unit and
+    /// fold on `commit == true` only.
     ///
     /// Returns the global number of emitted (committed) pairs.
-    pub fn map_tasks<'p>(
+    pub fn map_grants<'p>(
         &mut self,
         ntasks: usize,
         plan: impl Into<MapPlan<'p>>,
-        f: &mut dyn FnMut(usize, &mut KvEmitter<'_>),
+        f: &mut dyn FnMut(&[usize], &mut [KvEmitter<'_>]),
     ) -> Result<FtMapReport, MrError> {
-        let MapPlan { style, ft, affinity, mut verdict } = plan.into();
+        let MapPlan { style, ft, affinity, grants, mut verdict } = plan.into();
         if let Some(old) = self.kmv.take() {
             self.retire_kmv(&old);
         }
@@ -292,29 +320,37 @@ impl<'c> MapReduce<'c> {
         }
         let (_span, spills0) = self.obs_phase("mr.map");
         let kv = std::cell::RefCell::new(KeyValue::new(&self.settings));
-        let staging: std::cell::RefCell<Option<KeyValue>> = std::cell::RefCell::new(None);
+        // The running or unjudged grant's per-unit staging, and the pages
+        // staging spilled so far.
+        let staging: std::cell::RefCell<Vec<(usize, KeyValue)>> = Default::default();
+        let staged_spills = std::cell::Cell::new(0u64);
         let settings = self.settings.clone();
         let cfg = ft.cloned().unwrap_or_default();
-        let sched = assign_and_run(
+        let sched = assign_grants(
             self.comm,
             ntasks,
             style,
             &cfg,
             affinity,
-            &mut |task| {
-                let mut skv = KeyValue::new(&settings);
-                {
-                    let mut em = KvEmitter::new(&mut skv);
-                    f(task, &mut em);
-                }
-                *staging.borrow_mut() = Some(skv);
+            grants,
+            &mut |tasks| {
+                // Staged before `f` runs, so a panic leaves each unit's
+                // staging for its drop verdict.
+                let mut staged = staging.borrow_mut();
+                let start = staged.len();
+                staged.extend(tasks.iter().map(|&t| (t, KeyValue::new(&settings))));
+                let mut emitters: Vec<KvEmitter<'_>> =
+                    staged[start..].iter_mut().map(|(_, skv)| KvEmitter::new(skv)).collect();
+                f(tasks, &mut emitters);
             },
             &mut |unit, commit| {
-                let staged = staging.borrow_mut().take();
-                if commit {
-                    if let Some(staged) = staged {
+                let mut staged = staging.borrow_mut();
+                if let Some(at) = staged.iter().position(|(t, _)| *t == unit) {
+                    let (_, skv) = staged.swap_remove(at);
+                    staged_spills.set(staged_spills.get() + skv.spill_count() as u64);
+                    if commit {
                         let mut kv = kv.borrow_mut();
-                        staged.for_each(|k, v| kv.add(k, v));
+                        skv.for_each(|k, v| kv.add(k, v));
                     }
                 }
                 if let Some(v) = verdict.as_deref_mut() {
@@ -322,6 +358,8 @@ impl<'c> MapReduce<'c> {
                 }
             },
         );
+        let unjudged: u64 = staging.take().iter().map(|(_, skv)| skv.spill_count() as u64).sum();
+        self.spills_retired += staged_spills.get() + unjudged;
         let kv = kv.into_inner();
         // Reconciliation: every rank participates in the same two
         // allreduces regardless of its local verdict, so survivors cannot
@@ -1064,6 +1102,32 @@ mod tests {
             keys.sort_unstable();
             assert_eq!(keys, [0, 1, 2, 3, 5, 6, 7, 8], "{style:?}: unit 4's pair must be dropped");
         }
+    }
+
+    /// A unit larger than the memory budget spills its staging pages
+    /// before they are published: those writes count in the engine's spill
+    /// counters like the published KV's own, so the counters equal the
+    /// physical page writes.
+    #[test]
+    fn staging_spills_are_counted_with_the_published_kv_spills() {
+        let plan = crate::DiskFaultPlan::new(3).shared();
+        let tmp = Settings::unique_spill_dir();
+        let settings = Settings::tiny_paged(&tmp).with_disk_faults(plan.clone());
+        let collector = obs::Collector::new();
+        let spills = World::new(1).with_obs(collector.clone()).run(move |comm| {
+            let mut mr = MapReduce::with_settings(comm, settings.clone());
+            mr.map_tasks(2, MapStyle::Chunk, &mut |t, kv| {
+                for i in 0..200u32 {
+                    kv.emit(&i.to_le_bytes(), &[t as u8; 24]);
+                }
+            })
+            .expect("fault-free map");
+            mr.stats().local_spills
+        });
+        assert!(spills[0] > 0, "the units must spill");
+        assert_eq!(spills[0], plan.writes_attempted(), "reported spills = physical writes");
+        assert_eq!(collector.trace().counter_total("mr.spool_spills"), spills[0]);
+        std::fs::remove_dir_all(&tmp).ok();
     }
 
     #[test]

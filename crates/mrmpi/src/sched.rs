@@ -25,7 +25,9 @@
 //! Every style has the same contract: each unit's execution is
 //! panic-isolated, retried and quarantined as poison under the same budgets,
 //! and its output is published or dropped on a verdict. A style only picks
-//! which units a rank runs. Chunk and round-robin — and master-worker in a
+//! which units a rank runs. With [`Grants`] a request may take several
+//! pending units of one key, run as one execution ([`assign_grants`]);
+//! each unit is still judged, published and quarantined on its own. Chunk and round-robin — and master-worker in a
 //! world of one rank — run their units through one message-free local loop
 //! over the same [`core::Core`].
 
@@ -36,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use mpisim::{Comm, MpiError, ANY_SOURCE};
 
+pub use self::core::Grants;
 use self::core::{Code, Core, Out, Outcome, Policy, Record, Takeover, Verdict};
 use self::core::{LOG_COMMIT, LOG_DISCARD, LOG_DISPATCH, LOG_FENCE, LOG_QUARANTINE};
 
@@ -44,35 +47,36 @@ const TAG_REQ: u32 = 0x4D52_0001;
 /// Tag for the master's task assignment / termination reply.
 const TAG_TASK: u32 = 0x4D52_0002;
 
-// Sentinel codes: "no more tasks", "the run is abandoned", "no unit
-// completed yet"; a `completed` value confirming receipt of DONE/ABORT (the
-// master answers retransmissions until every live worker said farewell, so
-// a dropped termination reply cannot strand one); a reply telling a parked
-// worker "no work yet, but I am alive" (resetting its retry budget); and
-// the sequence number of a one-way progress beacon ([`ft_beacon`]).
+// Reply codes: "run the grant that follows", "no more tasks", "the run is
+// abandoned", and "no work yet, but I am alive" to a parked worker
+// (resetting its retry budget). A request's report count of FAREWELL
+// confirms receipt of DONE/ABORT (the master answers retransmissions until
+// every live worker said farewell, so a dropped termination reply cannot
+// strand one); a request sequence number of BEACON marks a one-way progress
+// beacon ([`ft_beacon`]).
+const GRANT: u64 = u64::MAX - 6;
 const DONE: u64 = u64::MAX;
 const ABORT: u64 = u64::MAX - 1;
-const NO_UNIT: u64 = u64::MAX - 2;
 const FAREWELL: u64 = u64::MAX - 3;
 const WAIT: u64 = u64::MAX - 4;
 const BEACON: u64 = u64::MAX - 5;
 
-// A request's completion flag: none, ran clean (its staged output awaits a
-// verdict), or panicked (nothing staged).
-const FLAG_NONE: u64 = 0;
+// A reported unit's flag: ran clean (its staged output awaits a verdict),
+// or its grant panicked (nothing staged).
 const FLAG_OK: u64 = 1;
 const FLAG_PANIC: u64 = 2;
 
-// A reply's verdict on the completion its request reported.
+// A reply's verdict on one reported unit.
 const V_NONE: u64 = 0;
 const V_COMMIT: u64 = 1;
 const V_DISCARD: u64 = 2;
 
-/// Words of a reply frame: `[seq_echo, code, verdict, epoch]`.
+/// Words of a reply frame before its verdicts and granted units:
+/// `[seq_echo, code, epoch, nverdicts]`.
 const REPLY_HEAD: usize = 4;
-/// Words of a request frame before the claim list:
-/// `[seq, completed, flag, epoch, nclaims]`.
-const REQ_HEAD: usize = 5;
+/// Words of a request frame before its `(unit, flag)` reports and claims:
+/// `[seq, epoch, nreports, nclaims]`.
+const REQ_HEAD: usize = 4;
 
 thread_local! {
     /// The rank this rank currently believes holds the master *role* (one
@@ -202,8 +206,26 @@ pub struct FtRun {
 }
 
 /// Execute `run(unit)` for every unit this rank is responsible for under
-/// `style`, calling `verdict(unit, commit)` exactly once per completed
-/// execution to publish (`true`) or drop (`false`) what it staged.
+/// `style`, one unit per execution: [`assign_grants`] with the default
+/// [`Grants`].
+pub fn assign_and_run(
+    comm: &Comm,
+    ntasks: usize,
+    style: MapStyle,
+    cfg: &FtConfig,
+    affinity: Option<&[usize]>,
+    run: &mut dyn FnMut(usize),
+    verdict: &mut dyn FnMut(usize, bool),
+) -> Result<FtRun, SchedError> {
+    let grants = Grants::default();
+    assign_grants(comm, ntasks, style, cfg, affinity, grants, &mut |units| run(units[0]), verdict)
+}
+
+/// Execute `run(grant)` until every unit this rank is responsible for under
+/// `style` has run, calling `verdict(unit, commit)` exactly once per unit of
+/// each completed execution to publish (`true`) or drop (`false`) what it
+/// staged for that unit. A grant is one or more units that `grants` lets
+/// one request take (see [`Grants`]); a panic fails the whole grant.
 ///
 /// `Chunk` and `RoundRobin` assign units statically, and `MasterWorker` in
 /// a world of one rank gives the rank every unit: the rank runs its list
@@ -215,17 +237,18 @@ pub struct FtRun {
 /// module carries them over an at-least-once RPC with master-side dedup, so
 /// dropped or delayed messages are harmless:
 ///
-/// * a worker's request is `[seq, completed, flag, epoch, nclaims,
-///   claims…]`: `flag` says whether `completed` ran clean or panicked;
-///   `epoch` is the rank the worker believes holds the master role; the
-///   claims — the units this worker has committed — ride only on the first
-///   request to each new master.
+/// * a worker's request is `[seq, epoch, nreports, nclaims, (unit, flag)…,
+///   claims…]`: one `(unit, flag)` per unit of the grant it just ran, the
+///   flag saying whether it ran clean or panicked; `epoch` is the rank the
+///   worker believes holds the master role; the claims — the units this
+///   worker has committed — ride only on the first request to each new
+///   master.
 ///   The worker re-sends a request on timeout and the master answers a
 ///   duplicate `seq` from its reply cache;
-/// * the master's reply is `[seq_echo, code, verdict, epoch]`: `code` is a
-///   unit index, `DONE` or `ABORT`; `verdict` publishes or drops the
-///   reported completion's staged output; `epoch` fences a deposed zombie
-///   ex-master;
+/// * the master's reply is `[seq_echo, code, epoch, nverdicts, verdicts…,
+///   units…]`: `code` is `GRANT` (the granted units follow), `DONE` or
+///   `ABORT`; each verdict publishes or drops one reported unit's staged
+///   output; `epoch` fences a deposed zombie ex-master;
 /// * workers may send one-way progress beacons mid-unit ([`ft_beacon`]).
 ///
 /// The master is a *role*, not a rank: when the acting master dies — or
@@ -248,27 +271,35 @@ pub struct FtRun {
 /// the same DB partitions"). Requeued units follow the same rule.
 ///
 /// # Panics
-/// Panics if `affinity` is given and its length is not `ntasks`.
-pub fn assign_and_run(
+/// Panics if `affinity` or `grants.key` is given and its length is not
+/// `ntasks`.
+#[allow(clippy::too_many_arguments)]
+pub fn assign_grants(
     comm: &Comm,
     ntasks: usize,
     style: MapStyle,
     cfg: &FtConfig,
     affinity: Option<&[usize]>,
-    run: &mut dyn FnMut(usize),
+    grants: Grants,
+    run: &mut dyn FnMut(&[usize]),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> Result<FtRun, SchedError> {
     if let Some(a) = affinity {
         assert_eq!(a.len(), ntasks, "one affinity per task");
     }
+    if let Some(key) = grants.key {
+        assert_eq!(key.len(), ntasks, "one grant key per task");
+    }
     let (size, rank) = (comm.size(), comm.rank());
     let units: Vec<usize> = match style {
-        MapStyle::MasterWorker if size > 1 => return ft_run(comm, ntasks, cfg, affinity, run, verdict),
+        MapStyle::MasterWorker if size > 1 => {
+            return ft_run(comm, ntasks, cfg, affinity, grants, run, verdict)
+        }
         MapStyle::MasterWorker => (0..ntasks).collect(),
         MapStyle::Chunk => (rank * ntasks / size..(rank + 1) * ntasks / size).collect(),
         MapStyle::RoundRobin => (rank..ntasks).step_by(size).collect(),
     };
-    run_local(comm, &units, cfg, run, verdict)
+    run_local(comm, &units, cfg, grants, run, verdict)
 }
 
 /// The master role's state machine across failovers, for a world of at
@@ -278,7 +309,8 @@ fn ft_run(
     ntasks: usize,
     cfg: &FtConfig,
     affinity: Option<&[usize]>,
-    run: &mut dyn FnMut(usize),
+    grants: Grants,
+    run: &mut dyn FnMut(&[usize]),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> Result<FtRun, SchedError> {
     let round = comm.next_round();
@@ -286,7 +318,8 @@ fn ft_run(
     let me = comm.rank();
     let mut mine: Vec<usize> = Vec::new();
     let mut seq = 0u64;
-    let (mut completed, mut flag) = (NO_UNIT, FLAG_NONE);
+    // The last grant's units, with whether it ran clean, until judged.
+    let mut carry: Vec<(u64, bool)> = Vec::new();
 
     let Some(mut master) = board.elect_coordinator(round) else {
         return Err(SchedError::MasterUnreachable);
@@ -301,15 +334,13 @@ fn ft_run(
     let mut last_died;
     loop {
         if master == me {
-            if completed != NO_UNIT {
-                // A completion the dead master never arbitrated: drop the
-                // staging and let the unit re-dispatch — self-committing
-                // could race a speculative backup's claim.
-                if flag == FLAG_OK {
-                    verdict(completed as usize, false);
+            // A completion the dead master never arbitrated: drop the
+            // staging and let its units re-dispatch — self-committing could
+            // race a speculative backup's claim.
+            for (unit, clean) in carry.drain(..) {
+                if clean {
+                    verdict(unit as usize, false);
                 }
-                completed = NO_UNIT;
-                flag = FLAG_NONE;
             }
             // Every survivor runs the same election, and a late starter
             // may learn of it only from the round's first one: the rank
@@ -320,7 +351,7 @@ fn ft_run(
                 }
             }
             let claims = via_failover.then(|| mine.clone());
-            match ft_master_loop(comm, ntasks, cfg, affinity, round, claims) {
+            match ft_master_loop(comm, ntasks, cfg, affinity, grants, round, claims) {
                 Some(outcome) => {
                     if matches!(outcome, Outcome::Finished(_)) {
                         board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
@@ -332,9 +363,7 @@ fn ft_run(
                 None => last_died = false,
             }
         } else {
-            match ft_worker_phase(
-                comm, cfg, master, run, verdict, &mut mine, &mut seq, &mut completed, &mut flag,
-            ) {
+            match ft_worker_phase(comm, cfg, master, run, verdict, &mut mine, &mut seq, &mut carry) {
                 WorkerExit::Done => {
                     board.record_departure(me, round, mine.iter().map(|&u| u as u64).collect());
                     return Ok(FtRun { units: mine, quarantined: Vec::new() });
@@ -382,36 +411,42 @@ pub fn ft_beacon(comm: &Comm) {
     }
     let master = CURRENT_MASTER.with(|m| m.get());
     if comm.rank() != master {
-        comm.send_u64s(master, TAG_REQ, &[BEACON, 0, 0, master as u64, 0]);
+        comm.send_u64s(master, TAG_REQ, &[BEACON, master as u64, 0, 0]);
     }
 }
 
 /// Run this rank's own `units` (ascending) with no messages: the rank is
 /// master and only worker at once, so it drives a [`Core`] over
-/// `0..units.len()` directly, with the same isolate-retry-quarantine policy
-/// as the distributed path, and maps each core index `i` back to the global
-/// unit `units[i]`. Units run in list order and time stands still at zero,
-/// so a panicked unit is retried before the next one starts.
+/// `0..units.len()` directly, with the same grant and
+/// isolate-retry-quarantine policy as the distributed path, and maps each
+/// core index `i` back to the global unit `units[i]`. Grants run in list
+/// order and time stands still at zero, so a panicked grant is retried
+/// before the next one starts.
 fn run_local(
     comm: &Comm,
     units: &[usize],
     cfg: &FtConfig,
-    run: &mut dyn FnMut(usize),
+    grants: Grants,
+    run: &mut dyn FnMut(&[usize]),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> Result<FtRun, SchedError> {
     let global = |i: u64| units[i as usize] as u64;
-    let mut core = Core::new(units.len(), cfg.policy(), None, None, 0.0);
+    let key: Option<Vec<usize>> = grants.key.map(|key| units.iter().map(|&u| key[u]).collect());
+    let grants = Grants { key: key.as_deref(), ..grants };
+    let mut core = Core::new(units.len(), cfg.policy(), None, None, 0.0).with_grants(grants, 1);
     let mut mine = Vec::new();
-    let mut report = None;
+    let mut report: Vec<(u64, bool)> = Vec::new();
     loop {
-        core.request(comm.rank(), report, &[], 0.0);
+        core.request(comm.rank(), &report, &[], 0.0);
         let mut next = None;
         while let Some(out) = core.poll() {
             match out {
                 Out::Journal(rec) => journal_obs(comm, &Record { unit: global(rec.unit), ..rec }),
-                Out::Reply { code, verdict: v, .. } => {
-                    if let Some((i, true)) = report {
-                        settle(comm, global(i), v == Verdict::Commit, verdict, &mut mine);
+                Out::Reply { code, verdicts, .. } => {
+                    for (&(i, clean), v) in report.iter().zip(verdicts) {
+                        if clean {
+                            settle(comm, global(i), v == Verdict::Commit, verdict, &mut mine);
+                        }
                     }
                     next = Some(code);
                 }
@@ -419,7 +454,11 @@ fn run_local(
             }
         }
         report = match next.expect("a lone worker is never parked") {
-            Code::Unit(i) => Some((i, execute(comm, global(i), run, verdict))),
+            Code::Grant(grant) => {
+                let globals: Vec<u64> = grant.iter().map(|&i| global(i)).collect();
+                let clean = execute(comm, &globals, run, verdict);
+                grant.into_iter().map(|i| (i, clean)).collect()
+            }
             Code::Done | Code::Abort => return ended(core.outcome(), mine, global),
         };
     }
@@ -435,25 +474,29 @@ fn ended(outcome: Outcome, units: Vec<usize>, global: impl Fn(u64) -> u64) -> Re
     }
 }
 
-/// Execute one unit with panic isolation: a poison injection from the fault
-/// plan or a genuine panic inside `run` yields `false` (and drops whatever
-/// the execution staged) instead of tearing the rank down. An injected
-/// *rank death* is not a unit failure and keeps unwinding.
+/// Execute one grant with panic isolation: a poison injection from the
+/// fault plan on any of its units or a genuine panic inside `run` yields
+/// `false` (and drops whatever the execution staged for each unit) instead
+/// of tearing the rank down. An injected *rank death* is not a unit
+/// failure and keeps unwinding.
 fn execute(
     comm: &Comm,
-    unit: u64,
-    run: &mut dyn FnMut(usize),
+    grant: &[u64],
+    run: &mut dyn FnMut(&[usize]),
     verdict: &mut dyn FnMut(usize, bool),
 ) -> bool {
     let _span = obs::maybe_span(comm.obs(), "sched.unit");
-    let clean = !comm.unit_poisoned(unit)
-        && match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(unit as usize))) {
+    let units: Vec<usize> = grant.iter().map(|&u| u as usize).collect();
+    let clean = !grant.iter().any(|&u| comm.unit_poisoned(u))
+        && match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&units))) {
             Ok(()) => true,
             Err(payload) if payload.is::<mpisim::RankDeath>() => std::panic::resume_unwind(payload),
             Err(_) => false,
         };
     if !clean {
-        verdict(unit as usize, false);
+        for &unit in &units {
+            verdict(unit, false);
+        }
     }
     clean
 }
@@ -533,15 +576,22 @@ impl Master<'_> {
     fn pump(&mut self) {
         while let Some(out) = self.core.poll() {
             match out {
-                Out::Reply { worker, code, verdict } => {
-                    let code = match code { Code::Unit(u) => u, Code::Done => DONE, Code::Abort => ABORT };
-                    let verdict = match verdict {
-                        Verdict::None => V_NONE,
-                        Verdict::Commit => V_COMMIT,
-                        Verdict::Discard => V_DISCARD,
+                Out::Reply { worker, code, verdicts } => {
+                    let (code, units) = match code {
+                        Code::Grant(units) => (GRANT, units),
+                        Code::Done => (DONE, Vec::new()),
+                        Code::Abort => (ABORT, Vec::new()),
                     };
+                    let verdicts: Vec<u64> = verdicts
+                        .iter()
+                        .map(|v| match v {
+                            Verdict::None => V_NONE,
+                            Verdict::Commit => V_COMMIT,
+                            Verdict::Discard => V_DISCARD,
+                        })
+                        .collect();
                     let seq = self.last.get(&worker).map_or(0, |l| l.0);
-                    self.reply(worker, [seq, code, verdict]);
+                    self.reply(worker, seq, code, &verdicts, &units);
                 }
                 Out::Journal(rec) => {
                     journal_obs(self.comm, &rec);
@@ -566,12 +616,14 @@ impl Master<'_> {
         }
     }
 
-    /// Send (and cache) a reply `[seq, code, verdict]`, stamped with this
+    /// Send (and cache) a reply to request `seq`, stamped with this
     /// master's epoch.
-    fn reply(&mut self, worker: usize, head: [u64; 3]) {
-        let payload = vec![head[0], head[1], head[2], self.epoch];
-        self.last.insert(worker, (head[0], Some(payload.clone())));
+    fn reply(&mut self, worker: usize, seq: u64, code: u64, verdicts: &[u64], units: &[u64]) {
+        let mut payload = vec![seq, code, self.epoch, verdicts.len() as u64];
+        payload.extend_from_slice(verdicts);
+        payload.extend_from_slice(units);
         self.comm.send_u64s(worker, TAG_TASK, &payload);
+        self.last.insert(worker, (seq, Some(payload)));
     }
 
     /// Feed the core the fault board's news — deaths, departed gather
@@ -593,12 +645,15 @@ impl Master<'_> {
         self.pump();
     }
 
+    /// A request `seq` from `worker`: a farewell, or the reports of the
+    /// grant it ran (empty on its first request) and, on first contact, its
+    /// claims.
     fn handle_request(
         &mut self,
         worker: usize,
         seq: u64,
-        completed: u64,
-        flag: u64,
+        farewell: bool,
+        reports: &[(u64, bool)],
         claims: &[u64],
     ) {
         // Drop requests queued before a death or a fence: their sender will
@@ -616,21 +671,17 @@ impl Master<'_> {
                 // budget survives arbitrarily long units elsewhere.
                 match cached.clone() {
                     Some(payload) => self.comm.send_u64s(worker, TAG_TASK, &payload),
-                    None => self
-                        .comm
-                        .send_u64s(worker, TAG_TASK, &[seq, WAIT, V_NONE, self.epoch]),
+                    None => self.comm.send_u64s(worker, TAG_TASK, &[seq, WAIT, self.epoch, 0]),
                 }
                 return;
             }
         }
         self.last.insert(worker, (seq, None));
-        if completed == FAREWELL {
+        if farewell {
             self.retired.insert(worker);
-            return self.reply(worker, [seq, DONE, V_NONE]);
+            return self.reply(worker, seq, DONE, &[], &[]);
         }
-        let reported = completed != NO_UNIT && matches!(flag, FLAG_OK | FLAG_PANIC);
-        let report = reported.then_some((completed, flag == FLAG_OK));
-        self.core.request(worker, report, claims, self.now());
+        self.core.request(worker, reports, claims, self.now());
         self.pump();
     }
 
@@ -657,6 +708,7 @@ fn ft_master_loop(
     ntasks: usize,
     cfg: &FtConfig,
     affinity: Option<&[usize]>,
+    grants: Grants,
     round: u64,
     mine: Option<Vec<usize>>,
 ) -> Option<Outcome> {
@@ -678,7 +730,8 @@ fn ft_master_loop(
     });
     let mut m = Master {
         comm,
-        core: Core::new(ntasks, cfg.policy(), affinity, takeover, 0.0),
+        core: Core::new(ntasks, cfg.policy(), affinity, takeover, 0.0)
+            .with_grants(grants, comm.size() - 1),
         round,
         epoch: me as u64,
         clock: Instant::now(),
@@ -713,13 +766,21 @@ fn ft_master_loop(
                     m.core.heartbeat(msg.status.source, m.now());
                     continue;
                 }
-                if req.len() < REQ_HEAD || req[3] != me as u64 {
+                if req.len() < REQ_HEAD || req[1] != me as u64 {
                     // Malformed, or addressed to a different master epoch.
                     continue;
                 }
-                let nclaims = (req[4] as usize).min(req.len() - REQ_HEAD);
-                let claims = &req[REQ_HEAD..REQ_HEAD + nclaims];
-                m.handle_request(msg.status.source, req[0], req[1], req[2], claims);
+                let body = &req[REQ_HEAD..];
+                let farewell = req[2] == FAREWELL;
+                let nreports = if farewell { 0 } else { (req[2] as usize).min(body.len() / 2) };
+                let reports: Vec<(u64, bool)> = body[..2 * nreports]
+                    .chunks_exact(2)
+                    .filter(|r| matches!(r[1], FLAG_OK | FLAG_PANIC))
+                    .map(|r| (r[0], r[1] == FLAG_OK))
+                    .collect();
+                let rest = &body[2 * nreports..];
+                let claims = &rest[..(req[3] as usize).min(rest.len())];
+                m.handle_request(msg.status.source, req[0], farewell, &reports, claims);
             }
             Err(MpiError::Timeout) => quiet += 1,
             // A death interrupted the wait or every worker is gone: loop
@@ -730,21 +791,33 @@ fn ft_master_loop(
     }
 }
 
+/// A master's answer to one request: its code, a verdict per reported
+/// unit, and the granted units.
+struct Reply {
+    code: u64,
+    verdicts: Vec<u64>,
+    grant: Vec<u64>,
+}
+
 /// One at-least-once request round against the acting `master`: send the
-/// request, resend on timeout, and return the `(code, verdict)` of the
-/// reply whose sequence echo and epoch both match. `Err(true)` means the
-/// master is confirmed dead, `Err(false)` silent past the whole retry
-/// budget.
+/// request (a farewell, or the `reports` of the last grant), resend on
+/// timeout, and return the reply whose sequence echo and epoch both match.
+/// `Err(true)` means the master is confirmed dead, `Err(false)` silent past
+/// the whole retry budget.
 fn ft_request(
     comm: &Comm,
     cfg: &FtConfig,
     master: usize,
     seq: u64,
-    completed: u64,
-    flag: u64,
+    farewell: bool,
+    reports: &[(u64, bool)],
     claims: &[u64],
-) -> Result<(u64, u64), bool> {
-    let mut frame = vec![seq, completed, flag, master as u64, claims.len() as u64];
+) -> Result<Reply, bool> {
+    let nreports = if farewell { FAREWELL } else { reports.len() as u64 };
+    let mut frame = vec![seq, master as u64, nreports, claims.len() as u64];
+    for &(unit, clean) in reports {
+        frame.extend([unit, if clean { FLAG_OK } else { FLAG_PANIC }]);
+    }
     frame.extend_from_slice(claims);
     let mut resends = 0usize;
     let mut need_send = true;
@@ -756,7 +829,7 @@ fn ft_request(
         match comm.recv_timeout(master, TAG_TASK, cfg.rpc_timeout) {
             Ok(msg) => {
                 let reply = mpisim::wire::bytes_to_u64s(&msg.data);
-                if reply.len() < REPLY_HEAD || reply[3] != master as u64 {
+                if reply.len() < REPLY_HEAD || reply[2] != master as u64 {
                     // Zombie fencing: a deposed ex-master's stale replies
                     // carry its old epoch and are discarded.
                     continue;
@@ -770,7 +843,9 @@ fn ft_request(
                     resends = 0;
                     continue;
                 }
-                return Ok((reply[1], reply[2]));
+                let nverdicts = (reply[3] as usize).min(reply.len() - REPLY_HEAD);
+                let (verdicts, grant) = reply[REPLY_HEAD..].split_at(nverdicts);
+                return Ok(Reply { code: reply[1], verdicts: verdicts.to_vec(), grant: grant.to_vec() });
             }
             Err(MpiError::RankDead { .. }) => return Err(true),
             Err(MpiError::Timeout) => {
@@ -793,51 +868,51 @@ fn ft_request(
 /// One tenure serving `master` as a worker. Execution state persists across
 /// tenures through the `&mut` parameters so a failover mid-run carries this
 /// worker's committed units (`mine` — re-registered as claims on the first
-/// request to each new master), its monotonic request sequence, and any
-/// not-yet-arbitrated completion.
+/// request to each new master), its monotonic request sequence, and the
+/// not-yet-arbitrated units of its last grant (`carry`).
 #[allow(clippy::too_many_arguments)]
 fn ft_worker_phase(
     comm: &Comm,
     cfg: &FtConfig,
     master: usize,
-    run: &mut dyn FnMut(usize),
+    run: &mut dyn FnMut(&[usize]),
     verdict: &mut dyn FnMut(usize, bool),
     mine: &mut Vec<usize>,
     seq: &mut u64,
-    completed: &mut u64,
-    flag: &mut u64,
+    carry: &mut Vec<(u64, bool)>,
 ) -> WorkerExit {
     // Committed-unit claims ride only on the first request to this master.
     let mut claims: Vec<u64> = mine.iter().map(|&u| u as u64).collect();
     let outcome = loop {
         *seq += 1;
-        let (code, verd) = match ft_request(comm, cfg, master, *seq, *completed, *flag, &claims) {
+        let reply = match ft_request(comm, cfg, master, *seq, false, carry, &claims) {
             Ok(r) => r,
-            // The unjudged completion (if any) stays in `completed`/`flag`
-            // for the role state machine to resolve.
+            // The unjudged completion (if any) stays in `carry` for the
+            // role state machine to resolve.
             Err(died) => return WorkerExit::MasterGone { died },
         };
         claims.clear();
-        // The reply judges the completion this request reported (panicked
-        // executions already dropped their partial staging).
-        if *completed != NO_UNIT && *flag == FLAG_OK {
-            settle(comm, *completed, verd == V_COMMIT, verdict, mine);
+        // The reply judges each unit this request reported (a panicked
+        // grant already dropped its partial staging).
+        for (&(unit, clean), &v) in carry.iter().zip(&reply.verdicts) {
+            if clean {
+                settle(comm, unit, v == V_COMMIT, verdict, mine);
+            }
         }
-        *completed = NO_UNIT;
-        *flag = FLAG_NONE;
-        match code {
+        carry.clear();
+        match reply.code {
             DONE => break WorkerExit::Done,
             ABORT => break WorkerExit::Abort,
-            unit => {
-                *flag = if execute(comm, unit, run, verdict) { FLAG_OK } else { FLAG_PANIC };
-                *completed = unit;
+            _ => {
+                let clean = execute(comm, &reply.grant, run, verdict);
+                carry.extend(reply.grant.iter().map(|&unit| (unit, clean)));
             }
         }
     };
     // Confirm the termination reply so the master can stop serving
     // retransmissions; best-effort, the master may already be gone.
     *seq += 1;
-    let _ = ft_request(comm, cfg, master, *seq, FAREWELL, FLAG_NONE, &[]);
+    let _ = ft_request(comm, cfg, master, *seq, true, &[], &[]);
     outcome
 }
 
@@ -1370,6 +1445,40 @@ mod tests {
             .collect();
         committed.sort_unstable();
         assert_eq!(committed, vec![0, 1, 3, 4, 5, 6, 8, 9]);
+    }
+
+    /// Grants over the mpisim shell: a poison unit inside a grant panics
+    /// the whole execution, yet only it is quarantined; every other unit
+    /// is committed exactly once, and grants of several units did run.
+    #[test]
+    fn ft_poison_unit_inside_a_grant_is_the_only_unit_quarantined() {
+        let key: Vec<usize> = (0..24).map(|u| u / 6).collect();
+        let outcomes = World::new(3).with_faults(FaultPlan::new(29).poison(2)).run_faulty(move |comm| {
+            let mut widest = 0;
+            let grants = Grants { limit: 4, key: Some(&key) };
+            let run = assign_grants(
+                comm,
+                24,
+                MapStyle::MasterWorker,
+                &FtConfig::default(),
+                None,
+                grants,
+                &mut |units| {
+                    assert!(units.iter().all(|&u| key[u] == key[units[0]]), "one key per grant");
+                    widest = widest.max(units.len());
+                },
+                &mut |_, _| {},
+            );
+            (run, widest)
+        });
+        let results: Vec<_> = outcomes.iter().filter_map(|o| o.as_done()).collect();
+        let master = results[0].0.as_ref().expect("run completes");
+        assert_eq!(master.quarantined, vec![2]);
+        let mut committed: Vec<usize> =
+            results.iter().flat_map(|(r, _)| r.as_ref().unwrap().units.iter().copied()).collect();
+        committed.sort_unstable();
+        assert_eq!(committed, (0..24).filter(|&u| u != 2).collect::<Vec<_>>());
+        assert!(results.iter().any(|(_, widest)| *widest > 1), "grants of several units ran");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The master-worker scheduler's decisions as a pure state machine.
 //!
-//! [`Core`] decides everything the master decides: which pending unit a
-//! worker gets (with the partition-affinity rule), attempts and abort,
+//! [`Core`] decides everything the master decides: which pending units a
+//! worker gets (with the partition-affinity rule and, with [`Grants`],
+//! several units of one key at once), attempts and abort,
 //! first-result-wins commit or discard, poison quarantine, reclaiming a
 //! dead worker's units, parking, settling, heartbeat suspicion with
 //! speculative backups, fencing a silent straggler that lost its race, and
@@ -63,27 +64,43 @@ pub enum Verdict {
     Discard,
 }
 
-/// What a reply tells a worker to do next: run a unit, or stop because
-/// every unit is accounted for, or because the run is abandoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a reply tells a worker to do next: run a grant of one or more
+/// units in one execution, or stop because every unit is accounted for, or
+/// because the run is abandoned.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Code {
-    Unit(u64),
+    Grant(Vec<u64>),
     Done,
     Abort,
+}
+
+/// How many pending units one request may take. A grant starts with the
+/// unit a lone request would get and adds pending units of the same `key`
+/// that are available now and never panicked, up to the guided size
+/// `clamp(pending ÷ (2 × live workers), 1, limit)`: large while the pool is
+/// full, one unit in the tail. The default grants one unit.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Grants<'a> {
+    /// Most units in one grant; 0 or 1 grants one unit per request.
+    pub limit: usize,
+    /// `key[u]`: the units of one grant share it (e.g. a DB partition);
+    /// `None` lets any units share a grant.
+    pub key: Option<&'a [usize]>,
 }
 
 /// A decision for the driver to carry out, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Out {
     /// Answer `worker`'s latest request (possibly long after it was
-    /// parked) with what it runs next and the verdict on the completion the
-    /// request reported.
-    Reply { worker: usize, code: Code, verdict: Verdict },
+    /// parked) with what it runs next and a verdict on each unit the request
+    /// reported, in report order.
+    Reply { worker: usize, code: Code, verdicts: Vec<Verdict> },
     /// A new journal record; a [`LOG_FENCE`] one says to fence its worker.
     Journal(Record),
     /// `worker` missed its heartbeat deadline with a unit in flight.
     Suspect(usize),
-    /// The next reply hands `unit` to `worker` as a speculative backup.
+    /// The next reply hands `unit` to `worker`, alone, as a speculative
+    /// backup.
     Backup { unit: u64, worker: usize },
 }
 
@@ -119,6 +136,8 @@ pub struct Takeover {
 struct Pool {
     buckets: BTreeMap<usize, BTreeSet<(u64, u64)>>,
     queued: Vec<bool>,
+    /// Units queued.
+    len: usize,
     /// The latest available-from time of any unit ever queued.
     latest: f64,
 }
@@ -129,6 +148,7 @@ impl Pool {
             return;
         }
         self.buckets.entry(bucket).or_default().insert((at.to_bits(), unit));
+        self.len += 1;
         self.latest = self.latest.max(at);
     }
 
@@ -158,13 +178,37 @@ impl Pool {
                 .max_by_key(|(_, units)| (available(units), std::cmp::Reverse(units.first())))
                 .map(|(&b, _)| b)?,
         };
-        let units = self.buckets.get_mut(&bucket).expect("chosen bucket");
-        let (_, unit) = units.pop_first().expect("ready");
+        let (at, unit) = *self.buckets[&bucket].first().expect("ready");
+        self.remove(bucket, at, unit);
+        Some(unit)
+    }
+
+    /// Take up to `max` units available at `now` that satisfy `wanted`, in
+    /// bucket order and queue order within a bucket.
+    fn take_where(&mut self, now: f64, max: usize, mut wanted: impl FnMut(u64) -> bool) -> Vec<u64> {
+        let mut found = Vec::new();
+        'scan: for (&bucket, units) in &self.buckets {
+            for &(at, unit) in units.range(..=(now.to_bits(), u64::MAX)) {
+                if found.len() == max {
+                    break 'scan;
+                }
+                if wanted(unit) {
+                    found.push((bucket, at, unit));
+                }
+            }
+        }
+        found.into_iter().map(|(bucket, at, unit)| self.remove(bucket, at, unit)).collect()
+    }
+
+    fn remove(&mut self, bucket: usize, at: u64, unit: u64) -> u64 {
+        let units = self.buckets.get_mut(&bucket).expect("queued bucket");
+        units.remove(&(at, unit));
         if units.is_empty() {
             self.buckets.remove(&bucket);
         }
         self.queued[unit as usize] = false;
-        Some(unit)
+        self.len -= 1;
+        unit
     }
 }
 
@@ -174,6 +218,10 @@ pub struct Core<'a> {
     policy: Policy,
     /// Resource each unit needs; `None` serves the pool in queue order.
     affinity: Option<&'a [usize]>,
+    grants: Grants<'a>,
+    /// Worker ranks at the tenure's start: the guided grant size's divisor,
+    /// less the deaths reported since.
+    workers: usize,
     pool: Pool,
     /// A result for the unit is committed on a live worker.
     done: Vec<bool>,
@@ -181,17 +229,20 @@ pub struct Core<'a> {
     attempts: Vec<usize>,
     /// Panics per unit; at `poison_retries` the unit is quarantined.
     fails: Vec<usize>,
+    /// An execution holding the unit panicked, alone or in a grant: from
+    /// then on it is dispatched alone, so its strikes are its own.
+    tainted: Vec<bool>,
     /// Units given up on as poison, in quarantine order.
     quarantined: Vec<u64>,
-    /// The unit each busy worker runs, and how many run each unit.
-    inflight: BTreeMap<usize, u64>,
+    /// The grant each busy worker runs, and how many run each unit.
+    inflight: BTreeMap<usize, Vec<u64>>,
     running: Vec<u32>,
     /// Committed units whose output lives on each worker.
     owned: HashMap<usize, Vec<u64>>,
     /// Resource of the unit each worker last received.
     last_resource: HashMap<usize, usize>,
-    /// Idle workers and the verdict owed to each, served in rank order.
-    parked: BTreeMap<usize, Verdict>,
+    /// Idle workers and the verdicts owed to each, served in rank order.
+    parked: BTreeMap<usize, Vec<Verdict>>,
     /// When each worker was last heard from.
     last_heard: HashMap<usize, f64>,
     suspected: BTreeSet<usize>,
@@ -202,8 +253,9 @@ pub struct Core<'a> {
     greeted: HashSet<usize>,
     /// A successor's gather barrier; `None` once dispatch is open.
     gathering: Option<BTreeSet<usize>>,
-    /// First-contact completions, judged once the gather closes.
-    deferred: Vec<(usize, u64)>,
+    /// First-contact completions, judged once the gather closes: the
+    /// worker, the report's index among its verdicts, and the unit.
+    deferred: Vec<(usize, usize, u64)>,
     abort: Option<u64>,
     out: VecDeque<Out>,
 }
@@ -227,6 +279,7 @@ impl<'a> Core<'a> {
             done: vec![false; ntasks],
             attempts: vec![0; ntasks],
             fails: vec![0; ntasks],
+            tainted: vec![false; ntasks],
             running: vec![0; ntasks],
             ..Core::default()
         };
@@ -244,16 +297,27 @@ impl<'a> Core<'a> {
         core
     }
 
+    /// Hand out grants under `grants` to a fleet of `workers` worker ranks
+    /// (instead of one unit per request).
+    pub fn with_grants(mut self, grants: Grants<'a>, workers: usize) -> Self {
+        self.grants = grants;
+        self.workers = workers;
+        self
+    }
+
     /// The next decision to carry out, oldest first.
     pub fn poll(&mut self) -> Option<Out> {
         self.out.pop_front()
     }
 
-    /// `worker` asks for work at `now`, reporting the unit it just ran
-    /// (`Some((unit, true))` clean, `Some((unit, false))` panicked) and, on
-    /// its first contact with this master, the units it has committed.
-    /// Requests from a worker reported dead are ignored.
-    pub fn request(&mut self, worker: usize, report: Option<(u64, bool)>, claims: &[u64], now: f64) {
+    /// `worker` asks for work at `now`, reporting each unit of the grant
+    /// it just ran (`(unit, true)` clean, `(unit, false)` panicked; empty
+    /// when it ran none) and, on its first contact with this master, the
+    /// units it has committed. Each reported unit is judged on its own; a
+    /// grant of several units that panicked costs them no strike, but each
+    /// is dispatched alone from then on. Requests from a worker reported
+    /// dead are ignored.
+    pub fn request(&mut self, worker: usize, reports: &[(u64, bool)], claims: &[u64], now: f64) {
         if self.dead.contains(&worker) {
             return;
         }
@@ -262,28 +326,36 @@ impl<'a> Core<'a> {
         if first_contact {
             self.claim(worker, claims);
         }
-        let mut verdict = Some(Verdict::None);
-        if let Some((unit, clean)) = report.filter(|r| (r.0 as usize) < self.done.len()) {
-            let tracked = self.inflight.get(&worker) == Some(&unit);
-            if tracked {
-                self.stop(worker);
-            }
-            verdict = if !clean {
-                self.fail(worker, unit, now);
-                Some(Verdict::None)
-            } else if first_contact && !tracked && self.gathering.is_some() {
+        let reports: Vec<(u64, bool)> =
+            reports.iter().copied().filter(|r| (r.0 as usize) < self.done.len()).collect();
+        let tracked = reports.iter().any(|r| self.inflight.get(&worker).is_some_and(|g| g.contains(&r.0)));
+        let grant = if tracked { self.stop(worker) } else { Vec::new() };
+        let mut verdicts = Vec::with_capacity(reports.len());
+        let mut defer = false;
+        for (i, &(unit, clean)) in reports.iter().enumerate() {
+            let known = grant.contains(&unit);
+            verdicts.push(if !clean {
+                if reports.len() > 1 {
+                    self.taint(unit, now);
+                } else {
+                    self.fail(worker, unit, now);
+                }
+                Verdict::None
+            } else if first_contact && !known && self.gathering.is_some() {
                 // A completion the previous master never judged: another
                 // survivor may yet claim the unit, so judge it once every
                 // claim is in, and park the worker until then.
-                self.deferred.push((worker, unit));
-                None
+                self.deferred.push((worker, i, unit));
+                defer = true;
+                Verdict::None
             } else {
-                Some(self.arbitrate(worker, unit, tracked || first_contact, now))
-            };
+                self.arbitrate(worker, unit, known || first_contact, now)
+            });
         }
-        match verdict {
-            Some(v) => self.serve(worker, v, now),
-            None => drop(self.parked.insert(worker, Verdict::None)),
+        if defer {
+            self.parked.insert(worker, verdicts);
+        } else {
+            self.serve(worker, verdicts, now);
         }
         if first_contact {
             self.gathered(Some(worker), now);
@@ -297,7 +369,7 @@ impl<'a> Core<'a> {
         self.suspected.remove(&worker);
     }
 
-    /// `worker` died (or was fenced) at `now`. Its in-flight unit and every
+    /// `worker` died (or was fenced) at `now`. Its in-flight grant and every
     /// unit it committed (the output died with it) go back to the pool,
     /// available from `requeue_at` (a model with a detection delay passes a
     /// later time than `now`). Repeated reports are ignored.
@@ -330,16 +402,16 @@ impl<'a> Core<'a> {
         if !self.policy.speculate {
             return;
         }
-        let mut stuck = BTreeSet::new();
-        let mut healthy = HashSet::new();
-        for (&worker, &unit) in &self.inflight {
+        let mut stuck: BTreeSet<u64> = BTreeSet::new();
+        let mut healthy: HashSet<u64> = HashSet::new();
+        for (&worker, units) in &self.inflight {
             if self.silent(worker, now) {
                 if self.suspected.insert(worker) {
                     self.out.push_back(Out::Suspect(worker));
                 }
-                stuck.insert(unit);
+                stuck.extend(units);
             } else {
-                healthy.insert(unit);
+                healthy.extend(units);
             }
         }
         for unit in stuck {
@@ -352,16 +424,14 @@ impl<'a> Core<'a> {
             if now < gate {
                 continue;
             }
-            let Some((&worker, &verdict)) =
-                self.parked.iter().find(|(w, _)| !self.suspected.contains(w))
-            else {
+            let Some(&worker) = self.parked.keys().find(|w| !self.suspected.contains(w)) else {
                 continue;
             };
-            self.parked.remove(&worker);
+            let verdicts = self.parked.remove(&worker).expect("parked");
             if self.attempts[u] < self.policy.max_attempts {
                 self.out.push_back(Out::Backup { unit, worker });
             }
-            self.dispatch(worker, unit, verdict, now);
+            self.dispatch(worker, unit, verdicts, now, false);
             if self.abort.is_some() {
                 return;
             }
@@ -423,8 +493,8 @@ impl<'a> Core<'a> {
         self.out.push_back(Out::Journal(Record { kind, unit, worker }));
     }
 
-    fn reply(&mut self, worker: usize, code: Code, verdict: Verdict) {
-        self.out.push_back(Out::Reply { worker, code, verdict });
+    fn reply(&mut self, worker: usize, code: Code, verdicts: Vec<Verdict>) {
+        self.out.push_back(Out::Reply { worker, code, verdicts });
     }
 
     fn poisoned(&self, unit: u64) -> bool {
@@ -467,14 +537,23 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// `worker`'s execution of `unit` panicked: retry it, or quarantine it
-    /// once it has panicked `poison_retries` times.
+    /// `worker`'s execution of `unit` alone panicked: retry it, or
+    /// quarantine it once it has panicked `poison_retries` times.
     fn fail(&mut self, worker: usize, unit: u64, now: f64) {
+        self.tainted[unit as usize] = true;
         self.fails[unit as usize] += 1;
         if self.fails[unit as usize] == self.policy.poison_retries {
             self.quarantined.push(unit);
             self.journal(LOG_QUARANTINE, unit, worker);
         } else if self.should_requeue(unit) {
+            self.push(now, unit);
+        }
+    }
+
+    /// A grant holding `unit` panicked: retry it alone, with no strike.
+    fn taint(&mut self, unit: u64, now: f64) {
+        self.tainted[unit as usize] = true;
+        if self.should_requeue(unit) {
             self.push(now, unit);
         }
     }
@@ -486,16 +565,19 @@ impl<'a> Core<'a> {
         !self.done[u] && !self.poisoned(unit) && !self.pool.contains(unit) && self.running[u] == 0
     }
 
-    fn stop(&mut self, worker: usize) -> Option<u64> {
-        let unit = self.inflight.remove(&worker)?;
-        self.running[unit as usize] -= 1;
-        Some(unit)
+    /// `worker`'s grant stops running; its units.
+    fn stop(&mut self, worker: usize) -> Vec<u64> {
+        let units = self.inflight.remove(&worker).unwrap_or_default();
+        for &unit in &units {
+            self.running[unit as usize] -= 1;
+        }
+        units
     }
 
     /// Put everything `worker` owned back in the pool, available from `at`.
     fn reclaim(&mut self, worker: usize, at: f64) {
         self.parked.remove(&worker);
-        self.deferred.retain(|&(w, _)| w != worker);
+        self.deferred.retain(|&(w, _, _)| w != worker);
         let inflight = self.stop(worker);
         let lost = self.owned.remove(&worker).unwrap_or_default();
         for &unit in &lost {
@@ -509,47 +591,77 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Answer `worker` (owed `verdict`): a unit, the end of the run, or a
+    /// Answer `worker` (owed `verdicts`): a grant, the end of the run, or a
     /// place among the parked until something changes.
-    fn serve(&mut self, worker: usize, verdict: Verdict, now: f64) {
+    fn serve(&mut self, worker: usize, verdicts: Vec<Verdict>, now: f64) {
         if self.abort.is_some() {
-            return self.reply(worker, Code::Abort, verdict);
+            return self.reply(worker, Code::Abort, verdicts);
         }
         let held = self.affinity.and(self.last_resource.get(&worker).copied());
         while let Some(unit) = self.pool.take(now, held) {
             if !self.done[unit as usize] && !self.poisoned(unit) {
-                return self.dispatch(worker, unit, verdict, now);
+                return self.dispatch(worker, unit, verdicts, now, true);
             }
         }
         if self.settled() {
-            self.reply(worker, Code::Done, verdict);
+            self.reply(worker, Code::Done, verdicts);
         } else {
-            self.parked.insert(worker, verdict);
+            self.parked.insert(worker, verdicts);
         }
     }
 
-    fn dispatch(&mut self, worker: usize, unit: u64, verdict: Verdict, now: f64) {
-        let u = unit as usize;
+    /// Hand `worker` a grant that starts with `first`, joined (if `grant`)
+    /// by the pending units [`Grants`] allows.
+    fn dispatch(&mut self, worker: usize, first: u64, verdicts: Vec<Verdict>, now: f64, grant: bool) {
+        let u = first as usize;
         self.attempts[u] += 1;
         if self.attempts[u] > self.policy.max_attempts {
-            self.abort = Some(unit);
-            self.reply(worker, Code::Abort, verdict);
+            self.abort = Some(first);
+            self.reply(worker, Code::Abort, verdicts);
             return self.flush(now);
         }
-        self.inflight.insert(worker, unit);
-        self.running[u] += 1;
+        let mut units = vec![first];
+        if grant {
+            units.extend(self.companions(first, now));
+        }
+        for &unit in &units {
+            if unit != first {
+                self.attempts[unit as usize] += 1;
+            }
+            self.running[unit as usize] += 1;
+            self.journal(LOG_DISPATCH, unit, worker);
+        }
         if let Some(a) = self.affinity {
             self.last_resource.insert(worker, a[u]);
         }
-        self.journal(LOG_DISPATCH, unit, worker);
-        self.reply(worker, Code::Unit(unit), verdict);
+        self.inflight.insert(worker, units.clone());
+        self.reply(worker, Code::Grant(units), verdicts);
+    }
+
+    /// The pending units that join `first` in a grant: up to the guided
+    /// size less one, of `first`'s key, available at `now`, never panicked
+    /// and within their attempt budget. None if `first` itself panicked.
+    fn companions(&mut self, first: u64, now: f64) -> Vec<u64> {
+        let live = self.workers.saturating_sub(self.dead.len()).max(1);
+        let k = ((self.pool.len + 1) / (2 * live)).clamp(1, self.grants.limit.max(1));
+        if k == 1 || self.tainted[first as usize] {
+            return Vec::new();
+        }
+        let key = self.grants.key;
+        let first_key = key.map(|key| key[first as usize]);
+        let (done, tainted, attempts) = (&self.done, &self.tainted, &self.attempts);
+        let max_attempts = self.policy.max_attempts;
+        self.pool.take_where(now, k - 1, |unit| {
+            let u = unit as usize;
+            key.map(|key| key[u]) == first_key && !done[u] && !tainted[u] && attempts[u] < max_attempts
+        })
     }
 
     /// Re-serve every parked worker, in rank order.
     fn flush(&mut self, now: f64) {
-        for (worker, verdict) in std::mem::take(&mut self.parked) {
+        for (worker, verdicts) in std::mem::take(&mut self.parked) {
             if !self.dead.contains(&worker) {
-                self.serve(worker, verdict, now);
+                self.serve(worker, verdicts, now);
             }
         }
     }
@@ -575,10 +687,10 @@ impl<'a> Core<'a> {
             return;
         }
         self.gathering = None;
-        for (worker, unit) in std::mem::take(&mut self.deferred) {
+        for (worker, i, unit) in std::mem::take(&mut self.deferred) {
             if self.parked.contains_key(&worker) {
                 let verdict = self.arbitrate(worker, unit, true, now);
-                self.parked.insert(worker, verdict);
+                self.parked.get_mut(&worker).expect("parked")[i] = verdict;
             }
         }
         for unit in 0..self.done.len() as u64 {
@@ -599,7 +711,7 @@ impl<'a> Core<'a> {
         let losers: Vec<usize> = self
             .inflight
             .iter()
-            .filter(|&(&w, &u)| u == unit && w != winner && self.suspected.contains(&w))
+            .filter(|&(&w, us)| us.contains(&unit) && w != winner && self.suspected.contains(&w))
             .map(|(&w, _)| w)
             .collect();
         for worker in losers {
@@ -634,14 +746,30 @@ mod tests {
     }
 
     fn assigned(outs: &[Out], unit: u64) -> bool {
-        outs.iter().any(|o| matches!(o, Out::Reply { code: Code::Unit(u), .. } if *u == unit))
+        outs.iter().any(|o| matches!(o, Out::Reply { code: Code::Grant(us), .. } if us.contains(&unit)))
     }
 
+    /// The verdict on the one unit `worker` reported.
     fn verdict_of(outs: &[Out], worker: usize) -> Option<Verdict> {
-        outs.iter().find_map(|o| match o {
-            Out::Reply { worker: w, verdict, .. } if *w == worker => Some(*verdict),
-            _ => None,
-        })
+        verdicts_of(outs, worker).first().copied()
+    }
+
+    fn verdicts_of(outs: &[Out], worker: usize) -> Vec<Verdict> {
+        outs.iter()
+            .find_map(|o| match o {
+                Out::Reply { worker: w, verdicts, .. } if *w == worker => Some(verdicts.clone()),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
+    fn grant_of(outs: &[Out], worker: usize) -> Vec<u64> {
+        outs.iter()
+            .find_map(|o| match o {
+                Out::Reply { worker: w, code: Code::Grant(us), .. } if *w == worker => Some(us.clone()),
+                _ => None,
+            })
+            .unwrap_or_default()
     }
 
     /// A successor (rank 1) awaits ranks 2, 3 and 4. Each reports, on first
@@ -656,10 +784,10 @@ mod tests {
             expected: [2, 3, 4].into(),
         };
         let mut core = Core::new(12, policy(), None, Some(takeover), 0.0);
-        core.request(2, Some((10, true)), &[2, 6], 0.0);
-        core.request(3, Some((7, true)), &[0, 3], 0.0);
+        core.request(2, &[(10, true)], &[2, 6], 0.0);
+        core.request(3, &[(7, true)], &[0, 3], 0.0);
         let before = drain(&mut core);
-        core.request(4, Some((9, true)), &[5], 0.0);
+        core.request(4, &[(9, true)], &[5], 0.0);
         let after = drain(&mut core);
         assert!(!assigned(&before, 9) && !assigned(&after, 9), "{after:?}");
         assert_eq!(core.committed(4), &[5, 9]);
@@ -676,8 +804,8 @@ mod tests {
     fn carried_completion_loses_to_a_claim_that_arrives_later() {
         let takeover = Takeover { expected: [2, 3].into(), ..Takeover::default() };
         let mut core = Core::new(8, policy(), None, Some(takeover), 0.0);
-        core.request(2, Some((5, true)), &[], 0.0);
-        core.request(3, None, &[5], 0.0);
+        core.request(2, &[(5, true)], &[], 0.0);
+        core.request(3, &[], &[5], 0.0);
         let outs = drain(&mut core);
         assert_eq!(verdict_of(&outs, 2), Some(Verdict::Discard));
         assert_eq!(core.committed(3), &[5]);
@@ -689,18 +817,19 @@ mod tests {
     fn fault_free_dispatch_is_fifo_and_parks_in_rank_order() {
         let mut core = Core::new(3, policy(), None, None, 0.0);
         for w in [2, 1, 3] {
-            core.request(w, None, &[], 0.0);
+            core.request(w, &[], &[], 0.0);
         }
-        core.request(4, None, &[], 0.0);
+        core.request(4, &[], &[], 0.0);
         let outs = drain(&mut core);
         let codes: Vec<(usize, Code)> = outs
             .iter()
             .filter_map(|o| match o {
-                Out::Reply { worker, code, .. } => Some((*worker, *code)),
+                Out::Reply { worker, code, .. } => Some((*worker, code.clone())),
                 _ => None,
             })
             .collect();
-        assert_eq!(codes, [(2, Code::Unit(0)), (1, Code::Unit(1)), (3, Code::Unit(2))]);
+        let grant = |u| Code::Grant(vec![u]);
+        assert_eq!(codes, [(2, grant(0)), (1, grant(1)), (3, grant(2))]);
         // Worker 2 dies; its unit goes to the parked worker 4 at once.
         core.death(2, 1.0, 1.0);
         assert!(assigned(&drain(&mut core), 0));
@@ -709,14 +838,88 @@ mod tests {
     #[test]
     fn a_reclaimed_unit_waits_for_its_requeue_time() {
         let mut core = Core::new(2, policy(), None, None, 0.0);
-        core.request(1, None, &[], 0.0);
-        core.request(2, None, &[], 0.0);
-        core.request(2, Some((1, true)), &[], 1.0);
+        core.request(1, &[], &[], 0.0);
+        core.request(2, &[], &[], 0.0);
+        core.request(2, &[(1, true)], &[], 1.0);
         drain(&mut core);
         core.death(1, 2.0, 5.0);
         assert!(drain(&mut core).is_empty(), "unit 0 is not available before t=5");
         core.tick(5.0);
         assert!(assigned(&drain(&mut core), 0));
+    }
+
+    /// Grants follow the guided size — pending ÷ (2 × live workers), capped
+    /// by the limit — take units of the first unit's key only, and shrink to
+    /// one unit as the pool drains.
+    #[test]
+    fn grants_share_a_key_and_shrink_as_the_pool_drains() {
+        let key: Vec<usize> = (0..24).map(|u| u / 6).collect();
+        let grants = Grants { limit: 4, key: Some(&key) };
+        let mut core = Core::new(24, policy(), None, None, 0.0).with_grants(grants, 2);
+        core.request(1, &[], &[], 0.0);
+        assert_eq!(grant_of(&drain(&mut core), 1), [0, 1, 2, 3], "24 pending: k = min(6, 4)");
+        core.request(2, &[], &[], 0.0);
+        assert_eq!(grant_of(&drain(&mut core), 2), [4, 5], "only two units of key 0 are left");
+        let reports: Vec<(u64, bool)> = (0..4).map(|u| (u, true)).collect();
+        core.request(1, &reports, &[], 1.0);
+        let outs = drain(&mut core);
+        assert_eq!(verdicts_of(&outs, 1), [Verdict::Commit; 4]);
+        assert_eq!(grant_of(&outs, 1), [6, 7, 8, 9], "18 pending: k = min(4, 4)");
+        assert_eq!(core.committed(1), &[0, 1, 2, 3]);
+        // Run both workers to the end: the last grants are single units.
+        let mut held = [Vec::new(), grant_of(&outs, 1), vec![4, 5]];
+        let mut sizes = Vec::new();
+        for step in 0..100 {
+            if core.settled() {
+                break;
+            }
+            let w = 1 + step % 2;
+            let reports: Vec<(u64, bool)> = held[w].iter().map(|&u| (u, true)).collect();
+            core.request(w, &reports, &[], 2.0);
+            held[w] = grant_of(&drain(&mut core), w);
+            sizes.push(held[w].len());
+        }
+        assert!(core.settled());
+        assert_eq!(sizes.iter().rev().find(|&&n| n > 0), Some(&1), "fine-grained tail: {sizes:?}");
+    }
+
+    /// A poison unit inside a grant panics the whole grant. No unit of it
+    /// takes a strike; each is retried alone, so only the poison unit
+    /// collects strikes and is quarantined, and every other unit commits
+    /// once.
+    #[test]
+    fn a_poison_unit_inside_a_grant_is_the_only_unit_quarantined() {
+        let grants = Grants { limit: 4, key: None };
+        let mut core = Core::new(8, policy(), None, None, 0.0).with_grants(grants, 1);
+        let poison = 2u64;
+        let mut report: Vec<(u64, bool)> = Vec::new();
+        let mut commits = [0usize; 8];
+        let mut first = Vec::new();
+        loop {
+            core.request(1, &report, &[], 0.0);
+            let outs = drain(&mut core);
+            for (&(unit, _), v) in report.iter().zip(verdicts_of(&outs, 1)) {
+                commits[unit as usize] += usize::from(v == Verdict::Commit);
+            }
+            let grant = grant_of(&outs, 1);
+            if grant.is_empty() {
+                break;
+            }
+            if first.is_empty() {
+                first.clone_from(&grant);
+            }
+            // The grant runs as one execution: the poison unit fails it.
+            let clean = !grant.contains(&poison);
+            report = grant.iter().map(|&u| (u, clean)).collect();
+        }
+        assert_eq!(first, [0, 1, 2, 3], "the poison unit starts inside a grant");
+        assert_eq!(core.outcome(), Outcome::Finished(vec![poison]));
+        for (u, &n) in commits.iter().enumerate() {
+            let poisoned = u as u64 == poison;
+            assert_eq!(n, usize::from(!poisoned), "unit {u} commits");
+            let strikes = if poisoned { policy().poison_retries } else { 0 };
+            assert_eq!(core.fails[u], strikes, "unit {u} strikes");
+        }
     }
 
     /// One simulated worker, as the runtime's worker loop keeps it.
@@ -725,10 +928,10 @@ mod tests {
         alive: bool,
         /// Units whose commit verdict this worker received.
         mine: Vec<u64>,
-        /// The unit it runs.
-        running: Option<u64>,
-        /// A finished execution not yet judged: (unit, clean).
-        carry: Option<(u64, bool)>,
+        /// The grant it runs.
+        running: Option<Vec<u64>>,
+        /// A finished execution not yet judged: (unit, clean) per unit.
+        carry: Vec<(u64, bool)>,
         /// Its request awaits a reply.
         waiting: bool,
         /// It owes the current master its claims.
@@ -741,6 +944,7 @@ mod tests {
     struct World<'a> {
         core: Core<'a>,
         policy: Policy,
+        grants: Grants<'a>,
         ntasks: usize,
         workers: Vec<Worker>,
         poison: Vec<bool>,
@@ -757,17 +961,22 @@ mod tests {
         fn pump(&mut self) {
             while let Some(out) = self.core.poll() {
                 match out {
-                    Out::Reply { worker, code, verdict } => {
+                    Out::Reply { worker, code, verdicts } => {
                         let w = &mut self.workers[worker];
                         assert!(w.alive && w.waiting, "reply to worker {worker}: {w:?}");
                         w.waiting = false;
-                        if let Some((unit, true)) = w.carry.take() {
-                            if verdict == Verdict::Commit {
+                        assert_eq!(verdicts.len(), w.carry.len(), "one verdict per reported unit");
+                        let carry = std::mem::take(&mut w.carry);
+                        for ((unit, clean), verdict) in carry.into_iter().zip(verdicts) {
+                            if clean && verdict == Verdict::Commit {
                                 w.mine.push(unit);
                             }
                         }
                         match code {
-                            Code::Unit(unit) => w.running = Some(unit),
+                            Code::Grant(units) => {
+                                assert!(!units.is_empty() && units.len() <= self.grants.limit.max(1));
+                                w.running = Some(units);
+                            }
                             Code::Done | Code::Abort => w.finished = true,
                         }
                     }
@@ -796,15 +1005,18 @@ mod tests {
             let w = &mut self.workers[worker];
             let claims = if std::mem::take(&mut w.first) { w.mine.clone() } else { Vec::new() };
             w.waiting = true;
-            let report = w.carry;
-            self.core.request(worker, report, &claims, self.now);
+            let report = w.carry.clone();
+            self.core.request(worker, &report, &claims, self.now);
             self.pump();
         }
 
+        /// The worker's grant ends as one execution: a poison unit in it
+        /// panics the whole grant.
         fn complete(&mut self, worker: usize) {
             let w = &mut self.workers[worker];
-            let unit = w.running.take().expect("running");
-            w.carry = Some((unit, !self.poison[unit as usize]));
+            let units = w.running.take().expect("running");
+            let clean = !units.iter().any(|&u| self.poison[u as usize]);
+            w.carry = units.into_iter().map(|u| (u, clean)).collect();
             self.request(worker);
         }
 
@@ -830,7 +1042,8 @@ mod tests {
                 }
             }
             let takeover = Takeover { claims, expected };
-            self.core = Core::new(self.ntasks, self.policy, None, Some(takeover), self.now);
+            self.core = Core::new(self.ntasks, self.policy, None, Some(takeover), self.now)
+                .with_grants(self.grants, self.workers.len() - 1);
             // Budgets count per tenure: the successor starts its own.
             self.attempts = vec![0; self.ntasks];
             self.tenures += 1;
@@ -891,8 +1104,16 @@ mod tests {
     }
 
     /// Drive one seeded interleaving to the end and check its accounting.
-    fn interleaving(ntasks: usize, nworkers: usize, speculate: bool, seed: u64) -> TestCaseResult {
+    /// Grants hold 1–4 units that share a key (from `key`).
+    fn interleaving(
+        ntasks: usize,
+        nworkers: usize,
+        speculate: bool,
+        seed: u64,
+        key: &[usize],
+    ) -> TestCaseResult {
         let mut rng = TestRng::from_seed(seed);
+        let grants = Grants { limit: 1 + (seed % 4) as usize, key: Some(key) };
         let policy = Policy {
             max_attempts: 4 + (seed % 5) as usize,
             poison_retries: 1 + (seed % 4) as usize,
@@ -907,8 +1128,9 @@ mod tests {
             *w = Worker { alive: true, ..Worker::default() };
         }
         let mut world = World {
-            core: Core::new(ntasks, policy, None, None, 0.0),
+            core: Core::new(ntasks, policy, None, None, 0.0).with_grants(grants, nworkers),
             policy,
+            grants,
             ntasks,
             workers,
             poison,
@@ -968,10 +1190,11 @@ mod tests {
 
     proptest! {
         #[test]
-        /// Random interleavings of requests, clean and panicking
-        /// completions, heartbeats, ticks, worker deaths, and master deaths
-        /// followed by a takeover from the survivors' claims alone — 32 per
-        /// case. Every unit ends committed exactly once on a live worker or
+        /// Random interleavings of requests for grants of 1–4 units, clean
+        /// and panicking completions (a poison unit panics its whole grant),
+        /// heartbeats, ticks, worker deaths, and master deaths followed by a
+        /// takeover from the survivors' claims alone — 32 per case. Every
+        /// unit ends committed exactly once on a live worker or
         /// quarantined, none is lost, no tenure dispatches a unit more than
         /// `max_attempts` times without an abort (so no unit is dispatched
         /// more than `max_attempts` × tenures times), and the run settles —
@@ -982,9 +1205,11 @@ mod tests {
             nworkers in 1usize..7,
             speculate in any::<bool>(),
             seed in any::<u64>(),
+            keys in 1usize..4,
         ) {
+            let key: Vec<usize> = (0..ntasks).map(|u| u % keys).collect();
             for k in 0..32 {
-                interleaving(ntasks, nworkers, speculate, seed.wrapping_add(k))?;
+                interleaving(ntasks, nworkers, speculate, seed.wrapping_add(k), &key)?;
             }
         }
     }

@@ -366,7 +366,7 @@ pub fn simulate_master_worker(
         match (kind, core.as_mut()) {
             (EV_START, Some(c)) => {
                 for w in (0..workers).filter(|&w| sim.alive[w]) {
-                    c.request(w, None, &[], now);
+                    c.request(w, &[], &[], now);
                 }
                 sim.pump(c, now);
             }
@@ -394,7 +394,7 @@ pub fn simulate_master_worker(
             // result for the successor.
             (EV_FREE, Some(c)) => {
                 if let Some(e) = sim.slot[w] {
-                    c.request(w, Some((e.unit as u64, true)), &[], now);
+                    c.request(w, &[(e.unit as u64, true)], &[], now);
                     sim.pump(c, now);
                 }
             }
@@ -436,7 +436,8 @@ pub fn simulate_master_worker(
                 for r in (0..workers).filter(|&r| r != p && sim.alive[r]) {
                     match sim.slot[r] {
                         Some(e) if e.end > now => {} // reports when it ends
-                        e => c.request(r, e.map(|e| (e.unit as u64, true)), &[], now),
+                        Some(e) => c.request(r, &[(e.unit as u64, true)], &[], now),
+                        None => c.request(r, &[], &[], now),
                     }
                 }
                 sim.pump(c, now);
@@ -507,13 +508,15 @@ impl Sim<'_> {
         let mut backup = false;
         while let Some(out) = core.poll() {
             match out {
-                Out::Reply { worker, code, verdict } => {
+                Out::Reply { worker, code, verdicts } => {
                     if let Some(e) = self.slot[worker].take() {
-                        if verdict != Verdict::Discard {
+                        if !verdicts.contains(&Verdict::Discard) {
                             self.record(worker, e);
                         }
                     }
-                    if let Code::Unit(unit) = code {
+                    // The model never grants more than one unit.
+                    if let Code::Grant(units) = code {
+                        let [unit] = units[..] else { unreachable!("one unit per grant") };
                         if !std::mem::take(&mut backup) {
                             self.dispatched += 1;
                         }

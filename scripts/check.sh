@@ -32,6 +32,9 @@ cargo test -q --test blast_output_pin
 echo "== diagonal ring: the ring tracker agrees with the map tracker over subject scans, ring and generation wraps included =="
 cargo test -q -p blast --lib -- --exact extend::tests::ring_tracker_agrees_with_map_tracker_on_subject_scans
 
+echo "== neighbourhood table: the table-built protein lookup equals the enumerated one (w 2-4, T 9/11/13) =="
+cargo test -q -p blast --lib -- --exact lookup::tests::table_built_protein_lookup_equals_the_enumerated_one
+
 echo "== contained-HSP skip: the containment rule, its per-context cover, and unchanged hits on an indel homolog =="
 cargo test -q -p blast --lib -- --exact search::tests::containment_counts_shared_edges
 cargo test -q -p blast --lib -- --exact search::tests::containment_rejects_one_residue_outside_on_any_edge
@@ -47,7 +50,7 @@ cargo test -q --test parallel_equivalence blast_equivalence_with_two_of_eight_wo
 echo "== fault-mode smoke: DES dead-worker closed form =="
 cargo test -q --test perfmodel_validation faulty_des_matches_reduced_worker_closed_form
 
-echo "== DES replay: real per-unit busy intervals replayed through the DES land within one task of the real makespan =="
+echo "== DES replay: real per-grant busy intervals replayed through the DES land within one task of the real map phase =="
 cargo test -q --test perfmodel_validation -- --exact des_makespan_matches_real_master_worker_run
 
 echo "== DES pin: paper-scale results of every simulated condition, exact =="
@@ -73,6 +76,17 @@ cargo test -q -p mrmpi --lib -- --exact sched::core::tests::successor_judges_the
 
 echo "== scheduler core property: every interleaving commits each unit exactly once or quarantines it =="
 cargo test -q -p mrmpi --lib -- --exact sched::core::tests::core_commits_every_unit_exactly_once_under_any_interleaving
+
+echo "== grants: guided same-key grants; a poison unit inside a grant is the only unit quarantined, with no strike on the others =="
+cargo test -q -p mrmpi --lib -- --exact sched::core::tests::grants_share_a_key_and_shrink_as_the_pool_drains
+cargo test -q -p mrmpi --lib -- --exact sched::core::tests::a_poison_unit_inside_a_grant_is_the_only_unit_quarantined
+cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_poison_unit_inside_a_grant_is_the_only_unit_quarantined
+
+echo "== grants in the BLAST driver: one prepare per grant, fewer grants than units, serial output =="
+cargo test -q -p mrbio --lib -- --exact mrblast::tests::protein_grants_prepare_once_per_grant_for_several_units
+
+echo "== staging spills: the spill counters equal the physical page writes, staging included =="
+cargo test -q -p mrmpi --lib -- --exact mapreduce::tests::staging_spills_are_counted_with_the_published_kv_spills
 
 echo "== shuffle regression: collate after a death keeps every survivor pair, each key on one rank =="
 cargo test -q -p mrmpi --lib -- --exact mapreduce::tests::collate_after_a_death_keeps_every_survivor_pair

@@ -89,8 +89,12 @@ fn same_seed_blast_runs_share_digest_and_accounting_and_fault_free_is_quiet() {
         assert_eq!(t.counter_total("sched.commit"), ntasks);
         assert_eq!(t.counter_total("sched.worker_commit"), ntasks);
         assert_eq!(t.counter_total("sched.discard"), 0);
-        assert_eq!(t.event_count("sched.unit"), 2 * ntasks as usize, "begin+end per unit");
+        // One `sched.unit` span per execution: a grant of one or more units.
+        let grants = t.counter_total("blast.grants");
+        assert!(0 < grants && grants <= ntasks, "{grants} grants for {ntasks} units");
+        assert_eq!(t.event_count("sched.unit"), 2 * grants as usize, "begin+end per execution");
     }
+    assert_eq!(t1.counter_total("blast.grants"), t2.counter_total("blast.grants"));
     assert_eq!(
         t1.counter_total("mr.kv_pairs"),
         t2.counter_total("mr.kv_pairs"),
