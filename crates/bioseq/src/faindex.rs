@@ -127,8 +127,10 @@ impl FastaIndex {
 /// the end of each iteration and have a more uniform filling of the
 /// cores"). Returns `(start, end)` record ranges covering `0..n` exactly.
 ///
-/// `base` is the steady-state block size (picked by the timing iteration);
-/// the tail shrinks as `remaining / (2 × workers)` down to `min_block`.
+/// `base` is the steady-state block size; the tail shrinks as
+/// `remaining / (2 × workers)` down to `min_block`. The DES ablations cut
+/// query blocks with it; the runtime applies the same rule to grants of
+/// pending work units (`mrmpi::sched::Grants`).
 pub fn guided_blocks(n: usize, base: usize, min_block: usize, workers: usize) -> Vec<(usize, usize)> {
     assert!(base >= 1 && min_block >= 1, "block sizes must be positive");
     let workers = workers.max(1);

@@ -12,8 +12,9 @@
 //!   equivalent producing fixed-target-size partitions with an on-disk
 //!   binary format, plus partition loading (the expensive reload the paper's
 //!   load-balancing discussion revolves around);
-//! * [`faindex`] — a FASTA offset index enabling dynamic query-block sizing
-//!   without pre-partitioning (the paper's future-work item, implemented);
+//! * [`faindex`] — a FASTA offset index (random access to query ranges
+//!   without pre-partitioning, the paper's future-work item) and the guided
+//!   block schedule the DES ablations use;
 //! * [`shred`] — the paper's metagenomic read simulator: shredding reference
 //!   sequences into 400 bp fragments overlapping by 200 bp;
 //! * [`kmer`] — k-mer composition vectors (tetranucleotide frequencies are

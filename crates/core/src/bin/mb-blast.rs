@@ -2,13 +2,17 @@
 //!
 //! The command-line face of the paper's first application: simulated MPI
 //! ranks, fault-tolerant master-worker scheduling, per-rank tabular output
-//! files. A run that fails with a typed error (e.g. every worker died)
-//! prints `mb-blast: <error>` and exits with status 2.
+//! files. The query FASTA is cut into blocks of `--block-size` queries; the
+//! scheduler's grants join a worker's blocks of one DB partition while many
+//! units are pending and hand out single blocks in the tail, so a small
+//! block size needs no tuning for load balance. A run that fails with a
+//! typed error (e.g. every worker died, or the output directory cannot be
+//! created) prints `mb-blast: <error>` and exits with status 2.
 //!
 //! ```text
 //! mb-blast --db dbdir --name refdb --queries reads.fa --ranks 4
 //!          [--protein] [--evalue 10] [--max-hits 500] [--block-size 100]
-//!          [--out hits_dir] [--exclude-self] [--locality] [--adaptive]
+//!          [--out hits_dir] [--exclude-self] [--locality]
 //!          [--trace trace.json]
 //! ```
 
@@ -18,7 +22,7 @@ use bioseq::shred::query_blocks;
 use blast::SearchParams;
 use mpisim::World;
 use mrbio::cliargs::Args;
-use mrbio::{run_mrblast, run_mrblast_adaptive, AdaptiveConfig, MrBlastConfig};
+use mrbio::{run_mrblast, MrBlastConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -32,13 +36,14 @@ fn usage() {
          optional:\n  --ranks <n>       MPI ranks to simulate (default 4)\n  \
          --protein         blastp mode (default blastn)\n  \
          --translated      blastx mode: DNA queries vs protein DB\n  \
-         --evalue <e>      E-value cutoff (default 10)\n  \
+         --evalue <e>      E-value cutoff, >= 0 or inf (default 10)\n  \
          --max-hits <k>    top-K hits per query, 0 = unlimited (default 500)\n  \
-         --block-size <n>  queries per work-unit block (default 100)\n  \
+         --block-size <n>  queries per work-unit block (default 100); the\n  \
+                    scheduler joins small blocks into larger grants while\n  \
+                    work is plentiful and hands out single blocks at the end\n  \
          --out <dir>       write per-rank tabular files here\n  \
          --exclude-self    drop hits of fragments against their source sequence\n  \
          --locality        locality-aware master (future-work scheduler)\n  \
-         --adaptive        dynamic block sizing from a FASTA offset index\n  \
          --trace <file>    record a per-rank trace; writes Chrome/Perfetto JSON\n  \
                     (load at ui.perfetto.dev) and prints a per-stage summary"
     );
@@ -50,31 +55,21 @@ fn run() -> Result<(), String> {
         usage();
         return Ok(());
     }
-    let args = Args::parse(&raw, &["protein", "translated", "exclude-self", "locality", "adaptive"])?;
+    let args = Args::parse(&raw, &["protein", "translated", "exclude-self", "locality"])?;
     let db_dir = args.require("db")?.to_string();
     let name = args.require("name")?.to_string();
     let queries_path = args.require("queries")?.to_string();
     let ranks = args.get_count("ranks", 4)?;
     let protein = args.has("protein");
     let translated = args.has("translated");
-    let evalue = args.get_f64("evalue", 10.0)?;
+    let evalue = args.get_nonneg_f64("evalue", 10.0)?;
     let max_hits = args.get_usize("max-hits", 500)?;
     let block_size = args.get_count("block-size", 100)?;
     let out = args.get("out").map(PathBuf::from);
     let exclude_self = args.has("exclude-self");
     let locality = args.has("locality");
-    let adaptive = args.has("adaptive");
     let trace_path = args.get("trace").map(PathBuf::from);
     args.reject_unknown()?;
-
-    let collector = trace_path.as_ref().map(|_| obs::Collector::new());
-    let make_world = |ranks: usize| {
-        let mut w = World::new(ranks);
-        if let Some(c) = &collector {
-            w = w.with_obs(c.clone());
-        }
-        w
-    };
 
     let db = Arc::new(BlastDb::open(&db_dir, &name).map_err(|e| format!("open db: {e}"))?);
     let params = if translated {
@@ -108,39 +103,28 @@ fn run() -> Result<(), String> {
         db.total_residues
     );
 
+    // Every rank opens its output file under this directory; a path that
+    // cannot be a directory is one error here, not a panic on every rank.
+    if let Some(dir) = &cfg.output_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("create output dir {}: {e}", dir.display()))?;
+    }
+
     let t0 = std::time::Instant::now();
-    let (reports, queries_n) = if adaptive {
-        let qp = PathBuf::from(&queries_path);
-        let db2 = db.clone();
-        let cfg2 = cfg.clone();
-        let reports = make_world(ranks)
-            .run(move |comm| {
-                run_mrblast_adaptive(comm, &db2, &qp, &cfg2, &AdaptiveConfig::default())
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "adaptive block size chosen: {} ({} blocks)",
-            reports[0].chosen_block,
-            reports[0].block_ranges.len()
-        );
-        let queries_n = reports[0].block_ranges.last().map_or(0, |&(_, e)| e);
-        (reports.into_iter().map(|r| r.base).collect::<Vec<_>>(), queries_n)
-    } else {
-        let queries =
-            read_fasta_file(&queries_path).map_err(|e| format!("read {queries_path}: {e}"))?;
-        let queries_n = queries.len();
-        let blocks = Arc::new(query_blocks(queries, block_size));
-        let db2 = db.clone();
-        let cfg2 = cfg.clone();
-        let reports = make_world(ranks)
-            .run(move |comm| run_mrblast(comm, &db2, &blocks, &cfg2))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| e.to_string())?;
-        (reports, queries_n)
-    };
+    let queries =
+        read_fasta_file(&queries_path).map_err(|e| format!("read {queries_path}: {e}"))?;
+    let queries_n = queries.len();
+    let blocks = Arc::new(query_blocks(queries, block_size));
+    let collector = trace_path.as_ref().map(|_| obs::Collector::new());
+    let mut world = World::new(ranks);
+    if let Some(c) = &collector {
+        world = world.with_obs(c.clone());
+    }
+    let reports = world
+        .run(move |comm| run_mrblast(comm, &db, &blocks, &cfg))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
     for r in &reports {
         if let Some(path) = &r.output_file {
             eprintln!("rank {} → {}", r.rank, path.display());

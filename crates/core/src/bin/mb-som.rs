@@ -70,7 +70,8 @@ fn run() -> Result<(), String> {
     let umatrix_out = args.get("umatrix").map(String::from);
     let rgb_out = args.get("rgb").map(String::from);
 
-    // Resolve the input to a matrix file.
+    // Resolve the input to a matrix file. A converted FASTA's matrix is
+    // removed when `run` returns, on success and on error alike.
     let tmp_matrix;
     let matrix_path = if let Some(m) = args.get("input") {
         m.to_string()
@@ -82,10 +83,11 @@ fn run() -> Result<(), String> {
         let records = read_fasta_file(&fasta).map_err(|e| format!("read {fasta}: {e}"))?;
         let vectors: Vec<Vec<f64>> =
             records.iter().map(|r| tetra_frequencies(&r.seq)).collect();
-        tmp_matrix = std::env::temp_dir().join(format!("mb-som-{}.bin", std::process::id()));
-        VectorMatrix::create(&tmp_matrix, &vectors).map_err(|e| format!("write matrix: {e}"))?;
+        tmp_matrix =
+            TempFile(std::env::temp_dir().join(format!("mb-som-{}.bin", std::process::id())));
+        VectorMatrix::create(&tmp_matrix.0, &vectors).map_err(|e| format!("write matrix: {e}"))?;
         eprintln!("computed {} tetranucleotide vectors from {fasta}", vectors.len());
-        tmp_matrix.to_string_lossy().into_owned()
+        tmp_matrix.0.to_string_lossy().into_owned()
     };
     args.reject_unknown()?;
 
@@ -93,6 +95,12 @@ fn run() -> Result<(), String> {
     let dims = probe.dims;
     let n = probe.n;
     drop(probe);
+    if n == 0 || dims == 0 {
+        return Err(format!("{matrix_path}: no vectors to train on ({n} x {dims}-d)"));
+    }
+    if rgb_out.is_some() && dims != 3 {
+        return Err(format!("--rgb needs 3-dimensional input, got {dims}-d"));
+    }
     eprintln!("training {rows}x{cols} SOM on {n} x {dims}-d vectors, {epochs} epochs, {ranks} ranks…");
 
     let som = SomConfig {
@@ -144,13 +152,19 @@ fn run() -> Result<(), String> {
         println!("U-matrix written to {path}");
     }
     if let Some(path) = rgb_out {
-        if dims != 3 {
-            return Err("--rgb needs 3-dimensional input".into());
-        }
         write_codebook_rgb(&path, cb).map_err(|e| e.to_string())?;
         println!("RGB map written to {path}");
     }
     Ok(())
+}
+
+/// A scratch file deleted when dropped.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 /// Rows `[lo, hi)` of the first `n` that `rank` of `size` scores.

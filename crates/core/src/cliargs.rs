@@ -31,8 +31,10 @@ impl Args {
             if switches.contains(&name) {
                 args.switches.push(name.to_string());
             } else {
+                // A following `--flag` is never a value: an unknown switch
+                // must not swallow the next flag.
                 let value = it
-                    .next()
+                    .next_if(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag --{name} expects a value"))?;
                 args.values.insert(name.to_string(), value.clone());
             }
@@ -92,6 +94,20 @@ impl Args {
         match self.get(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name} expects a number, got '{v}'")),
+        }
+    }
+
+    /// Parsed non-negative float with default, for cutoffs such as an
+    /// E-value: `inf` (no cutoff) is accepted, NaN and negative values are
+    /// an error rather than a cutoff that silently keeps nothing or
+    /// everything.
+    ///
+    /// # Errors
+    /// Message on unparsable, NaN or negative input.
+    pub fn get_nonneg_f64(&self, name: &str, default: f64) -> Result<f64, String> {
+        match self.get_f64(name, default)? {
+            v if v >= 0.0 => Ok(v),
+            v => Err(format!("--{name} must be a non-negative number or inf, got {v}")),
         }
     }
 
@@ -165,6 +181,25 @@ mod tests {
         assert!(err.contains("--ranks"), "{err}");
         assert_eq!(a.get_count("rows", 20).unwrap(), 3);
         assert_eq!(a.get_count("cols", 20).unwrap(), 20);
+    }
+
+    #[test]
+    fn non_negative_floats_reject_nan_and_negatives() {
+        let a = Args::parse(&raw(&["--a", "-1", "--b", "nan", "--c", "inf", "--d", "0"]), &[])
+            .unwrap();
+        for name in ["a", "b"] {
+            let err = a.get_nonneg_f64(name, 10.0).unwrap_err();
+            assert!(err.contains(&format!("--{name}")), "{err}");
+        }
+        assert_eq!(a.get_nonneg_f64("c", 10.0).unwrap(), f64::INFINITY);
+        assert_eq!(a.get_nonneg_f64("d", 10.0).unwrap(), 0.0);
+        assert_eq!(a.get_nonneg_f64("e", 10.0).unwrap(), 10.0);
+    }
+
+    #[test]
+    fn a_switch_unknown_to_the_parser_does_not_swallow_the_next_flag() {
+        let err = Args::parse(&raw(&["--no-such-switch", "--ranks", "3"]), &[]).unwrap_err();
+        assert!(err.contains("--no-such-switch"), "{err}");
     }
 
     #[test]

@@ -45,8 +45,13 @@
 //! The paper's conclusion names two scheduler improvements as work in
 //! progress; both are built here: the **locality-aware master**
 //! (`MrBlastConfig::locality_aware`, scheduling in `mrmpi::sched`) and
-//! **dynamic query-block sizing** over an indexed FASTA with a timing
-//! iteration and guided shrinking blocks ([`adaptive`]).
+//! **dynamic query-block sizing**. The scheduler's grants size the work
+//! after the start of the run: a worker holding a DB partition takes up to
+//! `clamp(pending ÷ (2 × live workers), 1, limit)` of that partition's
+//! small query blocks in one grant, where `limit` is a memory budget for
+//! their prepared queries ([`mrblast::grant_limit`]). Grants are large
+//! while the pool is full and single blocks in the tail, so a small block
+//! size needs no tuning.
 //!
 //! ## Baselines
 //!
@@ -72,7 +77,6 @@
 //! assert!(reports.iter().all(Result::is_ok));
 //! ```
 
-pub mod adaptive;
 pub mod ckpt;
 pub mod cliargs;
 pub mod fault;
@@ -82,7 +86,6 @@ pub mod mrblast;
 pub mod mrsom;
 pub mod util;
 
-pub use adaptive::{run_mrblast_adaptive, AdaptiveConfig, AdaptiveReport};
 pub use ckpt::{BlastCheckpoint, RestartPoint, RunFingerprint};
 pub use matrixio::VectorMatrix;
 pub use mrblast::{run_mrblast, MrBlastConfig, MrBlastRankReport};

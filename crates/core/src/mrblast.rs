@@ -656,6 +656,24 @@ mod tests {
         std::fs::remove_dir_all(&fx.dir).ok();
     }
 
+    /// A blastn run at 3 ranks on blocks of two queries: grants join
+    /// several blocks of one partition, fewer grants than units run, and
+    /// the output is the serial one.
+    #[test]
+    fn nucleotide_grants_join_small_blocks_and_keep_serial_output() {
+        let mut fx = fixture(30, "ntgrants");
+        fx.blocks = query_blocks(fx.blocks.concat(), 2);
+        let fx = Arc::new(fx);
+        let units = (fx.blocks.len() * fx.db.num_partitions()) as u64;
+        let reports = run_on(3, &fx, MrBlastConfig::blastn());
+        let sum = |f: fn(&MrBlastRankReport) -> u64| reports.iter().map(f).sum::<u64>();
+        let (map_calls, grants) = (sum(|r| r.map_calls), sum(|r| r.grants));
+        assert_eq!(map_calls, units, "every unit is one map call");
+        assert!(grants < map_calls, "grants join several units: {grants} of {map_calls}");
+        assert_eq!(all_hits(reports), sorted(fx.serial.clone()));
+        std::fs::remove_dir_all(&fx.dir).ok();
+    }
+
     #[test]
     fn counters_track_cache_behaviour() {
         let fx = Arc::new(fixture(27, "counters"));

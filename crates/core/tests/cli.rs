@@ -125,11 +125,23 @@ fn lines_by_query(dir: &Path, ranks: usize) -> BTreeMap<String, Vec<String>> {
     by_query
 }
 
-#[test]
-fn adaptive_blast_writes_the_same_per_query_lines_as_the_default_run() {
-    let dir = std::env::temp_dir().join(format!("cli-adaptive-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let (refs, reads) = write_fixture(&dir);
+/// Run `cmd`, which must fail with exit status 2 and a message naming
+/// `needle` on stderr, without a panic and without a `trained in` line.
+fn assert_typed_failure(cmd: &mut Command, needle: &str) {
+    let out = cmd.output().expect("spawn tool");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "{cmd:?}: stderr: {err}");
+    assert!(err.contains(needle), "{cmd:?} must name '{needle}': {err}");
+    assert!(!err.contains("panicked"), "{cmd:?} panicked: {err}");
+    assert!(!stdout.contains("trained in"), "{cmd:?} trained before failing: {stdout}");
+}
+
+/// Format the fixture's references into `dir/db`, several partitions;
+/// returns the `mb-blast` arguments that search the fixture's reads
+/// against it.
+fn blast_fixture(dir: &Path) -> Vec<String> {
+    let (refs, reads) = write_fixture(dir);
     let dbdir = dir.join("db");
     run_ok(Command::new(env!("CARGO_BIN_EXE_mb-formatdb")).args([
         "--in",
@@ -141,33 +153,131 @@ fn adaptive_blast_writes_the_same_per_query_lines_as_the_default_run() {
         "--partition-bytes",
         "1200",
     ]));
-    let blast = |out: &Path, adaptive: bool| {
+    ["--db", dbdir.to_str().unwrap(), "--name", "refdb", "--queries", reads.to_str().unwrap()]
+        .map(String::from)
+        .to_vec()
+}
+
+/// Grants join small blocks while the pool is full and hand out single
+/// blocks in the tail; the hits per query are those of the default run.
+#[test]
+fn small_blocks_write_the_same_per_query_lines_as_the_default_run() {
+    let dir = std::env::temp_dir().join(format!("cli-small-blocks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let search = blast_fixture(&dir);
+    let blast = |out: &Path, block_size: Option<&str>| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_mb-blast"));
-        cmd.args([
-            "--db",
-            dbdir.to_str().unwrap(),
-            "--name",
-            "refdb",
-            "--queries",
-            reads.to_str().unwrap(),
-            "--ranks",
-            "3",
-            "--evalue",
-            "1e-6",
-            "--out",
-            out.to_str().unwrap(),
-        ]);
-        if adaptive {
-            cmd.arg("--adaptive");
+        cmd.args(&search);
+        cmd.args(["--ranks", "3", "--evalue", "1e-6", "--out", out.to_str().unwrap()]);
+        if let Some(n) = block_size {
+            cmd.args(["--block-size", n]);
         }
         run_ok(&mut cmd)
     };
-    blast(&dir.join("default"), false);
-    blast(&dir.join("adaptive"), true);
+    blast(&dir.join("default"), None);
+    blast(&dir.join("small"), Some("2"));
 
     let want = lines_by_query(&dir.join("default"), 3);
     assert!(!want.is_empty(), "fixture must produce hits");
-    assert_eq!(lines_by_query(&dir.join("adaptive"), 3), want);
+    assert_eq!(lines_by_query(&dir.join("small"), 3), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn blast_output_dir_that_cannot_be_created_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("cli-outdir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let blast = blast_fixture(&dir);
+    let file = dir.join("plain-file");
+    std::fs::write(&file, b"not a directory").unwrap();
+    let out = file.join("hits");
+    assert_typed_failure(
+        Command::new(env!("CARGO_BIN_EXE_mb-blast"))
+            .args(&blast)
+            .args(["--ranks", "3", "--out", out.to_str().unwrap()]),
+        &format!("create output dir {}", out.display()),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn blast_rejects_a_nan_or_negative_evalue_and_keeps_inf() {
+    let dir = std::env::temp_dir().join(format!("cli-evalue-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let blast = blast_fixture(&dir);
+    for bad in ["-1", "nan"] {
+        assert_typed_failure(
+            Command::new(env!("CARGO_BIN_EXE_mb-blast")).args(&blast).args(["--evalue", bad]),
+            "--evalue",
+        );
+    }
+    let out = run_ok(Command::new(env!("CARGO_BIN_EXE_mb-blast")).args(&blast).args([
+        "--ranks", "2", "--evalue", "inf",
+    ]));
+    assert!(out.contains("hits for"), "blast output: {out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A switch the tool does not know (a removed one, or a typo) is named in
+/// the error wherever it stands on the line.
+#[test]
+fn blast_names_an_unknown_switch_wherever_it_stands() {
+    let dir = std::env::temp_dir().join(format!("cli-unknown-switch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let blast = blast_fixture(&dir);
+    assert_typed_failure(
+        Command::new(env!("CARGO_BIN_EXE_mb-blast")).args(&blast).arg("--no-such-switch"),
+        "--no-such-switch",
+    );
+    assert_typed_failure(
+        Command::new(env!("CARGO_BIN_EXE_mb-blast"))
+            .args(&blast)
+            .args(["--no-such-switch", "--ranks", "2"]),
+        "--no-such-switch",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn som_rejects_empty_input_and_rgb_on_non_rgb_input_before_training() {
+    let dir = std::env::temp_dir().join(format!("cli-som-reject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (refs, _) = write_fixture(&dir);
+    let empty = dir.join("empty.fa");
+    std::fs::write(&empty, b"").unwrap();
+    let som = |fasta: &Path| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mb-som"));
+        cmd.args(["--fasta", fasta.to_str().unwrap(), "--tetra", "--rows", "4", "--cols", "4"]);
+        cmd.args(["--epochs", "2", "--ranks", "2"]);
+        cmd
+    };
+    assert_typed_failure(&mut som(&empty), "no vectors");
+    let ppm = dir.join("map.ppm");
+    assert_typed_failure(som(&refs).args(["--rgb", ppm.to_str().unwrap()]), "--rgb");
+    assert!(!ppm.exists(), "no RGB map for rejected input");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn som_removes_its_converted_matrix_on_success_and_on_failure() {
+    let dir = std::env::temp_dir().join(format!("cli-som-tmp-{}", std::process::id()));
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let (refs, _) = write_fixture(&dir);
+    let leftovers = || std::fs::read_dir(&tmp).unwrap().count();
+    let som = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mb-som"));
+        cmd.env("TMPDIR", &tmp);
+        cmd.args(["--fasta", refs.to_str().unwrap(), "--tetra", "--rows", "4", "--cols", "4"]);
+        cmd.args(["--epochs", "2", "--ranks", "2"]);
+        cmd
+    };
+    let out = run_ok(&mut som());
+    assert!(out.contains("trained in"), "som output: {out}");
+    assert_eq!(leftovers(), 0, "successful run left files in TMPDIR");
+    let ppm = dir.join("map.ppm");
+    assert_typed_failure(som().args(["--rgb", ppm.to_str().unwrap()]), "--rgb");
+    assert_eq!(leftovers(), 0, "failed run left files in TMPDIR");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -27,9 +27,9 @@
 //! and its output is published or dropped on a verdict. A style only picks
 //! which units a rank runs. With [`Grants`] a request may take several
 //! pending units of one key, run as one execution ([`assign_grants`]);
-//! each unit is still judged, published and quarantined on its own. Chunk and round-robin — and master-worker in a
-//! world of one rank — run their units through one message-free local loop
-//! over the same [`core::Core`].
+//! each unit is still judged, published and quarantined on its own. Chunk
+//! and round-robin — and master-worker in a world of one rank — run their
+//! units through one message-free local loop over the same [`core::Core`].
 
 pub mod core;
 

@@ -85,6 +85,31 @@ cargo test -q -p mrmpi --lib -- --exact sched::tests::ft_poison_unit_inside_a_gr
 echo "== grants in the BLAST driver: one prepare per grant, fewer grants than units, serial output =="
 cargo test -q -p mrbio --lib -- --exact mrblast::tests::protein_grants_prepare_once_per_grant_for_several_units
 
+echo "== grants in the BLAST driver: blastn grants join two-query blocks, fewer grants than units, serial output =="
+cargo test -q -p mrbio --lib -- --exact mrblast::tests::nucleotide_grants_join_small_blocks_and_keep_serial_output
+
+echo "== CLI arguments: a NaN or negative cutoff is an error naming the flag; an unknown switch does not swallow the next flag =="
+cargo test -q -p mrbio --lib -- --exact cliargs::tests::non_negative_floats_reject_nan_and_negatives
+cargo test -q -p mrbio --lib -- --exact cliargs::tests::a_switch_unknown_to_the_parser_does_not_swallow_the_next_flag
+
+echo "== mb-blast: small blocks give the default run's hits per query =="
+cargo test -q -p mrbio --test cli -- --exact small_blocks_write_the_same_per_query_lines_as_the_default_run
+
+echo "== mb-blast: an output dir that cannot be created is a typed error (exit 2), not a panic on every rank =="
+cargo test -q -p mrbio --test cli -- --exact blast_output_dir_that_cannot_be_created_is_a_typed_error
+
+echo "== mb-blast: a NaN or negative --evalue exits 2; inf is no cutoff =="
+cargo test -q -p mrbio --test cli -- --exact blast_rejects_a_nan_or_negative_evalue_and_keeps_inf
+
+echo "== mb-blast: an unknown switch exits 2 naming the flag, also when another flag follows it =="
+cargo test -q -p mrbio --test cli -- --exact blast_names_an_unknown_switch_wherever_it_stands
+
+echo "== mb-som: empty input and --rgb on non-3-d input exit 2 before training =="
+cargo test -q -p mrbio --test cli -- --exact som_rejects_empty_input_and_rgb_on_non_rgb_input_before_training
+
+echo "== mb-som: the converted FASTA matrix is removed from TMPDIR on success and on failure =="
+cargo test -q -p mrbio --test cli -- --exact som_removes_its_converted_matrix_on_success_and_on_failure
+
 echo "== staging spills: the spill counters equal the physical page writes, staging included =="
 cargo test -q -p mrmpi --lib -- --exact mapreduce::tests::staging_spills_are_counted_with_the_published_kv_spills
 
